@@ -7,14 +7,14 @@ steepest-descent estimates as an independent oracle, and solves scalar
 boundary-value problems with discontinuous and vanishing jump functions.
 """
 
-from .charge_lattice import (Charge, GAMMA1, GAMMA2, Spectrum, check_support,
-                             extend, norm, pairing, pentagon_spectrum)
+from .charge_lattice import (Charge, GAMMA1, GAMMA2, Spectrum, extend, norm,
+                             pairing, pentagon_spectrum)
 from .errors import (AsymmetricJumpError, ConfigError, DegenerateRayError,
                      DivergenceError, NoAdmissibleRayError, NonContractionError,
                      NonzeroIndexError, RHFlowError, SingularKernelError,
                      SupportPropertyError, TruncationUnsafeError)
 from .spectrum_rays import (CentralCharge, RayDirection, admissible_pair,
-                            bps_ray, central_charge, semiflat)
+                            bps_ray, semiflat)
 from .stokes_series import (TruncatedSeries, ks_apply, pentagon_coeff,
                             stokes_log_coeffs)
 

@@ -117,14 +117,6 @@ def pentagon_spectrum(support_constant: float = 0.0) -> Spectrum:
     return Spectrum(tuple(entries), support_constant)
 
 
-def check_support(spectrum: Spectrum, central_charge, a: complex) -> bool:
-    """True iff |Z_g(a)| / norm(g) > K for every active charge g."""
-    for g, _ in spectrum.active():
-        if abs(central_charge.of(g, a)) / norm(g) <= spectrum.support_constant:
-            return False
-    return True
-
-
 def require_support(spectrum: Spectrum, central_charge, a: complex) -> None:
     """Raise SupportPropertyError naming the first offending charge."""
     for g, _ in spectrum.active():

@@ -15,9 +15,7 @@ import cmath
 import dataclasses
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -62,10 +60,15 @@ class RunConfig:
     seed: int = 0
 
 
+def _required(section, key: str, where: str):
+    if not isinstance(section, dict) or key not in section:
+        raise ConfigError(f"{where}.{key} is required")
+    return section[key]
+
+
 def _parse_solver(problem: dict) -> SolverConfig:
     for key in ("R", "theta", "spectrum", "Z"):
-        if key not in problem:
-            raise ConfigError(f"problem.{key} is required")
+        _required(problem, key, "problem")
     spec_d = problem["spectrum"]
     entries = []
     for item in spec_d.get("entries", []):
@@ -77,7 +80,8 @@ def _parse_solver(problem: dict) -> SolverConfig:
     except ValueError as exc:
         raise ConfigError(f"problem.spectrum: {exc}") from exc
     zd = problem["Z"]
-    Z = CentralCharge(_poly(zd["z1"], "problem.Z.z1"), _poly(zd["z2"], "problem.Z.z2"))
+    Z = CentralCharge(_poly(_required(zd, "z1", "problem.Z"), "problem.Z.z1"),
+                      _poly(_required(zd, "z2", "problem.Z"), "problem.Z.z2"))
     theta = problem["theta"]
     if not (isinstance(theta, list) and len(theta) == 2):
         raise ConfigError("problem.theta must be a pair of angles")
@@ -95,10 +99,7 @@ def _parse_solver(problem: dict) -> SolverConfig:
         ball_epsilon=float(problem.get("ball_epsilon", 0.5)),
         split_phase=problem.get("split_phase"),
     )
-    try:
-        cfg.validate()
-    except ConfigError:
-        raise
+    cfg.validate()
     return cfg
 
 
@@ -181,21 +182,13 @@ def _cmd_sweep_r(rc: RunConfig, out: Path) -> None:
     r_values = rc.extras.get("R_values")
     if not r_values:
         raise ConfigError("R_values list is required for sweep_r")
-
-    def one(R: float):
-        cfg = dataclasses.replace(rc.solver, R=float(R))
-        state, report = solve(cfg)
+    rows = []
+    for R in r_values:
+        _, report = solve(dataclasses.replace(rc.solver, R=float(R)))
         ratio = max(report["ratios"]) if report["ratios"] else 0.0
-        return [fmt(R), str(report["iterations"]), fmt(report["deltas"][-1]),
-                fmt(ratio), fmt(report["residuals"]["jump"]),
-                fmt(report["residuals"]["reality"])]
-
-    workers = int(os.environ.get("RHFLOW_THREADS", "1"))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, r_values))
-    else:
-        rows = [one(R) for R in r_values]
+        rows.append([fmt(R), str(report["iterations"]), fmt(report["deltas"][-1]),
+                     fmt(ratio), fmt(report["residuals"]["jump"]),
+                     fmt(report["residuals"]["reality"])])
     _write_csv(out / "sweep.csv",
                ["R", "iterations", "final_delta", "contraction_ratio",
                 "jump_residual", "reality_residual"], rows)
@@ -286,15 +279,16 @@ def _cmd_smoothness(rc: RunConfig, out: Path) -> None:
                ["direction", "order", "step", "sup_derivative", "rel_change"], rows)
 
 
-def _scalar_problem(section: dict) -> tuple[ScalarBVProblem, dict]:
-    kind = section.get("jump", {}).get("kind", "manufactured")
+def _scalar_problem(section: dict) -> ScalarBVProblem:
+    jump = section.get("jump", {})
+    kind = jump.get("kind", "manufactured")
     zeros = tuple((_complex(a, "scalar.zeros"), int(m))
                   for a, m in section.get("zeros", []))
     phase = float(section.get("line_phase", 0.0))
     zeta0 = _complex(section.get("zeta0", [0.0, 1.5]), "scalar.zeta0")
     if kind == "manufactured":
-        eta0 = complex(section["jump"]["eta0"])
-        amp = _complex(section["jump"].get("bump", [0.3, 0.1]), "scalar.jump.bump")
+        eta0 = complex(_required(jump, "eta0", "scalar.jump"))
+        amp = _complex(jump.get("bump", [0.3, 0.1]), "scalar.jump.bump")
         probe = ScalarBVProblem(phase, lambda t: 1.0, (1, 1, 1, 1),
                                 zeros=zeros, zeta0=zeta0)
 
@@ -311,11 +305,11 @@ def _scalar_problem(section: dict) -> tuple[ScalarBVProblem, dict]:
 
         eps = 1e-9
         limits = (G(-eps), G(eps), 1.0 + 0j, cmath.exp(2j * math.pi * eta0))
-        problem = ScalarBVProblem(phase, G, limits, zeros=zeros, zeta0=zeta0)
-        return problem, section
+        return ScalarBVProblem(phase, G, limits, zeros=zeros, zeta0=zeta0)
     if kind == "sampled":
-        ts = [float(t) for t in section["jump"]["t"]]
-        vals = [_complex(v, "scalar.jump.values") for v in section["jump"]["values"]]
+        ts = [float(t) for t in _required(jump, "t", "scalar.jump")]
+        vals = [_complex(v, "scalar.jump.values")
+                for v in _required(jump, "values", "scalar.jump")]
         if len(ts) != len(vals) or len(ts) < 4:
             raise ConfigError("scalar.jump: matching t/values lists required")
         order = np.argsort(ts)
@@ -326,14 +320,15 @@ def _scalar_problem(section: dict) -> tuple[ScalarBVProblem, dict]:
         def G(t: float) -> complex:
             return complex(np.interp(t, ts_a, re), np.interp(t, ts_a, im))
 
-        limits = tuple(_complex(v, "scalar.limits") for v in section["limits"])
-        problem = ScalarBVProblem(phase, G, limits, zeros=zeros, zeta0=zeta0)
-        return problem, section
+        limits = tuple(_complex(v, "scalar.limits")
+                       for v in _required(section, "limits", "scalar"))
+        return ScalarBVProblem(phase, G, limits, zeros=zeros, zeta0=zeta0)
     raise ConfigError(f"scalar.jump.kind {kind!r} not recognized")
 
 
 def _cmd_scalar_bvp(rc: RunConfig, out: Path) -> None:
-    problem, section = _scalar_problem(rc.scalar)
+    section = rc.scalar
+    problem = _scalar_problem(section)
     half_width = float(section.get("half_width", 7.0))
     M = int(section.get("M", 512))
     sol = solve_scalar_bvp(problem, half_width=half_width, M=M)
@@ -368,8 +363,9 @@ _RUNNERS = {
 
 
 def run(rc: RunConfig, out_dir: str) -> int:
-    """Execute a validated configuration; 0 on success, 2 on numerical
-    failure.  Artifacts are deterministic for identical config and seed."""
+    """Execute a validated configuration; 0 on success, 1 on a configuration
+    error found during the run, 2 on numerical failure.  Artifacts are
+    deterministic for identical config and seed."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     try:
@@ -379,7 +375,7 @@ def run(rc: RunConfig, out_dir: str) -> int:
                 "command": rc.command}
         _write_json(out / "error.json", diag)
         print(json.dumps(diag, sort_keys=True), file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, ConfigError) else 2
     return 0
 
 

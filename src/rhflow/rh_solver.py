@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -182,22 +183,29 @@ class ThetaState:
     """Node values of the corrected angles on both contour rays.
 
     values[0] holds the r ray, values[1] the opposite ray; the last axis is
-    the basis index.  Stored values are clockwise-side boundary values.
+    the basis index.  Stored values are clockwise-side boundary values.  The
+    combined densities are computed from values on first use and kept, so
+    values must not be changed in place.
     """
 
     values: np.ndarray
-    theta: tuple[float, float]
+    problem: _Prepared = field(repr=False, compare=False)
     nu: int = 0
     last_delta: float = math.inf
     ball_exits: list[int] = field(default_factory=list)
-    problem: _Prepared | None = field(default=None, repr=False, compare=False)
+
+    @functools.cached_property
+    def densities(self) -> dict[int, np.ndarray]:
+        return self.problem.densities(self.values)
 
 
-def _prepared_for(state_or_cfg, cfg: SolverConfig) -> _Prepared:
-    prep = getattr(state_or_cfg, "problem", None)
-    if prep is not None and prep.cfg is cfg:
-        return prep
-    return _Prepared(cfg)
+def _problem(state: ThetaState, cfg: SolverConfig) -> _Prepared:
+    """The state's prepared problem; cfg must be the configuration it was
+    built from."""
+    prep = state.problem
+    if cfg is not prep.cfg and cfg != prep.cfg:
+        raise ValueError("cfg is not the configuration this state was built for")
+    return prep
 
 
 def init_state(cfg: SolverConfig) -> ThetaState:
@@ -206,13 +214,13 @@ def init_state(cfg: SolverConfig) -> ThetaState:
     values = np.zeros((2, cfg.M, 2), dtype=complex)
     values[..., 0] = cfg.theta[0]
     values[..., 1] = cfg.theta[1]
-    return ThetaState(values, cfg.theta, nu=0, last_delta=math.inf, problem=prep)
+    return ThetaState(values, prep)
 
 
 def iterate_once(state: ThetaState, cfg: SolverConfig) -> ThetaState:
     """One application of the integral-equation map to the node values."""
-    prep = _prepared_for(state, cfg)
-    dens = prep.densities(state.values)
+    prep = _problem(state, cfg)
+    dens = state.densities
     new = np.empty_like(state.values)
     theta_vec = np.array(cfg.theta, dtype=complex)
 
@@ -234,8 +242,8 @@ def iterate_once(state: ThetaState, cfg: SolverConfig) -> ThetaState:
     exits = list(state.ball_exits)
     if ball > cfg.ball_epsilon:
         exits.append(state.nu + 1)
-    return ThetaState(new, cfg.theta, nu=state.nu + 1, last_delta=delta,
-                      ball_exits=exits, problem=prep)
+    return ThetaState(new, prep, nu=state.nu + 1, last_delta=delta,
+                      ball_exits=exits)
 
 
 def solve(cfg: SolverConfig) -> tuple[ThetaState, dict]:
@@ -293,8 +301,8 @@ def evaluate_theta(state: ThetaState, cfg: SolverConfig, zeta: complex,
     On a contour ray, side "plus"/"minus" selects the boundary value;
     "auto" returns the stored (clockwise) side there.
     """
-    prep = _prepared_for(state, cfg)
-    dens = prep.densities(state.values)
+    prep = _problem(state, cfg)
+    dens = state.densities
     out = []
     for k in (0, 1):
         acc = 0j
@@ -334,8 +342,8 @@ def check_jump(state: ThetaState, cfg: SolverConfig) -> float:
     jump series evaluated on the there-computed solution, so quadrature
     and interpolation error stay visible.
     """
-    prep = _prepared_for(state, cfg)
-    dens = prep.densities(state.values)
+    prep = _problem(state, cfg)
+    dens = state.densities
     theta_vec = np.array(cfg.theta, dtype=complex)
     worst = 0.0
     for s, ray_idx in ((+1, 0), (-1, 1)):
@@ -414,7 +422,7 @@ def reality_samples(cfg: SolverConfig, r: RayDirection, count: int = 64,
 
 def check_reality(state: ThetaState, cfg: SolverConfig, count: int = 64) -> float:
     """Sup over samples of |conj(Theta_k(-1/conj zeta)) - Theta_k(zeta)|."""
-    prep = _prepared_for(state, cfg)
+    prep = _problem(state, cfg)
     worst = 0.0
     for z in reality_samples(cfg, prep.r, count):
         direct = evaluate_theta(state, cfg, z)
@@ -430,8 +438,8 @@ def asymptotic_theta(state: ThetaState, cfg: SolverConfig, at) -> tuple[complex,
     The difference from the reference angles is purely imaginary and the two
     limits are complex conjugates of each other.
     """
-    prep = _prepared_for(state, cfg)
-    dens = prep.densities(state.values)
+    prep = _problem(state, cfg)
+    dens = state.densities
     sign = 1.0 if at == 0 else -1.0
     w = prep.weights
     out = []

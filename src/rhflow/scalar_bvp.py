@@ -158,12 +158,6 @@ class ContinuousSolution:
                 acc += orient * integrate_ray(grid, dens, zeta, side="off")
         return cmath.exp(acc / (4j * math.pi))
 
-    def raw_at_infinity(self) -> complex:
-        """Exact limit: the kernel tends to -1 on both halves."""
-        pos = np.sum(self.grids[0].weights * self.log_density[0])
-        neg = np.sum(self.grids[1].weights * self.log_density[1])
-        return cmath.exp(-(pos - neg) / (4j * math.pi))
-
     def __call__(self, zeta: complex, side: str | None = None) -> complex:
         return self.raw(zeta, side) / self.y_at_infinity
 
@@ -222,9 +216,10 @@ def solve_continuous(G1: Callable[[float], complex], line_phase: float,
     dens_neg = lam[:M][::-1]
     dens_pos = lam[M:]
 
-    sol = ContinuousSolution(p, (pos, neg), (dens_pos, dens_neg), c, 1.0 + 0j)
-    return ContinuousSolution(p, (pos, neg), (dens_pos, dens_neg), c,
-                              sol.raw_at_infinity())
+    # exact limit of the raw transform at infinity: the kernel tends to -1
+    # on both halves
+    y_inf = cmath.exp(-(np.sum(w * dens_pos) - np.sum(w * dens_neg)) / (4j * math.pi))
+    return ContinuousSolution(p, (pos, neg), (dens_pos, dens_neg), c, y_inf)
 
 
 @dataclass(frozen=True)
@@ -265,11 +260,6 @@ class ScalarSolution:
         return worst
 
 
-def assemble_solution(p: ScalarBVProblem, eta0: complex, kappa: int,
-                      continuous: ContinuousSolution) -> ScalarSolution:
-    return ScalarSolution(p, eta0, kappa, continuous)
-
-
 def solve_scalar_bvp(p: ScalarBVProblem, half_width: float = 7.0,
                      M: int = 512) -> ScalarSolution:
     """Full pipeline: exponents, index, regularization, Cauchy transform."""
@@ -280,7 +270,7 @@ def solve_scalar_bvp(p: ScalarBVProblem, half_width: float = 7.0,
         kappa = 0  # continuous boundary function: classical index-zero route
     G1 = regularize(p, eta0)
     cont = solve_continuous(G1, p.line_phase, p, half_width=half_width, M=M)
-    return assemble_solution(p, eta0, kappa, cont)
+    return ScalarSolution(p, eta0, kappa, cont)
 
 
 def verify_uniqueness(p: ScalarBVProblem, zeta0_alt: complex,

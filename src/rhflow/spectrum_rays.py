@@ -50,10 +50,6 @@ class CentralCharge:
         return extend(g, v1, v2)
 
 
-def central_charge(Z: CentralCharge, g: Charge, a: complex) -> complex:
-    return Z.of(g, a)
-
-
 @dataclass(frozen=True)
 class RayDirection:
     """Ray {t e^{i phase} : t > 0} through the origin."""
@@ -166,12 +162,6 @@ def admissible_pair(Z: CentralCharge, spectrum: Spectrum, a: complex,
                 f"ray of charge ({g.c1},{g.c2}) is not strictly acute to r"
             )
     return r, classification
-
-
-def classify(Z: CentralCharge, g: Charge, a: complex, r: RayDirection) -> int:
-    """Side of an arbitrary nonzero charge relative to an admissible r."""
-    ray = bps_ray(Z, g, a)
-    return +1 if ray.angle_to(r) < 0.5 * math.pi else -1
 
 
 def alternative_split_phases(Z: CentralCharge, spectrum: Spectrum, a: complex) -> list[float]:

@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rhflow.charge_lattice import (Charge, GAMMA1, GAMMA2, Spectrum, check_support,
-                                   extend, norm, pairing, pentagon_spectrum,
-                                   require_support)
+from rhflow.charge_lattice import (Charge, GAMMA1, GAMMA2, Spectrum, extend, norm,
+                                   pairing, pentagon_spectrum, require_support)
 from rhflow.errors import SupportPropertyError
 from rhflow.spectrum_rays import CentralCharge
 
@@ -82,16 +81,17 @@ def test_pentagon_spectrum_is_symmetric():
 def test_check_support_single_pair():
     Z = CentralCharge.constant(1.0, 1j)
     s = Spectrum.from_pairs([((1, 0), 1), ((-1, 0), 1)], support_constant=0.5)
-    assert check_support(s, Z, 0.0)
+    assert require_support(s, Z, 0.0) is None
     s2 = Spectrum.from_pairs([((1, 0), 1), ((-1, 0), 1)], support_constant=2.0)
-    assert not check_support(s2, Z, 0.0)
+    with pytest.raises(SupportPropertyError):
+        require_support(s2, Z, 0.0)
 
 
 def test_check_support_pentagon():
     # |Z_{e1+e2}| / norm = sqrt(2)/sqrt(2) = 1 > 0.9
     Z = CentralCharge.constant(1.0, 1j)
     s = pentagon_spectrum(support_constant=0.9)
-    assert check_support(s, Z, 0.0)
+    assert require_support(s, Z, 0.0) is None
     assert math.isclose(abs(Z.of(Charge(1, 1), 0.0)) / norm(Charge(1, 1)), 1.0)
 
 

@@ -93,6 +93,27 @@ def test_exit_code_1_on_config_error(tmp_path):
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
 
 
+def test_exit_code_1_when_sweep_r_lacks_R_values(tmp_path, capsys):
+    # the missing list is found during the run, not while loading
+    cfg = write_cfg(tmp_path, PENTAGON)
+    assert main(["sweep_r", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "R_values" in capsys.readouterr().err
+
+
+def test_exit_code_1_when_manufactured_jump_lacks_eta0(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"scalar": {"jump": {"kind": "manufactured"}}})
+    assert main(["scalar_bvp", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "scalar.jump.eta0" in capsys.readouterr().err
+
+
+def test_exit_code_1_when_Z_lacks_z2(tmp_path, capsys):
+    doc = json.loads(json.dumps(PENTAGON))
+    del doc["problem"]["Z"]["z2"]
+    cfg = write_cfg(tmp_path, doc)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "problem.Z.z2" in capsys.readouterr().err
+
+
 def test_sweep_r_monotone_ratios(tmp_path):
     doc = json.loads(json.dumps(PENTAGON))
     doc["R_values"] = [1.0, 2.0, 4.0, 8.0]
@@ -163,15 +184,13 @@ def test_scalar_bvp_command(tmp_path):
     assert report["residuals"]["uniqueness"] < 1e-6
 
 
-def test_thread_env_var_does_not_change_artifacts(tmp_path, monkeypatch):
+def test_sweep_r_artifacts_are_byte_identical_across_runs(tmp_path):
     doc = json.loads(json.dumps(PENTAGON))
     doc["problem"]["M"] = 64
     doc["R_values"] = [2.0, 4.0, 8.0]
     cfg = write_cfg(tmp_path, doc)
-    out1, out2 = tmp_path / "seq", tmp_path / "par"
-    monkeypatch.delenv("RHFLOW_THREADS", raising=False)
+    out1, out2 = tmp_path / "o1", tmp_path / "o2"
     assert main(["sweep_r", "--config", str(cfg), "--out", str(out1)]) == 0
-    monkeypatch.setenv("RHFLOW_THREADS", "3")
     assert main(["sweep_r", "--config", str(cfg), "--out", str(out2)]) == 0
     assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
 

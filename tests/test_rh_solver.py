@@ -5,7 +5,7 @@ import pytest
 
 from rhflow.charge_lattice import Charge, GAMMA1, GAMMA2, Spectrum, pentagon_spectrum
 from rhflow.errors import ConfigError, DivergenceError, NonContractionError
-from rhflow.rh_solver import (SolverConfig, asymptotic_theta, check_jump,
+from rhflow.rh_solver import (SolverConfig, _Prepared, asymptotic_theta, check_jump,
                               check_reality, evaluate_Y, evaluate_theta, init_state,
                               iterate_once, smoothness_probe, solve)
 from rhflow.spectrum_rays import CentralCharge, alternative_split_phases, semiflat
@@ -78,6 +78,28 @@ def test_pentagon_first_step_is_small():
     st1 = iterate_once(init_state(cfg), cfg)
     dev = np.max(np.abs(st1.values - init_state(cfg).values))
     assert dev < 1e-7
+
+
+def test_solve_computes_densities_once_per_state(monkeypatch):
+    # one density set per iterate plus the converged state's for the checks
+    calls = []
+    original = _Prepared.densities
+
+    def counting(self, values):
+        calls.append(1)
+        return original(self, values)
+
+    monkeypatch.setattr(_Prepared, "densities", counting)
+    _, report = solve(pentagon_cfg())
+    assert 0 < len(calls) <= report["iterations"] + 1
+
+
+def test_state_rejects_a_different_config():
+    cfg = pentagon_cfg()
+    state, _ = solve(cfg)
+    assert check_jump(state, pentagon_cfg()) < 1e-6   # equal config is fine
+    with pytest.raises(ValueError):
+        asymptotic_theta(state, pentagon_cfg(theta=(0.2, 1.3)), at=0)
 
 
 def test_pentagon_solves_quickly_with_tiny_ratios():

@@ -5,17 +5,16 @@ import pytest
 from rhflow.charge_lattice import Charge, GAMMA1, GAMMA2, Spectrum, pentagon_spectrum
 from rhflow.errors import DegenerateRayError, NoAdmissibleRayError
 from rhflow.spectrum_rays import (CentralCharge, RayDirection, admissible_pair,
-                                  alternative_split_phases, bps_ray, central_charge,
-                                  semiflat)
+                                  alternative_split_phases, bps_ray, semiflat)
 
 Z_PENTAGON = CentralCharge.constant(1.0, 1j)
 
 
 def test_central_charge_polynomial():
     Z = CentralCharge((0.0, 1.0), (1j,))  # z1(a) = a, z2 = i
-    assert central_charge(Z, GAMMA1, 0.3) == pytest.approx(0.3)
-    assert central_charge(Z, GAMMA1 + GAMMA2, 0.0) == pytest.approx(1j)
-    assert central_charge(Z, -GAMMA2, 0.7) == pytest.approx(-1j)
+    assert Z.of(GAMMA1, 0.3) == pytest.approx(0.3)
+    assert Z.of(GAMMA1 + GAMMA2, 0.0) == pytest.approx(1j)
+    assert Z.of(-GAMMA2, 0.7) == pytest.approx(-1j)
 
 
 def test_central_charge_derivative():
