@@ -39,10 +39,18 @@ def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _number(kind, value, where: str):
+    """kind(value), with a wrongly typed value reported as a ConfigError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def _complex(value, where: str) -> complex:
     if not (isinstance(value, (list, tuple)) and len(value) == 2):
         raise ConfigError(f"{where}: complex numbers are [re, im] pairs")
-    return complex(float(value[0]), float(value[1]))
+    return complex(_number(float, value[0], where), _number(float, value[1], where))
 
 
 def _poly(values, where: str) -> tuple[complex, ...]:
@@ -66,17 +74,29 @@ def _required(section, key: str, where: str):
     return section[key]
 
 
+def _section(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be an object")
+    return value
+
+
 def _parse_solver(problem: dict) -> SolverConfig:
     for key in ("R", "theta", "spectrum", "Z"):
         _required(problem, key, "problem")
-    spec_d = problem["spectrum"]
+    spec_d = _section(problem["spectrum"], "problem.spectrum")
     entries = []
+    where = "problem.spectrum.entries"
     for item in spec_d.get("entries", []):
-        (c1, c2), om = item
-        entries.append(((int(c1), int(c2)), int(om)))
+        try:
+            (c1, c2), om = item
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{where}: {item!r} is not [[c1, c2], multiplicity]") from exc
+        entries.append(((_number(int, c1, where), _number(int, c2, where)),
+                        _number(int, om, where)))
     try:
-        spectrum = Spectrum.from_pairs(entries,
-                                       float(spec_d.get("support_constant", 0.0)))
+        spectrum = Spectrum.from_pairs(
+            entries, _number(float, spec_d.get("support_constant", 0.0),
+                             "problem.spectrum.support_constant"))
     except ValueError as exc:
         raise ConfigError(f"problem.spectrum: {exc}") from exc
     zd = problem["Z"]
@@ -85,19 +105,25 @@ def _parse_solver(problem: dict) -> SolverConfig:
     theta = problem["theta"]
     if not (isinstance(theta, list) and len(theta) == 2):
         raise ConfigError("problem.theta must be a pair of angles")
+
+    def number(kind, key, default=None):
+        return _number(kind, problem.get(key, default), f"problem.{key}")
+
     cfg = SolverConfig(
-        R=float(problem["R"]),
+        R=number(float, "R"),
         a=_complex(problem.get("a", [0.0, 0.0]), "problem.a"),
-        theta=(float(theta[0]), float(theta[1])),
+        theta=(_number(float, theta[0], "problem.theta"),
+               _number(float, theta[1], "problem.theta")),
         spectrum=spectrum,
         Z=Z,
-        N=int(problem.get("N", 8)),
-        M=int(problem.get("M", 128)),
-        target_tail=float(problem.get("target_tail", 40.0)),
-        tol=float(problem.get("tol", 1e-12)),
-        max_iter=int(problem.get("max_iter", 30)),
-        ball_epsilon=float(problem.get("ball_epsilon", 0.5)),
-        split_phase=problem.get("split_phase"),
+        N=number(int, "N", 8),
+        M=number(int, "M", 128),
+        target_tail=number(float, "target_tail", 40.0),
+        tol=number(float, "tol", 1e-12),
+        max_iter=number(int, "max_iter", 30),
+        ball_epsilon=number(float, "ball_epsilon", 0.5),
+        split_phase=(None if problem.get("split_phase") is None
+                     else number(float, "split_phase")),
     )
     cfg.validate()
     return cfg
@@ -124,7 +150,7 @@ def load_config(text: str, command: str, seed: int = 0) -> RunConfig:
     if command in ("solve", "sweep_r", "saddle_check", "deform_check", "smoothness"):
         if "problem" not in doc:
             raise ConfigError("problem section is required")
-        solver = _parse_solver(doc["problem"])
+        solver = _parse_solver(_section(doc["problem"], "problem"))
         require_support(solver.spectrum, solver.Z, solver.a)
         if solver.spectrum.active():
             admissible_pair(solver.Z, solver.spectrum, solver.a,
@@ -132,7 +158,7 @@ def load_config(text: str, command: str, seed: int = 0) -> RunConfig:
     elif command == "scalar_bvp":
         if "scalar" not in doc:
             raise ConfigError("scalar section is required")
-        scalar = doc["scalar"]
+        scalar = _section(doc["scalar"], "scalar")
     return RunConfig(command, solver, scalar, doc, seed)
 
 
@@ -271,8 +297,10 @@ def _cmd_smoothness(rc: RunConfig, out: Path) -> None:
     orders = [int(o) for o in sm.get("orders", [1, 2])]
     step = float(sm.get("step", 1e-2))
     rows = []
+    solutions: dict = {}  # stencil points shared by the orders
     for order in orders:
-        probe = smoothness_probe(rc.solver, direction, order, step)
+        probe = smoothness_probe(rc.solver, direction, order, step,
+                                 solutions=solutions)
         rows.append([direction, str(order), fmt(step), fmt(probe["sup"]),
                      fmt(probe["rel_change"])])
     _write_csv(out / "smoothness.csv",
@@ -280,14 +308,20 @@ def _cmd_smoothness(rc: RunConfig, out: Path) -> None:
 
 
 def _scalar_problem(section: dict) -> ScalarBVProblem:
-    jump = section.get("jump", {})
+    jump = _section(section.get("jump", {}), "scalar.jump")
     kind = jump.get("kind", "manufactured")
-    zeros = tuple((_complex(a, "scalar.zeros"), int(m))
-                  for a, m in section.get("zeros", []))
-    phase = float(section.get("line_phase", 0.0))
+    zeros = []
+    for item in section.get("zeros", []):
+        if not (isinstance(item, (list, tuple)) and len(item) == 2):
+            raise ConfigError(f"scalar.zeros: {item!r} is not [[re, im], order]")
+        zeros.append((_complex(item[0], "scalar.zeros"),
+                      _number(int, item[1], "scalar.zeros")))
+    zeros = tuple(zeros)
+    phase = _number(float, section.get("line_phase", 0.0), "scalar.line_phase")
     zeta0 = _complex(section.get("zeta0", [0.0, 1.5]), "scalar.zeta0")
     if kind == "manufactured":
-        eta0 = complex(_required(jump, "eta0", "scalar.jump"))
+        eta0 = _number(complex, _required(jump, "eta0", "scalar.jump"),
+                       "scalar.jump.eta0")
         amp = _complex(jump.get("bump", [0.3, 0.1]), "scalar.jump.bump")
         probe = ScalarBVProblem(phase, lambda t: 1.0, (1, 1, 1, 1),
                                 zeros=zeros, zeta0=zeta0)
@@ -307,7 +341,8 @@ def _scalar_problem(section: dict) -> ScalarBVProblem:
         limits = (G(-eps), G(eps), 1.0 + 0j, cmath.exp(2j * math.pi * eta0))
         return ScalarBVProblem(phase, G, limits, zeros=zeros, zeta0=zeta0)
     if kind == "sampled":
-        ts = [float(t) for t in _required(jump, "t", "scalar.jump")]
+        ts = [_number(float, t, "scalar.jump.t")
+              for t in _required(jump, "t", "scalar.jump")]
         vals = [_complex(v, "scalar.jump.values")
                 for v in _required(jump, "values", "scalar.jump")]
         if len(ts) != len(vals) or len(ts) < 4:
@@ -329,10 +364,10 @@ def _scalar_problem(section: dict) -> ScalarBVProblem:
 def _cmd_scalar_bvp(rc: RunConfig, out: Path) -> None:
     section = rc.scalar
     problem = _scalar_problem(section)
-    half_width = float(section.get("half_width", 7.0))
-    M = int(section.get("M", 512))
+    half_width = _number(float, section.get("half_width", 7.0), "scalar.half_width")
+    M = _number(int, section.get("M", 512), "scalar.M")
     sol = solve_scalar_bvp(problem, half_width=half_width, M=M)
-    n = int(section.get("samples", 200))
+    n = _number(int, section.get("samples", 200), "scalar.samples")
     rng = np.random.default_rng(rc.seed)
     ts = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), size=n // 2))
     ts = np.concatenate([ts, -ts])

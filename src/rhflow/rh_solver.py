@@ -72,6 +72,12 @@ class SolverConfig:
                 raise ConfigError("theta components must be finite")
 
 
+def _static_exponents(cfg: SolverConfig, g: Charge, pts: np.ndarray) -> np.ndarray:
+    """pi R (Z_g / zeta' + zeta' conj Z_g) at the grid points pts."""
+    zg = cfg.Z.of(g, cfg.a)
+    return math.pi * cfg.R * (zg / pts + pts * zg.conjugate())
+
+
 class _Prepared:
     """Grids, coefficient families and kernel matrices for one configuration."""
 
@@ -107,7 +113,7 @@ class _Prepared:
                                            cfg.target_tail)
                       for side in (+1, -1)}
 
-        # static exponents pi R (Z_g / zeta' + zeta' conj Z_g) on each side's grid
+        # static exponents on each side's grid, one row per charge of self.f
         self.static: dict[int, np.ndarray] = {}
         self.coords: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
         for side in (+1, -1):
@@ -115,8 +121,7 @@ class _Prepared:
             charges = self.f[side]
             stat = np.empty((len(charges), cfg.M), dtype=complex)
             for i, (g, _, _) in enumerate(charges):
-                zg = cfg.Z.of(g, cfg.a)
-                stat[i] = math.pi * cfg.R * (zg / pts + pts * zg.conjugate())
+                stat[i] = _static_exponents(cfg, g, pts)
             self.static[side] = stat
             c1 = np.array([g.c1 for g, _, _ in charges], dtype=float)
             c2 = np.array([g.c2 for g, _, _ in charges], dtype=float)
@@ -130,8 +135,7 @@ class _Prepared:
             pts = self.grids[side].points()
             stat = np.empty((2, cfg.M), dtype=complex)
             for k, g in enumerate((GAMMA1, GAMMA2)):
-                zg = cfg.Z.of(g, cfg.a)
-                stat[k] = math.pi * cfg.R * (zg / pts + pts * zg.conjugate())
+                stat[k] = _static_exponents(cfg, g, pts)
             self.basis_static[side] = stat
 
         # kernel machinery shared by both rays (same node set)
@@ -349,13 +353,18 @@ def check_jump(state: ThetaState, cfg: SolverConfig) -> float:
     for s, ray_idx in ((+1, 0), (-1, 1)):
         other = -s
         # magnitude guard for the side's own active charges: the jump series
-        # across this ray needs |Y_g| < 1 there
+        # across this ray needs |Y_g| < 1 there.  The exponents are the
+        # charge's row of prep.static; a charge the truncated series lacks
+        # (order above N, or coefficients that cancel) has no row and gets
+        # them computed here.
+        rows = {g: i for i, (g, _, _) in enumerate(prep.f[s])}
         for g, om in cfg.spectrum.active():
             if prep.classification.get(g) != s:
                 continue
-            zg = cfg.Z.of(g, cfg.a)
-            pts = prep.grids[s].points()
-            stat = math.pi * cfg.R * (zg / pts + pts * zg.conjugate())
+            if g in rows:
+                stat = prep.static[s][rows[g]]
+            else:
+                stat = _static_exponents(cfg, g, prep.grids[s].points())
             thg = g.c1 * state.values[ray_idx, :, 0] + g.c2 * state.values[ray_idx, :, 1]
             mags = np.abs(np.exp(stat + 1j * thg))
             if np.any(mags >= 1.0):
@@ -464,28 +473,34 @@ _STENCILS = {
 
 
 def smoothness_probe(cfg: SolverConfig, direction: str, order: int,
-                     grid_step: float) -> dict:
+                     grid_step: float,
+                     solutions: dict | None = None) -> dict:
     """Central finite differences of the converged solution in one parameter.
 
     Solves at the stencil points for steps h and h/2 and reports both
     estimates (node arrays and the zeta -> 0 limit) together with the
     relative change under step halving; a stable value stands in for the
     smoothness of the exact solution.
+
+    solutions maps each solved (shifted) configuration to its node values
+    and zeta -> 0 limit; pass one dict to several probes to solve each
+    stencil point once across them.  A fresh dict is used by default.
     """
     if direction not in _DIRECTIONS:
         raise ConfigError(f"unknown probe direction {direction!r}")
     if order not in _STENCILS:
         raise ConfigError("probe order must be 1, 2 or 3")
     shift = _DIRECTIONS[direction]
-    cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+    if solutions is None:
+        solutions = {}
 
     def solved(offset: float):
-        if offset not in cache:
-            shifted = shift(cfg, offset)
+        shifted = shift(cfg, offset)
+        if shifted not in solutions:
             st, _ = solve(shifted)
             t0 = asymptotic_theta(st, shifted, at=0)
-            cache[offset] = (st.values.copy(), np.array(t0))
-        return cache[offset]
+            solutions[shifted] = (st.values.copy(), np.array(t0))
+        return solutions[shifted]
 
     def estimate(h: float):
         nodes = np.zeros((2, cfg.M, 2), dtype=complex)

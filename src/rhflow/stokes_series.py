@@ -15,6 +15,7 @@ is what makes the closed-form coefficient table an exact oracle.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -227,6 +228,17 @@ def log_coeffs_from_state(state: dict[Charge, TruncatedSeries], k: int,
     return {g: c for g, c in logs.coefficients.items() if g.l1 <= N}
 
 
+@functools.lru_cache(maxsize=64)
+def _side_log_coeffs(charges: tuple[tuple[Charge, int], ...], N: int,
+                     ) -> tuple[dict[Charge, Fraction], dict[Charge, Fraction]]:
+    """Both basis targets' families for one ordered side, composed once.
+
+    The series depend only on the ordered charges (with multiplicities)
+    and N, so solves that differ in R, theta, M or the grid share them."""
+    state = side_jump_state(list(charges), N + 1)
+    return log_coeffs_from_state(state, 1, N), log_coeffs_from_state(state, 2, N)
+
+
 def stokes_log_coeffs(spectrum: Spectrum, Z: CentralCharge, a: complex,
                       side: int, k: int, N: int,
                       r: RayDirection) -> dict[Charge, Fraction]:
@@ -234,15 +246,15 @@ def stokes_log_coeffs(spectrum: Spectrum, Z: CentralCharge, a: complex,
     expansion log((S x_k) / x_k) = sum_g f_g x^g over the side's charges.
 
     Composed at truncation N + 1 so the division by x^{gamma_k} is exact
-    through degree N.
+    through degree N.  The composition is cached per process on the
+    ordered side charges and N; each call returns a fresh dict.
     """
     if N < 1:
         raise ValueError("truncation order must be >= 1")
     if k not in (1, 2):
         raise ValueError("k selects a basis charge, 1 or 2")
-    charges = ordered_side_charges(spectrum, Z, a, side, r)
-    state = side_jump_state(charges, N + 1)
-    return log_coeffs_from_state(state, k, N)
+    charges = tuple(ordered_side_charges(spectrum, Z, a, side, r))
+    return dict(_side_log_coeffs(charges, N)[k - 1])
 
 
 def pentagon_coeff(i: int, j: int, k: int) -> Fraction:

@@ -114,6 +114,30 @@ def test_exit_code_1_when_Z_lacks_z2(tmp_path, capsys):
     assert "problem.Z.z2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("R", "abc"), ("N", "eight"),
+                                        ("split_phase", [1, 2])])
+def test_exit_code_1_when_a_number_is_wrongly_typed(tmp_path, capsys, key, value):
+    doc = json.loads(json.dumps(PENTAGON))
+    doc["problem"][key] = value
+    cfg = write_cfg(tmp_path, doc)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert f"problem.{key}" in capsys.readouterr().err
+
+
+def test_exit_code_1_when_scalar_section_is_not_an_object(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"scalar": 5})
+    assert main(["scalar_bvp", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "scalar must be an object" in capsys.readouterr().err
+
+
+def test_exit_code_1_when_spectrum_entry_is_malformed(tmp_path, capsys):
+    doc = json.loads(json.dumps(PENTAGON))
+    doc["problem"]["spectrum"]["entries"][0] = [1, 2]
+    cfg = write_cfg(tmp_path, doc)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "problem.spectrum.entries" in capsys.readouterr().err
+
+
 def test_sweep_r_monotone_ratios(tmp_path):
     doc = json.loads(json.dumps(PENTAGON))
     doc["R_values"] = [1.0, 2.0, 4.0, 8.0]
@@ -169,6 +193,27 @@ def test_smoothness_command(tmp_path):
     lines = (out / "smoothness.csv").read_text().splitlines()
     for line in lines[1:]:
         assert float(line.split(",")[-1]) < 1e-4
+
+
+def test_smoothness_orders_share_stencil_solves(tmp_path, monkeypatch):
+    # orders 1 and 2 at steps h and h/2 need offsets {0, +-h, +-h/2}: five
+    # distinct solves, not the 4 + 5 of two separate probes
+    import rhflow.rh_solver as rh_solver
+    calls = []
+    real_solve = rh_solver.solve
+
+    def counting(cfg):
+        calls.append(cfg)
+        return real_solve(cfg)
+
+    monkeypatch.setattr(rh_solver, "solve", counting)
+    doc = json.loads(json.dumps(PENTAGON))
+    doc["problem"]["M"] = 64
+    doc["smoothness"] = {"direction": "theta1", "orders": [1, 2], "step": 0.01}
+    cfg = write_cfg(tmp_path, doc)
+    assert main(["smoothness", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == 5
+    assert len(set(calls)) == 5
 
 
 def test_scalar_bvp_command(tmp_path):

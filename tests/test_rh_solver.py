@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from rhflow.charge_lattice import Charge, GAMMA1, GAMMA2, Spectrum, pentagon_spectrum
-from rhflow.errors import ConfigError, DivergenceError, NonContractionError
-from rhflow.rh_solver import (SolverConfig, _Prepared, asymptotic_theta, check_jump,
+from rhflow.errors import (ConfigError, DivergenceError, NonContractionError,
+                           TruncationUnsafeError)
+from rhflow.rh_solver import (SolverConfig, ThetaState, _Prepared, asymptotic_theta,
+                              check_jump,
                               check_reality, evaluate_Y, evaluate_theta, init_state,
                               iterate_once, smoothness_probe, solve)
 from rhflow.spectrum_rays import CentralCharge, alternative_split_phases, semiflat
@@ -100,6 +102,21 @@ def test_state_rejects_a_different_config():
     assert check_jump(state, pentagon_cfg()) < 1e-6   # equal config is fine
     with pytest.raises(ValueError):
         asymptotic_theta(state, pentagon_cfg(theta=(0.2, 1.3)), at=0)
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_jump_guard_names_a_charge_with_large_Y(N):
+    # pushing Im Theta_2 down by K multiplies |Y_g| by e^{c2 K}: e1 stays
+    # below 1 and e1 + e2 exceeds it.  At N = 1 the truncated series has no
+    # term at e1 + e2, at N = 2 it has one; the guard checks it either way.
+    spec = Spectrum.from_pairs([((1, 0), 1), ((-1, 0), 1), ((1, 1), 1), ((-1, -1), 1)])
+    cfg = empty_cfg(spectrum=spec, N=N, M=64)
+    st = init_state(cfg)
+    assert (Charge(1, 1) in [g for g, _, _ in st.problem.f[+1]]) == (N == 2)
+    values = st.values.copy()
+    values[..., 1] -= 100j
+    with pytest.raises(TruncationUnsafeError, match=r"for charge \(1,1\) on its jump ray"):
+        check_jump(ThetaState(values, st.problem), cfg)
 
 
 def test_pentagon_solves_quickly_with_tiny_ratios():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rhflow import rh_solver, stokes_series
 from rhflow.charge_lattice import Charge, GAMMA1, GAMMA2, Spectrum, pairing, pentagon_spectrum
 from rhflow.spectrum_rays import CentralCharge, admissible_pair
 from rhflow.stokes_series import (TruncatedSeries, identity_state, ks_apply,
@@ -199,3 +200,93 @@ def test_single_pair_f_scales_with_pairing(n, m):
         if g.l1 > 6:
             continue
         assert coeffs.get(g, Fraction(0)) == Fraction(-expo, mult)
+
+
+# ---------------- memoised side series ----------------
+
+def _uncached(spec, side, k, N, Zc=Z, a=0.0):
+    r, _ = admissible_pair(Zc, spec, a)
+    charges = ordered_side_charges(spec, Zc, a, side, r)
+    return log_coeffs_from_state(side_jump_state(charges, N + 1), k, N)
+
+
+@pytest.fixture
+def composition_count(monkeypatch):
+    stokes_series._side_log_coeffs.cache_clear()
+    calls = []
+    real = stokes_series.side_jump_state
+
+    def counting(charges, N):
+        calls.append((tuple(charges), N))
+        return real(charges, N)
+
+    monkeypatch.setattr(stokes_series, "side_jump_state", counting)
+    yield calls
+    stokes_series._side_log_coeffs.cache_clear()
+
+
+def test_mutating_a_returned_family_leaves_the_cache_intact():
+    spec = pentagon_spectrum()
+    r, _ = admissible_pair(Z, spec, 0.0)
+    first = stokes_log_coeffs(spec, Z, 0.0, +1, 2, 6, r)
+    want = dict(first)
+    first[Charge(1, 0)] = Fraction(99)
+    first.clear()
+    assert stokes_log_coeffs(spec, Z, 0.0, +1, 2, 6, r) == want
+
+
+def test_one_composition_per_side_serves_both_targets(composition_count):
+    spec = pentagon_spectrum()
+    r, _ = admissible_pair(Z, spec, 0.0)
+    for side in (+1, -1):
+        for k in (1, 2):
+            stokes_log_coeffs(spec, Z, 0.0, side, k, 5, r)
+    assert len(composition_count) == 2
+    assert {N for _, N in composition_count} == {6}
+
+
+def test_second_solve_at_other_R_and_theta_composes_nothing(composition_count):
+    cfg = rh_solver.SolverConfig(R=4.0, a=0.0, theta=(0.7, 1.3),
+                                 spectrum=pentagon_spectrum(), Z=Z, N=6, M=64)
+    rh_solver.solve(cfg)
+    assert len(composition_count) == 2
+    rh_solver.solve(rh_solver.SolverConfig(R=2.0, a=0.0, theta=(0.2, -0.4),
+                                           spectrum=pentagon_spectrum(), Z=Z,
+                                           N=6, M=64))
+    assert len(composition_count) == 2
+
+
+def test_keys_differing_in_multiplicity_or_N_are_distinct():
+    single = Spectrum.from_pairs([((1, 0), 1), ((-1, 0), 1), ((0, 1), 1), ((0, -1), 1)])
+    double = Spectrum.from_pairs([((1, 0), 2), ((-1, 0), 2), ((0, 1), 1), ((0, -1), 1)])
+    results = {}
+    for name, spec in (("single", single), ("double", double)):
+        r, _ = admissible_pair(Z, spec, 0.0)
+        for N in (4, 5):
+            got = stokes_log_coeffs(spec, Z, 0.0, +1, 2, N, r)
+            assert got == _uncached(spec, +1, 2, N)
+            results[name, N] = got
+    assert results["single", 4] != results["double", 4]
+    assert results["single", 4] != results["single", 5]
+    assert results["double", 4] != results["double", 5]
+
+
+_CANDIDATES = [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (1, -1)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_CANDIDATES), st.integers(1, 2)),
+                min_size=1, max_size=3, unique_by=lambda t: t[0]),
+       st.integers(min_value=1, max_value=4))
+def test_cached_families_equal_uncached_composition(picks, N):
+    # a random symmetric spectrum with multiplicities at a generic Z
+    pairs = []
+    for (c1, c2), om in picks:
+        pairs += [((c1, c2), om), ((-c1, -c2), om)]
+    spec = Spectrum.from_pairs(pairs)
+    Zg = CentralCharge.constant(1.3 + 0.2j, -0.25 + 1.1j)
+    r, _ = admissible_pair(Zg, spec, 0.0)
+    for side in (+1, -1):
+        for k in (1, 2):
+            got = stokes_log_coeffs(spec, Zg, 0.0, side, k, N, r)
+            assert got == _uncached(spec, side, k, N, Zc=Zg)
