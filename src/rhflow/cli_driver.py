@@ -43,7 +43,7 @@ def _number(kind, value, where: str):
     """kind(value), with a wrongly typed value reported as a ConfigError."""
     try:
         return kind(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
@@ -80,13 +80,19 @@ def _section(value, where: str) -> dict:
     return value
 
 
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a list")
+    return value
+
+
 def _parse_solver(problem: dict) -> SolverConfig:
     for key in ("R", "theta", "spectrum", "Z"):
         _required(problem, key, "problem")
     spec_d = _section(problem["spectrum"], "problem.spectrum")
     entries = []
     where = "problem.spectrum.entries"
-    for item in spec_d.get("entries", []):
+    for item in _list(spec_d.get("entries", []), where):
         try:
             (c1, c2), om = item
         except (TypeError, ValueError) as exc:
@@ -311,7 +317,7 @@ def _scalar_problem(section: dict) -> ScalarBVProblem:
     jump = _section(section.get("jump", {}), "scalar.jump")
     kind = jump.get("kind", "manufactured")
     zeros = []
-    for item in section.get("zeros", []):
+    for item in _list(section.get("zeros", []), "scalar.zeros"):
         if not (isinstance(item, (list, tuple)) and len(item) == 2):
             raise ConfigError(f"scalar.zeros: {item!r} is not [[re, im], order]")
         zeros.append((_complex(item[0], "scalar.zeros"),
@@ -342,9 +348,10 @@ def _scalar_problem(section: dict) -> ScalarBVProblem:
         return ScalarBVProblem(phase, G, limits, zeros=zeros, zeta0=zeta0)
     if kind == "sampled":
         ts = [_number(float, t, "scalar.jump.t")
-              for t in _required(jump, "t", "scalar.jump")]
+              for t in _list(_required(jump, "t", "scalar.jump"), "scalar.jump.t")]
         vals = [_complex(v, "scalar.jump.values")
-                for v in _required(jump, "values", "scalar.jump")]
+                for v in _list(_required(jump, "values", "scalar.jump"),
+                               "scalar.jump.values")]
         if len(ts) != len(vals) or len(ts) < 4:
             raise ConfigError("scalar.jump: matching t/values lists required")
         order = np.argsort(ts)
@@ -356,7 +363,8 @@ def _scalar_problem(section: dict) -> ScalarBVProblem:
             return complex(np.interp(t, ts_a, re), np.interp(t, ts_a, im))
 
         limits = tuple(_complex(v, "scalar.limits")
-                       for v in _required(section, "limits", "scalar"))
+                       for v in _list(_required(section, "limits", "scalar"),
+                                      "scalar.limits"))
         return ScalarBVProblem(phase, G, limits, zeros=zeros, zeta0=zeta0)
     raise ConfigError(f"scalar.jump.kind {kind!r} not recognized")
 

@@ -353,18 +353,11 @@ def check_jump(state: ThetaState, cfg: SolverConfig) -> float:
     for s, ray_idx in ((+1, 0), (-1, 1)):
         other = -s
         # magnitude guard for the side's own active charges: the jump series
-        # across this ray needs |Y_g| < 1 there.  The exponents are the
-        # charge's row of prep.static; a charge the truncated series lacks
-        # (order above N, or coefficients that cancel) has no row and gets
-        # them computed here.
-        rows = {g: i for i, (g, _, _) in enumerate(prep.f[s])}
+        # across this ray needs |Y_g| < 1 there
         for g, om in cfg.spectrum.active():
             if prep.classification.get(g) != s:
                 continue
-            if g in rows:
-                stat = prep.static[s][rows[g]]
-            else:
-                stat = _static_exponents(cfg, g, prep.grids[s].points())
+            stat = _static_exponents(cfg, g, prep.grids[s].points())
             thg = g.c1 * state.values[ray_idx, :, 0] + g.c2 * state.values[ray_idx, :, 1]
             mags = np.abs(np.exp(stat + 1j * thg))
             if np.any(mags >= 1.0):

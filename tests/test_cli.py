@@ -138,6 +138,23 @@ def test_exit_code_1_when_spectrum_entry_is_malformed(tmp_path, capsys):
     assert "problem.spectrum.entries" in capsys.readouterr().err
 
 
+def test_exit_code_1_when_N_overflows_int(tmp_path, capsys):
+    # json reads 1e999 as inf, which int() cannot convert
+    text = json.dumps(dict(PENTAGON["problem"], N="@")).replace('"@"', "1e999")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"problem": ' + text + "}", encoding="utf-8")
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "problem.N" in capsys.readouterr().err
+
+
+def test_exit_code_1_when_entries_is_not_a_list(tmp_path, capsys):
+    doc = json.loads(json.dumps(PENTAGON))
+    doc["problem"]["spectrum"]["entries"] = 5
+    cfg = write_cfg(tmp_path, doc)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "problem.spectrum.entries must be a list" in capsys.readouterr().err
+
+
 def test_sweep_r_monotone_ratios(tmp_path):
     doc = json.loads(json.dumps(PENTAGON))
     doc["R_values"] = [1.0, 2.0, 4.0, 8.0]
