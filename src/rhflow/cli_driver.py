@@ -86,6 +86,12 @@ def _list(value, where: str) -> list:
     return value
 
 
+def _charge(value, where: str) -> Charge:
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ConfigError(f"{where}: charges are [c1, c2] pairs")
+    return Charge(_number(int, value[0], where), _number(int, value[1], where))
+
+
 def _parse_solver(problem: dict) -> SolverConfig:
     for key in ("R", "theta", "spectrum", "Z"):
         _required(problem, key, "problem")
@@ -211,12 +217,13 @@ def _cmd_solve(rc: RunConfig, out: Path) -> None:
 
 
 def _cmd_sweep_r(rc: RunConfig, out: Path) -> None:
-    r_values = rc.extras.get("R_values")
+    r_values = [_number(float, R, "R_values")
+                for R in _list(rc.extras.get("R_values", []), "R_values")]
     if not r_values:
         raise ConfigError("R_values list is required for sweep_r")
     rows = []
     for R in r_values:
-        _, report = solve(dataclasses.replace(rc.solver, R=float(R)))
+        _, report = solve(dataclasses.replace(rc.solver, R=R))
         ratio = max(report["ratios"]) if report["ratios"] else 0.0
         rows.append([fmt(R), str(report["iterations"]), fmt(report["deltas"][-1]),
                      fmt(ratio), fmt(report["residuals"]["jump"]),
@@ -227,7 +234,7 @@ def _cmd_sweep_r(rc: RunConfig, out: Path) -> None:
 
 
 def _cmd_pentagon_table(rc: RunConfig, out: Path) -> None:
-    order = int(rc.extras.get("table_order", 8))
+    order = _number(int, rc.extras.get("table_order", 8), "table_order")
     rows = []
     for side in (1, -1):
         for k in (1, 2):
@@ -248,10 +255,10 @@ def _cmd_pentagon_table(rc: RunConfig, out: Path) -> None:
 
 
 def _cmd_saddle_check(rc: RunConfig, out: Path) -> None:
-    sd = rc.extras.get("saddle", {})
-    g = sd.get("gamma", [1, 0])
-    gamma = Charge(int(g[0]), int(g[1]))
-    r_values = [float(r) for r in sd.get("R_values", [4.0, 16.0, 64.0])]
+    sd = _section(rc.extras.get("saddle", {}), "saddle")
+    gamma = _charge(sd.get("gamma", [1, 0]), "saddle.gamma")
+    r_values = [_number(float, r, "saddle.R_values")
+                for r in _list(sd.get("R_values", [4.0, 16.0, 64.0]), "saddle.R_values")]
     cfg = rc.solver
     z0 = saddle_point(cfg.Z.of(gamma, cfg.a))
     factor = _complex(sd.get("zeta_factor", [2.0, 0.0]), "saddle.zeta_factor")
@@ -264,11 +271,10 @@ def _cmd_saddle_check(rc: RunConfig, out: Path) -> None:
 
 
 def _cmd_deform_check(rc: RunConfig, out: Path) -> None:
-    dd = rc.extras.get("deform", {})
-    g = dd.get("gamma", [0, 1])
-    gamma = Charge(int(g[0]), int(g[1]))
+    dd = _section(rc.extras.get("deform", {}), "deform")
+    gamma = _charge(dd.get("gamma", [0, 1]), "deform.gamma")
     cfg = rc.solver
-    R = float(dd.get("R", cfg.R))
+    R = _number(float, dd.get("R", cfg.R), "deform.R")
     r, _ = admissible_pair(cfg.Z, cfg.spectrum, cfg.a, split_phase=cfg.split_phase)
     ell = bps_ray(cfg.Z, gamma, cfg.a)
     zg = abs(cfg.Z.of(gamma, cfg.a))
@@ -298,10 +304,11 @@ def _cmd_deform_check(rc: RunConfig, out: Path) -> None:
 
 
 def _cmd_smoothness(rc: RunConfig, out: Path) -> None:
-    sm = rc.extras.get("smoothness", {})
-    direction = sm.get("direction", "theta1")
-    orders = [int(o) for o in sm.get("orders", [1, 2])]
-    step = float(sm.get("step", 1e-2))
+    sm = _section(rc.extras.get("smoothness", {}), "smoothness")
+    direction = str(sm.get("direction", "theta1"))  # smoothness_probe names a bad one
+    orders = [_number(int, o, "smoothness.orders")
+              for o in _list(sm.get("orders", [1, 2]), "smoothness.orders")]
+    step = _number(float, sm.get("step", 1e-2), "smoothness.step")
     rows = []
     solutions: dict = {}  # stencil points shared by the orders
     for order in orders:

@@ -66,22 +66,14 @@ def cauchy_kernel(zeta: complex, zeta_p: complex) -> complex:
     return (zeta_p + zeta) / (zeta_p - zeta)
 
 
-def kernel_row(grid: RayGrid, zeta: complex) -> np.ndarray:
-    pts = grid.points()
-    diff = pts - zeta
-    if np.any(diff == 0):
-        raise SingularKernelError("evaluation point coincides with a grid node")
-    return (pts + zeta) / diff
-
-
-def on_ray_parameter(grid: RayGrid, zeta: complex) -> float | None:
-    """Log radius of zeta if it lies on the grid ray (within the angular
-    margin), else None."""
-    if zeta == 0:
-        return None
-    if abs(_wrap(math.atan2(zeta.imag, zeta.real) - grid.direction.phase)) > EPS_ANGLE:
-        return None
-    return math.log(abs(zeta))
+def on_covered_ray(grid: RayGrid, zeta) -> np.ndarray:
+    """True where zeta (a point or an array of points) lies on the grid ray,
+    within the angular margin, and inside the covered range |s| <= L."""
+    z = np.asarray(zeta, dtype=complex)
+    with np.errstate(divide="ignore"):
+        s = np.log(np.abs(z))
+    rel = np.angle(z * np.conj(grid.direction.unit()))
+    return (np.abs(rel) <= EPS_ANGLE) & (np.abs(s) <= grid.half_width)
 
 
 def pv_coth_closed_form(L: float, s: float, step: float) -> float:
@@ -95,83 +87,101 @@ def pv_coth_closed_form(L: float, s: float, step: float) -> float:
                   math.log(math.sinh(0.5 * (L + sc))))
 
 
-def _derivative_row(M: int, i: int, step: float) -> np.ndarray:
-    """Fourth-order central first-derivative stencil at node i (shifted
-    near the edges, where the integrands are at tail level)."""
-    row = np.zeros(M)
-    j = min(max(i, 2), M - 3)
+def _derivative_rows(M: int, idx: np.ndarray, step: float) -> np.ndarray:
+    """Fourth-order central first-derivative stencils at the nodes idx, one
+    row each (shifted near the edges, where the integrands are at tail
+    level)."""
+    j = np.clip(idx, 2, M - 3)
+    rows = np.zeros((len(j), M))
     for off, c in ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0)):
-        row[j + off] += c / (12.0 * step)
-    return row
+        rows[np.arange(len(j)), j + off] += c / (12.0 * step)
+    return rows
 
 
-def integrate_ray(grid: RayGrid, values: np.ndarray, zeta: complex,
-                  side: str = "off") -> complex:
-    """Trapezoid integral of K(zeta, .) times the sampled density.
+def integrate_ray(grid: RayGrid, values: np.ndarray, zeta, side: str = "off"):
+    """Trapezoid integral of K(zeta, .) times the sampled density, at one
+    point (returns a complex) or at a 1-D array of points (returns an array).
 
-    side="off" requires zeta away from the ray.  side="plus"/"minus"
-    evaluates the boundary value on the ray: the principal value via
-    subtraction of the density at the (snapped) pole node, plus the
-    half-residue +/- 2 pi i times the density there; "plus" is the limit
+    side="off" requires every zeta away from the covered ray.
+    side="plus"/"minus" evaluates boundary values on the covered ray: the
+    principal value via subtraction of the density at the pole (the node
+    value when the pole sits on a node, with the removable limit 2 h'(s)
+    there from a derivative stencil; the interpolated density otherwise),
+    plus the half-residue +/- 2 pi i times that density; "plus" is the limit
     from the counterclockwise side of the oriented ray.
     """
     h = np.asarray(values, dtype=complex)
     if h.shape != grid.nodes.shape:
         raise ValueError("density sampled on a different grid")
-    s_star = on_ray_parameter(grid, zeta)
+    z = np.asarray(zeta, dtype=complex)
+    if z.ndim > 1:
+        raise ValueError("evaluation points must be a point or a 1-D array")
+    zs = np.atleast_1d(z)
     if side == "off":
-        if s_star is not None and abs(s_star) <= grid.half_width:
+        if np.any(on_covered_ray(grid, zs)):
             raise SingularKernelError(
                 "evaluation point lies on the covered part of the integration "
                 "ray; use side='plus' or side='minus'"
             )
         # on the ray beyond the grid coverage the kernel pole sits where the
         # density is already at tail level; the sum below is regular
-        return complex(np.sum(grid.weights * kernel_row(grid, zeta) * h))
+        pts = grid.points()
+        diff = pts - zs[:, None]
+        if np.any(diff == 0):
+            raise SingularKernelError("evaluation point coincides with a grid node")
+        # in place: the (points x nodes) work arrays are the memory peak
+        terms = pts + zs[:, None]
+        terms /= diff
+        terms *= grid.weights
+        terms *= h
+        out = terms.sum(axis=1)
+        return out if z.ndim else complex(out[0])
     if side not in ("plus", "minus"):
         raise ValueError("side must be 'off', 'plus' or 'minus'")
-    if s_star is None:
-        raise SingularKernelError("boundary value requested off the ray")
-    i = int(round((s_star + grid.half_width) / grid.step))
-    if not 0 <= i < grid.count or abs(grid.nodes[i] - s_star) > 0.5 * grid.step + 1e-12:
-        raise SingularKernelError("boundary point outside the grid range")
-    if abs(grid.nodes[i] - s_star) < 1e-9 * grid.step:
-        # pole at a node: subtract the node value, supply the removable
-        # limit 2 h'(s) there from a derivative stencil
-        si = grid.nodes[i]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            coth = 1.0 / np.tanh(0.5 * (grid.nodes - si))
-        coth[i] = 0.0
-        pv = np.sum(grid.weights * coth * (h - h[i]))
-        pv += grid.weights[i] * 2.0 * (_derivative_row(grid.count, i, grid.step) @ h)
-        pv += h[i] * pv_coth_closed_form(grid.half_width, si, grid.step)
-        h_star = h[i]
-    else:
-        # pole between nodes: subtract the interpolated density, then every
-        # summand is regular
-        h_star = _interpolate(grid, h, s_star)
-        coth = 1.0 / np.tanh(0.5 * (grid.nodes - s_star))
-        pv = np.sum(grid.weights * coth * (h - h_star))
-        pv += h_star * pv_coth_closed_form(grid.half_width, s_star, grid.step)
+    if not np.all(on_covered_ray(grid, zs)):
+        raise SingularKernelError("boundary value requested off the covered ray")
+    L, step = grid.half_width, grid.step
+    # log radii and closed forms per point in scalar math: numpy's vectorised
+    # log rounds differently from libm's on some inputs, and the node
+    # operator of rh_solver and the written artifacts use libm's
+    s_star = np.array([math.log(abs(p)) for p in zs.tolist()], dtype=float)
+    i = np.rint((s_star + L) / step).astype(int)
+    node = np.abs(grid.nodes[i] - s_star) < 1e-9 * step
+    s_pole = np.where(node, grid.nodes[i], s_star)
+    h_star = np.where(node, h[i], _interpolate(grid, h, s_star))
+    wcoth = np.tanh(0.5 * (grid.nodes - s_pole[:, None]))
+    with np.errstate(divide="ignore"):
+        np.divide(1.0, wcoth, out=wcoth)
+    wcoth[node, i[node]] = 0.0
+    wcoth *= grid.weights
+    terms = h - h_star[:, None]
+    terms *= wcoth
+    pv = terms.sum(axis=1)
+    pv[node] += (grid.weights[i[node]] * 2.0
+                 * np.sum(_derivative_rows(grid.count, i[node], step) * h, axis=1))
+    pv += h_star * np.array([pv_coth_closed_form(L, p, step) for p in s_pole.tolist()],
+                            dtype=float)
     half_jump = 2.0j * math.pi * h_star
-    return complex(pv + half_jump) if side == "plus" else complex(pv - half_jump)
+    out = pv + half_jump if side == "plus" else pv - half_jump
+    return out if z.ndim else complex(out[0])
 
 
-def _interpolate(grid: RayGrid, h: np.ndarray, s: float) -> complex:
-    """Six-point Lagrange interpolation of a smooth density on the uniform grid."""
-    j0 = min(max(int(math.floor((s + grid.half_width) / grid.step)) - 2, 0),
-             grid.count - 6)
-    idx = np.arange(j0, j0 + 6)
+def _interpolate(grid: RayGrid, h: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Six-point Lagrange interpolation of a smooth density on the uniform
+    grid, at each of the points s."""
+    j0 = np.clip(np.floor((s + grid.half_width) / grid.step).astype(int) - 2,
+                 0, grid.count - 6)
+    idx = j0[:, None] + np.arange(6)
     xs = grid.nodes[idx]
-    out = 0j
+    out = np.zeros(len(s), dtype=complex)
     for a in range(6):
-        num, den = 1.0, 1.0
+        num, den = np.ones(len(s)), np.ones(len(s))
         for b in range(6):
             if a == b:
                 continue
-            num *= s - xs[b]
-            den *= xs[a] - xs[b]
-        out += h[idx[a]] * (num / den)
+            num *= s - xs[:, b]
+            den *= xs[:, a] - xs[:, b]
+        out += h[idx[:, a]] * (num / den)
     return out
 
 

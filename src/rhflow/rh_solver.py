@@ -15,7 +15,6 @@ verifies.
 
 from __future__ import annotations
 
-import cmath
 import dataclasses
 import functools
 import math
@@ -24,9 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .charge_lattice import Charge, GAMMA1, GAMMA2, Spectrum, require_support
-from .contour_quadrature import (build_ray_grid, integrate_ray,
-                                 on_ray_parameter, pv_coth_closed_form,
-                                 _derivative_row)
+from .contour_quadrature import (build_ray_grid, integrate_ray, on_covered_ray,
+                                 pv_coth_closed_form, _derivative_rows)
 from .errors import (ConfigError, DivergenceError, NonContractionError,
                      TruncationUnsafeError)
 from .spectrum_rays import CentralCharge, RayDirection, admissible_pair, bps_ray
@@ -72,10 +70,11 @@ class SolverConfig:
                 raise ConfigError("theta components must be finite")
 
 
-def _static_exponents(cfg: SolverConfig, g: Charge, pts: np.ndarray) -> np.ndarray:
-    """pi R (Z_g / zeta' + zeta' conj Z_g) at the grid points pts."""
-    zg = cfg.Z.of(g, cfg.a)
-    return math.pi * cfg.R * (zg / pts + pts * zg.conjugate())
+def _static_exponents(cfg: SolverConfig, zg: complex | np.ndarray,
+                      pts: complex | np.ndarray) -> np.ndarray:
+    """pi R (Z_g / zeta' + zeta' conj Z_g) for central charge values zg at
+    the points pts (broadcast against each other)."""
+    return math.pi * cfg.R * (zg / pts + pts * np.conj(zg))
 
 
 class _Prepared:
@@ -115,14 +114,14 @@ class _Prepared:
 
         # static exponents on each side's grid, one row per charge of self.f
         self.static: dict[int, np.ndarray] = {}
+        self.central: dict[int, np.ndarray] = {}
         self.coords: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
         for side in (+1, -1):
-            pts = self.grids[side].points()
             charges = self.f[side]
-            stat = np.empty((len(charges), cfg.M), dtype=complex)
-            for i, (g, _, _) in enumerate(charges):
-                stat[i] = _static_exponents(cfg, g, pts)
-            self.static[side] = stat
+            self.central[side] = np.array([cfg.Z.of(g, cfg.a) for g, _, _ in charges],
+                                          dtype=complex)
+            self.static[side] = _static_exponents(cfg, self.central[side][:, None],
+                                                  self.grids[side].points())
             c1 = np.array([g.c1 for g, _, _ in charges], dtype=float)
             c2 = np.array([g.c2 for g, _, _ in charges], dtype=float)
             fk1 = np.array([v1 for _, v1, _ in charges], dtype=complex)
@@ -130,13 +129,10 @@ class _Prepared:
             self.coords[side] = (c1, c2, fk1, fk2)
 
         # basis-charge exponents on both grids, for Y evaluation and jump checks
-        self.basis_static: dict[int, np.ndarray] = {}
-        for side in (+1, -1):
-            pts = self.grids[side].points()
-            stat = np.empty((2, cfg.M), dtype=complex)
-            for k, g in enumerate((GAMMA1, GAMMA2)):
-                stat[k] = _static_exponents(cfg, g, pts)
-            self.basis_static[side] = stat
+        self.basis_central = np.array([cfg.Z.of(g, cfg.a) for g in (GAMMA1, GAMMA2)])
+        self.basis_static = {side: _static_exponents(cfg, self.basis_central[:, None],
+                                                     self.grids[side].points())
+                             for side in (+1, -1)}
 
         # kernel machinery shared by both rays (same node set)
         g0 = self.grids[+1]
@@ -149,25 +145,27 @@ class _Prepared:
         self.row_sum = self.c_same.sum(axis=1)
         self.c_cross = w[None, :] * np.tanh(0.5 * diff)
         self.pv_vec = np.array([pv_coth_closed_form(L, si, step) for si in s])
-        self.fd = np.vstack([_derivative_row(M, i, step) for i in range(M)])
+        self.fd = _derivative_rows(M, np.arange(M), step)
         self.weights = w
 
     def densities(self, values: np.ndarray) -> dict[int, np.ndarray]:
         """Combined density per side and target, shape (M, 2), from the node
         values of Theta (shape (2, M, 2); axis 0 is the ray: 0 -> r, 1 -> -r)."""
-        out = {}
-        for side, ray_idx in ((+1, 0), (-1, 1)):
-            c1, c2, f1, f2 = self.coords[side]
-            th1 = values[ray_idx, :, 0]
-            th2 = values[ray_idx, :, 1]
-            with np.errstate(over="ignore", invalid="ignore"):
-                # overflow here means a diverging iterate; the caller checks
-                expo = np.exp(self.static[side]
-                              + 1j * (c1[:, None] * th1[None, :] + c2[:, None] * th2[None, :]))
-                dens = np.empty((self.cfg.M, 2), dtype=complex)
-                dens[:, 0] = f1 @ expo
-                dens[:, 1] = f2 @ expo
-            out[side] = dens
+        return {side: self.series(side, self.static[side], values[ray_idx])
+                for side, ray_idx in ((+1, 0), (-1, 1))}
+
+    def series(self, side: int, static: np.ndarray, th: np.ndarray) -> np.ndarray:
+        """Jump series exponent sum_g f_g^k X_g of one side per target k,
+        shape (P, 2), from the static exponents of the side's charges at P
+        points (shape (K, P)) and the angles Theta there (shape (P, 2))."""
+        c1, c2, f1, f2 = self.coords[side]
+        with np.errstate(over="ignore", invalid="ignore"):
+            # overflow here means a diverging iterate; the caller checks
+            expo = np.exp(static + 1j * (c1[:, None] * th[None, :, 0]
+                                         + c2[:, None] * th[None, :, 1]))
+            out = np.empty((static.shape[1], 2), dtype=complex)
+            out[:, 0] = f1 @ expo
+            out[:, 1] = f2 @ expo
         return out
 
     def boundary_op(self, dens: np.ndarray, sign: int) -> np.ndarray:
@@ -298,29 +296,32 @@ def solve(cfg: SolverConfig) -> tuple[ThetaState, dict]:
     return state, report
 
 
-def evaluate_theta(state: ThetaState, cfg: SolverConfig, zeta: complex,
-                   side: str = "auto") -> tuple[complex, complex]:
-    """Theta at an arbitrary point via the integral representation.
+def evaluate_theta(state: ThetaState, cfg: SolverConfig, zeta,
+                   side: str = "auto") -> tuple:
+    """Theta at one point or at a 1-D array of points via the integral
+    representation; returns the pair (Theta_1, Theta_2) of complex numbers
+    or of arrays.
 
     On a contour ray, side "plus"/"minus" selects the boundary value;
     "auto" returns the stored (clockwise) side there.
     """
     prep = _problem(state, cfg)
     dens = state.densities
-    out = []
-    for k in (0, 1):
-        acc = 0j
-        for s, ray_idx in ((+1, 0), (-1, 1)):
-            grid = prep.grids[s]
+    z = np.asarray(zeta, dtype=complex)
+    zs = np.atleast_1d(z)
+    acc = np.zeros((2, len(zs)), dtype=complex)
+    for s in (+1, -1):
+        grid = prep.grids[s]
+        on = on_covered_ray(grid, zs)
+        for k in (0, 1):
             d = dens[s][:, k]
-            spar = on_ray_parameter(grid, zeta)
-            if spar is not None and abs(spar) <= grid.half_width:
-                use = "minus" if side == "auto" else side
-                acc += integrate_ray(grid, d, zeta, side=use)
-            else:
-                acc += integrate_ray(grid, d, zeta, side="off")
-        out.append(cfg.theta[k] - acc / FOUR_PI)
-    return out[0], out[1]
+            acc[k, on] += integrate_ray(grid, d, zs[on],
+                                        side="minus" if side == "auto" else side)
+            acc[k, ~on] += integrate_ray(grid, d, zs[~on], side="off")
+    out = np.array(cfg.theta)[:, None] - acc / FOUR_PI
+    if z.ndim:
+        return out[0], out[1]
+    return complex(out[0, 0]), complex(out[1, 0])
 
 
 def evaluate_Y(state: ThetaState, cfg: SolverConfig, g: Charge, zeta: complex,
@@ -330,9 +331,8 @@ def evaluate_Y(state: ThetaState, cfg: SolverConfig, g: Charge, zeta: complex,
     if zeta == 0:
         raise ValueError("use asymptotic_theta for the limits at 0 and infinity")
     th1, th2 = evaluate_theta(state, cfg, zeta, side=side)
-    zg = cfg.Z.of(g, cfg.a)
     thg = g.c1 * th1 + g.c2 * th2
-    return cmath.exp(math.pi * cfg.R * (zg / zeta + zeta * zg.conjugate()) + 1j * thg)
+    return complex(np.exp(_static_exponents(cfg, cfg.Z.of(g, cfg.a), zeta) + 1j * thg))
 
 
 def check_jump(state: ThetaState, cfg: SolverConfig) -> float:
@@ -357,7 +357,7 @@ def check_jump(state: ThetaState, cfg: SolverConfig) -> float:
         for g, om in cfg.spectrum.active():
             if prep.classification.get(g) != s:
                 continue
-            stat = _static_exponents(cfg, g, prep.grids[s].points())
+            stat = _static_exponents(cfg, cfg.Z.of(g, cfg.a), prep.grids[s].points())
             thg = g.c1 * state.values[ray_idx, :, 0] + g.c2 * state.values[ray_idx, :, 1]
             mags = np.abs(np.exp(stat + 1j * thg))
             if np.any(mags >= 1.0):
@@ -380,32 +380,14 @@ def _midpoint_jump_residual(state: ThetaState, cfg: SolverConfig,
                             prep: _Prepared, s: int) -> float:
     grid = prep.grids[s]
     mids = 0.5 * (grid.nodes[:-1] + grid.nodes[1:])
-    mids = mids[:: max(1, len(mids) // 32)]
-    direction = grid.direction.unit()
-    charges = prep.f[s]
-    worst = 0.0
-    zg1, zg2 = cfg.Z.basis_values(cfg.a)
-    for sm in mids:
-        zeta = math.exp(sm) * direction
-        tp = evaluate_theta(state, cfg, zeta, side="plus")
-        tm = evaluate_theta(state, cfg, zeta, side="minus")
-        y_plus = [cmath.exp(math.pi * cfg.R * (z / zeta + zeta * z.conjugate())
-                            + 1j * t)
-                  for z, t in ((zg1, tp[0]), (zg2, tp[1]))]
-        y_minus = [cmath.exp(math.pi * cfg.R * (z / zeta + zeta * z.conjugate())
-                             + 1j * t)
-                   for z, t in ((zg1, tm[0]), (zg2, tm[1]))]
-        d1 = d2 = 0j
-        for g, f1, f2 in charges:
-            zg = cfg.Z.of(g, cfg.a)
-            xg = cmath.exp(math.pi * cfg.R * (zg / zeta + zeta * zg.conjugate())
-                           + 1j * (g.c1 * tm[0] + g.c2 * tm[1]))
-            d1 += f1 * xg
-            d2 += f2 * xg
-        for k, d in ((0, d1), (1, d2)):
-            pred = y_minus[k] * cmath.exp(d)
-            worst = max(worst, abs(pred - y_plus[k]) / abs(y_plus[k]))
-    return worst
+    zeta = np.exp(mids[:: max(1, len(mids) // 32)]) * grid.direction.unit()
+    tp = np.stack(evaluate_theta(state, cfg, zeta, side="plus"), axis=1)
+    tm = np.stack(evaluate_theta(state, cfg, zeta, side="minus"), axis=1)
+    basis = _static_exponents(cfg, prep.basis_central[:, None], zeta).T
+    y_plus = np.exp(basis + 1j * tp)
+    jump = prep.series(s, _static_exponents(cfg, prep.central[s][:, None], zeta), tm)
+    predicted = np.exp(basis + 1j * tm) * np.exp(jump)
+    return float(np.max(np.abs(predicted - y_plus) / np.abs(y_plus)))
 
 
 def reality_samples(cfg: SolverConfig, r: RayDirection, count: int = 64,
@@ -425,13 +407,10 @@ def reality_samples(cfg: SolverConfig, r: RayDirection, count: int = 64,
 def check_reality(state: ThetaState, cfg: SolverConfig, count: int = 64) -> float:
     """Sup over samples of |conj(Theta_k(-1/conj zeta)) - Theta_k(zeta)|."""
     prep = _problem(state, cfg)
-    worst = 0.0
-    for z in reality_samples(cfg, prep.r, count):
-        direct = evaluate_theta(state, cfg, z)
-        mirrored = evaluate_theta(state, cfg, -1.0 / z.conjugate())
-        for k in (0, 1):
-            worst = max(worst, abs(mirrored[k].conjugate() - direct[k]))
-    return worst
+    z = reality_samples(cfg, prep.r, count)
+    direct = np.stack(evaluate_theta(state, cfg, z))
+    mirrored = np.stack(evaluate_theta(state, cfg, -1.0 / z.conjugate()))
+    return float(np.max(np.abs(mirrored.conj() - direct), initial=0.0))
 
 
 def asymptotic_theta(state: ThetaState, cfg: SolverConfig, at) -> tuple[complex, complex]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charge_lattice import Charge, extend
-from .contour_quadrature import build_ray_grid, integrate_ray, on_ray_parameter
+from .contour_quadrature import build_ray_grid, integrate_ray, on_covered_ray
 from .spectrum_rays import CentralCharge, bps_ray
 
 
@@ -108,8 +108,7 @@ def compare(zeta: complex, gamma_p: Charge, Z: CentralCharge, a: complex,
         # pi R (Z/zeta' + zeta' conj Z) + peak <= 0, with 0 at the saddle
         dens = np.exp(math.pi * R * zg / pts + 1j * th_gp
                       + math.pi * R * pts * zg.conjugate() + peak)
-        s_star = on_ray_parameter(grid, zeta)
-        if s_star is not None and abs(s_star) <= grid.half_width:
+        if on_covered_ray(grid, zeta):
             # on the ray compare against the principal value, the symmetric
             # counterpart of the interior estimate
             numeric = 0.5 * (integrate_ray(grid, dens, zeta, side="plus")

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .contour_quadrature import RayGrid, integrate_ray
+from .contour_quadrature import RayGrid, integrate_ray, on_covered_ray
 from .errors import AsymmetricJumpError, NonzeroIndexError
 from .spectrum_rays import RayDirection, _wrap
 
@@ -40,7 +40,7 @@ class ScalarBVProblem:
     zeros: tuple[tuple[complex, int], ...] = ()
     zeta0: complex = 1.5j
 
-    def contour_point(self, t: float) -> complex:
+    def contour_point(self, t: float | np.ndarray) -> complex | np.ndarray:
         return t * cmath.exp(1j * self.line_phase)
 
     def in_upper(self, zeta: complex) -> bool:
@@ -142,31 +142,37 @@ class ContinuousSolution:
     endpoint_log: complex                    # removed constant c
     y_at_infinity: complex
 
-    def raw(self, zeta: complex, side: str | None = None) -> complex:
-        """exp of the kernel transform; side picks the D+/D- boundary value
-        when zeta lies on the contour."""
-        acc = 0j
+    def __call__(self, zeta, side: str | None = None):
+        """Exp of the kernel transform, normalised to one at infinity, at one
+        point or at a 1-D array of points.  side ("plus"/"minus") picks the
+        D+/D- boundary value at points on the covered contour; without it
+        every point must lie off the contour."""
+        z = np.asarray(zeta, dtype=complex)
+        zs = np.atleast_1d(z)
+        acc = np.zeros(len(zs), dtype=complex)
         for half, (grid, dens) in enumerate(zip(self.grids, self.log_density)):
             orient = 1.0 if half == 0 else -1.0
-            if side is not None and _on(grid, zeta):
-                # the line is traversed inward along the negative half, so the
-                # geometric D+ side flips there relative to the outward ray
-                want_plus = (side == "plus") == (half == 0)
-                acc += orient * integrate_ray(grid, dens, zeta,
-                                              side="plus" if want_plus else "minus")
-            else:
-                acc += orient * integrate_ray(grid, dens, zeta, side="off")
-        return cmath.exp(acc / (4j * math.pi))
-
-    def __call__(self, zeta: complex, side: str | None = None) -> complex:
-        return self.raw(zeta, side) / self.y_at_infinity
+            on = on_covered_ray(grid, zs) & (side is not None)
+            # the line is traversed inward along the negative half, so the
+            # geometric D+ side flips there relative to the outward ray
+            use = "plus" if (side == "plus") == (half == 0) else "minus"
+            acc[on] += orient * integrate_ray(grid, dens, zs[on], side=use)
+            acc[~on] += orient * integrate_ray(grid, dens, zs[~on], side="off")
+        out = _pointwise(lambda a: cmath.exp(a / (4j * math.pi)) / self.y_at_infinity,
+                         acc)
+        return out if z.ndim else complex(out[0])
 
 
-def _on(grid: RayGrid, zeta: complex) -> bool:
-    if zeta == 0:
-        return False
-    rel = abs(_wrap(cmath.phase(zeta) - grid.direction.phase))
-    return rel <= 1e-9 and abs(math.log(abs(zeta))) <= grid.half_width
+def _pointwise(f: Callable, *columns: np.ndarray) -> np.ndarray:
+    """f applied per point in Python complex arithmetic.
+
+    numpy's vectorised complex exp, multiply and divide round differently
+    from cmath's on some inputs.  The O(1)-per-point tails of the solution
+    (branch and zero factors, exp, normalisation) stay in cmath, the
+    arithmetic of the scalar jump data, so the written residuals are
+    bit-stable; the O(M)-per-point quadrature before them is batched."""
+    return np.array([f(*row) for row in zip(*(np.atleast_1d(c).tolist() for c in columns))],
+                    dtype=complex)
 
 
 def solve_continuous(G1: Callable[[float], complex], line_phase: float,
@@ -229,35 +235,29 @@ class ScalarSolution:
     kappa: int
     continuous: ContinuousSolution
 
-    def x_plus(self, zeta: complex) -> complex:
-        """Solution on D+ and its boundary; carries the zero factors."""
+    def x_plus(self, zeta):
+        """Solution on D+ and its boundary, at one point or at a 1-D array of
+        points; carries the zero factors."""
         c = cmath.exp(self.continuous.endpoint_log)
-        side = "plus" if self._on_contour(zeta) else None
-        return (c * zero_factor(self.problem, zeta)
-                * omega_plus(self.problem, self.eta0, zeta)
-                * self.continuous(zeta, side))
+        out = _pointwise(lambda z, y: (c * zero_factor(self.problem, z)
+                                       * omega_plus(self.problem, self.eta0, z) * y),
+                         zeta, self.continuous(zeta, "plus"))
+        return out if np.ndim(zeta) else complex(out[0])
 
-    def x_minus(self, zeta: complex) -> complex:
-        side = "minus" if self._on_contour(zeta) else None
-        return (omega_minus(self.problem, self.eta0, zeta)
-                * self.continuous(zeta, side))
-
-    def _on_contour(self, zeta: complex) -> bool:
-        if zeta == 0:
-            return False
-        rel = abs(_wrap(cmath.phase(zeta) - self.problem.line_phase))
-        return rel <= 1e-9 or rel >= math.pi - 1e-9
+    def x_minus(self, zeta):
+        """Solution on D- and its boundary, at one point or at a 1-D array of
+        points."""
+        out = _pointwise(lambda z, y: omega_minus(self.problem, self.eta0, z) * y,
+                         zeta, self.continuous(zeta, "minus"))
+        return out if np.ndim(zeta) else complex(out[0])
 
     def boundary_residual(self, samples: np.ndarray) -> float:
         """sup over contour coordinates of |X+ - G X-| / (|X+| + |X-|)."""
-        worst = 0.0
-        for t in samples:
-            zeta = self.problem.contour_point(float(t))
-            xp = self.x_plus(zeta)
-            xm = self.x_minus(zeta)
-            num = abs(xp - self.problem.G(float(t)) * xm)
-            worst = max(worst, num / (abs(xp) + abs(xm)))
-        return worst
+        ts = np.asarray(samples, dtype=float)
+        zeta = self.problem.contour_point(ts)
+        xp, xm = self.x_plus(zeta), self.x_minus(zeta)
+        g = _pointwise(self.problem.G, ts)
+        return float(np.max(np.abs(xp - g * xm) / (np.abs(xp) + np.abs(xm)), initial=0.0))
 
 
 def solve_scalar_bvp(p: ScalarBVProblem, half_width: float = 7.0,

@@ -124,6 +124,28 @@ def test_exit_code_1_when_a_number_is_wrongly_typed(tmp_path, capsys, key, value
     assert f"problem.{key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,extras,where", [
+    ("smoothness", {"smoothness": {"step": "abc"}}, "smoothness.step"),
+    ("smoothness", {"smoothness": {"orders": ["x"]}}, "smoothness.orders"),
+    ("smoothness", {"smoothness": 5}, "smoothness must be an object"),
+    ("smoothness", {"smoothness": {"direction": [1]}}, "direction"),
+    ("sweep_r", {"R_values": ["x"]}, "R_values"),
+    ("sweep_r", {"R_values": 5}, "R_values must be a list"),
+    ("saddle_check", {"saddle": 5}, "saddle must be an object"),
+    ("saddle_check", {"saddle": {"gamma": "ab"}}, "saddle.gamma"),
+    ("deform_check", {"deform": {"R": "x"}}, "deform.R"),
+    ("pentagon_table", {"table_order": "six"}, "table_order"),
+], ids=["step", "orders", "smoothness", "direction", "R_values_entry", "R_values",
+        "saddle", "gamma", "deform_R", "table_order"])
+def test_exit_code_1_when_a_command_section_is_wrongly_typed(tmp_path, capsys,
+                                                             command, extras, where):
+    cfg = write_cfg(tmp_path, dict(json.loads(json.dumps(PENTAGON)), **extras))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert where in capsys.readouterr().err
+    assert json.loads((out / "error.json").read_text())["error"] == "ConfigError"
+
+
 def test_exit_code_1_when_scalar_section_is_not_an_object(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"scalar": 5})
     assert main(["scalar_bvp", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1

@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from rhflow.charge_lattice import Charge
+from rhflow.charge_lattice import Charge, pentagon_spectrum
 from rhflow.contour_quadrature import (build_ray_grid, cauchy_kernel,
                                        deform_to_bps_ray, in_swept_sector,
-                                       integrate_ray, on_ray_parameter,
+                                       integrate_ray, on_covered_ray,
                                        pv_coth_closed_form, sweep_sign)
 from rhflow.errors import SingularKernelError
+from rhflow.rh_solver import SolverConfig, init_state
+from rhflow.scalar_bvp import ScalarBVProblem, solve_continuous
 from rhflow.spectrum_rays import CentralCharge, RayDirection, bps_ray, semiflat
 
 
@@ -59,10 +61,13 @@ def test_kernel_involution_symmetry():
         assert lhs == pytest.approx(-cauchy_kernel(z, zp), rel=1e-12)
 
 
-def test_on_ray_parameter():
+def test_on_covered_ray():
     g = grid_on(0.5, 3.0)
-    assert on_ray_parameter(g, 2.0 * cmath.exp(0.5j)) == pytest.approx(math.log(2.0))
-    assert on_ray_parameter(g, 2.0 * cmath.exp(0.6j)) is None
+    assert on_covered_ray(g, 2.0 * cmath.exp(0.5j))
+    assert not on_covered_ray(g, 2.0 * cmath.exp(0.6j))
+    beyond = math.exp(g.half_width + 0.1) * cmath.exp(0.5j)
+    assert list(on_covered_ray(g, np.array([2.0 * cmath.exp(0.5j), beyond, 0.0]))) == [
+        True, False, False]
 
 
 def test_zero_density_integrates_to_zero():
@@ -194,3 +199,50 @@ class TestDeformation:
     def test_antiparallel_rejected(self):
         with pytest.raises(ValueError, match="anti-parallel"):
             deform_to_bps_ray(1.0j, self.ell.opposite(), self.grid_ell, self.h)
+
+
+# ---------------- evaluation on arrays of points ----------------
+
+def _rh_half():
+    cfg = SolverConfig(R=1.0, a=0.0, theta=(0.7, 1.3), spectrum=pentagon_spectrum(),
+                       Z=CentralCharge.constant(1.0, 1j))
+    state = init_state(cfg)
+    return state.problem.grids[+1], state.densities[+1][:, 0]
+
+
+def _scalar_half():
+    p = ScalarBVProblem(0.3, lambda t: 1.0, (1, 1, 1, 1))
+    sol = solve_continuous(lambda t: cmath.exp(0.2 * math.exp(-math.log(abs(t)) ** 2)),
+                           0.3, p, half_width=7.0, M=256)
+    return sol.grids[1], sol.log_density[1]
+
+
+@pytest.mark.parametrize("half", [_rh_half, _scalar_half], ids=["rh", "scalar"])
+def test_array_evaluation_matches_single_points_bit_for_bit(half):
+    g, h = half()
+    u = g.direction.unit()
+    on_nodes = np.exp(g.nodes[[1, 5, g.count // 2, g.count - 2]]) * u
+    between = np.exp(0.5 * (g.nodes[[1, 40, 77]] + g.nodes[[2, 41, 78]])) * u
+    off = np.array([0.4 + 1.1j, -2.0 + 0.3j, 0.05j, 30.0 * u * 1j,
+                    math.exp(g.half_width + 1.0) * u])
+    cases = [("off", off)] + [(side, np.concatenate([on_nodes, between]))
+                              for side in ("plus", "minus")]
+    for side, pts in cases:
+        batched = integrate_ray(g, h, pts, side=side)
+        single = np.array([integrate_ray(g, h, complex(z), side=side) for z in pts])
+        assert batched.shape == pts.shape
+        assert np.array_equal(batched, single), side
+
+
+def test_array_with_one_bad_point_raises_like_the_single_point():
+    g, h = _rh_half()
+    u = g.direction.unit()
+    good = np.array([0.4 + 1.1j, -2.0 + 0.3j])
+    on_ray = 1.3 * u
+    for side, bad, fine in (("off", on_ray, good),
+                            ("plus", 0.4 + 1.1j, np.array([0.7 * u, 1.9 * u]))):
+        with pytest.raises(SingularKernelError) as single:
+            integrate_ray(g, h, bad, side=side)
+        with pytest.raises(SingularKernelError) as batched:
+            integrate_ray(g, h, np.concatenate([fine[:1], [bad], fine[1:]]), side=side)
+        assert str(batched.value) == str(single.value)

@@ -315,3 +315,42 @@ def test_double_multiplicity_doubles_first_correction():
     dev2 = st2.values[..., 1] - cfg2.theta[1]
     # the first iterate is linear in the coefficient family, which doubles
     assert np.allclose(dev2, 2.0 * dev1, rtol=1e-9)
+
+
+# ---------------- evaluation on arrays of points ----------------
+
+def test_evaluate_theta_on_an_array_matches_single_points_bit_for_bit():
+    cfg = pentagon_cfg(R=1.0)
+    state, _ = solve(cfg)
+    g = state.problem.grids[+1]
+    on_r = np.exp(np.array([g.nodes[9], 0.5 * (g.nodes[30] + g.nodes[31])])) * g.direction.unit()
+    pts = np.concatenate([[0.4 + 1.1j, -2.0 + 0.3j], on_r, -on_r])
+    for side in ("auto", "plus", "minus"):
+        batched = evaluate_theta(state, cfg, pts, side=side)
+        single = [evaluate_theta(state, cfg, complex(z), side=side) for z in pts]
+        for k in (0, 1):
+            assert np.array_equal(batched[k], np.array([t[k] for t in single])), side
+
+
+def test_solve_evaluates_theta_in_batches(monkeypatch):
+    import rhflow.rh_solver as rh
+    calls = []
+    original = rh.evaluate_theta
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(rh, "evaluate_theta", counting)
+    solve(pentagon_cfg(R=1.0))
+    assert 0 < len(calls) <= 6
+
+
+def test_jump_check_sees_discretisation_error():
+    # midpoints off the nodes compare the interpolated boundary transform
+    # against the jump series, so the residual falls as the grid is refined;
+    # at the nodes alone it would hold by construction at every M
+    coarse, _ = solve(pentagon_cfg(R=0.3, M=128))
+    fine, _ = solve(pentagon_cfg(R=0.3, M=512))
+    assert check_jump(coarse, pentagon_cfg(R=0.3, M=128)) >= 100 * check_jump(
+        fine, pentagon_cfg(R=0.3, M=512))

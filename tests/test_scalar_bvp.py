@@ -267,3 +267,12 @@ def test_zero_off_contour_rejected():
     with pytest.raises(ValueError, match="off the contour"):
         ScalarBVProblem(0.0, lambda t: 1.0, (1, 1, 1, 1),
                         zeros=((0.5 + 0.5j, 1),)).validate()
+
+
+def test_x_plus_and_x_minus_on_arrays_match_single_points_bit_for_bit():
+    p = manufactured(0.25, zeros=((0.8 + 0j, 2),))
+    sol = solve_scalar_bvp(p, M=256)
+    pts = np.concatenate([p.contour_point(np.array([0.3, 1.7, -0.9, -4.0, 12.0])),
+                          [0.9j, -1.1j + 0.2, 2.0 - 0.5j]])
+    for f in (sol.x_plus, sol.x_minus):
+        assert np.array_equal(f(pts), np.array([f(complex(z)) for z in pts]))
