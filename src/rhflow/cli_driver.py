@@ -22,13 +22,15 @@ from pathlib import Path
 import numpy as np
 
 from .charge_lattice import Charge, Spectrum, require_support
-from .contour_quadrature import build_ray_grid, integrate_ray, sweep_sign
+from .contour_quadrature import (build_ray_grid, deform_to_bps_ray, in_swept_sector,
+                                 integrate_ray, sweep_sign)
 from .errors import ConfigError, RHFlowError
 from .rh_solver import SolverConfig, smoothness_probe, solve
 from .saddle_asymptotics import compare, saddle_point
 from .scalar_bvp import (ScalarBVProblem, regularizing_factor, solve_scalar_bvp,
                          verify_uniqueness, zero_factor)
-from .spectrum_rays import CentralCharge, admissible_pair, bps_ray, semiflat
+from .spectrum_rays import (EPS_ANGLE, CentralCharge, admissible_pair, bps_ray,
+                            semiflat)
 from .stokes_series import pentagon_coeff
 
 COMMANDS = ("solve", "sweep_r", "pentagon_table", "saddle_check", "scalar_bvp",
@@ -277,25 +279,36 @@ def _cmd_deform_check(rc: RunConfig, out: Path) -> None:
     R = _number(float, dd.get("R", cfg.R), "deform.R")
     r, _ = admissible_pair(cfg.Z, cfg.spectrum, cfg.a, split_phase=cfg.split_phase)
     ell = bps_ray(cfg.Z, gamma, cfg.a)
+    angle = ell.angle_to(r)
+    if angle <= EPS_ANGLE:
+        raise ConfigError(
+            f"deform.gamma ({gamma.c1},{gamma.c2}) has its BPS ray on the contour "
+            "ray r; there is no sector to deform across")
+    if math.cos(angle) <= 0:
+        raise ConfigError(
+            f"deform.gamma ({gamma.c1},{gamma.c2}) has its BPS ray at a right or "
+            "obtuse angle to the contour ray r; its integrand does not decay along r")
     zg = abs(cfg.Z.of(gamma, cfg.a))
     two_pi_R = 2.0 * math.pi * R
-    grid_r = build_ray_grid(r, two_pi_R * zg * math.cos(ell.angle_to(r)), 256,
-                            cfg.target_tail)
+    grid_r = build_ray_grid(r, two_pi_R * zg * math.cos(angle), 256, cfg.target_tail)
     grid_e = build_ray_grid(ell, two_pi_R * zg, 256, cfg.target_tail)
 
     def h(zp: complex) -> complex:
         return semiflat(cfg.Z, gamma, cfg.a, cfg.theta, zp, R)
 
+    # the half-angle of the two phases bisects the short sector or its
+    # opposite, depending on which side of the +-pi cut the rays lie
     mid = cmath.exp(0.5j * (r.phase + ell.phase))
+    if not in_swept_sector(mid, r, ell):
+        mid = -mid
     outside = 0.8 * cmath.exp(1j * (r.phase - sweep_sign(r, ell) * 0.4))
+    dens = np.array([h(z) for z in grid_r.points()])
     rows = []
     for label, zeta in (("in_sector", mid), ("outside", outside)):
-        dens = np.array([h(z) for z in grid_r.points()])
         lhs = integrate_ray(grid_r, dens, zeta, side="off")
-        dens_e = np.array([h(z) for z in grid_e.points()])
-        rhs0 = integrate_ray(grid_e, dens_e, zeta, side="off")
-        crossed = label == "in_sector"
-        rhs = rhs0 + (sweep_sign(r, ell) * 4j * math.pi * h(zeta) if crossed else 0)
+        rhs, crossed = deform_to_bps_ray(zeta, r, grid_e, h)
+        if crossed:
+            rhs += sweep_sign(r, ell) * 4j * math.pi * h(zeta)
         rows.append([label, fmt(zeta.real), fmt(zeta.imag), str(int(crossed)),
                      fmt(abs(lhs)), fmt(abs(lhs - rhs) / abs(lhs))])
     _write_csv(out / "deform.csv",

@@ -100,7 +100,14 @@ def _derivative_rows(M: int, idx: np.ndarray, step: float) -> np.ndarray:
 
 def integrate_ray(grid: RayGrid, values: np.ndarray, zeta, side: str = "off"):
     """Trapezoid integral of K(zeta, .) times the sampled density, at one
-    point (returns a complex) or at a 1-D array of points (returns an array).
+    point or at a 1-D array of points.
+
+    values holds one density (shape (M,)) or a stack of K densities (shape
+    (K, M)) on the grid; the result has the shape of zeta, with a leading
+    axis of length K for a stack.  The geometry of the points (kernel rows,
+    log radii, closed forms, derivative stencils, interpolation weights) is
+    formed once per call and applied to each density in turn, so row k of a
+    stacked result equals the call with values[k] bit for bit.
 
     side="off" requires every zeta away from the covered ray.
     side="plus"/"minus" evaluates boundary values on the covered ray: the
@@ -111,12 +118,14 @@ def integrate_ray(grid: RayGrid, values: np.ndarray, zeta, side: str = "off"):
     from the counterclockwise side of the oriented ray.
     """
     h = np.asarray(values, dtype=complex)
-    if h.shape != grid.nodes.shape:
+    if h.ndim not in (1, 2) or h.shape[-1] != grid.count:
         raise ValueError("density sampled on a different grid")
+    rows = np.atleast_2d(h)
     z = np.asarray(zeta, dtype=complex)
     if z.ndim > 1:
         raise ValueError("evaluation points must be a point or a 1-D array")
     zs = np.atleast_1d(z)
+    out = []
     if side == "off":
         if np.any(on_covered_ray(grid, zs)):
             raise SingularKernelError(
@@ -130,12 +139,14 @@ def integrate_ray(grid: RayGrid, values: np.ndarray, zeta, side: str = "off"):
         if np.any(diff == 0):
             raise SingularKernelError("evaluation point coincides with a grid node")
         # in place: the (points x nodes) work arrays are the memory peak
-        terms = pts + zs[:, None]
-        terms /= diff
-        terms *= grid.weights
-        terms *= h
-        out = terms.sum(axis=1)
-        return out if z.ndim else complex(out[0])
+        kernel = pts + zs[:, None]
+        kernel /= diff
+        kernel *= grid.weights
+        for k, hk in enumerate(rows):
+            last = k == len(rows) - 1
+            terms = np.multiply(kernel, hk, out=kernel if last else None)
+            out.append(terms.sum(axis=1))
+        return _shaped(out, h, z)
     if side not in ("plus", "minus"):
         raise ValueError("side must be 'off', 'plus' or 'minus'")
     if not np.all(on_covered_ray(grid, zs)):
@@ -148,32 +159,45 @@ def integrate_ray(grid: RayGrid, values: np.ndarray, zeta, side: str = "off"):
     i = np.rint((s_star + L) / step).astype(int)
     node = np.abs(grid.nodes[i] - s_star) < 1e-9 * step
     s_pole = np.where(node, grid.nodes[i], s_star)
-    h_star = np.where(node, h[i], _interpolate(grid, h, s_star))
     wcoth = np.tanh(0.5 * (grid.nodes - s_pole[:, None]))
     with np.errstate(divide="ignore"):
         np.divide(1.0, wcoth, out=wcoth)
     wcoth[node, i[node]] = 0.0
     wcoth *= grid.weights
-    terms = h - h_star[:, None]
-    terms *= wcoth
-    pv = terms.sum(axis=1)
-    pv[node] += (grid.weights[i[node]] * 2.0
-                 * np.sum(_derivative_rows(grid.count, i[node], step) * h, axis=1))
-    pv += h_star * np.array([pv_coth_closed_form(L, p, step) for p in s_pole.tolist()],
-                            dtype=float)
-    half_jump = 2.0j * math.pi * h_star
-    out = pv + half_jump if side == "plus" else pv - half_jump
-    return out if z.ndim else complex(out[0])
+    node_weights = grid.weights[i[node]] * 2.0
+    stencils = _derivative_rows(grid.count, i[node], step)
+    closed = np.array([pv_coth_closed_form(L, p, step) for p in s_pole.tolist()],
+                      dtype=float)
+    lagrange = _lagrange_weights(grid, s_star)
+    for hk in rows:
+        h_star = np.where(node, hk[i], _interpolate(hk, *lagrange))
+        terms = hk - h_star[:, None]
+        terms *= wcoth
+        pv = terms.sum(axis=1)
+        pv[node] += node_weights * np.sum(stencils * hk, axis=1)
+        pv += h_star * closed
+        half_jump = 2.0j * math.pi * h_star
+        out.append(pv + half_jump if side == "plus" else pv - half_jump)
+    return _shaped(out, h, z)
 
 
-def _interpolate(grid: RayGrid, h: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Six-point Lagrange interpolation of a smooth density on the uniform
-    grid, at each of the points s."""
+def _shaped(out: list, h: np.ndarray, z: np.ndarray):
+    """The per-density results in the shapes of the density and the points."""
+    res = out[0] if h.ndim == 1 else np.stack(out)
+    if z.ndim:
+        return res
+    return complex(res[0]) if h.ndim == 1 else res[:, 0]
+
+
+def _lagrange_weights(grid: RayGrid, s: np.ndarray) -> tuple[np.ndarray, list]:
+    """Stencil node indices (shape (P, 6)) and weights (six arrays of length
+    P) of six-point Lagrange interpolation on the uniform grid at each of
+    the points s."""
     j0 = np.clip(np.floor((s + grid.half_width) / grid.step).astype(int) - 2,
                  0, grid.count - 6)
     idx = j0[:, None] + np.arange(6)
     xs = grid.nodes[idx]
-    out = np.zeros(len(s), dtype=complex)
+    weights = []
     for a in range(6):
         num, den = np.ones(len(s)), np.ones(len(s))
         for b in range(6):
@@ -181,7 +205,15 @@ def _interpolate(grid: RayGrid, h: np.ndarray, s: np.ndarray) -> np.ndarray:
                 continue
             num *= s - xs[:, b]
             den *= xs[:, a] - xs[:, b]
-        out += h[idx[:, a]] * (num / den)
+        weights.append(num / den)
+    return idx, weights
+
+
+def _interpolate(h: np.ndarray, idx: np.ndarray, weights: list) -> np.ndarray:
+    """A smooth density interpolated with the stencils of _lagrange_weights."""
+    out = np.zeros(len(idx), dtype=complex)
+    for a, wa in enumerate(weights):
+        out += h[idx[:, a]] * wa
     return out
 
 

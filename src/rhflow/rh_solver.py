@@ -11,6 +11,15 @@ jump maps.  Stored node values are the boundary values from the clockwise
 side of each outward-oriented ray; with that convention the counterclockwise
 limit satisfies the multiplicative jump exactly, which is what check_jump
 verifies.
+
+At the nodes the ray integrals are node matrices applied to the densities:
+c_same (the coth kernel of a ray on itself, pole removed), the derivative
+stencil fd of the removable limit and c_cross (the kernel between the two
+rays).  _Prepared stores them as one complex (3M, M) operator, and
+node_transforms applies it to both sides' densities stacked as (M, 4) in
+one product, once per Picard step and once per jump check.  Off the nodes,
+evaluate_theta passes both basis targets of a side to integrate_ray as one
+(2, M) stack.
 """
 
 from __future__ import annotations
@@ -134,18 +143,27 @@ class _Prepared:
                                                      self.grids[side].points())
                              for side in (+1, -1)}
 
-        # kernel machinery shared by both rays (same node set)
+        # kernel matrices shared by both rays (same node set), stacked as one
+        # complex operator: rows [0, M) are c_same, [M, 2M) the derivative
+        # stencil fd and [2M, 3M) c_cross.  Stored complex, the products
+        # run the zgemm numpy's cast of real matrices would, without a cast
+        # per call; built in place through one real M x M work array.
         g0 = self.grids[+1]
         s, w, step, L, M = g0.nodes, g0.weights, g0.step, g0.half_width, cfg.M
-        diff = s[None, :] - s[:, None]
+        self.ops = np.zeros((3 * M, M), dtype=complex)
+        work = s[None, :] - s[:, None]
+        work *= 0.5
+        np.tanh(work, out=work)
+        np.multiply(w, work, out=self.ops[2 * M:].real)
         with np.errstate(divide="ignore"):
-            coth = 1.0 / np.tanh(0.5 * diff)
-        np.fill_diagonal(coth, 0.0)
-        self.c_same = w[None, :] * coth
-        self.row_sum = self.c_same.sum(axis=1)
-        self.c_cross = w[None, :] * np.tanh(0.5 * diff)
+            np.divide(1.0, work, out=work)
+        np.fill_diagonal(work, 0.0)
+        work *= w
+        self.row_sum = work.sum(axis=1)
+        self.ops[:M].real = work
+        del work
+        self.ops[M:2 * M].real = _derivative_rows(M, np.arange(M), step)
         self.pv_vec = np.array([pv_coth_closed_form(L, si, step) for si in s])
-        self.fd = _derivative_rows(M, np.arange(M), step)
         self.weights = w
 
     def densities(self, values: np.ndarray) -> dict[int, np.ndarray]:
@@ -168,16 +186,33 @@ class _Prepared:
             out[:, 1] = f2 @ expo
         return out
 
-    def boundary_op(self, dens: np.ndarray, sign: int) -> np.ndarray:
-        """Boundary value of the ray integral at the ray's own nodes;
-        sign +1 gives the counterclockwise limit, -1 the clockwise one."""
-        pv = (self.c_same @ dens - self.row_sum[:, None] * dens
-              + 2.0 * self.weights[:, None] * (self.fd @ dens)
-              + self.pv_vec[:, None] * dens)
-        return pv + sign * 2j * math.pi * dens
+    def node_transforms(self, dens: dict[int, np.ndarray]
+                        ) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
+        """Ray integrals at the nodes, per side, of the densities of both
+        sides (shape (M, 2) each), from one product of the stacked operator
+        with their (M, 4) stack.
 
-    def cross_op(self, dens: np.ndarray) -> np.ndarray:
-        return self.c_cross @ dens
+        Returns the principal value of each ray's own integral,
+        c_same h - row_sum h + 2 w (fd h) + pv_vec h, and the integral of
+        the opposite ray's density, c_cross h, both at the side's nodes.
+        """
+        M = self.cfg.M
+        prod = self.ops @ np.concatenate((dens[+1], dens[-1]), axis=1)
+        pv, cross = {}, {}
+        for side, cols in ((+1, slice(0, 2)), (-1, slice(2, 4))):
+            h = dens[side]
+            pv[side] = (prod[:M, cols] - self.row_sum[:, None] * h
+                        + 2.0 * self.weights[:, None] * prod[M:2 * M, cols]
+                        + self.pv_vec[:, None] * h)
+            cross[-side] = prod[2 * M:, cols]
+        return pv, cross
+
+
+def _boundary_value(pv: np.ndarray, dens: np.ndarray, sign: int) -> np.ndarray:
+    """Boundary value of a ray integral at the ray's own nodes from its
+    principal value; sign +1 gives the counterclockwise limit, -1 the
+    clockwise (stored) one."""
+    return pv + sign * 2j * math.pi * dens
 
 
 @dataclass
@@ -226,13 +261,10 @@ def iterate_once(state: ThetaState, cfg: SolverConfig) -> ThetaState:
     new = np.empty_like(state.values)
     theta_vec = np.array(cfg.theta, dtype=complex)
 
-    same_plus = prep.boundary_op(dens[+1], sign=-1)   # stored side of r
-    same_minus = prep.boundary_op(dens[-1], sign=-1)  # stored side of -r
-    cross_to_r = prep.cross_op(dens[-1])
-    cross_to_mr = prep.cross_op(dens[+1])
-
-    new[0] = theta_vec[None, :] - (same_plus + cross_to_r) / FOUR_PI
-    new[1] = theta_vec[None, :] - (cross_to_mr + same_minus) / FOUR_PI
+    pv, cross = prep.node_transforms(dens)
+    for s, ray_idx in ((+1, 0), (-1, 1)):
+        stored = _boundary_value(pv[s], dens[s], -1)
+        new[ray_idx] = theta_vec[None, :] - (stored + cross[s]) / FOUR_PI
 
     if not np.all(np.isfinite(new)):
         raise DivergenceError(
@@ -313,11 +345,12 @@ def evaluate_theta(state: ThetaState, cfg: SolverConfig, zeta,
     for s in (+1, -1):
         grid = prep.grids[s]
         on = on_covered_ray(grid, zs)
-        for k in (0, 1):
-            d = dens[s][:, k]
-            acc[k, on] += integrate_ray(grid, d, zs[on],
+        rows = dens[s].T  # one density row per basis target
+        if on.any():
+            acc[:, on] += integrate_ray(grid, rows, zs[on],
                                         side="minus" if side == "auto" else side)
-            acc[k, ~on] += integrate_ray(grid, d, zs[~on], side="off")
+        if not on.all():
+            acc[:, ~on] += integrate_ray(grid, rows, zs[~on], side="off")
     out = np.array(cfg.theta)[:, None] - acc / FOUR_PI
     if z.ndim:
         return out[0], out[1]
@@ -349,9 +382,9 @@ def check_jump(state: ThetaState, cfg: SolverConfig) -> float:
     prep = _problem(state, cfg)
     dens = state.densities
     theta_vec = np.array(cfg.theta, dtype=complex)
+    pv, cross = prep.node_transforms(dens)
     worst = 0.0
     for s, ray_idx in ((+1, 0), (-1, 1)):
-        other = -s
         # magnitude guard for the side's own active charges: the jump series
         # across this ray needs |Y_g| < 1 there
         for g, om in cfg.spectrum.active():
@@ -365,9 +398,10 @@ def check_jump(state: ThetaState, cfg: SolverConfig) -> float:
                     f"|Y| = {mags.max():.3g} >= 1 for charge ({g.c1},{g.c2}) "
                     "on its jump ray; the truncated jump series does not converge"
                 )
-        cross = prep.cross_op(dens[other][:, :])
-        theta_minus = theta_vec[None, :] - (prep.boundary_op(dens[s], -1) + cross) / FOUR_PI
-        theta_plus = theta_vec[None, :] - (prep.boundary_op(dens[s], +1) + cross) / FOUR_PI
+        theta_minus = theta_vec[None, :] - (_boundary_value(pv[s], dens[s], -1)
+                                            + cross[s]) / FOUR_PI
+        theta_plus = theta_vec[None, :] - (_boundary_value(pv[s], dens[s], +1)
+                                           + cross[s]) / FOUR_PI
         y_minus = np.exp(prep.basis_static[s].T + 1j * theta_minus)
         y_plus = np.exp(prep.basis_static[s].T + 1j * theta_plus)
         predicted = y_minus * np.exp(dens[s])

@@ -222,6 +222,34 @@ def test_deform_check(tmp_path):
         assert float(line.split(",")[-1]) < 1e-8
 
 
+def test_deform_check_bisector_across_the_cut(tmp_path):
+    # r at -3pi/4 and the ray of (1, 0) at pi straddle the +-pi cut; the
+    # half-sum of their phases points out of the sector between them
+    doc = json.loads(json.dumps(PENTAGON))
+    doc["deform"] = {"gamma": [1, 0], "R": 2.0}
+    cfg = write_cfg(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["deform_check", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = (out / "deform.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[3] for row in rows] == ["1", "0"]
+    for row in rows:
+        assert float(row.split(",")[-1]) < 1e-10
+
+
+@pytest.mark.parametrize("gamma, why", [([1, 1], "on the contour ray"),
+                                        ([-1, 0], "does not decay")],
+                         ids=["on_r", "obtuse"])
+def test_exit_code_1_when_deform_ray_cannot_be_deformed(tmp_path, gamma, why):
+    doc = json.loads(json.dumps(PENTAGON))
+    doc["deform"] = {"gamma": gamma, "R": 2.0}
+    cfg = write_cfg(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["deform_check", "--config", str(cfg), "--out", str(out)]) == 1
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ConfigError"
+    assert why in err["message"]
+
+
 def test_smoothness_command(tmp_path):
     doc = json.loads(json.dumps(PENTAGON))
     doc["problem"]["M"] = 64

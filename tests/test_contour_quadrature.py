@@ -246,3 +246,33 @@ def test_array_with_one_bad_point_raises_like_the_single_point():
         with pytest.raises(SingularKernelError) as batched:
             integrate_ray(g, h, np.concatenate([fine[:1], [bad], fine[1:]]), side=side)
         assert str(batched.value) == str(single.value)
+
+
+@pytest.mark.parametrize("half", [_rh_half, _scalar_half], ids=["rh", "scalar"])
+def test_stacked_densities_match_single_densities_bit_for_bit(half):
+    g, h = half()
+    stack = np.stack([h, (0.3 - 1.1j) * h[::-1], h.conj()])
+    strided = np.ascontiguousarray(stack.T).T  # rows as evaluate_theta passes them
+    u = g.direction.unit()
+    on_nodes = np.exp(g.nodes[[1, 5, g.count // 2, g.count - 2]]) * u
+    between = np.exp(0.5 * (g.nodes[[1, 40, 77]] + g.nodes[[2, 41, 78]])) * u
+    off = np.array([0.4 + 1.1j, -2.0 + 0.3j, 0.05j, 30.0 * u * 1j,
+                    math.exp(g.half_width + 1.0) * u])
+    cases = [("off", off)] + [(side, np.concatenate([on_nodes, between]))
+                              for side in ("plus", "minus")]
+    for side, pts in cases:
+        single = np.array([integrate_ray(g, row, pts, side=side) for row in stack])
+        for values in (stack, strided):
+            batched = integrate_ray(g, values, pts, side=side)
+            assert batched.shape == (3, len(pts))
+            assert np.array_equal(batched, single), side
+        one_point = integrate_ray(g, stack, complex(pts[1]), side=side)
+        assert one_point.shape == (3,)
+        assert np.array_equal(one_point, single[:, 1]), side
+
+
+def test_stacked_densities_on_a_different_grid_are_rejected():
+    g, h = _rh_half()
+    for bad in (np.stack([h[:-1], h[:-1]]), h[None, None, :]):
+        with pytest.raises(ValueError, match="different grid"):
+            integrate_ray(g, bad, 0.4 + 1.1j)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rhflow.charge_lattice import Charge, GAMMA1, GAMMA2, Spectrum, pentagon_spectrum
+from rhflow.contour_quadrature import pv_coth_closed_form
 from rhflow.errors import (ConfigError, DivergenceError, NonContractionError,
                            TruncationUnsafeError)
 from rhflow.rh_solver import (SolverConfig, ThetaState, _Prepared, asymptotic_theta,
@@ -354,3 +355,53 @@ def test_jump_check_sees_discretisation_error():
     fine, _ = solve(pentagon_cfg(R=0.3, M=512))
     assert check_jump(coarse, pentagon_cfg(R=0.3, M=128)) >= 100 * check_jump(
         fine, pentagon_cfg(R=0.3, M=512))
+
+
+# ---------------- one operator product per step ----------------
+
+def test_solve_makes_few_ray_integrals(monkeypatch):
+    # evaluate_theta passes both basis targets of a side in one stacked call
+    # and skips empty point sets: two calls per batch, six batches per solve
+    import rhflow.rh_solver as rh
+    calls = []
+    original = rh.integrate_ray
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(rh, "integrate_ray", counting)
+    solve(pentagon_cfg(R=1.0))
+    assert 0 < len(calls) <= 24
+
+
+def test_iterate_once_matches_the_split_formula():
+    # Theta_k <- theta_k - [B(-) h_same + C_cross h_other] / 4 pi with
+    # B(-) h = C_same h - diag(row sums) h + 2 w (D h) + diag(pv) h - 2 pi i h,
+    # the three real node matrices rebuilt here from the grid
+    cfg = pentagon_cfg(R=0.3)
+    state = iterate_once(iterate_once(init_state(cfg), cfg), cfg)
+    g = state.problem.grids[+1]
+    s, w, step, M = g.nodes, g.weights, g.step, cfg.M
+    diff = s[None, :] - s[:, None]
+    with np.errstate(divide="ignore"):
+        coth = 1.0 / np.tanh(0.5 * diff)
+    np.fill_diagonal(coth, 0.0)
+    c_same = w * coth
+    c_cross = w * np.tanh(0.5 * diff)
+    fd = np.zeros((M, M))
+    for row in range(M):
+        j = min(max(row, 2), M - 3)
+        fd[row, j - 2:j + 3] = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * step)
+    pv_vec = np.array([pv_coth_closed_form(g.half_width, si, step) for si in s])
+    dens = state.densities
+    new = iterate_once(state, cfg).values
+    theta = np.array(cfg.theta)
+    for side, ray in ((+1, 0), (-1, 1)):
+        h = dens[side]
+        same = (c_same @ h - c_same.sum(axis=1)[:, None] * h
+                + 2.0 * w[:, None] * (fd @ h) + pv_vec[:, None] * h
+                - 2j * math.pi * h)
+        expected = theta - (same + c_cross @ dens[-side]) / (4.0 * math.pi)
+        assert np.max(np.abs(new[ray] - expected)) <= 1e-15 * np.max(np.abs(expected))
+        assert np.max(np.abs(new[ray] - theta)) > 1e-3  # the correction is not trivial

@@ -1,0 +1,169 @@
+"""Compare the CLI artifacts of a base git ref with those of the working tree.
+
+    python tools/artifact_diff.py [--base REF] [--work DIR]
+
+Runs a pinned list of ops through `rhflow.cli_driver.main` twice: once on a
+`git archive` of the base ref (default HEAD) and once on the working tree's
+`src`, each side in a fresh interpreter with one BLAS thread (threaded BLAS
+splits products differently by matrix size, on any commit).  Prints the
+`diff -r` of the two output trees and each op's exit codes, and exits 0
+when the trees are identical and every exit code matches, 1 otherwise.
+
+The op list is the first block of each `bench/workloads.py` generator
+(imported read-only) at fixed seeds, pentagon `solve` at R in {0.01, 0.05,
+0.08} with tol 1e-14 (small R, where the iteration diverges), and a few
+`deform_check`, `saddle_check` and `scalar_bvp` configs.  Outputs go to
+`--work` (kept) or to a temporary directory (removed).
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import random
+import shutil
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+BENCH_SEEDS = {"solve-verify": (1, 2), "sweep-probe": (1, 3), "scalar-bvp": (1,)}
+
+PENTAGON = {
+    "R": 4.0, "a": [0.0, 0.0], "theta": [0.7, 1.3],
+    "spectrum": {"entries": [[[1, 0], 1], [[-1, 0], 1], [[0, 1], 1], [[0, -1], 1],
+                             [[1, 1], 1], [[-1, -1], 1]],
+                 "support_constant": 0.9},
+    "Z": {"z1": [[1.0, 0.0]], "z2": [[0.0, 1.0]]},
+}
+
+
+def pinned_ops() -> list[dict]:
+    """The op list: name, command, config document and seed of each op."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    try:
+        from workloads import WORKLOADS
+    finally:
+        sys.path.pop(0)
+    ops = []
+    for workload, seeds in BENCH_SEEDS.items():
+        for seed in seeds:
+            block = next(WORKLOADS[workload](random.Random(seed)))
+            ops += [{"name": f"{workload}-{seed}-{i:02d}-{op.command}",
+                     "command": op.command, "doc": op.doc, "seed": op.seed}
+                    for i, op in enumerate(block)]
+
+    def add(name, command, doc):
+        ops.append({"name": name, "command": command, "doc": doc, "seed": 0})
+
+    for R in (0.01, 0.05, 0.08):
+        add(f"solve-small-R{R}", "solve",
+            {"problem": dict(PENTAGON, R=R, tol=1e-14)})
+    for gamma in ([0, 1], [1, 0], [1, 1], [-1, 0]):
+        for R in (2.0, 6.0):
+            add(f"deform-{gamma[0]}{gamma[1]}-R{R}", "deform_check",
+                {"problem": PENTAGON, "deform": {"gamma": gamma, "R": R}})
+    for gamma in ([1, 0], [0, 1], [1, 1]):
+        for factor in ([2.0, 0.0], [1.3, 0.4]):
+            add(f"saddle-{gamma[0]}{gamma[1]}-{factor[0]}", "saddle_check",
+                {"problem": dict(PENTAGON, M=256),
+                 "saddle": {"gamma": gamma, "R_values": [1.0, 4.0, 16.0, 64.0],
+                            "zeta_factor": factor}})
+    for eta0, zeros, phase in ((0.25, [], 0.0), (-0.3, [[[0.8, 0.0], 2]], 0.0),
+                               (0.1, [], 0.3)):
+        add(f"scalar-{eta0}-{len(zeros)}-{phase}", "scalar_bvp",
+            {"scalar": {"jump": {"kind": "manufactured", "eta0": eta0},
+                        "zeros": zeros, "line_phase": phase, "zeta0": [0.0, 1.5],
+                        "zeta0_alt": [0.0, 0.7], "samples": 100}})
+    return ops
+
+
+def run_side(src: str, ops_file: str, out: str) -> None:
+    """Run every op with rhflow imported from src; write the exit codes to
+    out + '.codes.json' and the artifacts under out/<op name>."""
+    sys.path.insert(0, src)
+    from rhflow import cli_driver
+    if not Path(cli_driver.__file__).resolve().is_relative_to(Path(src).resolve()):
+        raise SystemExit(f"rhflow imported from {cli_driver.__file__}, not {src}")
+    ops = json.loads(Path(ops_file).read_text())
+    configs = Path(out + ".configs")
+    configs.mkdir(parents=True)
+    codes = {}
+    for op in ops:
+        cfg = configs / f"{op['name']}.json"
+        cfg.write_text(json.dumps(op["doc"], sort_keys=True), encoding="utf-8")
+        try:
+            codes[op["name"]] = cli_driver.main(
+                [op["command"], "--config", str(cfg), "--out", f"{out}/{op['name']}",
+                 "--seed", str(op["seed"])])
+        except Exception as exc:  # an op that raises is a result to compare
+            codes[op["name"]] = f"raised {type(exc).__name__}"
+    Path(out + ".codes.json").write_text(json.dumps(codes, indent=1))
+
+
+def _spawn(src: Path, ops_file: Path, out: Path) -> dict:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    env.pop("PYTHONPATH", None)
+    with open(f"{out}.stderr", "w") as err:
+        subprocess.run([sys.executable, __file__, "--side", str(src), str(ops_file),
+                        str(out)], env=env, stderr=err, check=True)
+    return json.loads(Path(f"{out}.codes.json").read_text())
+
+
+def compare(base: str, work: Path) -> int:
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", base],
+                             capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(work / "base", filter="data")
+    ops_file = work / "ops.json"
+    ops = pinned_ops()
+    ops_file.write_text(json.dumps(ops))
+    codes = {"base": _spawn(work / "base" / "src", ops_file, work / "out-base"),
+             "tree": _spawn(ROOT / "src", ops_file, work / "out-tree")}
+    diff = subprocess.run(["diff", "-r", "out-base", "out-tree"], cwd=work,
+                          capture_output=True, text=True)
+    print(f"{len(ops)} ops, base {base} vs working tree")
+    print("exit codes (base -> tree):")
+    mismatched = 0
+    for op in ops:
+        b, t = codes["base"][op["name"]], codes["tree"][op["name"]]
+        mismatched += b != t
+        print(f"  {op['name']:<40} {b} -> {t}{'   MISMATCH' if b != t else ''}")
+    print(diff.stdout, end="")
+    identical = diff.returncode == 0
+    print(f"diff -r: {'empty' if identical else 'DIFFERS'}; "
+          f"exit codes: {'all match' if not mismatched else f'{mismatched} differ'}")
+    return 0 if identical and not mismatched else 1
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", default="HEAD", help="git ref to compare against")
+    parser.add_argument("--work", help="directory for the outputs (kept)")
+    parser.add_argument("--side", nargs=3, metavar=("SRC", "OPS", "OUT"),
+                        help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.side:
+        run_side(*args.side)
+        return 0
+    if args.work:
+        work = Path(args.work).resolve()
+        work.mkdir(parents=True, exist_ok=False)
+        code = compare(args.base, work)
+        print(f"outputs kept in {work}")
+        return code
+    work = Path(tempfile.mkdtemp(prefix="artifact-diff-"))
+    try:
+        return compare(args.base, work)
+    finally:
+        shutil.rmtree(work)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
