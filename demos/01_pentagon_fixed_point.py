@@ -9,7 +9,8 @@ at 0 and infinity.
 import math
 
 from rhflow.charge_lattice import GAMMA1, GAMMA2, pentagon_spectrum
-from rhflow.rh_solver import (SolverConfig, asymptotic_theta, evaluate_Y, solve)
+from rhflow.rh_solver import (SolverConfig, asymptotic_theta, evaluate_Y, solve,
+                              verify)
 from rhflow.spectrum_rays import CentralCharge
 
 cfg = SolverConfig(
@@ -30,7 +31,7 @@ for nu, (delta, ratio) in enumerate(zip(report["deltas"],
     print(f"  step {nu}: delta {delta:.3e}{extra}")
 
 print("\nresiduals of the defining conditions:")
-for name, value in report["residuals"].items():
+for name, value in verify(state).items():
     print(f"  {name:16s} {value:.3e}")
 
 theta0 = asymptotic_theta(state, cfg, at=0)

@@ -25,7 +25,7 @@ from .charge_lattice import Charge, Spectrum, require_support
 from .contour_quadrature import (build_ray_grid, deform_to_bps_ray, in_swept_sector,
                                  integrate_ray, sweep_sign)
 from .errors import ConfigError, RHFlowError
-from .rh_solver import SolverConfig, smoothness_probe, solve
+from .rh_solver import SolverConfig, smoothness_probe, solve, verify
 from .saddle_asymptotics import compare, saddle_point
 from .scalar_bvp import (ScalarBVProblem, regularizing_factor, solve_scalar_bvp,
                          verify_uniqueness, zero_factor)
@@ -205,6 +205,7 @@ def _round_floats(obj):
 
 def _cmd_solve(rc: RunConfig, out: Path) -> None:
     state, report = solve(rc.solver)
+    report["residuals"] = verify(state)
     _write_json(out / "report.json", _round_floats(report))
     grid = state.problem.grids[+1]
     rows = []
@@ -225,11 +226,11 @@ def _cmd_sweep_r(rc: RunConfig, out: Path) -> None:
         raise ConfigError("R_values list is required for sweep_r")
     rows = []
     for R in r_values:
-        _, report = solve(dataclasses.replace(rc.solver, R=R))
+        state, report = solve(dataclasses.replace(rc.solver, R=R))
+        residuals = verify(state)
         ratio = max(report["ratios"]) if report["ratios"] else 0.0
         rows.append([fmt(R), str(report["iterations"]), fmt(report["deltas"][-1]),
-                     fmt(ratio), fmt(report["residuals"]["jump"]),
-                     fmt(report["residuals"]["reality"])])
+                     fmt(ratio), fmt(residuals["jump"]), fmt(residuals["reality"])])
     _write_csv(out / "sweep.csv",
                ["R", "iterations", "final_delta", "contraction_ratio",
                 "jump_residual", "reality_residual"], rows)
@@ -346,8 +347,9 @@ def _scalar_problem(section: dict) -> ScalarBVProblem:
     phase = _number(float, section.get("line_phase", 0.0), "scalar.line_phase")
     zeta0 = _complex(section.get("zeta0", [0.0, 1.5]), "scalar.zeta0")
     if kind == "manufactured":
-        eta0 = _number(complex, _required(jump, "eta0", "scalar.jump"),
-                       "scalar.jump.eta0")
+        eta0 = _required(jump, "eta0", "scalar.jump")
+        eta0 = (_complex(eta0, "scalar.jump.eta0") if isinstance(eta0, list)
+                else _number(complex, eta0, "scalar.jump.eta0"))
         amp = _complex(jump.get("bump", [0.3, 0.1]), "scalar.jump.bump")
         probe = ScalarBVProblem(phase, lambda t: 1.0, (1, 1, 1, 1),
                                 zeros=zeros, zeta0=zeta0)

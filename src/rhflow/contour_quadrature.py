@@ -58,14 +58,6 @@ def build_ray_grid(direction: RayDirection, decay_scale: float, M: int,
     return RayGrid(direction, s, w, L, M)
 
 
-def cauchy_kernel(zeta: complex, zeta_p: complex) -> complex:
-    """(zeta' + zeta) / (zeta' - zeta); the dzeta'/zeta' factor is carried
-    by the log parametrization of the grids."""
-    if zeta_p == zeta:
-        raise SingularKernelError("kernel evaluated at coincident points")
-    return (zeta_p + zeta) / (zeta_p - zeta)
-
-
 def on_covered_ray(grid: RayGrid, zeta) -> np.ndarray:
     """True where zeta (a point or an array of points) lies on the grid ray,
     within the angular margin, and inside the covered range |s| <= L."""

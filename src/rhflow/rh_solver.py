@@ -12,6 +12,11 @@ side of each outward-oriented ray; with that convention the counterclockwise
 limit satisfies the multiplicative jump exactly, which is what check_jump
 verifies.
 
+Solving and verifying are separate steps: solve returns the converged
+state and its iteration record, verify the residuals of the defining
+conditions on that state.  solve keeps one check, truncation_guard, since
+the jump series it iterates converges only for |Y_g| < 1.
+
 At the nodes the ray integrals are node matrices applied to the densities:
 c_same (the coth kernel of a ray on itself, pole removed), the derivative
 stencil fd of the removable limit and c_cross (the kernel between the two
@@ -281,10 +286,12 @@ def iterate_once(state: ThetaState, cfg: SolverConfig) -> ThetaState:
 
 
 def solve(cfg: SolverConfig) -> tuple[ThetaState, dict]:
-    """Iterate to the fixed point and assemble the run report.
+    """Iterate to the fixed point and assemble the run report (residuals
+    are verify's).
 
     At least two iterations always run so that a contraction ratio is
-    observed; convergence requires the final ratio below one.
+    observed; convergence requires the final ratio below one.  The
+    converged state must pass truncation_guard.
     """
     state = init_state(cfg)
     deltas: list[float] = []
@@ -302,6 +309,7 @@ def solve(cfg: SolverConfig) -> tuple[ThetaState, dict]:
             f"(last delta {state.last_delta:.3e}, worst ratio {bad:.3g}); "
             f"R = {cfg.R:g} is too small for this spectrum"
         )
+    truncation_guard(state)
     theta0 = asymptotic_theta(state, cfg, at=0)
     thetainf = asymptotic_theta(state, cfg, at=math.inf)
     report = {
@@ -316,16 +324,26 @@ def solve(cfg: SolverConfig) -> tuple[ThetaState, dict]:
         "deltas": deltas,
         "ratios": ratios,
         "ball_exits": state.ball_exits,
-        "residuals": {
-            "jump": check_jump(state, cfg),
-            "reality": check_reality(state, cfg),
-            "asymptotic_real": max(abs((theta0[k] - cfg.theta[k]).real) for k in (0, 1)),
-            "asymptotic_conj": max(abs(theta0[k] - thetainf[k].conjugate()) for k in (0, 1)),
-        },
         "theta0": [[t.real, t.imag] for t in theta0],
         "thetainf": [[t.real, t.imag] for t in thetainf],
     }
     return state, report
+
+
+def verify(state: ThetaState) -> dict:
+    """Residuals of the defining conditions at a solved state, for the
+    configuration it was built from: the jump (check_jump), the reality
+    involution (check_reality), the real part of Theta(0) - theta
+    (asymptotic_real) and |Theta(0) - conj Theta(inf)| (asymptotic_conj)."""
+    cfg = state.problem.cfg
+    theta0 = asymptotic_theta(state, cfg, at=0)
+    thetainf = asymptotic_theta(state, cfg, at=math.inf)
+    return {
+        "jump": check_jump(state, cfg),
+        "reality": check_reality(state, cfg),
+        "asymptotic_real": max(abs((theta0[k] - cfg.theta[k]).real) for k in (0, 1)),
+        "asymptotic_conj": max(abs(theta0[k] - thetainf[k].conjugate()) for k in (0, 1)),
+    }
 
 
 def evaluate_theta(state: ThetaState, cfg: SolverConfig, zeta,
@@ -368,6 +386,26 @@ def evaluate_Y(state: ThetaState, cfg: SolverConfig, g: Charge, zeta: complex,
     return complex(np.exp(_static_exponents(cfg, cfg.Z.of(g, cfg.a), zeta) + 1j * thg))
 
 
+def truncation_guard(state: ThetaState) -> None:
+    """Raise TruncationUnsafeError where an active charge has |Y_g| >= 1 at
+    the nodes of its own jump ray: the jump series across that ray
+    converges only for |Y_g| < 1."""
+    prep = state.problem
+    cfg = prep.cfg
+    for s, ray_idx in ((+1, 0), (-1, 1)):
+        for g, _ in cfg.spectrum.active():
+            if prep.classification.get(g) != s:
+                continue
+            stat = _static_exponents(cfg, cfg.Z.of(g, cfg.a), prep.grids[s].points())
+            thg = g.c1 * state.values[ray_idx, :, 0] + g.c2 * state.values[ray_idx, :, 1]
+            mags = np.abs(np.exp(stat + 1j * thg))
+            if np.any(mags >= 1.0):
+                raise TruncationUnsafeError(
+                    f"|Y| = {mags.max():.3g} >= 1 for charge ({g.c1},{g.c2}) "
+                    "on its jump ray; the truncated jump series does not converge"
+                )
+
+
 def check_jump(state: ThetaState, cfg: SolverConfig) -> float:
     """Sup relative residual of the multiplicative jump on both rays.
 
@@ -380,24 +418,12 @@ def check_jump(state: ThetaState, cfg: SolverConfig) -> float:
     and interpolation error stay visible.
     """
     prep = _problem(state, cfg)
+    truncation_guard(state)
     dens = state.densities
     theta_vec = np.array(cfg.theta, dtype=complex)
     pv, cross = prep.node_transforms(dens)
     worst = 0.0
     for s, ray_idx in ((+1, 0), (-1, 1)):
-        # magnitude guard for the side's own active charges: the jump series
-        # across this ray needs |Y_g| < 1 there
-        for g, om in cfg.spectrum.active():
-            if prep.classification.get(g) != s:
-                continue
-            stat = _static_exponents(cfg, cfg.Z.of(g, cfg.a), prep.grids[s].points())
-            thg = g.c1 * state.values[ray_idx, :, 0] + g.c2 * state.values[ray_idx, :, 1]
-            mags = np.abs(np.exp(stat + 1j * thg))
-            if np.any(mags >= 1.0):
-                raise TruncationUnsafeError(
-                    f"|Y| = {mags.max():.3g} >= 1 for charge ({g.c1},{g.c2}) "
-                    "on its jump ray; the truncated jump series does not converge"
-                )
         theta_minus = theta_vec[None, :] - (_boundary_value(pv[s], dens[s], -1)
                                             + cross[s]) / FOUR_PI
         theta_plus = theta_vec[None, :] - (_boundary_value(pv[s], dens[s], +1)
@@ -424,8 +450,7 @@ def _midpoint_jump_residual(state: ThetaState, cfg: SolverConfig,
     return float(np.max(np.abs(predicted - y_plus) / np.abs(y_plus)))
 
 
-def reality_samples(cfg: SolverConfig, r: RayDirection, count: int = 64,
-                    seed: int = 2026) -> np.ndarray:
+def reality_samples(r: RayDirection, count: int = 64, seed: int = 2026) -> np.ndarray:
     """Deterministic off-contour sample points for the reality check."""
     rng = np.random.default_rng(seed)
     out = []
@@ -441,7 +466,7 @@ def reality_samples(cfg: SolverConfig, r: RayDirection, count: int = 64,
 def check_reality(state: ThetaState, cfg: SolverConfig, count: int = 64) -> float:
     """Sup over samples of |conj(Theta_k(-1/conj zeta)) - Theta_k(zeta)|."""
     prep = _problem(state, cfg)
-    z = reality_samples(cfg, prep.r, count)
+    z = reality_samples(prep.r, count)
     direct = np.stack(evaluate_theta(state, cfg, z))
     mirrored = np.stack(evaluate_theta(state, cfg, -1.0 / z.conjugate()))
     return float(np.max(np.abs(mirrored.conj() - direct), initial=0.0))
@@ -486,7 +511,8 @@ def smoothness_probe(cfg: SolverConfig, direction: str, order: int,
     Solves at the stencil points for steps h and h/2 and reports both
     estimates (node arrays and the zeta -> 0 limit) together with the
     relative change under step halving; a stable value stands in for the
-    smoothness of the exact solution.
+    smoothness of the exact solution.  The stencil points are solved, not
+    verified: nothing of verify's residuals enters the probe.
 
     solutions maps each solved (shifted) configuration to its node values
     and zeta -> 0 limit; pass one dict to several probes to solve each

@@ -21,7 +21,7 @@ from rhflow.charge_lattice import Charge, GAMMA1, GAMMA2, pentagon_spectrum
 from rhflow.cli_driver import main as cli_main
 from rhflow.contour_quadrature import build_ray_grid, integrate_ray, sweep_sign
 from rhflow.rh_solver import (SolverConfig, asymptotic_theta, check_jump,
-                              check_reality, smoothness_probe, solve)
+                              check_reality, smoothness_probe, solve, verify)
 from rhflow.saddle_asymptotics import compare, saddle_point
 from rhflow.scalar_bvp import solve_scalar_bvp, verify_uniqueness
 from rhflow.spectrum_rays import CentralCharge, admissible_pair, bps_ray, semiflat
@@ -49,7 +49,7 @@ def pentagon_cfg(**kw):
 def solved_r4():
     cfg = pentagon_cfg()
     state, rep = solve(cfg)
-    return cfg, state, rep
+    return cfg, state, rep, verify(state)
 
 
 def test_criterion_1_pentagon_coefficient_oracle():
@@ -81,7 +81,7 @@ def test_criterion_1_pentagon_coefficient_oracle():
 
 def test_criterion_2_contraction(solved_r4):
     t0 = time.time()
-    _, state4, rep4 = solved_r4
+    _, state4, rep4, _ = solved_r4
     _, rep8 = solve(pentagon_cfg(R=8.0))
     elapsed = time.time() - t0
     conv = state4.last_delta < 1e-12 and rep4["iterations"] <= 30
@@ -97,8 +97,8 @@ def test_criterion_2_contraction(solved_r4):
 
 
 def test_criterion_3_jump_condition(solved_r4):
-    cfg, state, rep = solved_r4
-    coarse = rep["residuals"]["jump"]
+    _, _, _, residuals = solved_r4
+    coarse = residuals["jump"]
     fine_cfg = pentagon_cfg(M=256, N=10)
     fine_state, _ = solve(fine_cfg)
     fine = check_jump(fine_state, fine_cfg)
@@ -108,7 +108,7 @@ def test_criterion_3_jump_condition(solved_r4):
 
 
 def test_criterion_4_reality_and_asymptotics(solved_r4):
-    cfg, state, _ = solved_r4
+    cfg, state, _, _ = solved_r4
     reality = check_reality(state, cfg, count=64)
     t0 = asymptotic_theta(state, cfg, at=0)
     tinf = asymptotic_theta(state, cfg, at=math.inf)

@@ -296,6 +296,22 @@ def test_scalar_bvp_command(tmp_path):
     assert report["residuals"]["uniqueness"] < 1e-6
 
 
+def test_scalar_bvp_takes_eta0_as_a_pair_or_a_number(tmp_path):
+    def run(eta0, name):
+        doc = {"scalar": {"jump": {"kind": "manufactured", "eta0": eta0},
+                          "samples": 40}}
+        out = tmp_path / name
+        code = main(["scalar_bvp", "--config", str(write_cfg(tmp_path, doc, f"{name}.json")),
+                     "--out", str(out)])
+        return code, out / "scalar_report.json"
+
+    code_num, bare = run(0.25, "bare")
+    code_pair, pair = run([0.25, 0.0], "pair")
+    assert code_num == code_pair == 0
+    assert pair.read_bytes() == bare.read_bytes()
+    assert run([0.1, 0.05], "complex")[0] == 0
+
+
 def test_sweep_r_artifacts_are_byte_identical_across_runs(tmp_path):
     doc = json.loads(json.dumps(PENTAGON))
     doc["problem"]["M"] = 64

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from rhflow.charge_lattice import Charge, pentagon_spectrum
-from rhflow.contour_quadrature import (build_ray_grid, cauchy_kernel,
-                                       deform_to_bps_ray, in_swept_sector,
-                                       integrate_ray, on_covered_ray,
-                                       pv_coth_closed_form, sweep_sign)
+from rhflow.contour_quadrature import (build_ray_grid, deform_to_bps_ray,
+                                       in_swept_sector, integrate_ray,
+                                       on_covered_ray, pv_coth_closed_form,
+                                       sweep_sign)
 from rhflow.errors import SingularKernelError
 from rhflow.rh_solver import SolverConfig, init_state
 from rhflow.scalar_bvp import ScalarBVProblem, solve_continuous
@@ -39,26 +39,6 @@ def test_grid_rejects_bad_inputs():
         build_ray_grid(RayDirection(0.0), 1.0, 65, 40.0)
     with pytest.raises(ValueError, match="even"):
         build_ray_grid(RayDirection(0.0), 1.0, 8, 40.0)
-
-
-def test_kernel_at_origin_and_infinity():
-    assert cauchy_kernel(0.0, 0.5 + 0.2j) == 1.0
-    far = cauchy_kernel(1e9 + 1e9j, 0.5 + 0.2j)
-    assert far == pytest.approx(-1.0, abs=1e-8)
-
-
-def test_kernel_singular():
-    with pytest.raises(SingularKernelError):
-        cauchy_kernel(1.0 + 1.0j, 1.0 + 1.0j)
-
-
-def test_kernel_involution_symmetry():
-    # conj K(-1/conj z, -1/conj z') = -K(z, z'); used by the reality check
-    rng = np.random.default_rng(7)
-    for _ in range(10):
-        z, zp = [complex(*rng.normal(size=2)) for _ in range(2)]
-        lhs = cauchy_kernel(-1 / z.conjugate(), -1 / zp.conjugate()).conjugate()
-        assert lhs == pytest.approx(-cauchy_kernel(z, zp), rel=1e-12)
 
 
 def test_on_covered_ray():

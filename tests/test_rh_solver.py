@@ -10,7 +10,7 @@ from rhflow.errors import (ConfigError, DivergenceError, NonContractionError,
 from rhflow.rh_solver import (SolverConfig, ThetaState, _Prepared, asymptotic_theta,
                               check_jump,
                               check_reality, evaluate_Y, evaluate_theta, init_state,
-                              iterate_once, smoothness_probe, solve)
+                              iterate_once, smoothness_probe, solve, verify)
 from rhflow.spectrum_rays import CentralCharge, alternative_split_phases, semiflat
 
 Z = CentralCharge.constant(1.0, 1j)
@@ -59,8 +59,9 @@ def test_empty_spectrum_solve_and_residuals():
     cfg = empty_cfg()
     state, report = solve(cfg)
     assert report["iterations"] == 2
-    assert report["residuals"]["jump"] == 0.0
-    assert report["residuals"]["reality"] == 0.0
+    residuals = verify(state)
+    assert residuals["jump"] == 0.0
+    assert residuals["reality"] == 0.0
     t0 = asymptotic_theta(state, cfg, at=0)
     assert t0[0] == cfg.theta[0] and t0[1] == cfg.theta[1]
     z = 0.5 + 0.8j
@@ -259,6 +260,45 @@ def test_smoothness_probe_a_dependence():
     assert math.isfinite(out3["sup"])
 
 
+def test_smoothness_probe_verifies_nothing(monkeypatch):
+    import rhflow.rh_solver as rh
+    calls = []
+    for name in ("check_jump", "check_reality", "evaluate_theta"):
+        original = getattr(rh, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(rh, name, counting)
+    smoothness_probe(pentagon_cfg(M=64), "theta1", 2, 1e-2)
+    assert calls == []
+
+
+def test_solve_guards_each_converged_state_once(monkeypatch):
+    import rhflow.rh_solver as rh
+    guarded = []
+    original = rh.truncation_guard
+
+    def counting(state):
+        guarded.append(state.problem.cfg)
+        return original(state)
+
+    monkeypatch.setattr(rh, "truncation_guard", counting)
+    solutions = {}
+    smoothness_probe(pentagon_cfg(M=64), "theta1", 1, 1e-2, solutions=solutions)
+    assert len(guarded) == len(solutions) == 4
+    assert set(guarded) == set(solutions)
+
+
+def test_smoothness_probe_refuses_a_converged_state_with_large_Y():
+    # the iteration converges at R = 0.09, but |Y_(0,1)| reaches 1.01 on its
+    # jump ray; the probe verifies nothing and must still fail
+    cfg = pentagon_cfg(R=0.09, theta=(3.0, 3.0), M=64, max_iter=200)
+    with pytest.raises(TruncationUnsafeError, match=r"for charge \(0,1\) on its jump ray"):
+        smoothness_probe(cfg, "theta1", 1, 1e-2)
+
+
 def test_smoothness_probe_rejects_unknown_direction():
     with pytest.raises(ConfigError):
         smoothness_probe(pentagon_cfg(M=64), "b", 1, 1e-2)
@@ -270,11 +310,12 @@ def test_generic_two_pair_spectrum():
     spec = Spectrum.from_pairs([((1, 0), 1), ((-1, 0), 1), ((0, 1), 1), ((0, -1), 1)])
     cfg = SolverConfig(R=3.0, a=0.0, theta=(0.4, 2.1), spectrum=spec, Z=Zg,
                        M=128, max_iter=40)
-    state, report = solve(cfg)
-    assert report["residuals"]["jump"] < 1e-6
-    assert report["residuals"]["reality"] < 1e-8
-    assert report["residuals"]["asymptotic_real"] < 1e-9
-    assert report["residuals"]["asymptotic_conj"] < 1e-9
+    state, _ = solve(cfg)
+    residuals = verify(state)
+    assert residuals["jump"] < 1e-6
+    assert residuals["reality"] < 1e-8
+    assert residuals["asymptotic_real"] < 1e-9
+    assert residuals["asymptotic_conj"] < 1e-9
 
     # a second admissible split must give the same solution up to a real factor
     alts = alternative_split_phases(Zg, spec, 0.0)
@@ -343,7 +384,7 @@ def test_solve_evaluates_theta_in_batches(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(rh, "evaluate_theta", counting)
-    solve(pentagon_cfg(R=1.0))
+    verify(solve(pentagon_cfg(R=1.0))[0])
     assert 0 < len(calls) <= 6
 
 
@@ -361,7 +402,8 @@ def test_jump_check_sees_discretisation_error():
 
 def test_solve_makes_few_ray_integrals(monkeypatch):
     # evaluate_theta passes both basis targets of a side in one stacked call
-    # and skips empty point sets: two calls per batch, six batches per solve
+    # and skips empty point sets: two calls per batch, six batches per
+    # verification
     import rhflow.rh_solver as rh
     calls = []
     original = rh.integrate_ray
@@ -371,7 +413,7 @@ def test_solve_makes_few_ray_integrals(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(rh, "integrate_ray", counting)
-    solve(pentagon_cfg(R=1.0))
+    verify(solve(pentagon_cfg(R=1.0))[0])
     assert 0 < len(calls) <= 24
 
 

@@ -11,8 +11,10 @@ when the trees are identical and every exit code matches, 1 otherwise.
 
 The op list is the first block of each `bench/workloads.py` generator
 (imported read-only) at fixed seeds, pentagon `solve` at R in {0.01, 0.05,
-0.08} with tol 1e-14 (small R, where the iteration diverges), and a few
-`deform_check`, `saddle_check` and `scalar_bvp` configs.  Outputs go to
+0.08} with tol 1e-14 (small R, where the iteration diverges), `smoothness`
+in every probe direction at orders 1 to 3 and once where a converged
+stencil solve fails the |Y| < 1 guard, and a few `deform_check`,
+`saddle_check` and `scalar_bvp` configs.  Outputs go to
 `--work` (kept) or to a temporary directory (removed).
 """
 
@@ -64,6 +66,19 @@ def pinned_ops() -> list[dict]:
     for R in (0.01, 0.05, 0.08):
         add(f"solve-small-R{R}", "solve",
             {"problem": dict(PENTAGON, R=R, tol=1e-14)})
+    # every probe direction and order; a_im needs a central charge that
+    # depends on a (z1 = 1 + a/2 at a = 0.1)
+    z_of_a = dict(PENTAGON, a=[0.1, 0.0], M=64,
+                  Z={"z1": [[1.0, 0.0], [0.5, 0.0]], "z2": [[0.0, 1.0]]})
+    for direction, orders in (("theta1", [3]), ("theta2", [1, 2, 3]),
+                              ("a_re", [3]), ("a_im", [1, 2, 3])):
+        add(f"smoothness-{direction}-{''.join(map(str, orders))}", "smoothness",
+            {"problem": z_of_a,
+             "smoothness": {"direction": direction, "orders": orders, "step": 0.01}})
+    # converges, then |Y| >= 1 on a jump ray: TruncationUnsafeError, exit 2
+    add("smoothness-truncation-unsafe", "smoothness",
+        {"problem": dict(PENTAGON, R=0.09, theta=[3.0, 3.0], M=64, max_iter=200),
+         "smoothness": {"direction": "theta1", "orders": [1], "step": 0.01}})
     for gamma in ([0, 1], [1, 0], [1, 1], [-1, 0]):
         for R in (2.0, 6.0):
             add(f"deform-{gamma[0]}{gamma[1]}-R{R}", "deform_check",
