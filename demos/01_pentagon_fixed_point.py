@@ -34,8 +34,8 @@ print("\nresiduals of the defining conditions:")
 for name, value in verify(state).items():
     print(f"  {name:16s} {value:.3e}")
 
-theta0 = asymptotic_theta(state, cfg, at=0)
-thetainf = asymptotic_theta(state, cfg, at=math.inf)
+theta0 = asymptotic_theta(state, at=0)
+thetainf = asymptotic_theta(state, at=math.inf)
 print("\nlimits of the corrected angles:")
 for k, (t0, ti) in enumerate(zip(theta0, thetainf), start=1):
     print(f"  theta{k}: at 0 {t0:.15f}   at infinity {ti:.15f}")
@@ -43,9 +43,9 @@ print("the shift away from the reference angles is purely imaginary,")
 print("and the two limits are complex conjugates.")
 
 z = 0.4 + 1.2j
-y1 = evaluate_Y(state, cfg, GAMMA1, z)
-y2 = evaluate_Y(state, cfg, GAMMA2, z)
-y12 = evaluate_Y(state, cfg, GAMMA1 + GAMMA2, z)
+y1 = evaluate_Y(state, GAMMA1, z)
+y2 = evaluate_Y(state, GAMMA2, z)
+y12 = evaluate_Y(state, GAMMA1 + GAMMA2, z)
 print(f"\nmultiplicativity at zeta = {z}:")
 print(f"  Y1 * Y2  = {y1 * y2:.12e}")
 print(f"  Y(1,1)   = {y12:.12e}")

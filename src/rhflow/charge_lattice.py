@@ -100,12 +100,6 @@ class Spectrum:
     def active(self) -> list[tuple[Charge, int]]:
         return [(g, om) for g, om in self.entries if om != 0]
 
-    def multiplicity(self, g: Charge) -> int:
-        for h, om in self.entries:
-            if h == g:
-                return om
-        return 0
-
 
 def pentagon_spectrum(support_constant: float = 0.0) -> Spectrum:
     """The three-pair spectrum {±e1, ±e2, ±(e1+e2)}, all with multiplicity 1."""

@@ -146,8 +146,9 @@ def _parse_solver(problem: dict) -> SolverConfig:
 def load_config(text: str, command: str, seed: int = 0) -> RunConfig:
     """Parse and validate a configuration document for one command.
 
-    Solver commands get the support property checked and the admissible
-    direction precomputed here, so bad geometry fails before any run."""
+    Solver commands get the support property and the existence of an
+    admissible direction validated here (the direction itself is found
+    again by each solve), so bad geometry fails before any run."""
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
     try:

@@ -12,8 +12,10 @@ side of each outward-oriented ray; with that convention the counterclockwise
 limit satisfies the multiplicative jump exactly, which is what check_jump
 verifies.
 
-Solving and verifying are separate steps: solve returns the converged
-state and its iteration record, verify the residuals of the defining
+A state is its node values and its prepared problem; every function of a
+state reads the configuration from state.problem.cfg.  iterate_once is the
+bare map; solve applies it, keeps the iteration record and returns it with
+the converged state; verify returns the residuals of the defining
 conditions on that state.  solve keeps one check, truncation_guard, since
 the jump series it iterates converges only for |Y_g| < 1.
 
@@ -66,8 +68,10 @@ class SolverConfig:
     def validate(self) -> None:
         if not (self.R > 0 and math.isfinite(self.R)):
             raise ConfigError("R must be positive and finite")
-        if self.tol <= 0:
-            raise ConfigError("tol must be positive")
+        if not (self.tol > 0 and math.isfinite(self.tol)):
+            raise ConfigError("tol must be positive and finite")
+        if not (self.target_tail > 0 and math.isfinite(self.target_tail)):
+            raise ConfigError("target_tail must be positive and finite")
         if self.N < 1:
             raise ConfigError("series order N must be >= 1")
         if self.M < 16 or self.M % 2:
@@ -232,22 +236,10 @@ class ThetaState:
 
     values: np.ndarray
     problem: _Prepared = field(repr=False, compare=False)
-    nu: int = 0
-    last_delta: float = math.inf
-    ball_exits: list[int] = field(default_factory=list)
 
     @functools.cached_property
     def densities(self) -> dict[int, np.ndarray]:
         return self.problem.densities(self.values)
-
-
-def _problem(state: ThetaState, cfg: SolverConfig) -> _Prepared:
-    """The state's prepared problem; cfg must be the configuration it was
-    built from."""
-    prep = state.problem
-    if cfg is not prep.cfg and cfg != prep.cfg:
-        raise ValueError("cfg is not the configuration this state was built for")
-    return prep
 
 
 def init_state(cfg: SolverConfig) -> ThetaState:
@@ -259,30 +251,18 @@ def init_state(cfg: SolverConfig) -> ThetaState:
     return ThetaState(values, prep)
 
 
-def iterate_once(state: ThetaState, cfg: SolverConfig) -> ThetaState:
+def iterate_once(state: ThetaState) -> ThetaState:
     """One application of the integral-equation map to the node values."""
-    prep = _problem(state, cfg)
+    prep = state.problem
     dens = state.densities
     new = np.empty_like(state.values)
-    theta_vec = np.array(cfg.theta, dtype=complex)
+    theta_vec = np.array(prep.cfg.theta, dtype=complex)
 
     pv, cross = prep.node_transforms(dens)
     for s, ray_idx in ((+1, 0), (-1, 1)):
         stored = _boundary_value(pv[s], dens[s], -1)
         new[ray_idx] = theta_vec[None, :] - (stored + cross[s]) / FOUR_PI
-
-    if not np.all(np.isfinite(new)):
-        raise DivergenceError(
-            f"non-finite iterate at step {state.nu + 1}; R = {cfg.R:g} is too "
-            "small for this spectrum"
-        )
-    delta = float(np.max(np.abs(new - state.values)))
-    ball = float(np.max(np.abs(new - theta_vec[None, None, :])))
-    exits = list(state.ball_exits)
-    if ball > cfg.ball_epsilon:
-        exits.append(state.nu + 1)
-    return ThetaState(new, prep, nu=state.nu + 1, last_delta=delta,
-                      ball_exits=exits)
+    return ThetaState(new, prep)
 
 
 def solve(cfg: SolverConfig) -> tuple[ThetaState, dict]:
@@ -290,28 +270,39 @@ def solve(cfg: SolverConfig) -> tuple[ThetaState, dict]:
     are verify's).
 
     At least two iterations always run so that a contraction ratio is
-    observed; convergence requires the final ratio below one.  The
-    converged state must pass truncation_guard.
+    observed; convergence requires the final ratio below one.  A step
+    whose iterate leaves the ball of radius ball_epsilon about theta is
+    recorded in ball_exits, not fatal.  The converged state must pass
+    truncation_guard.
     """
     state = init_state(cfg)
+    theta_vec = np.array(cfg.theta, dtype=complex)
     deltas: list[float] = []
-    while state.nu < cfg.max_iter:
-        state = iterate_once(state, cfg)
-        deltas.append(state.last_delta)
-        if state.nu >= 2 and state.last_delta < cfg.tol:
+    ball_exits: list[int] = []
+    for step in range(1, cfg.max_iter + 1):
+        new = iterate_once(state)
+        if not np.all(np.isfinite(new.values)):
+            raise DivergenceError(
+                f"non-finite iterate at step {step}; R = {cfg.R:g} is too "
+                "small for this spectrum"
+            )
+        deltas.append(float(np.max(np.abs(new.values - state.values))))
+        if float(np.max(np.abs(new.values - theta_vec))) > cfg.ball_epsilon:
+            ball_exits.append(step)
+        state = new
+        if step >= 2 and deltas[-1] < cfg.tol:
             break
     ratios = [d2 / d1 if d1 > 0 else 0.0 for d1, d2 in zip(deltas, deltas[1:])]
-    converged = state.last_delta < cfg.tol
-    if not converged:
+    if not deltas[-1] < cfg.tol:
         bad = max(ratios[1:] or ratios or [math.inf])
         raise NonContractionError(
             f"no convergence in {cfg.max_iter} iterations "
-            f"(last delta {state.last_delta:.3e}, worst ratio {bad:.3g}); "
+            f"(last delta {deltas[-1]:.3e}, worst ratio {bad:.3g}); "
             f"R = {cfg.R:g} is too small for this spectrum"
         )
     truncation_guard(state)
-    theta0 = asymptotic_theta(state, cfg, at=0)
-    thetainf = asymptotic_theta(state, cfg, at=math.inf)
+    theta0 = asymptotic_theta(state, at=0)
+    thetainf = asymptotic_theta(state, at=math.inf)
     report = {
         "config": {
             "R": cfg.R, "a": [cfg.a.real, cfg.a.imag], "theta": list(cfg.theta),
@@ -320,10 +311,10 @@ def solve(cfg: SolverConfig) -> tuple[ThetaState, dict]:
             "ball_epsilon": cfg.ball_epsilon,
             "contour_phase": state.problem.r.phase,
         },
-        "iterations": state.nu,
+        "iterations": len(deltas),
         "deltas": deltas,
         "ratios": ratios,
-        "ball_exits": state.ball_exits,
+        "ball_exits": ball_exits,
         "theta0": [[t.real, t.imag] for t in theta0],
         "thetainf": [[t.real, t.imag] for t in thetainf],
     }
@@ -336,18 +327,17 @@ def verify(state: ThetaState) -> dict:
     involution (check_reality), the real part of Theta(0) - theta
     (asymptotic_real) and |Theta(0) - conj Theta(inf)| (asymptotic_conj)."""
     cfg = state.problem.cfg
-    theta0 = asymptotic_theta(state, cfg, at=0)
-    thetainf = asymptotic_theta(state, cfg, at=math.inf)
+    theta0 = asymptotic_theta(state, at=0)
+    thetainf = asymptotic_theta(state, at=math.inf)
     return {
-        "jump": check_jump(state, cfg),
-        "reality": check_reality(state, cfg),
+        "jump": check_jump(state),
+        "reality": check_reality(state),
         "asymptotic_real": max(abs((theta0[k] - cfg.theta[k]).real) for k in (0, 1)),
         "asymptotic_conj": max(abs(theta0[k] - thetainf[k].conjugate()) for k in (0, 1)),
     }
 
 
-def evaluate_theta(state: ThetaState, cfg: SolverConfig, zeta,
-                   side: str = "auto") -> tuple:
+def evaluate_theta(state: ThetaState, zeta, side: str = "auto") -> tuple:
     """Theta at one point or at a 1-D array of points via the integral
     representation; returns the pair (Theta_1, Theta_2) of complex numbers
     or of arrays.
@@ -355,7 +345,7 @@ def evaluate_theta(state: ThetaState, cfg: SolverConfig, zeta,
     On a contour ray, side "plus"/"minus" selects the boundary value;
     "auto" returns the stored (clockwise) side there.
     """
-    prep = _problem(state, cfg)
+    prep = state.problem
     dens = state.densities
     z = np.asarray(zeta, dtype=complex)
     zs = np.atleast_1d(z)
@@ -369,20 +359,21 @@ def evaluate_theta(state: ThetaState, cfg: SolverConfig, zeta,
                                         side="minus" if side == "auto" else side)
         if not on.all():
             acc[:, ~on] += integrate_ray(grid, rows, zs[~on], side="off")
-    out = np.array(cfg.theta)[:, None] - acc / FOUR_PI
+    out = np.array(prep.cfg.theta)[:, None] - acc / FOUR_PI
     if z.ndim:
         return out[0], out[1]
     return complex(out[0, 0]), complex(out[1, 0])
 
 
-def evaluate_Y(state: ThetaState, cfg: SolverConfig, g: Charge, zeta: complex,
+def evaluate_Y(state: ThetaState, g: Charge, zeta: complex,
                side: str = "auto") -> complex:
     """Solution function for one charge: the semiflat exponential with the
     corrected angles at zeta."""
     if zeta == 0:
         raise ValueError("use asymptotic_theta for the limits at 0 and infinity")
-    th1, th2 = evaluate_theta(state, cfg, zeta, side=side)
+    th1, th2 = evaluate_theta(state, zeta, side=side)
     thg = g.c1 * th1 + g.c2 * th2
+    cfg = state.problem.cfg
     return complex(np.exp(_static_exponents(cfg, cfg.Z.of(g, cfg.a), zeta) + 1j * thg))
 
 
@@ -406,7 +397,7 @@ def truncation_guard(state: ThetaState) -> None:
                 )
 
 
-def check_jump(state: ThetaState, cfg: SolverConfig) -> float:
+def check_jump(state: ThetaState) -> float:
     """Sup relative residual of the multiplicative jump on both rays.
 
     The counterclockwise boundary values must equal the side's jump map
@@ -417,10 +408,10 @@ def check_jump(state: ThetaState, cfg: SolverConfig) -> float:
     jump series evaluated on the there-computed solution, so quadrature
     and interpolation error stay visible.
     """
-    prep = _problem(state, cfg)
+    prep = state.problem
     truncation_guard(state)
     dens = state.densities
-    theta_vec = np.array(cfg.theta, dtype=complex)
+    theta_vec = np.array(prep.cfg.theta, dtype=complex)
     pv, cross = prep.node_transforms(dens)
     worst = 0.0
     for s, ray_idx in ((+1, 0), (-1, 1)):
@@ -432,17 +423,18 @@ def check_jump(state: ThetaState, cfg: SolverConfig) -> float:
         y_plus = np.exp(prep.basis_static[s].T + 1j * theta_plus)
         predicted = y_minus * np.exp(dens[s])
         worst = max(worst, float(np.max(np.abs(predicted - y_plus) / np.abs(y_plus))))
-        worst = max(worst, _midpoint_jump_residual(state, cfg, prep, s))
+        worst = max(worst, _midpoint_jump_residual(state, s))
     return worst
 
 
-def _midpoint_jump_residual(state: ThetaState, cfg: SolverConfig,
-                            prep: _Prepared, s: int) -> float:
+def _midpoint_jump_residual(state: ThetaState, s: int) -> float:
+    prep = state.problem
+    cfg = prep.cfg
     grid = prep.grids[s]
     mids = 0.5 * (grid.nodes[:-1] + grid.nodes[1:])
     zeta = np.exp(mids[:: max(1, len(mids) // 32)]) * grid.direction.unit()
-    tp = np.stack(evaluate_theta(state, cfg, zeta, side="plus"), axis=1)
-    tm = np.stack(evaluate_theta(state, cfg, zeta, side="minus"), axis=1)
+    tp = np.stack(evaluate_theta(state, zeta, side="plus"), axis=1)
+    tm = np.stack(evaluate_theta(state, zeta, side="minus"), axis=1)
     basis = _static_exponents(cfg, prep.basis_central[:, None], zeta).T
     y_plus = np.exp(basis + 1j * tp)
     jump = prep.series(s, _static_exponents(cfg, prep.central[s][:, None], zeta), tm)
@@ -463,29 +455,28 @@ def reality_samples(r: RayDirection, count: int = 64, seed: int = 2026) -> np.nd
     return np.array(out)
 
 
-def check_reality(state: ThetaState, cfg: SolverConfig, count: int = 64) -> float:
+def check_reality(state: ThetaState, count: int = 64) -> float:
     """Sup over samples of |conj(Theta_k(-1/conj zeta)) - Theta_k(zeta)|."""
-    prep = _problem(state, cfg)
-    z = reality_samples(prep.r, count)
-    direct = np.stack(evaluate_theta(state, cfg, z))
-    mirrored = np.stack(evaluate_theta(state, cfg, -1.0 / z.conjugate()))
+    z = reality_samples(state.problem.r, count)
+    direct = np.stack(evaluate_theta(state, z))
+    mirrored = np.stack(evaluate_theta(state, -1.0 / z.conjugate()))
     return float(np.max(np.abs(mirrored.conj() - direct), initial=0.0))
 
 
-def asymptotic_theta(state: ThetaState, cfg: SolverConfig, at) -> tuple[complex, complex]:
+def asymptotic_theta(state: ThetaState, at) -> tuple[complex, complex]:
     """Theta at 0 (kernel -> +1) or at infinity (kernel -> -1).
 
     The difference from the reference angles is purely imaginary and the two
     limits are complex conjugates of each other.
     """
-    prep = _problem(state, cfg)
+    prep = state.problem
     dens = state.densities
     sign = 1.0 if at == 0 else -1.0
     w = prep.weights
     out = []
     for k in (0, 1):
         acc = sign * (np.sum(w * dens[+1][:, k]) + np.sum(w * dens[-1][:, k]))
-        out.append(cfg.theta[k] - acc / FOUR_PI)
+        out.append(prep.cfg.theta[k] - acc / FOUR_PI)
     return out[0], out[1]
 
 
@@ -530,7 +521,7 @@ def smoothness_probe(cfg: SolverConfig, direction: str, order: int,
         shifted = shift(cfg, offset)
         if shifted not in solutions:
             st, _ = solve(shifted)
-            t0 = asymptotic_theta(st, shifted, at=0)
+            t0 = asymptotic_theta(st, at=0)
             solutions[shifted] = (st.values.copy(), np.array(t0))
         return solutions[shifted]
 

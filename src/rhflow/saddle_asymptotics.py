@@ -30,10 +30,6 @@ def saddle_point(Z_gp: complex) -> complex:
     return -cmath.exp(1j * cmath.phase(Z_gp))
 
 
-def exponent_at(Z_gp: complex, zeta: complex) -> complex:
-    return Z_gp / zeta + zeta * Z_gp.conjugate()
-
-
 def leading_estimate(zeta: complex, Z_gp: complex, R: float,
                      theta_at_saddle: complex) -> complex:
     """Interior saddle estimate of the ray integral for zeta off the saddle:

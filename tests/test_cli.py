@@ -146,6 +146,22 @@ def test_exit_code_1_when_a_command_section_is_wrongly_typed(tmp_path, capsys,
     assert json.loads((out / "error.json").read_text())["error"] == "ConfigError"
 
 
+@pytest.mark.parametrize("key, value", [
+    ("target_tail", 0), ("target_tail", -1), ("target_tail", float("nan")),
+    ("tol", float("nan")), ("tol", float("inf")),
+], ids=["tail_zero", "tail_negative", "tail_nan", "tol_nan", "tol_inf"])
+def test_exit_code_1_when_tol_or_target_tail_is_not_positive_and_finite(
+        tmp_path, capsys, key, value):
+    # json writes and reads NaN and Infinity
+    doc = json.loads(json.dumps(PENTAGON))
+    doc["problem"][key] = value
+    cfg = write_cfg(tmp_path, doc)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    diag = json.loads(capsys.readouterr().err)
+    assert diag == {"error": "ConfigError",
+                    "message": f"{key} must be positive and finite"}
+
+
 def test_exit_code_1_when_scalar_section_is_not_an_object(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"scalar": 5})
     assert main(["scalar_bvp", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1

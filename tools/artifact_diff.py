@@ -11,7 +11,10 @@ when the trees are identical and every exit code matches, 1 otherwise.
 
 The op list is the first block of each `bench/workloads.py` generator
 (imported read-only) at fixed seeds, pentagon `solve` at R in {0.01, 0.05,
-0.08} with tol 1e-14 (small R, where the iteration diverges), `smoothness`
+0.08} with tol 1e-14 (small R, where the iteration diverges), at R = 0.3
+with max_iter 3 (no convergence: the error carries the last delta and the
+worst ratio) and at M = 64 with ball_epsilon 1e-10 (every iterate leaves
+the ball), `sweep_r` over R in {4, 0.3} at max_iter 5, `smoothness`
 in every probe direction at orders 1 to 3 and once where a converged
 stencil solve fails the |Y| < 1 guard, and a few `deform_check`,
 `saddle_check` and `scalar_bvp` configs.  Outputs go to
@@ -66,6 +69,11 @@ def pinned_ops() -> list[dict]:
     for R in (0.01, 0.05, 0.08):
         add(f"solve-small-R{R}", "solve",
             {"problem": dict(PENTAGON, R=R, tol=1e-14)})
+    add("solve-no-convergence", "solve", {"problem": dict(PENTAGON, R=0.3, max_iter=3)})
+    add("solve-ball-exits", "solve",
+        {"problem": dict(PENTAGON, M=64, ball_epsilon=1e-10)})
+    add("sweep_r-no-convergence", "sweep_r",
+        {"problem": dict(PENTAGON, max_iter=5), "R_values": [4.0, 0.3]})
     # every probe direction and order; a_im needs a central charge that
     # depends on a (z1 = 1 + a/2 at a = 0.1)
     z_of_a = dict(PENTAGON, a=[0.1, 0.0], M=64,
