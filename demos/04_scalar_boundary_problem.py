@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from rhflow.scalar_bvp import (ScalarBVProblem, regularizing_factor,
+from rhflow.scalar_bvp import (ScalarBVProblem, point_or_array, regularizing_factor,
                                solve_scalar_bvp, verify_uniqueness, zero_factor)
 
 ETA0 = 0.25
@@ -20,16 +20,14 @@ ZEROS = ((0.8, 2),)
 probe = ScalarBVProblem(0.0, lambda t: 1.0, (1, 1, 1, 1), zeros=ZEROS, zeta0=1.5j)
 
 
-def smooth(t: float) -> complex:
-    if t == 0:
-        return 0j
-    s = math.log(abs(t))
-    return (0.3 + 0.1j) * math.exp(-0.5 * s * s)
-
-
-def G(t: float) -> complex:
+@point_or_array
+def G(t):
+    """The jump at one contour coordinate or at an array of them: a smooth
+    bump, the double zero and the branch factor."""
+    with np.errstate(divide="ignore"):  # t = 0: the bump is 0 there
+        s = np.log(np.abs(t))
     zeta = probe.contour_point(t)
-    return (cmath.exp(smooth(t)) * zero_factor(probe, zeta)
+    return (np.exp((0.3 + 0.1j) * np.exp(-0.5 * s * s)) * zero_factor(probe, zeta)
             / regularizing_factor(probe, ETA0, zeta))
 
 

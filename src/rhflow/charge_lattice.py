@@ -88,8 +88,9 @@ class Spectrum:
                 raise ValueError(
                     f"spectrum not symmetric: {-g} missing or with a different multiplicity"
                 )
-        if self.support_constant < 0:
-            raise ValueError("support constant must be >= 0")
+        # NaN fails every comparison, so require the good case
+        if not (0 <= self.support_constant < math.inf):
+            raise ValueError("support constant must be finite and >= 0")
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[tuple[int, int], int]],

@@ -24,11 +24,11 @@ import numpy as np
 from .charge_lattice import Charge, Spectrum, require_support
 from .contour_quadrature import (build_ray_grid, deform_to_bps_ray, in_swept_sector,
                                  integrate_ray, sweep_sign)
-from .errors import ConfigError, RHFlowError
+from .errors import ConfigError, NoAdmissibleRayError, RHFlowError
 from .rh_solver import SolverConfig, smoothness_probe, solve, verify
 from .saddle_asymptotics import compare, saddle_point
-from .scalar_bvp import (ScalarBVProblem, regularizing_factor, solve_scalar_bvp,
-                         verify_uniqueness, zero_factor)
+from .scalar_bvp import (ScalarBVProblem, point_or_array, regularizing_factor,
+                         solve_scalar_bvp, verify_uniqueness, zero_factor)
 from .spectrum_rays import (EPS_ANGLE, CentralCharge, admissible_pair, bps_ray,
                             semiflat)
 from .stokes_series import pentagon_coeff
@@ -168,8 +168,11 @@ def load_config(text: str, command: str, seed: int = 0) -> RunConfig:
         solver = _parse_solver(_section(doc["problem"], "problem"))
         require_support(solver.spectrum, solver.Z, solver.a)
         if solver.spectrum.active():
-            admissible_pair(solver.Z, solver.spectrum, solver.a,
-                            split_phase=solver.split_phase)
+            try:
+                admissible_pair(solver.Z, solver.spectrum, solver.a,
+                                split_phase=solver.split_phase)
+            except NoAdmissibleRayError as exc:
+                raise ConfigError(f"problem: {exc}") from exc
     elif command == "scalar_bvp":
         if "scalar" not in doc:
             raise ConfigError("scalar section is required")
@@ -355,15 +358,12 @@ def _scalar_problem(section: dict) -> ScalarBVProblem:
         probe = ScalarBVProblem(phase, lambda t: 1.0, (1, 1, 1, 1),
                                 zeros=zeros, zeta0=zeta0)
 
-        def smooth(t: float) -> complex:
-            if t == 0:
-                return 0j
-            s = math.log(abs(t))
-            return amp * math.exp(-0.5 * s * s)
-
-        def G(t: float) -> complex:
+        @point_or_array
+        def G(t):
+            with np.errstate(divide="ignore"):  # t = 0: the bump is 0 there
+                s = np.log(np.abs(t))
             zeta = probe.contour_point(t)
-            return (cmath.exp(smooth(t)) * zero_factor(probe, zeta)
+            return (np.exp(amp * np.exp(-0.5 * s * s)) * zero_factor(probe, zeta)
                     / regularizing_factor(probe, eta0, zeta))
 
         eps = 1e-9
@@ -379,11 +379,11 @@ def _scalar_problem(section: dict) -> ScalarBVProblem:
             raise ConfigError("scalar.jump: matching t/values lists required")
         order = np.argsort(ts)
         ts_a = np.array(ts)[order]
-        re = np.array([v.real for v in vals])[order]
-        im = np.array([v.imag for v in vals])[order]
+        vals_a = np.array(vals)[order]
 
-        def G(t: float) -> complex:
-            return complex(np.interp(t, ts_a, re), np.interp(t, ts_a, im))
+        @point_or_array
+        def G(t):
+            return np.interp(t, ts_a, vals_a)
 
         limits = tuple(_complex(v, "scalar.limits")
                        for v in _list(_required(section, "limits", "scalar"),

@@ -102,12 +102,14 @@ def integrate_ray(grid: RayGrid, values: np.ndarray, zeta, side: str = "off"):
     stacked result equals the call with values[k] bit for bit.
 
     side="off" requires every zeta away from the covered ray.
-    side="plus"/"minus" evaluates boundary values on the covered ray: the
-    principal value via subtraction of the density at the pole (the node
-    value when the pole sits on a node, with the removable limit 2 h'(s)
-    there from a derivative stencil; the interpolated density otherwise),
-    plus the half-residue +/- 2 pi i times that density; "plus" is the limit
-    from the counterclockwise side of the oriented ray.
+    side="plus"/"minus"/"both" evaluates boundary values on the covered
+    ray: the principal value via subtraction of the density h* at the pole
+    (the node value when the pole sits on a node, with the removable limit
+    2 h'(s) there from a derivative stencil; the interpolated density
+    otherwise), plus the half-residue +/- 2 pi i h*; "plus" is the limit
+    from the counterclockwise side of the oriented ray.  The principal
+    value and h* are computed once: "both" returns the pair (plus, minus),
+    and "plus"/"minus" return one element of that pair.
     """
     h = np.asarray(values, dtype=complex)
     if h.ndim not in (1, 2) or h.shape[-1] != grid.count:
@@ -117,7 +119,6 @@ def integrate_ray(grid: RayGrid, values: np.ndarray, zeta, side: str = "off"):
     if z.ndim > 1:
         raise ValueError("evaluation points must be a point or a 1-D array")
     zs = np.atleast_1d(z)
-    out = []
     if side == "off":
         if np.any(on_covered_ray(grid, zs)):
             raise SingularKernelError(
@@ -134,13 +135,14 @@ def integrate_ray(grid: RayGrid, values: np.ndarray, zeta, side: str = "off"):
         kernel = pts + zs[:, None]
         kernel /= diff
         kernel *= grid.weights
+        out = []
         for k, hk in enumerate(rows):
             last = k == len(rows) - 1
             terms = np.multiply(kernel, hk, out=kernel if last else None)
             out.append(terms.sum(axis=1))
         return _shaped(out, h, z)
-    if side not in ("plus", "minus"):
-        raise ValueError("side must be 'off', 'plus' or 'minus'")
+    if side not in ("plus", "minus", "both"):
+        raise ValueError("side must be 'off', 'plus', 'minus' or 'both'")
     if not np.all(on_covered_ray(grid, zs)):
         raise SingularKernelError("boundary value requested off the covered ray")
     L, step = grid.half_width, grid.step
@@ -161,6 +163,7 @@ def integrate_ray(grid: RayGrid, values: np.ndarray, zeta, side: str = "off"):
     closed = np.array([pv_coth_closed_form(L, p, step) for p in s_pole.tolist()],
                       dtype=float)
     lagrange = _lagrange_weights(grid, s_star)
+    plus, minus = [], []
     for hk in rows:
         h_star = np.where(node, hk[i], _interpolate(hk, *lagrange))
         terms = hk - h_star[:, None]
@@ -169,8 +172,10 @@ def integrate_ray(grid: RayGrid, values: np.ndarray, zeta, side: str = "off"):
         pv[node] += node_weights * np.sum(stencils * hk, axis=1)
         pv += h_star * closed
         half_jump = 2.0j * math.pi * h_star
-        out.append(pv + half_jump if side == "plus" else pv - half_jump)
-    return _shaped(out, h, z)
+        plus.append(pv + half_jump)
+        minus.append(pv - half_jump)
+    limits = _shaped(plus, h, z), _shaped(minus, h, z)
+    return limits if side == "both" else limits[side == "minus"]
 
 
 def _shaped(out: list, h: np.ndarray, z: np.ndarray):

@@ -31,6 +31,7 @@ evaluate_theta passes both basis targets of a side to integrate_ray as one
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import functools
 import math
@@ -86,6 +87,10 @@ class SolverConfig:
         for t in self.theta:
             if not math.isfinite(t):
                 raise ConfigError("theta components must be finite")
+        if not cmath.isfinite(self.a):
+            raise ConfigError("a must be finite")
+        if not all(map(cmath.isfinite, self.Z.z1 + self.Z.z2)):
+            raise ConfigError("Z coefficients must be finite")
 
 
 def _static_exponents(cfg: SolverConfig, zg: complex | np.ndarray,
@@ -343,26 +348,29 @@ def evaluate_theta(state: ThetaState, zeta, side: str = "auto") -> tuple:
     or of arrays.
 
     On a contour ray, side "plus"/"minus" selects the boundary value;
-    "auto" returns the stored (clockwise) side there.
+    "auto" returns the stored (clockwise) side there.  side "both" returns
+    the pair of pairs ((Theta_1+, Theta_2+), (Theta_1-, Theta_2-)) from one
+    quadrature pass; the single sides are elements of that pass.
     """
+    if side not in ("auto", "plus", "minus", "both"):
+        raise ValueError("side must be 'auto', 'plus', 'minus' or 'both'")
     prep = state.problem
     dens = state.densities
     z = np.asarray(zeta, dtype=complex)
     zs = np.atleast_1d(z)
-    acc = np.zeros((2, len(zs)), dtype=complex)
+    acc = np.zeros((2, 2, len(zs)), dtype=complex)  # (plus, minus) x targets
     for s in (+1, -1):
         grid = prep.grids[s]
         on = on_covered_ray(grid, zs)
         rows = dens[s].T  # one density row per basis target
         if on.any():
-            acc[:, on] += integrate_ray(grid, rows, zs[on],
-                                        side="minus" if side == "auto" else side)
+            acc[:, :, on] += integrate_ray(grid, rows, zs[on], side="both")
         if not on.all():
-            acc[:, ~on] += integrate_ray(grid, rows, zs[~on], side="off")
+            acc[:, :, ~on] += integrate_ray(grid, rows, zs[~on], side="off")
     out = np.array(prep.cfg.theta)[:, None] - acc / FOUR_PI
-    if z.ndim:
-        return out[0], out[1]
-    return complex(out[0, 0]), complex(out[1, 0])
+    pairs = [(th[0], th[1]) if z.ndim else (complex(th[0, 0]), complex(th[1, 0]))
+             for th in out]
+    return tuple(pairs) if side == "both" else pairs[0 if side == "plus" else 1]
 
 
 def evaluate_Y(state: ThetaState, g: Charge, zeta: complex,
@@ -433,8 +441,7 @@ def _midpoint_jump_residual(state: ThetaState, s: int) -> float:
     grid = prep.grids[s]
     mids = 0.5 * (grid.nodes[:-1] + grid.nodes[1:])
     zeta = np.exp(mids[:: max(1, len(mids) // 32)]) * grid.direction.unit()
-    tp = np.stack(evaluate_theta(state, zeta, side="plus"), axis=1)
-    tm = np.stack(evaluate_theta(state, zeta, side="minus"), axis=1)
+    tp, tm = (np.stack(th, axis=1) for th in evaluate_theta(state, zeta, side="both"))
     basis = _static_exponents(cfg, prep.basis_central[:, None], zeta).T
     y_plus = np.exp(basis + 1j * tp)
     jump = prep.series(s, _static_exponents(cfg, prep.central[s][:, None], zeta), tm)

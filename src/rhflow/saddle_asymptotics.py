@@ -107,8 +107,8 @@ def compare(zeta: complex, gamma_p: Charge, Z: CentralCharge, a: complex,
         if on_covered_ray(grid, zeta):
             # on the ray compare against the principal value, the symmetric
             # counterpart of the interior estimate
-            numeric = 0.5 * (integrate_ray(grid, dens, zeta, side="plus")
-                             + integrate_ray(grid, dens, zeta, side="minus"))
+            plus, minus = integrate_ray(grid, dens, zeta, side="both")
+            numeric = 0.5 * (plus + minus)
         else:
             numeric = integrate_ray(grid, dens, zeta, side="off")
         lead = _scaled_leading(zeta, zg, R, th)

@@ -13,12 +13,19 @@ oriented from -infinity through 0 to +infinity; D+ is the half-plane on its
 left.  Endpoint limits are data: G(0 -/+ 0) along the orientation, and the
 "limits at infinity" are the carriers of the jump ratio there (the sampler
 itself may drift like |t|^{Re eta_0}).
+
+The jump G and every function of a point here (branch and zero factors,
+the regularized jump, the solution) take one point or a 1-D array of
+points and return a complex number or an array.  A point is evaluated as
+an array of one (point_or_array), so it gets the value it has inside any
+array bit for bit, and a solve samples its jump in one call.
 """
 
 from __future__ import annotations
 
 import cmath
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -32,10 +39,24 @@ from .spectrum_rays import RayDirection, _wrap
 TWO_PI = 2.0 * math.pi
 
 
+def point_or_array(fn: Callable) -> Callable:
+    """fn, written for a 1-D array of points as its last argument, made to
+    take one point as well: the point is evaluated as an array of one and
+    returned as a complex number.  numpy's scalar arithmetic rounds
+    differently from its array loops, so this is what gives a point the
+    value it has inside an array, bit for bit."""
+    @functools.wraps(fn)
+    def wrapper(*args):
+        *head, x = args
+        out = fn(*head, np.atleast_1d(x))
+        return out if np.ndim(x) else complex(out[0])
+    return wrapper
+
+
 @dataclass(frozen=True)
 class ScalarBVProblem:
     line_phase: float
-    G: Callable[[float], complex]
+    G: Callable  # contour coordinate t (a point or a 1-D array) -> G(t)
     limits: tuple[complex, complex, complex, complex]  # G(0-0), G(0+0), G(inf-0), G(inf+0)
     zeros: tuple[tuple[complex, int], ...] = ()
     zeta0: complex = 1.5j
@@ -89,43 +110,55 @@ def index(eta0: complex, eta_inf: complex) -> int:
     return math.floor(eta0.real) + math.floor(eta_inf.real) + 1
 
 
-def omega_plus(p: ScalarBVProblem, eta0: complex, zeta: complex) -> complex:
+def _nonzero(zeta: np.ndarray, name: str) -> np.ndarray:
+    z = zeta.astype(complex)
+    if np.any(z == 0):
+        raise ValueError(f"{name} is singular at 0")
+    return z
+
+
+@point_or_array
+def omega_plus(p: ScalarBVProblem, eta0: complex, zeta):
     """zeta^{eta_0} with the cut along the mid-ray of D-, analytic on D+."""
-    if zeta == 0:
-        raise ValueError("omega+ is singular at 0")
-    rel = _wrap(cmath.phase(zeta) - p.line_phase)
-    if rel < -0.5 * math.pi:
-        rel += TWO_PI  # continuous argument window (phi - pi/2, phi + 3 pi/2)
-    return cmath.exp(eta0 * (math.log(abs(zeta)) + 1j * (p.line_phase + rel)))
+    z = _nonzero(zeta, "omega+")
+    # the argument relative to the line, wrapped to (-pi, pi] without
+    # rounding (fmod and the shift of (pi, 2 pi) are exact), then moved into
+    # the continuous window (phi - pi/2, phi + 3 pi/2)
+    rel = np.fmod(np.angle(z) - p.line_phase, TWO_PI)
+    rel[rel > math.pi] -= TWO_PI
+    rel[rel < -0.5 * math.pi] += TWO_PI
+    return np.exp(eta0 * (np.log(np.abs(z)) + 1j * (p.line_phase + rel)))
 
 
-def omega_minus(p: ScalarBVProblem, eta0: complex, zeta: complex) -> complex:
+@point_or_array
+def omega_minus(p: ScalarBVProblem, eta0: complex, zeta):
     """(zeta / (zeta - zeta0))^{eta_0} with the cut on the [0, zeta0] segment,
     analytic on D-."""
-    if zeta == 0:
-        raise ValueError("omega- is singular at 0")
-    w = zeta / (zeta - p.zeta0)
-    return cmath.exp(eta0 * cmath.log(w))
+    z = _nonzero(zeta, "omega-")
+    return np.exp(eta0 * np.log(z / (z - p.zeta0)))
 
 
-def regularizing_factor(p: ScalarBVProblem, eta0: complex, zeta: complex) -> complex:
+@point_or_array
+def regularizing_factor(p: ScalarBVProblem, eta0: complex, zeta):
     """omega- / omega+ = (zeta - zeta0)^{-eta_0} with the cut running from
     zeta0 through 0 into D-; multiplying G by it cancels both endpoint jumps."""
     return omega_minus(p, eta0, zeta) / omega_plus(p, eta0, zeta)
 
 
-def zero_factor(p: ScalarBVProblem, zeta: complex) -> complex:
-    out = 1.0 + 0j
+@point_or_array
+def zero_factor(p: ScalarBVProblem, zeta):
+    out = np.ones(len(zeta), dtype=complex)
     for alpha, m in p.zeros:
         out *= (zeta - alpha) ** m
     return out
 
 
-def regularize(p: ScalarBVProblem, eta0: complex) -> Callable[[float], complex]:
+def regularize(p: ScalarBVProblem, eta0: complex) -> Callable:
     """Sampler of the continuous jump: the zero factors divided out, the
     branch factor multiplied in.  Equal one-sided limits at 0 and at
     infinity are the contract; they coincide across the two ends as well."""
-    def G1(t: float) -> complex:
+    @point_or_array
+    def G1(t):
         zeta = p.contour_point(t)
         return regularizing_factor(p, eta0, zeta) * p.G(t) / zero_factor(p, zeta)
     return G1
@@ -145,37 +178,30 @@ class ContinuousSolution:
     def __call__(self, zeta, side: str | None = None):
         """Exp of the kernel transform, normalised to one at infinity, at one
         point or at a 1-D array of points.  side ("plus"/"minus") picks the
-        D+/D- boundary value at points on the covered contour; without it
-        every point must lie off the contour."""
+        D+/D- boundary value at points on the covered contour, and "both"
+        returns the pair (plus, minus) from one quadrature pass; without a
+        side every point must lie off the contour."""
         z = np.asarray(zeta, dtype=complex)
         zs = np.atleast_1d(z)
-        acc = np.zeros(len(zs), dtype=complex)
+        acc = np.zeros((2, len(zs)), dtype=complex)  # D+ and D- values
         for half, (grid, dens) in enumerate(zip(self.grids, self.log_density)):
             orient = 1.0 if half == 0 else -1.0
             on = on_covered_ray(grid, zs) & (side is not None)
-            # the line is traversed inward along the negative half, so the
-            # geometric D+ side flips there relative to the outward ray
-            use = "plus" if (side == "plus") == (half == 0) else "minus"
-            acc[on] += orient * integrate_ray(grid, dens, zs[on], side=use)
-            acc[~on] += orient * integrate_ray(grid, dens, zs[~on], side="off")
-        out = _pointwise(lambda a: cmath.exp(a / (4j * math.pi)) / self.y_at_infinity,
-                         acc)
+            if on.any():
+                limits = integrate_ray(grid, dens, zs[on], side="both")
+                # the line is traversed inward along the negative half, so the
+                # geometric D+ side flips there relative to the outward ray
+                acc[:, on] += orient * np.stack(limits[::-1] if half else limits)
+            if not on.all():
+                acc[:, ~on] += orient * integrate_ray(grid, dens, zs[~on], side="off")
+        rows = acc if side == "both" else acc[1 if side == "minus" else 0]
+        out = np.exp(rows / (4j * math.pi)) / self.y_at_infinity
+        if side == "both":
+            return (out[0], out[1]) if z.ndim else (complex(out[0, 0]), complex(out[1, 0]))
         return out if z.ndim else complex(out[0])
 
 
-def _pointwise(f: Callable, *columns: np.ndarray) -> np.ndarray:
-    """f applied per point in Python complex arithmetic.
-
-    numpy's vectorised complex exp, multiply and divide round differently
-    from cmath's on some inputs.  The O(1)-per-point tails of the solution
-    (branch and zero factors, exp, normalisation) stay in cmath, the
-    arithmetic of the scalar jump data, so the written residuals are
-    bit-stable; the O(M)-per-point quadrature before them is batched."""
-    return np.array([f(*row) for row in zip(*(np.atleast_1d(c).tolist() for c in columns))],
-                    dtype=complex)
-
-
-def solve_continuous(G1: Callable[[float], complex], line_phase: float,
+def solve_continuous(G1: Callable, line_phase: float,
                      p: ScalarBVProblem, half_width: float = 7.0,
                      M: int = 512, winding_tol: float = 0.25,
                      ) -> ContinuousSolution:
@@ -194,13 +220,15 @@ def solve_continuous(G1: Callable[[float], complex], line_phase: float,
     pos = RayGrid(RayDirection(line_phase), s, w, half_width, M)
     neg = RayGrid(RayDirection(line_phase + math.pi), s, w, half_width, M)
 
-    g_pos = np.array([G1(t) for t in np.exp(s)], dtype=complex)
-    g_neg = np.array([G1(-t) for t in np.exp(s)], dtype=complex)
-    if np.any(g_pos == 0) or np.any(g_neg == 0):
+    # G1 on both halves in contour order, t from -inf to +inf, in one call
+    # (a constant G1 may return one value)
+    t = np.exp(s)
+    t = np.concatenate([-t[::-1], t])
+    ordered = np.broadcast_to(np.asarray(G1(t), dtype=complex), t.shape)
+    if np.any(ordered == 0):
         raise ValueError("continuous jump function vanishes on the contour")
 
-    # continuous branch of log G1 in contour order: t from -inf to +inf
-    ordered = np.concatenate([g_neg[::-1], g_pos])
+    # continuous branch of log G1 along the contour
     angles = np.unwrap(np.angle(ordered))
     winding = (angles[-1] - angles[0]) / TWO_PI
     logs = np.log(np.abs(ordered)) + 1j * angles
@@ -235,28 +263,37 @@ class ScalarSolution:
     kappa: int
     continuous: ContinuousSolution
 
+    def _plus(self, zeta: np.ndarray, y: np.ndarray) -> np.ndarray:
+        c = cmath.exp(self.continuous.endpoint_log)
+        return c * zero_factor(self.problem, zeta) * omega_plus(self.problem, self.eta0, zeta) * y
+
+    def _minus(self, zeta: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return omega_minus(self.problem, self.eta0, zeta) * y
+
+    @point_or_array
     def x_plus(self, zeta):
         """Solution on D+ and its boundary, at one point or at a 1-D array of
         points; carries the zero factors."""
-        c = cmath.exp(self.continuous.endpoint_log)
-        out = _pointwise(lambda z, y: (c * zero_factor(self.problem, z)
-                                       * omega_plus(self.problem, self.eta0, z) * y),
-                         zeta, self.continuous(zeta, "plus"))
-        return out if np.ndim(zeta) else complex(out[0])
+        return self._plus(zeta, self.continuous(zeta, "plus"))
 
+    @point_or_array
     def x_minus(self, zeta):
         """Solution on D- and its boundary, at one point or at a 1-D array of
         points."""
-        out = _pointwise(lambda z, y: omega_minus(self.problem, self.eta0, z) * y,
-                         zeta, self.continuous(zeta, "minus"))
-        return out if np.ndim(zeta) else complex(out[0])
+        return self._minus(zeta, self.continuous(zeta, "minus"))
+
+    def boundary_values(self, zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """X+ and X- at a 1-D array of points on the covered contour, from
+        one quadrature pass; equal to x_plus and x_minus bit for bit."""
+        zs = np.atleast_1d(np.asarray(zeta, dtype=complex))
+        y_plus, y_minus = self.continuous(zs, "both")
+        return self._plus(zs, y_plus), self._minus(zs, y_minus)
 
     def boundary_residual(self, samples: np.ndarray) -> float:
         """sup over contour coordinates of |X+ - G X-| / (|X+| + |X-|)."""
         ts = np.asarray(samples, dtype=float)
-        zeta = self.problem.contour_point(ts)
-        xp, xm = self.x_plus(zeta), self.x_minus(zeta)
-        g = _pointwise(self.problem.G, ts)
+        xp, xm = self.boundary_values(self.problem.contour_point(ts))
+        g = self.problem.G(ts)
         return float(np.max(np.abs(xp - g * xm) / (np.abs(xp) + np.abs(xm)), initial=0.0))
 
 
@@ -288,9 +325,10 @@ def verify_uniqueness(p: ScalarBVProblem, zeta0_alt: complex,
     sol_b = solve_scalar_bvp(dataclasses.replace(p, zeta0=zeta0_alt), half_width, M)
     e_up = cmath.exp(1j * (p.line_phase + 0.5 * math.pi))
     e_dn = cmath.exp(1j * (p.line_phase - 0.5 * math.pi))
-    up = [0.3 * e_up, 1.7 * e_up, 0.9 * e_up * cmath.exp(0.7j), 2.5 * e_up * cmath.exp(-0.5j)]
-    dn = [0.4 * e_dn, 2.1 * e_dn, 1.1 * e_dn * cmath.exp(0.6j), 0.7 * e_dn * cmath.exp(-0.8j)]
-    ratios = [sol_a.x_plus(z) / sol_b.x_plus(z) for z in up]
-    ratios += [sol_a.x_minus(z) / sol_b.x_minus(z) for z in dn]
-    c = ratios[0]
-    return max(abs(r - c) / abs(c) for r in ratios)
+    up = np.array([0.3 * e_up, 1.7 * e_up, 0.9 * e_up * cmath.exp(0.7j),
+                   2.5 * e_up * cmath.exp(-0.5j)])
+    dn = np.array([0.4 * e_dn, 2.1 * e_dn, 1.1 * e_dn * cmath.exp(0.6j),
+                   0.7 * e_dn * cmath.exp(-0.8j)])
+    ratios = np.concatenate([sol_a.x_plus(up) / sol_b.x_plus(up),
+                             sol_a.x_minus(dn) / sol_b.x_minus(dn)])
+    return float(np.max(np.abs(ratios - ratios[0]) / np.abs(ratios[0])))

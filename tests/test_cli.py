@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from rhflow.cli_driver import fmt, load_config, main
@@ -160,6 +161,49 @@ def test_exit_code_1_when_tol_or_target_tail_is_not_positive_and_finite(
     diag = json.loads(capsys.readouterr().err)
     assert diag == {"error": "ConfigError",
                     "message": f"{key} must be positive and finite"}
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("split_phase",), 3.141592653589793, "lies on the separating line"),
+    (("a",), [float("nan"), 0.0], "a must be finite"),
+    (("Z", "z1"), [[float("nan"), 0.0]], "Z coefficients must be finite"),
+    (("spectrum", "support_constant"), float("nan"),
+     "support constant must be finite and >= 0"),
+], ids=["split_phase_on_a_ray", "a_nan", "z1_nan", "support_constant_nan"])
+def test_exit_code_1_when_the_geometry_is_not_admissible_or_finite(
+        tmp_path, capsys, path, value, message):
+    doc = json.loads(json.dumps(PENTAGON))
+    section = doc["problem"]
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    cfg = write_cfg(tmp_path, doc)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    diag = json.loads(capsys.readouterr().err)
+    assert diag["error"] == "ConfigError"
+    assert message in diag["message"]
+
+
+def test_sampled_jump_runs_through_the_cli(tmp_path):
+    # a continuous jump given by samples, linear between them
+    ts = [float(t) for t in np.exp(np.linspace(-8.0, 8.0, 129))]
+    ts = [-t for t in reversed(ts)] + ts
+    s = np.log(np.abs(ts))
+    vals = np.exp(np.where(np.array(ts) > 0, (0.3 + 0.1j) * np.exp(-0.5 * s * s),
+                           (0.2 - 0.05j) * np.exp(-0.5 * (s - 0.3) ** 2)))
+    doc = {"scalar": {"jump": {"kind": "sampled", "t": ts,
+                               "values": [[v.real, v.imag] for v in vals]},
+                      "limits": [[1.0, 0.0]] * 4, "zeta0_alt": [0.0, 0.7],
+                      "samples": 100}}
+    out = tmp_path / "o"
+    cfg = write_cfg(tmp_path, doc)
+    assert main(["scalar_bvp", "--config", str(cfg), "--out", str(out)]) == 0
+    rep = json.loads((out / "scalar_report.json").read_text())
+    assert rep["kappa"] == 0
+    # the piecewise-linear jump limits the boundary accuracy; the solution
+    # does not depend on the base point
+    assert rep["residuals"]["boundary"] < 1e-4
+    assert rep["residuals"]["uniqueness"] < 1e-12
 
 
 def test_exit_code_1_when_scalar_section_is_not_an_object(tmp_path, capsys):

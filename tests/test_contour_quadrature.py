@@ -192,7 +192,7 @@ def _rh_half():
 
 def _scalar_half():
     p = ScalarBVProblem(0.3, lambda t: 1.0, (1, 1, 1, 1))
-    sol = solve_continuous(lambda t: cmath.exp(0.2 * math.exp(-math.log(abs(t)) ** 2)),
+    sol = solve_continuous(lambda t: np.exp(0.2 * np.exp(-np.log(np.abs(t)) ** 2) + 0j),
                            0.3, p, half_width=7.0, M=256)
     return sol.grids[1], sol.log_density[1]
 
@@ -256,3 +256,19 @@ def test_stacked_densities_on_a_different_grid_are_rejected():
     for bad in (np.stack([h[:-1], h[:-1]]), h[None, None, :]):
         with pytest.raises(ValueError, match="different grid"):
             integrate_ray(g, bad, 0.4 + 1.1j)
+
+
+@pytest.mark.parametrize("half", [_rh_half, _scalar_half], ids=["rh", "scalar"])
+def test_both_limits_come_from_one_pass_bit_for_bit(half):
+    # pv +/- 2 pi i h*: the single sides are the elements of the pair
+    g, h = half()
+    u = g.direction.unit()
+    pts = np.exp(np.concatenate([g.nodes[[1, 5, g.count // 2]],
+                                 0.5 * (g.nodes[[1, 40]] + g.nodes[[2, 41]])])) * u
+    for values in (h, np.stack([h, h.conj()])):
+        for zeta in (pts, complex(pts[3])):
+            plus, minus = integrate_ray(g, values, zeta, side="both")
+            assert np.array_equal(plus, integrate_ray(g, values, zeta, side="plus"))
+            assert np.array_equal(minus, integrate_ray(g, values, zeta, side="minus"))
+    with pytest.raises(ValueError, match="side"):
+        integrate_ray(g, h, pts, side="left")

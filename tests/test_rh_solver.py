@@ -475,3 +475,34 @@ def test_iterate_once_matches_the_split_formula():
         expected = theta - (same + c_cross @ dens[-side]) / (4.0 * math.pi)
         assert np.max(np.abs(new[ray] - expected)) <= 1e-15 * np.max(np.abs(expected))
         assert np.max(np.abs(new[ray] - theta)) > 1e-3  # the correction is not trivial
+
+
+def test_evaluate_theta_both_sides_match_the_single_sides_bit_for_bit():
+    state, _ = solve(pentagon_cfg(R=1.0))
+    g = state.problem.grids[+1]
+    mids = np.exp(0.5 * (g.nodes[[3, 40, 77]] + g.nodes[[4, 41, 78]])) * g.direction.unit()
+    pts = np.concatenate([mids, [0.4 + 1.1j, -2.0 + 0.3j]])
+    for zeta in (pts, complex(pts[1]), complex(pts[4])):
+        plus, minus = evaluate_theta(state, zeta, side="both")
+        for side, pair in (("plus", plus), ("minus", minus)):
+            single = evaluate_theta(state, zeta, side=side)
+            assert all(np.array_equal(a, b) for a, b in zip(pair, single)), side
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(minus, evaluate_theta(state, zeta, side="auto")))
+    with pytest.raises(ValueError, match="side"):
+        evaluate_theta(state, pts, side="left")
+
+
+def test_check_jump_takes_both_limits_in_one_pass_per_ray(monkeypatch):
+    import rhflow.rh_solver as rh
+    state, _ = solve(pentagon_cfg(R=1.0))
+    sides = []
+    original = rh.evaluate_theta
+
+    def counting(*args, **kwargs):
+        sides.append(kwargs.get("side"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(rh, "evaluate_theta", counting)
+    check_jump(state)
+    assert sides == ["both", "both"]

@@ -6,19 +6,18 @@ import pytest
 
 from rhflow.errors import AsymmetricJumpError, NonzeroIndexError
 from rhflow.scalar_bvp import (ScalarBVProblem, index, jump_exponents,
-                               omega_plus, regularize, regularizing_factor,
-                               solve_continuous, solve_scalar_bvp,
-                               verify_uniqueness, zero_factor)
+                               omega_minus, omega_plus, point_or_array, regularize,
+                               regularizing_factor, solve_continuous,
+                               solve_scalar_bvp, verify_uniqueness, zero_factor)
 
 
-def bump(t: float) -> complex:
+@point_or_array
+def bump(t):
     """Smooth density on the contour, decaying at 0 and infinity."""
-    if t == 0:
-        return 0j
-    s = math.log(abs(t))
-    if t > 0:
-        return (0.3 + 0.1j) * math.exp(-0.5 * s * s)
-    return (0.2 - 0.05j) * math.exp(-0.5 * (s - 0.3) ** 2)
+    with np.errstate(divide="ignore"):
+        s = np.log(np.abs(t))
+    return np.where(t > 0, (0.3 + 0.1j) * np.exp(-0.5 * s * s),
+                    (0.2 - 0.05j) * np.exp(-0.5 * (s - 0.3) ** 2))
 
 
 def manufactured(eta0: complex, zeta0: complex = 1.5j, phase: float = 0.0,
@@ -28,9 +27,10 @@ def manufactured(eta0: complex, zeta0: complex = 1.5j, phase: float = 0.0,
     probe = ScalarBVProblem(phase, bump, (1, 1, 1, 1), zeros=tuple(zeros),
                             zeta0=zeta0)
 
-    def G(t: float) -> complex:
+    @point_or_array
+    def G(t):
         zeta = probe.contour_point(t)
-        val = cmath.exp(bump(t)) / regularizing_factor(probe, eta0, zeta)
+        val = np.exp(bump(t)) / regularizing_factor(probe, eta0, zeta)
         return val * zero_factor(probe, zeta)
 
     eps = 1e-9
@@ -114,7 +114,7 @@ def test_trivial_jump_gives_unit_solution():
 
 def test_continuous_boundary_ratio():
     p = ScalarBVProblem(0.0, lambda t: 1.0, (1, 1, 1, 1))
-    G1 = lambda t: cmath.exp(bump(t))
+    G1 = lambda t: np.exp(bump(t))
     sol = solve_continuous(G1, 0.0, p, half_width=7.0, M=512)
     for t in (0.3, 1.7, -0.9, -4.0, 12.0):
         yp = sol(p.contour_point(t), side="plus")
@@ -125,14 +125,14 @@ def test_continuous_boundary_ratio():
 def test_winding_jump_rejected():
     p = ScalarBVProblem(0.0, lambda t: 1.0, (1, 1, 1, 1))
     # arg of G1 advances by 2 pi along the contour
-    G1 = lambda t: cmath.exp(2j * math.atan(math.log(abs(t)) if t > 0 else -math.log(abs(t))))
+    G1 = lambda t: np.exp(2j * np.arctan(np.sign(t) * np.log(np.abs(t))))
     with pytest.raises(NonzeroIndexError):
         solve_continuous(G1, 0.0, p, half_width=7.0, M=256)
 
 
 def test_discontinuous_regularized_jump_rejected():
     p = ScalarBVProblem(0.0, lambda t: 1.0, (1, 1, 1, 1))
-    G1 = lambda t: cmath.exp(0.4 if t > 0 else 0.0)  # gap across 0 and infinity
+    G1 = lambda t: np.exp(np.where(t > 0, 0.4, 0.0) + 0j)  # gap across 0 and infinity
     with pytest.raises(NonzeroIndexError, match="continuous"):
         solve_continuous(G1, 0.0, p, half_width=7.0, M=256)
 
@@ -141,7 +141,7 @@ def test_opposite_constant_tails_are_handled():
     # log G1 tending to +/- d at the two ends is within the transform's
     # reach: the paired halves cancel the non-decaying parts
     p = ScalarBVProblem(0.0, lambda t: 1.0, (1, 1, 1, 1))
-    G1 = lambda t: cmath.exp(0.3 * math.tanh(math.log(abs(t))) if t != 0 else -0.3)
+    G1 = lambda t: np.exp(0.3 * np.tanh(np.log(np.abs(t))) + 0j)
     sol = solve_continuous(G1, 0.0, p, half_width=16.0, M=1024)
     for t in (0.5, 2.0, -1.3):
         yp = sol(p.contour_point(t), side="plus")
@@ -247,7 +247,7 @@ def test_rescaled_problem_shifts_only_the_constant():
 def test_continuous_jump_full_pipeline():
     # no branch exponent at all: the classical continuous route, omega = 1
     probe = ScalarBVProblem(0.0, lambda t: 1.0, (1, 1, 1, 1))
-    G = lambda t: cmath.exp(bump(t))
+    G = lambda t: np.exp(bump(t))
     lim = (G(-1e-12), G(1e-12), 1.0 + 0j, 1.0 + 0j)
     p = ScalarBVProblem(0.0, G, lim)
     sol = solve_scalar_bvp(p)
@@ -276,3 +276,92 @@ def test_x_plus_and_x_minus_on_arrays_match_single_points_bit_for_bit():
                           [0.9j, -1.1j + 0.2, 2.0 - 0.5j]])
     for f in (sol.x_plus, sol.x_minus):
         assert np.array_equal(f(pts), np.array([f(complex(z)) for z in pts]))
+
+
+# ---------------- the point-or-array contract ----------------
+
+def _contract_points():
+    ts = np.array([0.3, 1.7, -0.9, -4.0, 12.0, 1e-5, -3e4])
+    zs = np.concatenate([ScalarBVProblem(0.3, None, (1, 1, 1, 1)).contour_point(ts),
+                         [0.9j, -1.1j + 0.2, 2.0 - 0.5j, -0.7 + 0.1j]])
+    return ts, zs
+
+
+def _sampled_jump():
+    from rhflow.cli_driver import _scalar_problem
+    ts = [float(t) for t in np.concatenate([-np.exp(np.linspace(8, -8, 65)),
+                                            np.exp(np.linspace(-8, 8, 65))])]
+    vals = [[v.real, v.imag] for v in np.exp(bump(np.array(ts)))]
+    return _scalar_problem({"jump": {"kind": "sampled", "t": ts, "values": vals},
+                            "limits": [[1.0, 0.0]] * 4})
+
+
+def _manufactured_cli_jump():
+    from rhflow.cli_driver import _scalar_problem
+    return _scalar_problem({"jump": {"kind": "manufactured", "eta0": [0.25, 0.05]},
+                            "zeros": [[[0.8, 0.0], 2]], "line_phase": 0.3})
+
+
+@pytest.mark.parametrize("name", ["G-manufactured", "G-cli-manufactured", "G-cli-sampled",
+                                  "G1", "omega_plus", "omega_minus",
+                                  "regularizing_factor", "zero_factor"])
+def test_point_and_array_give_the_same_value_bit_for_bit(name):
+    eta0 = 0.25 - 0.05j
+    p = manufactured(eta0, phase=0.3, zeros=((0.8 * cmath.exp(0.3j), 2),))
+    ts, zs = _contract_points()
+    of_t = {"G-manufactured": p.G, "G-cli-manufactured": _manufactured_cli_jump().G,
+            "G-cli-sampled": _sampled_jump().G, "G1": regularize(p, eta0)}
+    of_zeta = {"omega_plus": lambda z: omega_plus(p, eta0, z),
+               "omega_minus": lambda z: omega_minus(p, eta0, z),
+               "regularizing_factor": lambda z: regularizing_factor(p, eta0, z),
+               "zero_factor": lambda z: zero_factor(p, z)}
+    f, pts = (of_t[name], ts) if name in of_t else (of_zeta[name], zs)
+    batch = f(pts)
+    singles = [f(x) for x in pts.tolist()]
+    assert all(type(v) is complex for v in singles)
+    assert batch.shape == pts.shape
+    assert np.array_equal(batch, np.array(singles))
+
+
+def test_solve_continuous_samples_the_jump_in_one_call():
+    p = manufactured(0.25)
+    G1 = regularize(p, 0.25)
+    calls = []
+
+    def counting(t):
+        calls.append(np.shape(t))
+        return G1(t)
+
+    M = 256
+    solve_continuous(counting, 0.0, p, half_width=7.0, M=M)
+    assert calls == [(2 * M,)]
+
+
+def test_one_pass_boundary_values_equal_x_plus_and_x_minus_bit_for_bit():
+    p = manufactured(0.25, zeros=((0.8, 2),))
+    sol = solve_scalar_bvp(p, M=256)
+    zs = p.contour_point(np.array([0.3, 1.7, -0.9, -4.0, 12.0, 0.81]))
+    xp, xm = sol.boundary_values(zs)
+    assert np.array_equal(xp, sol.x_plus(zs))
+    assert np.array_equal(xm, sol.x_minus(zs))
+    yp, ym = sol.continuous(zs, "both")
+    assert np.array_equal(yp, sol.continuous(zs, "plus"))
+    assert np.array_equal(ym, sol.continuous(zs, "minus"))
+
+
+def test_solution_skips_empty_point_sets(monkeypatch):
+    import rhflow.scalar_bvp as sb
+    sol = solve_scalar_bvp(manufactured(0.25), M=128)
+    calls = []
+    original = sb.integrate_ray
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("side"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sb, "integrate_ray", counting)
+    sol.x_plus(np.array([0.5j, 1.0 + 2.0j]))          # off the contour only
+    assert calls == ["off", "off"]
+    calls.clear()
+    sol.boundary_values(np.array([0.5, 2.0]))            # on the positive half only
+    assert calls == ["both", "off"]

@@ -6,8 +6,10 @@ Runs a pinned list of ops through `rhflow.cli_driver.main` twice: once on a
 `git archive` of the base ref (default HEAD) and once on the working tree's
 `src`, each side in a fresh interpreter with one BLAS thread (threaded BLAS
 splits products differently by matrix size, on any commit).  Prints the
-`diff -r` of the two output trees and each op's exit codes, and exits 0
-when the trees are identical and every exit code matches, 1 otherwise.
+`diff -r` of the two output trees and each op's exit codes and, when the
+trees differ, the largest absolute difference of each numeric field of each
+differing JSON or CSV artifact.  Exits 0 when the trees are identical and
+every exit code matches, 1 otherwise.
 
 The op list is the first block of each `bench/workloads.py` generator
 (imported read-only) at fixed seeds, pentagon `solve` at R in {0.01, 0.05,
@@ -16,16 +18,19 @@ with max_iter 3 (no convergence: the error carries the last delta and the
 worst ratio) and at M = 64 with ball_epsilon 1e-10 (every iterate leaves
 the ball), `sweep_r` over R in {4, 0.3} at max_iter 5, `smoothness`
 in every probe direction at orders 1 to 3 and once where a converged
-stencil solve fails the |Y| < 1 guard, and a few `deform_check`,
-`saddle_check` and `scalar_bvp` configs.  Outputs go to
+stencil solve fails the |Y| < 1 guard, a few `deform_check`,
+`saddle_check` and manufactured-jump `scalar_bvp` configs, and one
+`scalar_bvp` with a sampled jump.  Outputs go to
 `--work` (kept) or to a temporary directory (removed).
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import io
 import json
+import math
 import os
 import random
 import shutil
@@ -103,7 +108,79 @@ def pinned_ops() -> list[dict]:
             {"scalar": {"jump": {"kind": "manufactured", "eta0": eta0},
                         "zeros": zeros, "line_phase": phase, "zeta0": [0.0, 1.5],
                         "zeta0_alt": [0.0, 0.7], "samples": 100}})
+    # a sampled jump: samples of a continuous jump, linear between them
+    ts = [math.exp(k / 8) for k in range(-64, 65)]
+    ts = [-t for t in reversed(ts)] + ts
+    add("scalar-sampled", "scalar_bvp",
+        {"scalar": {"jump": {"kind": "sampled", "t": ts,
+                             "values": [_sampled_jump(t) for t in ts]},
+                    "limits": [[1.0, 0.0]] * 4, "zeta0_alt": [0.0, 0.7],
+                    "samples": 100}})
     return ops
+
+
+def _sampled_jump(t: float) -> list[float]:
+    """exp of a bump in log|t| that differs on the two halves, as [re, im]."""
+    s = math.log(abs(t))
+    bump = ((0.3 + 0.1j) * math.exp(-0.5 * s * s) if t > 0
+            else (0.2 - 0.05j) * math.exp(-0.5 * (s - 0.3) ** 2))
+    v = complex(math.exp(bump.real) * math.cos(bump.imag),
+                math.exp(bump.real) * math.sin(bump.imag))
+    return [v.real, v.imag]
+
+
+def _numeric_fields(path: Path) -> dict[str, list[float]]:
+    """The numbers of a JSON artifact by key path, or of a CSV artifact by
+    column."""
+    fields: dict[str, list[float]] = {}
+    if path.suffix == ".json":
+        def walk(obj, key):
+            if isinstance(obj, dict):
+                for k, v in obj.items():
+                    walk(v, f"{key}.{k}" if key else k)
+            elif isinstance(obj, list):
+                for i, v in enumerate(obj):
+                    walk(v, f"{key}[{i}]")
+            elif isinstance(obj, (int, float)) and not isinstance(obj, bool):
+                fields[key] = [float(obj)]
+        walk(json.loads(path.read_text()), "")
+        return fields
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            for column, text in row.items():
+                try:
+                    fields.setdefault(column, []).append(float(text))
+                except (TypeError, ValueError):
+                    pass
+    return fields
+
+
+def _gap(x: float, y: float) -> float:
+    return 0.0 if x == y or (math.isnan(x) and math.isnan(y)) else abs(x - y)
+
+
+def numeric_differences(base: Path, tree: Path) -> list[str]:
+    """One line per numeric field that differs between a JSON or CSV
+    artifact of base and the same file of tree: the largest absolute
+    difference over the field's values."""
+    lines = []
+    for b in sorted(base.rglob("*")):
+        t = tree / b.relative_to(base)
+        if (b.suffix not in (".json", ".csv") or not t.is_file()
+                or b.read_bytes() == t.read_bytes()):
+            continue
+        fb, ft = _numeric_fields(b), _numeric_fields(t)
+        for field in sorted(fb.keys() | ft.keys()):
+            vb, vt = fb.get(field), ft.get(field)
+            if vb is None or vt is None or len(vb) != len(vt):
+                gap = "present on one side only or of another length"
+            else:
+                worst = max(map(_gap, vb, vt))
+                if not worst:
+                    continue
+                gap = format(worst, ".3g")
+            lines.append(f"  {b.relative_to(base)}  {field}: {gap}")
+    return lines
 
 
 def run_side(src: str, ops_file: str, out: str) -> None:
@@ -160,6 +237,9 @@ def compare(base: str, work: Path) -> int:
         print(f"  {op['name']:<40} {b} -> {t}{'   MISMATCH' if b != t else ''}")
     print(diff.stdout, end="")
     identical = diff.returncode == 0
+    if not identical:
+        print("largest absolute difference per numeric field:")
+        print("\n".join(numeric_differences(work / "out-base", work / "out-tree")))
     print(f"diff -r: {'empty' if identical else 'DIFFERS'}; "
           f"exit codes: {'all match' if not mismatched else f'{mismatched} differ'}")
     return 0 if identical and not mismatched else 1
