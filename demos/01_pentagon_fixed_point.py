@@ -6,8 +6,6 @@ then verify the multiplicative jump, the reality involution and the limits
 at 0 and infinity.
 """
 
-import math
-
 from rhflow.charge_lattice import GAMMA1, GAMMA2, pentagon_spectrum
 from rhflow.rh_solver import (SolverConfig, asymptotic_theta, evaluate_Y, solve,
                               verify)
@@ -34,8 +32,7 @@ print("\nresiduals of the defining conditions:")
 for name, value in verify(state).items():
     print(f"  {name:16s} {value:.3e}")
 
-theta0 = asymptotic_theta(state, at=0)
-thetainf = asymptotic_theta(state, at=math.inf)
+theta0, thetainf = asymptotic_theta(state)
 print("\nlimits of the corrected angles:")
 for k, (t0, ti) in enumerate(zip(theta0, thetainf), start=1):
     print(f"  theta{k}: at 0 {t0:.15f}   at infinity {ti:.15f}")

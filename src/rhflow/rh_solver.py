@@ -17,16 +17,25 @@ state reads the configuration from state.problem.cfg.  iterate_once is the
 bare map; solve applies it, keeps the iteration record and returns it with
 the converged state; verify returns the residuals of the defining
 conditions on that state.  solve keeps one check, truncation_guard, since
-the jump series it iterates converges only for |Y_g| < 1.
+the jump series it iterates converges only for |Y_g| < 1; a state runs it
+at most once and keeps its limits at 0 and infinity (state.limits), so
+verify repeats neither on a solved state.
+
+The densities use the split of the semiflat exponential
+X_g = exp(pi R (Z_g / zeta + zeta conj Z_g)) * prod_k (e^{i Theta_k})^{c_k}:
+_Prepared stores the first, theta-free factor of every series charge at the
+nodes once per problem, and a step takes two exps per node, u_k =
+e^{i Theta_k}, and the integer powers of u_k from one table per basis
+charge.
 
 At the nodes the ray integrals are node matrices applied to the densities:
 c_same (the coth kernel of a ray on itself, pole removed), the derivative
 stencil fd of the removable limit and c_cross (the kernel between the two
-rays).  _Prepared stores them as one complex (3M, M) operator, and
-node_transforms applies it to both sides' densities stacked as (M, 4) in
-one product, once per Picard step and once per jump check.  Off the nodes,
-evaluate_theta passes both basis targets of a side to integrate_ray as one
-(2, M) stack.
+rays).  All three are real.  _Prepared stores them as one real (3M, M)
+operator, and node_transforms applies it to the real view (M, 8) of both
+sides' densities stacked as (M, 4), in one real product, once per Picard
+step and once per jump check.  Off the nodes, evaluate_theta passes both
+basis targets of a side to integrate_ray as one (2, M) stack.
 """
 
 from __future__ import annotations
@@ -39,12 +48,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .charge_lattice import Charge, GAMMA1, GAMMA2, Spectrum, require_support
+from .charge_lattice import (Charge, GAMMA1, GAMMA2, Spectrum, extend,
+                             require_support)
 from .contour_quadrature import (build_ray_grid, integrate_ray, on_covered_ray,
                                  pv_coth_closed_form, _derivative_rows)
 from .errors import (ConfigError, DivergenceError, NonContractionError,
                      TruncationUnsafeError)
-from .spectrum_rays import CentralCharge, RayDirection, admissible_pair, bps_ray
+from .spectrum_rays import CentralCharge, RayDirection, admissible_pair
 from .stokes_series import stokes_log_coeffs
 
 FOUR_PI = 4.0 * math.pi
@@ -100,6 +110,22 @@ def _static_exponents(cfg: SolverConfig, zg: complex | np.ndarray,
     return math.pi * cfg.R * (zg / pts + pts * np.conj(zg))
 
 
+def _powers(u: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """u ** c, shape (K, P), for integer exponents c (shape (K,)) and points
+    u (shape (P,)), indexed from one table of u^n, min(c, 0) <= n <= max(c, 0),
+    built by repeated multiplication by u and, for n < 0, by 1 / u."""
+    lo, hi = min(int(c.min(initial=0)), 0), max(int(c.max(initial=0)), 0)
+    table = np.empty((hi - lo + 1, len(u)), dtype=complex)
+    table[-lo] = 1.0
+    for n in range(1, hi + 1):
+        np.multiply(table[n - 1 - lo], u, out=table[n - lo])
+    if lo < 0:
+        inv = 1.0 / u
+        for n in range(-1, lo - 1, -1):
+            np.multiply(table[n + 1 - lo], inv, out=table[n - lo])
+    return table[c - lo]
+
+
 class _Prepared:
     """Grids, coefficient families and kernel matrices for one configuration."""
 
@@ -120,98 +146,103 @@ class _Prepared:
             self.f[side] = [(g, complex(f1.get(g, 0)), complex(f2.get(g, 0)))
                             for g in support]
 
+        # central values of the charges of self.f, from the basis values by
+        # extend; a side charge's value lies in its side's open half-plane,
+        # so it is nonzero and its BPS ray is defined
+        basis = cfg.Z.basis_values(cfg.a)
+        self.central: dict[int, np.ndarray] = {
+            side: np.array([extend(g, *basis) for g, _, _ in self.f[side]], dtype=complex)
+            for side in (+1, -1)}
+
         # one symmetric node set for both rays: slowest decay over both sides
         decay = math.inf
         for side in (+1, -1):
             ray = self.rays[side]
-            for g, _, _ in self.f[side]:
-                ang = bps_ray(cfg.Z, g, cfg.a).angle_to(ray)
-                decay = min(decay,
-                            2.0 * math.pi * cfg.R * abs(cfg.Z.of(g, cfg.a)) * math.cos(ang))
+            for zg in self.central[side].tolist():
+                ang = RayDirection(cmath.phase(-zg)).angle_to(ray)
+                decay = min(decay, 2.0 * math.pi * cfg.R * abs(zg) * math.cos(ang))
         if not math.isfinite(decay):  # empty spectrum: any width will do
-            zs = [abs(z) for z in cfg.Z.basis_values(cfg.a)]
-            decay = 2.0 * math.pi * cfg.R * min(z for z in zs if z > 0)
+            decay = 2.0 * math.pi * cfg.R * min(abs(z) for z in basis if z != 0)
         self.grids = {side: build_ray_grid(self.rays[side], decay, cfg.M,
                                            cfg.target_tail)
                       for side in (+1, -1)}
 
-        # static exponents on each side's grid, one row per charge of self.f
-        self.static: dict[int, np.ndarray] = {}
-        self.central: dict[int, np.ndarray] = {}
-        self.coords: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
+        # per side and charge of self.f: the theta-free factor
+        # exp(pi R (Z_g / zeta + zeta conj Z_g)) at the nodes, one row per
+        # charge; the charge coordinates; the coefficients per target
+        self.factor: dict[int, np.ndarray] = {}
+        self.coords: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         for side in (+1, -1):
             charges = self.f[side]
-            self.central[side] = np.array([cfg.Z.of(g, cfg.a) for g, _, _ in charges],
-                                          dtype=complex)
-            self.static[side] = _static_exponents(cfg, self.central[side][:, None],
-                                                  self.grids[side].points())
-            c1 = np.array([g.c1 for g, _, _ in charges], dtype=float)
-            c2 = np.array([g.c2 for g, _, _ in charges], dtype=float)
-            fk1 = np.array([v1 for _, v1, _ in charges], dtype=complex)
-            fk2 = np.array([v2 for _, _, v2 in charges], dtype=complex)
-            self.coords[side] = (c1, c2, fk1, fk2)
+            self.factor[side] = np.exp(_static_exponents(
+                cfg, self.central[side][:, None], self.grids[side].points()))
+            c1 = np.array([g.c1 for g, _, _ in charges], dtype=int)
+            c2 = np.array([g.c2 for g, _, _ in charges], dtype=int)
+            fk = np.array([[v1 for _, v1, _ in charges],
+                           [v2 for _, _, v2 in charges]], dtype=complex)
+            self.coords[side] = (c1, c2, fk)
 
-        # basis-charge exponents on both grids, for Y evaluation and jump checks
-        self.basis_central = np.array([cfg.Z.of(g, cfg.a) for g in (GAMMA1, GAMMA2)])
+        # basis-charge exponents on both grids, for the jump checks
+        self.basis_central = np.array([extend(g, *basis) for g in (GAMMA1, GAMMA2)])
         self.basis_static = {side: _static_exponents(cfg, self.basis_central[:, None],
                                                      self.grids[side].points())
                              for side in (+1, -1)}
 
         # kernel matrices shared by both rays (same node set), stacked as one
-        # complex operator: rows [0, M) are c_same, [M, 2M) the derivative
-        # stencil fd and [2M, 3M) c_cross.  Stored complex, the products
-        # run the zgemm numpy's cast of real matrices would, without a cast
-        # per call; built in place through one real M x M work array.
+        # real operator: rows [0, M) are c_same, [M, 2M) the derivative
+        # stencil fd and [2M, 3M) c_cross, built in place
         g0 = self.grids[+1]
         s, w, step, L, M = g0.nodes, g0.weights, g0.step, g0.half_width, cfg.M
-        self.ops = np.zeros((3 * M, M), dtype=complex)
-        work = s[None, :] - s[:, None]
-        work *= 0.5
-        np.tanh(work, out=work)
-        np.multiply(w, work, out=self.ops[2 * M:].real)
+        self.ops = np.empty((3 * M, M))
+        same, cross = self.ops[:M], self.ops[2 * M:]
+        np.subtract(s[None, :], s[:, None], out=same)
+        same *= 0.5
+        np.tanh(same, out=same)
+        np.multiply(w, same, out=cross)
         with np.errstate(divide="ignore"):
-            np.divide(1.0, work, out=work)
-        np.fill_diagonal(work, 0.0)
-        work *= w
-        self.row_sum = work.sum(axis=1)
-        self.ops[:M].real = work
-        del work
-        self.ops[M:2 * M].real = _derivative_rows(M, np.arange(M), step)
+            np.divide(1.0, same, out=same)
+        np.fill_diagonal(same, 0.0)
+        same *= w
+        self.row_sum = same.sum(axis=1)
+        self.ops[M:2 * M] = _derivative_rows(M, np.arange(M), step)
         self.pv_vec = np.array([pv_coth_closed_form(L, si, step) for si in s])
         self.weights = w
 
     def densities(self, values: np.ndarray) -> dict[int, np.ndarray]:
         """Combined density per side and target, shape (M, 2), from the node
         values of Theta (shape (2, M, 2); axis 0 is the ray: 0 -> r, 1 -> -r)."""
-        return {side: self.series(side, self.static[side], values[ray_idx])
+        return {side: self.series(side, self.factor[side], values[ray_idx])
                 for side, ray_idx in ((+1, 0), (-1, 1))}
 
-    def series(self, side: int, static: np.ndarray, th: np.ndarray) -> np.ndarray:
+    def series(self, side: int, factor: np.ndarray, th: np.ndarray) -> np.ndarray:
         """Jump series exponent sum_g f_g^k X_g of one side per target k,
-        shape (P, 2), from the static exponents of the side's charges at P
-        points (shape (K, P)) and the angles Theta there (shape (P, 2))."""
-        c1, c2, f1, f2 = self.coords[side]
-        with np.errstate(over="ignore", invalid="ignore"):
-            # overflow here means a diverging iterate; the caller checks
-            expo = np.exp(static + 1j * (c1[:, None] * th[None, :, 0]
-                                         + c2[:, None] * th[None, :, 1]))
-            out = np.empty((static.shape[1], 2), dtype=complex)
-            out[:, 0] = f1 @ expo
-            out[:, 1] = f2 @ expo
-        return out
+        shape (P, 2), from the theta-free factors of the side's charges at P
+        points (shape (K, P)) and the angles Theta there (shape (P, 2)):
+        X_g = factor_g u_1^c1 u_2^c2 with u_k = e^{i Theta_k}."""
+        c1, c2, fk = self.coords[side]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            # |u_k^c| <= 2^|c| while Theta stays in the ball (ball_epsilon
+            # <= ln 2); overflow means a diverging iterate, the caller checks
+            u = np.exp(1j * th)
+            x = _powers(u[:, 0], c1)
+            x *= _powers(u[:, 1], c2)
+            x *= factor
+            return (fk @ x).T
 
     def node_transforms(self, dens: dict[int, np.ndarray]
                         ) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
         """Ray integrals at the nodes, per side, of the densities of both
-        sides (shape (M, 2) each), from one product of the stacked operator
-        with their (M, 4) stack.
+        sides (shape (M, 2) each), from one real product of the stacked
+        operator with the real view (M, 8) of their (M, 4) stack.
 
         Returns the principal value of each ray's own integral,
         c_same h - row_sum h + 2 w (fd h) + pv_vec h, and the integral of
         the opposite ray's density, c_cross h, both at the side's nodes.
         """
         M = self.cfg.M
-        prod = self.ops @ np.concatenate((dens[+1], dens[-1]), axis=1)
+        stack = np.empty((M, 4), dtype=complex)
+        stack[:, :2], stack[:, 2:] = dens[+1], dens[-1]
+        prod = (self.ops @ stack.view(float)).view(complex)
         pv, cross = {}, {}
         for side, cols in ((+1, slice(0, 2)), (-1, slice(2, 4))):
             h = dens[side]
@@ -235,8 +266,9 @@ class ThetaState:
 
     values[0] holds the r ray, values[1] the opposite ray; the last axis is
     the basis index.  Stored values are clockwise-side boundary values.  The
-    combined densities are computed from values on first use and kept, so
-    values must not be changed in place.
+    combined densities and the limits at 0 and infinity are computed from
+    values on first use and kept, and truncation_guard passes at most once,
+    so values must not be changed in place.
     """
 
     values: np.ndarray
@@ -245,6 +277,18 @@ class ThetaState:
     @functools.cached_property
     def densities(self) -> dict[int, np.ndarray]:
         return self.problem.densities(self.values)
+
+    @functools.cached_property
+    def limits(self) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
+        """(Theta(0), Theta(inf)), each a pair over the basis targets."""
+        return asymptotic_theta(self)
+
+    def guard(self) -> None:
+        """Run truncation_guard on this state unless it has passed before;
+        a state that fails it raises on every call."""
+        if not getattr(self, "_guarded", False):
+            truncation_guard(self)
+            self._guarded = True
 
 
 def init_state(cfg: SolverConfig) -> ThetaState:
@@ -278,7 +322,7 @@ def solve(cfg: SolverConfig) -> tuple[ThetaState, dict]:
     observed; convergence requires the final ratio below one.  A step
     whose iterate leaves the ball of radius ball_epsilon about theta is
     recorded in ball_exits, not fatal.  The converged state must pass
-    truncation_guard.
+    truncation_guard; verify does not run it again on that state.
     """
     state = init_state(cfg)
     theta_vec = np.array(cfg.theta, dtype=complex)
@@ -305,9 +349,8 @@ def solve(cfg: SolverConfig) -> tuple[ThetaState, dict]:
             f"(last delta {deltas[-1]:.3e}, worst ratio {bad:.3g}); "
             f"R = {cfg.R:g} is too small for this spectrum"
         )
-    truncation_guard(state)
-    theta0 = asymptotic_theta(state, at=0)
-    thetainf = asymptotic_theta(state, at=math.inf)
+    state.guard()
+    theta0, thetainf = state.limits
     report = {
         "config": {
             "R": cfg.R, "a": [cfg.a.real, cfg.a.imag], "theta": list(cfg.theta),
@@ -332,8 +375,7 @@ def verify(state: ThetaState) -> dict:
     involution (check_reality), the real part of Theta(0) - theta
     (asymptotic_real) and |Theta(0) - conj Theta(inf)| (asymptotic_conj)."""
     cfg = state.problem.cfg
-    theta0 = asymptotic_theta(state, at=0)
-    thetainf = asymptotic_theta(state, at=math.inf)
+    theta0, thetainf = state.limits
     return {
         "jump": check_jump(state),
         "reality": check_reality(state),
@@ -417,7 +459,7 @@ def check_jump(state: ThetaState) -> float:
     and interpolation error stay visible.
     """
     prep = state.problem
-    truncation_guard(state)
+    state.guard()
     dens = state.densities
     theta_vec = np.array(prep.cfg.theta, dtype=complex)
     pv, cross = prep.node_transforms(dens)
@@ -444,8 +486,8 @@ def _midpoint_jump_residual(state: ThetaState, s: int) -> float:
     tp, tm = (np.stack(th, axis=1) for th in evaluate_theta(state, zeta, side="both"))
     basis = _static_exponents(cfg, prep.basis_central[:, None], zeta).T
     y_plus = np.exp(basis + 1j * tp)
-    jump = prep.series(s, _static_exponents(cfg, prep.central[s][:, None], zeta), tm)
-    predicted = np.exp(basis + 1j * tm) * np.exp(jump)
+    factor = np.exp(_static_exponents(cfg, prep.central[s][:, None], zeta))
+    predicted = np.exp(basis + 1j * tm) * np.exp(prep.series(s, factor, tm))
     return float(np.max(np.abs(predicted - y_plus) / np.abs(y_plus)))
 
 
@@ -470,21 +512,24 @@ def check_reality(state: ThetaState, count: int = 64) -> float:
     return float(np.max(np.abs(mirrored.conj() - direct), initial=0.0))
 
 
-def asymptotic_theta(state: ThetaState, at) -> tuple[complex, complex]:
-    """Theta at 0 (kernel -> +1) or at infinity (kernel -> -1).
+def asymptotic_theta(state: ThetaState
+                     ) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
+    """Theta at 0 (kernel -> +1) and at infinity (kernel -> -1), as the pair
+    (Theta(0), Theta(inf)), from one weighted sum of the densities; a solved
+    state keeps it as state.limits.
 
     The difference from the reference angles is purely imaginary and the two
     limits are complex conjugates of each other.
     """
     prep = state.problem
     dens = state.densities
-    sign = 1.0 if at == 0 else -1.0
     w = prep.weights
-    out = []
+    at0, atinf = [], []
     for k in (0, 1):
-        acc = sign * (np.sum(w * dens[+1][:, k]) + np.sum(w * dens[-1][:, k]))
-        out.append(prep.cfg.theta[k] - acc / FOUR_PI)
-    return out[0], out[1]
+        acc = np.sum(w * dens[+1][:, k]) + np.sum(w * dens[-1][:, k])
+        at0.append(prep.cfg.theta[k] - acc / FOUR_PI)
+        atinf.append(prep.cfg.theta[k] + acc / FOUR_PI)
+    return (at0[0], at0[1]), (atinf[0], atinf[1])
 
 
 _DIRECTIONS = {
@@ -528,8 +573,7 @@ def smoothness_probe(cfg: SolverConfig, direction: str, order: int,
         shifted = shift(cfg, offset)
         if shifted not in solutions:
             st, _ = solve(shifted)
-            t0 = asymptotic_theta(st, at=0)
-            solutions[shifted] = (st.values.copy(), np.array(t0))
+            solutions[shifted] = (st.values.copy(), np.array(st.limits[0]))
         return solutions[shifted]
 
     def estimate(h: float):

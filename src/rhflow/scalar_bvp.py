@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .contour_quadrature import RayGrid, integrate_ray, on_covered_ray
-from .errors import AsymmetricJumpError, NonzeroIndexError
+from .errors import AsymmetricJumpError, ConfigError, NonzeroIndexError
 from .spectrum_rays import RayDirection, _wrap
 
 TWO_PI = 2.0 * math.pi
@@ -70,13 +70,13 @@ class ScalarBVProblem:
 
     def validate(self) -> None:
         if not self.in_upper(self.zeta0):
-            raise ValueError("zeta0 must lie strictly inside D+")
+            raise ConfigError("zeta0 must lie strictly inside D+")
         for alpha, m in self.zeros:
             if m < 1:
-                raise ValueError("zero orders must be positive integers")
+                raise ConfigError("zero orders must be positive integers")
             if abs(_wrap(cmath.phase(alpha) - self.line_phase)) > 1e-9 and \
                abs(_wrap(cmath.phase(alpha) - self.line_phase - math.pi)) > 1e-9:
-                raise ValueError(f"zero at {alpha} is off the contour")
+                raise ConfigError(f"zero at {alpha} is off the contour")
 
 
 def jump_exponents(p: ScalarBVProblem, tol: float = 1e-9) -> tuple[complex, complex]:
@@ -87,7 +87,7 @@ def jump_exponents(p: ScalarBVProblem, tol: float = 1e-9) -> tuple[complex, comp
     """
     g0m, g0p, gim, gip = p.limits
     if g0m == 0 or g0p == 0 or gim == 0 or gip == 0:
-        raise ValueError("endpoint limits must be nonzero")
+        raise ConfigError("endpoint limits must be nonzero")
     eta0 = cmath.log(g0m / g0p) / (2j * math.pi)
     etainf_raw = cmath.log(gim / gip) / (2j * math.pi)
     # the ratios determine the exponents mod 1 only; the symmetric condition
@@ -99,7 +99,7 @@ def jump_exponents(p: ScalarBVProblem, tol: float = 1e-9) -> tuple[complex, comp
             f"eta_0 = {eta0:.6g} and eta_inf = {etainf_raw:.6g} do not cancel"
         )
     if abs(eta0) >= 1:
-        raise ValueError("|eta_0| must be below one for an integrable singularity")
+        raise ConfigError("|eta_0| must be below one for an integrable singularity")
     return eta0, -eta0
 
 
@@ -226,7 +226,7 @@ def solve_continuous(G1: Callable, line_phase: float,
     t = np.concatenate([-t[::-1], t])
     ordered = np.broadcast_to(np.asarray(G1(t), dtype=complex), t.shape)
     if np.any(ordered == 0):
-        raise ValueError("continuous jump function vanishes on the contour")
+        raise ConfigError("continuous jump function vanishes on the contour")
 
     # continuous branch of log G1 along the contour
     angles = np.unwrap(np.angle(ordered))

@@ -1,0 +1,46 @@
+"""tools/artifact_diff.py: the numeric comparison of two output trees."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("artifact_diff",
+                                               ROOT / "tools" / "artifact_diff.py")
+artifact_diff = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(artifact_diff)
+
+
+def _tree(root: Path, node_value: str, sup: str, theta0: float) -> Path:
+    (root / "solve").mkdir(parents=True)
+    (root / "solve" / "nodes.csv").write_text(
+        "ray,index,re_theta1\n"
+        f"r,0,{node_value}\n"
+        "-r,0,0.25\n")
+    (root / "smoothness").mkdir()
+    (root / "smoothness" / "smoothness.csv").write_text(
+        "direction,order,step,sup_derivative\n"
+        f"theta1,1,0.01,{sup}\n")
+    (root / "solve" / "report.json").write_text(
+        json.dumps({"iterations": 6, "theta0": [[theta0, 0.0]], "note": "text"}))
+    return root
+
+
+def test_text_columns_are_skipped_and_numeric_ones_compared(tmp_path):
+    base = _tree(tmp_path / "base", "0.5", "1.25", 0.7)
+    tree = _tree(tmp_path / "tree", "0.5000000000000001", "1.5", 0.7)
+    lines = artifact_diff.numeric_differences(base, tree)
+    assert [line.split()[:2] for line in lines] == [
+        ["smoothness/smoothness.csv", "sup_derivative:"],
+        ["solve/nodes.csv", "re_theta1:"],
+    ]
+    assert lines[0].endswith(": 0.25")
+    assert lines[1].endswith(": 1.11e-16")  # one ulp of 0.5, to 3 digits
+
+
+def test_csv_fields_are_the_numeric_columns(tmp_path):
+    base = _tree(tmp_path / "base", "0.5", "1.25", 0.7)
+    fields = artifact_diff._numeric_fields(base / "solve" / "nodes.csv")
+    assert fields == {"index": [0.0, 0.0], "re_theta1": [0.5, 0.25]}
+    assert artifact_diff._numeric_fields(base / "solve" / "report.json") == {
+        "iterations": [6.0], "theta0[0][0]": [0.7], "theta0[0][1]": [0.0]}

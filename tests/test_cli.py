@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -354,6 +355,43 @@ def test_scalar_bvp_command(tmp_path):
     assert report["kappa"] == 0
     assert report["residuals"]["boundary"] < 1e-6
     assert report["residuals"]["uniqueness"] < 1e-6
+
+
+
+def _sampled(values, limits):
+    """A sampled-jump scalar section on t = +-e^k, k = -4 .. 4."""
+    ts = [float(t) for t in np.exp(np.arange(-4.0, 5.0))]
+    ts = [-t for t in reversed(ts)] + ts
+    return {"jump": {"kind": "sampled", "t": ts, "values": [values] * len(ts)},
+            "limits": limits}
+
+
+_DECAYED = [math.exp(-3.0 * math.pi), 0.0]   # G(0-0)/G(0+0) = e^{2 pi i (1.5i)}
+
+
+@pytest.mark.parametrize("scalar, message", [
+    ({"jump": {"kind": "manufactured", "eta0": 0.25}, "zeta0": [0.0, -1.0]},
+     "zeta0 must lie strictly inside D+"),
+    ({"jump": {"kind": "manufactured", "eta0": 0.25}, "zeros": [[[0.8, 0.0], 0]]},
+     "zero orders must be positive integers"),
+    ({"jump": {"kind": "manufactured", "eta0": 0.25}, "zeros": [[[0.5, 0.5], 1]]},
+     "is off the contour"),
+    (_sampled([1.0, 0.0], [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]),
+     "endpoint limits must be nonzero"),
+    (_sampled([1.0, 0.0], [_DECAYED, [1.0, 0.0], [1.0, 0.0], _DECAYED]),
+     "|eta_0| must be below one"),
+    (_sampled([0.0, 0.0], [[1.0, 0.0]] * 4),
+     "continuous jump function vanishes on the contour"),
+], ids=["zeta0_below", "zero_order_0", "zero_off_contour", "zero_limit",
+        "eta0_too_large", "vanishing_jump"])
+def test_exit_code_1_when_the_scalar_problem_is_not_admissible(tmp_path, capsys,
+                                                               scalar, message):
+    cfg = write_cfg(tmp_path, {"scalar": dict(scalar, samples=20)})
+    out = tmp_path / "o"
+    assert main(["scalar_bvp", "--config", str(cfg), "--out", str(out)]) == 1
+    diag = json.loads(capsys.readouterr().err)
+    assert diag["error"] == "ConfigError" and message in diag["message"]
+    assert json.loads((out / "error.json").read_text()) == diag
 
 
 def test_scalar_bvp_takes_eta0_as_a_pair_or_a_number(tmp_path):

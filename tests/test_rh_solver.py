@@ -65,7 +65,7 @@ def test_empty_spectrum_solve_and_residuals():
     residuals = verify(state)
     assert residuals["jump"] == 0.0
     assert residuals["reality"] == 0.0
-    t0 = asymptotic_theta(state, at=0)
+    t0, _ = asymptotic_theta(state)
     assert t0[0] == cfg.theta[0] and t0[1] == cfg.theta[1]
     z = 0.5 + 0.8j
     assert evaluate_Y(state, GAMMA1, z) == pytest.approx(
@@ -230,8 +230,7 @@ def test_reality_residual_small():
 def test_asymptotic_limits():
     cfg = pentagon_cfg()
     state, _ = solve(cfg)
-    t0 = asymptotic_theta(state, at=0)
-    tinf = asymptotic_theta(state, at=math.inf)
+    t0, tinf = asymptotic_theta(state)
     for k in (0, 1):
         assert abs((t0[k] - cfg.theta[k]).real) < 1e-9
         assert abs(t0[k] - tinf[k].conjugate()) < 1e-9
@@ -318,6 +317,31 @@ def test_solve_guards_each_converged_state_once(monkeypatch):
     smoothness_probe(pentagon_cfg(M=64), "theta1", 1, 1e-2, solutions=solutions)
     assert len(guarded) == len(solutions) == 4
     assert set(guarded) == set(solutions)
+
+
+def test_solve_and_verify_guard_and_take_the_limits_once_per_state(monkeypatch):
+    import rhflow.rh_solver as rh
+    calls = []
+    for name in ("truncation_guard", "asymptotic_theta"):
+        original = getattr(rh, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(rh, name, counting)
+    state, report = solve(pentagon_cfg(R=1.0))
+    residuals = verify(state)
+    assert sorted(calls) == ["asymptotic_theta", "truncation_guard"]
+    assert report["theta0"] == [[t.real, t.imag] for t in state.limits[0]]
+    assert residuals["asymptotic_conj"] == max(
+        abs(a - b.conjugate()) for a, b in zip(*state.limits))
+    # a state that never went through solve is guarded by check_jump, once
+    calls.clear()
+    fresh = ThetaState(state.values, state.problem)
+    assert check_jump(fresh) == check_jump(state)
+    check_jump(fresh)
+    assert calls == ["truncation_guard"]
 
 
 def test_smoothness_probe_refuses_a_converged_state_with_large_Y():
@@ -475,6 +499,62 @@ def test_iterate_once_matches_the_split_formula():
         expected = theta - (same + c_cross @ dens[-side]) / (4.0 * math.pi)
         assert np.max(np.abs(new[ray] - expected)) <= 1e-15 * np.max(np.abs(expected))
         assert np.max(np.abs(new[ray] - theta)) > 1e-3  # the correction is not trivial
+
+
+# ---------------- theta-free factors, powers of e^{i Theta} ----------------
+
+GENERIC_Z = CentralCharge.constant(1.3 + 0.2j, -0.25 + 1.1j)
+GENERIC = Spectrum.from_pairs([((1, 0), 1), ((-1, 0), 1), ((0, 1), 1), ((0, -1), 1)])
+
+
+def _per_charge_densities(prep, values):
+    # the jump series with one exp per charge and point:
+    # sum_g f_g^k exp(pi R (Z_g / zeta + zeta conj Z_g) + i (c1 Theta_1 + c2 Theta_2))
+    cfg = prep.cfg
+    out = {}
+    for side, ray in ((+1, 0), (-1, 1)):
+        charges = prep.f[side]
+        zeta = prep.grids[side].points()
+        th = values[ray]
+        rows = [np.exp(math.pi * cfg.R * (cfg.Z.of(g, cfg.a) / zeta
+                                          + zeta * np.conj(cfg.Z.of(g, cfg.a)))
+                       + 1j * (g.c1 * th[:, 0] + g.c2 * th[:, 1]))
+                for g, _, _ in charges]
+        expo = np.array(rows).reshape(len(charges), cfg.M)
+        out[side] = np.stack([np.array([f1 for _, f1, _ in charges], dtype=complex) @ expo,
+                              np.array([f2 for _, _, f2 in charges], dtype=complex) @ expo],
+                             axis=1)
+    return out
+
+
+@pytest.mark.parametrize("kw", [
+    dict(N=8, R=0.3), dict(N=12, R=0.15),
+    dict(spectrum=GENERIC, Z=GENERIC_Z, R=0.3), dict(spectrum=Spectrum(()), R=1.0),
+], ids=["pentagon_N8", "pentagon_N12", "generic_two_pair", "empty"])
+def test_densities_match_one_exp_per_charge(kw):
+    cfg = pentagon_cfg(**{"max_iter": 100, **kw})
+    state, _ = solve(cfg)
+    prep = state.problem
+    if kw.get("spectrum") is GENERIC:
+        assert prep.coords[+1][1].min() < 0  # side +1 needs powers of 1/u
+    # the converged state, and one pushed off the real angles (|u| != 1)
+    pushed = state.values + 0.3j * np.random.default_rng(7).standard_normal(
+        state.values.shape)
+    for values in (state.values, pushed):
+        got = prep.densities(values)
+        want = _per_charge_densities(prep, values)
+        for side in (+1, -1):
+            assert got[side].shape == (cfg.M, 2)
+            rel = np.abs(got[side] - want[side]) / np.maximum(np.abs(want[side]),
+                                                              np.finfo(float).tiny)
+            assert np.max(rel, initial=0.0) <= 1e-14, side
+    assert np.max(np.abs(pushed.imag)) > 0.5
+
+
+def test_node_operator_is_real():
+    for M in (64, 128):
+        ops = init_state(pentagon_cfg(M=M)).problem.ops
+        assert ops.dtype == np.float64 and ops.shape == (3 * M, M)
 
 
 def test_evaluate_theta_both_sides_match_the_single_sides_bit_for_bit():

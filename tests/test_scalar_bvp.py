@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from rhflow.errors import AsymmetricJumpError, NonzeroIndexError
+from rhflow.errors import AsymmetricJumpError, ConfigError, NonzeroIndexError
 from rhflow.scalar_bvp import (ScalarBVProblem, index, jump_exponents,
                                omega_minus, omega_plus, point_or_array, regularize,
                                regularizing_factor, solve_continuous,
@@ -259,12 +259,12 @@ def test_continuous_jump_full_pipeline():
 
 
 def test_zeta0_outside_upper_half_rejected():
-    with pytest.raises(ValueError, match="zeta0"):
+    with pytest.raises(ConfigError, match="zeta0"):
         ScalarBVProblem(0.0, lambda t: 1.0, (1, 1, 1, 1), zeta0=-1j).validate()
 
 
 def test_zero_off_contour_rejected():
-    with pytest.raises(ValueError, match="off the contour"):
+    with pytest.raises(ConfigError, match="off the contour"):
         ScalarBVProblem(0.0, lambda t: 1.0, (1, 1, 1, 1),
                         zeros=((0.5 + 0.5j, 1),)).validate()
 

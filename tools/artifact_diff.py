@@ -131,7 +131,7 @@ def _sampled_jump(t: float) -> list[float]:
 
 def _numeric_fields(path: Path) -> dict[str, list[float]]:
     """The numbers of a JSON artifact by key path, or of a CSV artifact by
-    column."""
+    numeric column."""
     fields: dict[str, list[float]] = {}
     if path.suffix == ".json":
         def walk(obj, key):
@@ -146,12 +146,12 @@ def _numeric_fields(path: Path) -> dict[str, list[float]]:
         walk(json.loads(path.read_text()), "")
         return fields
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            for column, text in row.items():
-                try:
-                    fields.setdefault(column, []).append(float(text))
-                except (TypeError, ValueError):
-                    pass
+        rows = list(csv.DictReader(fh))
+    for column in rows[0] if rows else ():
+        try:
+            fields[column] = [float(row[column]) for row in rows]
+        except (TypeError, ValueError):
+            pass  # a text column (ray, direction, case) has no numbers
     return fields
 
 
