@@ -41,6 +41,12 @@ def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def fmt_column(values: np.ndarray) -> list[str]:
+    """fmt of every element of a real array, from one tolist() pass:
+    "%.17g" % x formats a Python float exactly as format(x, ".17g")."""
+    return ["%.17g" % x for x in values.tolist()]
+
+
 def _number(kind, value, where: str):
     """kind(value), with a wrongly typed value reported as a ConfigError."""
     try:
@@ -211,13 +217,11 @@ def _cmd_solve(rc: RunConfig, out: Path) -> None:
     state, report = solve(rc.solver)
     report["residuals"] = verify(state)
     _write_json(out / "report.json", _round_floats(report))
-    grid = state.problem.grids[+1]
+    s = fmt_column(state.problem.grids[+1].nodes)
     rows = []
-    for ray_idx, label in ((0, "r"), (1, "-r")):
-        for i, s in enumerate(grid.nodes):
-            v = state.values[ray_idx, i]
-            rows.append([fmt(s), label, fmt(v[0].real), fmt(v[0].imag),
-                         fmt(v[1].real), fmt(v[1].imag)])
+    for v, label in zip(state.values, ("r", "-r")):
+        cols = [fmt_column(part) for c in v.T for part in (c.real, c.imag)]
+        rows += [[si, label, *vals] for si, *vals in zip(s, *cols)]
     _write_csv(out / "nodes.csv",
                ["s", "ray", "re_theta1", "im_theta1", "re_theta2", "im_theta2"],
                rows)

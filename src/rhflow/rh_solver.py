@@ -31,11 +31,15 @@ charge.
 At the nodes the ray integrals are node matrices applied to the densities:
 c_same (the coth kernel of a ray on itself, pole removed), the derivative
 stencil fd of the removable limit and c_cross (the kernel between the two
-rays).  All three are real.  _Prepared stores them as one real (3M, M)
-operator, and node_transforms applies it to the real view (M, 8) of both
-sides' densities stacked as (M, 4), in one real product, once per Picard
-step and once per jump check.  Off the nodes, evaluate_theta passes both
-basis targets of a side to integrate_ray as one (2, M) stack.
+rays).  On the uniform node set both kernels are Toeplitz in the node offset
+times the weights, so _Prepared keeps their FFTs on circulants of length 2M
+and O(M) vectors, no M x M matrix: fd's interior rows fold into the coth
+kernel, pv_vec - row_sum is one diagonal and the rows within two nodes of an
+end are corrected directly.  node_transforms applies this to the sum and the
+difference of both sides' densities, stacked as (4, M), with one FFT, one
+product and one inverse FFT, once per Picard step and once per jump check;
+setup and step cost O(M log M) at every M.  Off the nodes, evaluate_theta
+passes both basis targets of a side to integrate_ray as one (2, M) stack.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ import numpy as np
 from .charge_lattice import (Charge, GAMMA1, GAMMA2, Spectrum, extend,
                              require_support)
 from .contour_quadrature import (build_ray_grid, integrate_ray, on_covered_ray,
-                                 pv_coth_closed_form, _derivative_rows)
+                                 _derivative_rows)
 from .errors import (ConfigError, DivergenceError, NonContractionError,
                      TruncationUnsafeError)
 from .spectrum_rays import CentralCharge, RayDirection, admissible_pair
@@ -127,7 +131,7 @@ def _powers(u: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 class _Prepared:
-    """Grids, coefficient families and kernel matrices for one configuration."""
+    """Grids, coefficient families and the node operator for one configuration."""
 
     def __init__(self, cfg: SolverConfig):
         cfg.validate()
@@ -188,24 +192,40 @@ class _Prepared:
                                                      self.grids[side].points())
                              for side in (+1, -1)}
 
-        # kernel matrices shared by both rays (same node set), stacked as one
-        # real operator: rows [0, M) are c_same, [M, 2M) the derivative
-        # stencil fd and [2M, 3M) c_cross, built in place
+        # the node operator, shared by both rays (one node set
+        # s_j = -L + j step).  c_same[i, j] = w_j coth((s_j - s_i)/2), zero
+        # for j = i, and c_cross[i, j] = w_j tanh((s_j - s_i)/2) are Toeplitz
+        # in j - i times the weights, so they act on w h by FFT on circulants
+        # of length 2M.  The interior rows of the derivative stencil 2 w fd
+        # fold into the coth kernel at offsets +-1 and +-2; the rows within
+        # two nodes of an end are corrected by edge_lo and edge_hi, and
+        # pv_vec - row_sum is one diagonal.  node_transforms applies all of it
+        # to the sum and the difference of the two sides' densities; the 1/2
+        # that recovers each side is folded into the stored spectra (with the
+        # 1/2M of the inverse FFT), diagonal and edge rows.
         g0 = self.grids[+1]
         s, w, step, L, M = g0.nodes, g0.weights, g0.step, g0.half_width, cfg.M
-        self.ops = np.empty((3 * M, M))
-        same, cross = self.ops[:M], self.ops[2 * M:]
-        np.subtract(s[None, :], s[:, None], out=same)
-        same *= 0.5
-        np.tanh(same, out=same)
-        np.multiply(w, same, out=cross)
-        with np.errstate(divide="ignore"):
-            np.divide(1.0, same, out=same)
-        np.fill_diagonal(same, 0.0)
-        same *= w
-        self.row_sum = same.sum(axis=1)
-        self.ops[M:2 * M] = _derivative_rows(M, np.arange(M), step)
-        self.pv_vec = np.array([pv_coth_closed_form(L, si, step) for si in s])
+        offsets = step * np.arange(1, M)
+        cross = np.tanh(0.5 * offsets)
+        coth = 1.0 / cross
+        same = coth.copy()
+        same[:2] += np.array([8.0, -1.0]) / (6.0 * step)
+        coth_hat, same_hat, cross_hat = map(_circulant_fft, (coth, same, cross))
+        row_sum = np.fft.ifft(np.fft.fft(w, 2 * M) * coth_hat)[:M].real
+        # pv_coth_closed_form at every node
+        sc = np.clip(s, -L + 0.5 * step, L - 0.5 * step)
+        pv_vec = 2.0 * (np.log(np.sinh(0.5 * (L - sc))) - np.log(np.sinh(0.5 * (L + sc))))
+        self.half_diag = 0.5 * (pv_vec - row_sum)
+        self.half_spectra = np.repeat([same_hat + cross_hat, same_hat - cross_hat],
+                                      2, axis=0) / (4 * M)
+        # edge rows: the exact stencil rows 2 w_i fd[i] less what the folded
+        # kernel applies there (half end weights, shifted end stencils)
+        edge = np.array([0, 1, 2, M - 3, M - 2, M - 1])
+        fix = 2.0 * w[edge, None] * _derivative_rows(M, edge, step)
+        for off, c in ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0)):
+            rows = np.flatnonzero((edge + off >= 0) & (edge + off < M))
+            fix[rows, edge[rows] + off] -= c / (6.0 * step) * w[edge[rows] + off]
+        self.edge_lo, self.edge_hi = 0.5 * fix[:3, :5].T, 0.5 * fix[3:, -5:].T
         self.weights = w
 
     def densities(self, values: np.ndarray) -> dict[int, np.ndarray]:
@@ -229,28 +249,42 @@ class _Prepared:
             x *= factor
             return (fk @ x).T
 
-    def node_transforms(self, dens: dict[int, np.ndarray]
-                        ) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
-        """Ray integrals at the nodes, per side, of the densities of both
-        sides (shape (M, 2) each), from one real product of the stacked
-        operator with the real view (M, 8) of their (M, 4) stack.
+    def node_transforms(self, dens: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
+        """Principal value, at each side's nodes, of the integral over both
+        rays of the two sides' densities (shape (M, 2) each): for side s,
+        c_same h_s - row_sum h_s + 2 w (fd h_s) + pv_vec h_s + c_cross h_-s.
 
-        Returns the principal value of each ray's own integral,
-        c_same h - row_sum h + 2 w (fd h) + pv_vec h, and the integral of
-        the opposite ray's density, c_cross h, both at the side's nodes.
+        With u and v the half sum and half difference of h_+1 and h_-1, side
+        s is (same + cross) u + s (same - cross) v (plus the diagonal and
+        edge rows of same), from one FFT of the weighted (4, M) stack of
+        h_+1 + h_-1 and h_+1 - h_-1 (the halves are in the stored spectra,
+        diagonal and edges), one product with the spectra and one inverse FFT.
         """
         M = self.cfg.M
-        stack = np.empty((M, 4), dtype=complex)
-        stack[:, :2], stack[:, 2:] = dens[+1], dens[-1]
-        prod = (self.ops @ stack.view(float)).view(complex)
-        pv, cross = {}, {}
-        for side, cols in ((+1, slice(0, 2)), (-1, slice(2, 4))):
-            h = dens[side]
-            pv[side] = (prod[:M, cols] - self.row_sum[:, None] * h
-                        + 2.0 * self.weights[:, None] * prod[M:2 * M, cols]
-                        + self.pv_vec[:, None] * h)
-            cross[-side] = prod[2 * M:, cols]
-        return pv, cross
+        hp, hm = dens[+1].T, dens[-1].T
+        uv = np.empty((4, M), dtype=complex)
+        np.add(hp, hm, out=uv[:2])
+        np.subtract(hp, hm, out=uv[2:])
+        work = np.zeros((4, 2 * M), dtype=complex)  # in place, zero-padded
+        np.multiply(uv, self.weights, out=work[:, :M])
+        np.fft.fft(work, out=work)
+        work *= self.half_spectra
+        # unscaled inverse: half_spectra carries the 1/2M
+        out = np.fft.ifft(work, norm="forward", out=work)[:, :M]
+        out += self.half_diag * uv
+        out[:, :3] += uv[:, :5] @ self.edge_lo
+        out[:, -3:] += uv[:, -5:] @ self.edge_hi
+        return {+1: (out[:2] + out[2:]).T, -1: (out[:2] - out[2:]).T}
+
+
+def _circulant_fft(k: np.ndarray) -> np.ndarray:
+    """FFT of the circulant of length 2M that embeds the Toeplitz matrix
+    T[i, j] = k(j - i) of an odd kernel, given as k(1), ..., k(M - 1):
+    (T g)_i = ifft(fft(g, 2M) * result)_i for i < M."""
+    col = np.zeros(2 * len(k) + 2)
+    col[1:len(k) + 1] = -k
+    col[len(k) + 2:] = k[::-1]
+    return np.fft.fft(col)
 
 
 def _boundary_value(pv: np.ndarray, dens: np.ndarray, sign: int) -> np.ndarray:
@@ -307,10 +341,10 @@ def iterate_once(state: ThetaState) -> ThetaState:
     new = np.empty_like(state.values)
     theta_vec = np.array(prep.cfg.theta, dtype=complex)
 
-    pv, cross = prep.node_transforms(dens)
+    pv = prep.node_transforms(dens)
     for s, ray_idx in ((+1, 0), (-1, 1)):
         stored = _boundary_value(pv[s], dens[s], -1)
-        new[ray_idx] = theta_vec[None, :] - (stored + cross[s]) / FOUR_PI
+        new[ray_idx] = theta_vec[None, :] - stored / FOUR_PI
     return ThetaState(new, prep)
 
 
@@ -462,13 +496,11 @@ def check_jump(state: ThetaState) -> float:
     state.guard()
     dens = state.densities
     theta_vec = np.array(prep.cfg.theta, dtype=complex)
-    pv, cross = prep.node_transforms(dens)
+    pv = prep.node_transforms(dens)
     worst = 0.0
-    for s, ray_idx in ((+1, 0), (-1, 1)):
-        theta_minus = theta_vec[None, :] - (_boundary_value(pv[s], dens[s], -1)
-                                            + cross[s]) / FOUR_PI
-        theta_plus = theta_vec[None, :] - (_boundary_value(pv[s], dens[s], +1)
-                                           + cross[s]) / FOUR_PI
+    for s in (+1, -1):
+        theta_minus = theta_vec[None, :] - _boundary_value(pv[s], dens[s], -1) / FOUR_PI
+        theta_plus = theta_vec[None, :] - _boundary_value(pv[s], dens[s], +1) / FOUR_PI
         y_minus = np.exp(prep.basis_static[s].T + 1j * theta_minus)
         y_plus = np.exp(prep.basis_static[s].T + 1j * theta_plus)
         predicted = y_minus * np.exp(dens[s])
@@ -491,8 +523,10 @@ def _midpoint_jump_residual(state: ThetaState, s: int) -> float:
     return float(np.max(np.abs(predicted - y_plus) / np.abs(y_plus)))
 
 
+@functools.lru_cache(maxsize=32)
 def reality_samples(r: RayDirection, count: int = 64, seed: int = 2026) -> np.ndarray:
-    """Deterministic off-contour sample points for the reality check."""
+    """Deterministic off-contour sample points for the reality check, drawn
+    once per ray, count and seed and returned read-only."""
     rng = np.random.default_rng(seed)
     out = []
     while len(out) < count:
@@ -501,7 +535,9 @@ def reality_samples(r: RayDirection, count: int = 64, seed: int = 2026) -> np.nd
         # distance to the contour line, mod pi, keeps both rays excluded
         if abs(math.remainder(ang - r.phase, math.pi)) > 0.15:
             out.append(rho * complex(math.cos(ang), math.sin(ang)))
-    return np.array(out)
+    pts = np.array(out)
+    pts.flags.writeable = False
+    return pts
 
 
 def check_reality(state: ThetaState, count: int = 64) -> float:

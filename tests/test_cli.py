@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rhflow.cli_driver import fmt, load_config, main
+from rhflow.cli_driver import fmt, fmt_column, load_config, main
 from rhflow.errors import ConfigError
 
 PENTAGON = {
@@ -31,6 +35,13 @@ def write_cfg(tmp_path, doc, name="cfg.json"):
 def test_fmt_round_trips():
     for x in (1 / 3, 2.5e-17, 123456.789):
         assert float(fmt(x)) == x
+
+
+def test_fmt_column_matches_fmt_on_special_values():
+    values = np.array([0.0, -0.0, 5e-324, -5e-324, 1.8e308, -1.8e308, 1 / 3,
+                       2.5e-17, np.inf, -np.inf, np.nan])
+    assert fmt_column(values) == [fmt(x) for x in values]
+    assert fmt_column(values)[:3] == ["0", "-0", "4.9406564584124654e-324"]
 
 
 def test_load_config_defaults():
@@ -428,3 +439,22 @@ def test_artifacts_are_byte_identical_across_runs(tmp_path):
     assert main(["solve", "--config", str(cfg), "--out", str(out2), "--seed", "5"]) == 0
     for name in ("report.json", "nodes.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_solve_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the node operator is applied by FFT, not by a BLAS product; at M = 514
+    # a threaded GEMM split the product differently from the 1-thread one
+    doc = json.loads(json.dumps(PENTAGON))
+    doc["problem"].update(R=1.0, M=514)
+    cfg = write_cfg(tmp_path, doc)
+    src = Path(__file__).resolve().parent.parent / "src"
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-m", "rhflow.cli_driver", "solve",
+                               "--config", str(cfg), "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append((out / "nodes.csv").read_bytes())
+    assert outs[0] == outs[1]

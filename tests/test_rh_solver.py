@@ -385,6 +385,30 @@ def test_generic_two_pair_spectrum():
         assert abs(rho - c) < 1e-6 * abs(c)
 
 
+def test_reality_samples_are_drawn_once_per_ray(monkeypatch):
+    # a sweep_r-style run: three verified solves on one ray draw the samples
+    # once, and the kept points are the ones a fresh draw gives
+    import rhflow.rh_solver as rh
+    rh.reality_samples.cache_clear()
+    draws = []
+    original = np.random.default_rng
+
+    def counting(*args, **kwargs):
+        draws.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    states = [solve(pentagon_cfg(R=R))[0] for R in (4.0, 1.0, 0.3)]
+    for state in states:
+        verify(state)
+    assert len(draws) == 1
+    r = states[0].problem.r
+    assert all(st.problem.r == r for st in states)
+    kept = rh.reality_samples(r, 64)
+    assert not kept.flags.writeable
+    assert kept.tobytes() == rh.reality_samples.__wrapped__(r, 64).tobytes()
+
+
 def test_reality_residual_invariant_under_angle_period():
     cfg = pentagon_cfg(M=64)
     state, _ = solve(cfg)
@@ -469,32 +493,33 @@ def test_solve_makes_few_ray_integrals(monkeypatch):
     assert 0 < len(calls) <= 24
 
 
-def test_iterate_once_matches_the_split_formula():
+@pytest.mark.parametrize("M", [128, 512, 2048])
+def test_iterate_once_matches_the_split_formula(M):
     # Theta_k <- theta_k - [B(-) h_same + C_cross h_other] / 4 pi with
     # B(-) h = C_same h - diag(row sums) h + 2 w (D h) + diag(pv) h - 2 pi i h,
-    # the three real node matrices rebuilt here from the grid
-    cfg = pentagon_cfg(R=0.3)
+    # the real node matrices rebuilt densely here from the grid and the
+    # stencil D applied row by row
+    cfg = pentagon_cfg(R=0.3, M=M)
     state = iterate_once(iterate_once(init_state(cfg)))
     g = state.problem.grids[+1]
-    s, w, step, M = g.nodes, g.weights, g.step, cfg.M
-    diff = s[None, :] - s[:, None]
+    s, w, step = g.nodes, g.weights, g.step
+    c_cross = np.subtract(s[None, :], s[:, None])
+    c_cross *= 0.5
+    np.tanh(c_cross, out=c_cross)
     with np.errstate(divide="ignore"):
-        coth = 1.0 / np.tanh(0.5 * diff)
-    np.fill_diagonal(coth, 0.0)
-    c_same = w * coth
-    c_cross = w * np.tanh(0.5 * diff)
-    fd = np.zeros((M, M))
-    for row in range(M):
-        j = min(max(row, 2), M - 3)
-        fd[row, j - 2:j + 3] = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * step)
+        c_same = np.divide(w, c_cross)
+    np.fill_diagonal(c_same, 0.0)
+    c_cross *= w
+    j = np.clip(np.arange(M), 2, M - 3)
     pv_vec = np.array([pv_coth_closed_form(g.half_width, si, step) for si in s])
     dens = state.densities
     new = iterate_once(state).values
     theta = np.array(cfg.theta)
     for side, ray in ((+1, 0), (-1, 1)):
         h = dens[side]
+        fd_h = (h[j - 2] - 8.0 * h[j - 1] + 8.0 * h[j + 1] - h[j + 2]) / (12.0 * step)
         same = (c_same @ h - c_same.sum(axis=1)[:, None] * h
-                + 2.0 * w[:, None] * (fd @ h) + pv_vec[:, None] * h
+                + 2.0 * w[:, None] * fd_h + pv_vec[:, None] * h
                 - 2j * math.pi * h)
         expected = theta - (same + c_cross @ dens[-side]) / (4.0 * math.pi)
         assert np.max(np.abs(new[ray] - expected)) <= 1e-15 * np.max(np.abs(expected))
@@ -551,10 +576,24 @@ def test_densities_match_one_exp_per_charge(kw):
     assert np.max(np.abs(pushed.imag)) > 0.5
 
 
-def test_node_operator_is_real():
-    for M in (64, 128):
-        ops = init_state(pentagon_cfg(M=M)).problem.ops
-        assert ops.dtype == np.float64 and ops.shape == (3 * M, M)
+def _arrays(obj):
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for v in obj.values():
+            yield from _arrays(v)
+    elif isinstance(obj, (list, tuple)):
+        for v in obj:
+            yield from _arrays(v)
+
+
+def test_prepared_keeps_no_square_array():
+    # the node operator is kept as kernel spectra and O(M) vectors; nothing
+    # of the problem grows like M^2
+    M = 4096
+    prep = init_state(pentagon_cfg(M=M)).problem
+    sizes = [a.size for a in _arrays(vars(prep))]
+    assert sizes and max(sizes) < M * M
 
 
 def test_evaluate_theta_both_sides_match_the_single_sides_bit_for_bit():

@@ -13,8 +13,8 @@ every exit code matches, 1 otherwise.
 
 The op list is the first block of each `bench/workloads.py` generator
 (imported read-only) at fixed seeds, pentagon `solve` at R in {0.01, 0.05,
-0.08} with tol 1e-14 (small R, where the iteration diverges), at R = 0.3
-with max_iter 3 (no convergence: the error carries the last delta and the
+0.08} with tol 1e-14 (small R, where the iteration diverges), at R = 1
+with M = 2048 (a wide grid), at R = 0.3 with max_iter 3 (no convergence: the error carries the last delta and the
 worst ratio) and at M = 64 with ball_epsilon 1e-10 (every iterate leaves
 the ball), `sweep_r` over R in {4, 0.3} at max_iter 5, `smoothness`
 in every probe direction at orders 1 to 3 and once where a converged
@@ -74,6 +74,8 @@ def pinned_ops() -> list[dict]:
     for R in (0.01, 0.05, 0.08):
         add(f"solve-small-R{R}", "solve",
             {"problem": dict(PENTAGON, R=R, tol=1e-14)})
+    # a wide grid: the node operator's FFT application at M = 2048
+    add("solve-M2048", "solve", {"problem": dict(PENTAGON, R=1.0, M=2048)})
     add("solve-no-convergence", "solve", {"problem": dict(PENTAGON, R=0.3, max_iter=3)})
     add("solve-ball-exits", "solve",
         {"problem": dict(PENTAGON, M=64, ball_epsilon=1e-10)})
