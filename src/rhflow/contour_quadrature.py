@@ -3,9 +3,13 @@
 Rays through the origin are parametrized as zeta' = e^(s + i phase), which
 turns the measure dzeta'/zeta' into ds and places the peak of the
 exponential integrands at s = 0.  Off-ray values are plain trapezoid sums;
-boundary values on the integration ray use singularity subtraction with the
-closed-form principal value of the coth kernel plus the half-residue term
-of the chosen side.
+boundary values at arbitrary points of the integration ray (the scalar
+boundary-value solution, the saddle comparison, rh_solver.evaluate_theta)
+use singularity subtraction with the closed-form principal value of the
+coth kernel plus the half-residue term of the chosen side.  rh_solver's
+node values use the alternating-point rule instead; that rule is spectral
+only for densities that decay at the ends of the grid, and scalar densities
+may keep constant tails, where it is first order.
 """
 
 from __future__ import annotations
@@ -68,15 +72,15 @@ def on_covered_ray(grid: RayGrid, zeta) -> np.ndarray:
     return (np.abs(rel) <= EPS_ANGLE) & (np.abs(s) <= grid.half_width)
 
 
-def pv_coth_closed_form(L: float, s: float, step: float) -> float:
-    """PV integral of coth((t - s)/2) over [-L, L].
+def pv_coth_closed_form(L: float, s, step: float):
+    """PV integral of coth((t - s)/2) over [-L, L], at one pole s or at an
+    array of poles.
 
     The pole is clipped half a step inside the grid so endpoint nodes,
     whose densities are at tail level anyway, stay finite.
     """
-    sc = min(max(s, -L + 0.5 * step), L - 0.5 * step)
-    return 2.0 * (math.log(math.sinh(0.5 * (L - sc))) -
-                  math.log(math.sinh(0.5 * (L + sc))))
+    sc = np.clip(s, -L + 0.5 * step, L - 0.5 * step)
+    return 2.0 * (np.log(np.sinh(0.5 * (L - sc))) - np.log(np.sinh(0.5 * (L + sc))))
 
 
 def _derivative_rows(M: int, idx: np.ndarray, step: float) -> np.ndarray:
@@ -146,10 +150,7 @@ def integrate_ray(grid: RayGrid, values: np.ndarray, zeta, side: str = "off"):
     if not np.all(on_covered_ray(grid, zs)):
         raise SingularKernelError("boundary value requested off the covered ray")
     L, step = grid.half_width, grid.step
-    # log radii and closed forms per point in scalar math: numpy's vectorised
-    # log rounds differently from libm's on some inputs, and the node
-    # operator of rh_solver and the written artifacts use libm's
-    s_star = np.array([math.log(abs(p)) for p in zs.tolist()], dtype=float)
+    s_star = np.log(np.abs(zs))
     i = np.rint((s_star + L) / step).astype(int)
     node = np.abs(grid.nodes[i] - s_star) < 1e-9 * step
     s_pole = np.where(node, grid.nodes[i], s_star)
@@ -160,8 +161,7 @@ def integrate_ray(grid: RayGrid, values: np.ndarray, zeta, side: str = "off"):
     wcoth *= grid.weights
     node_weights = grid.weights[i[node]] * 2.0
     stencils = _derivative_rows(grid.count, i[node], step)
-    closed = np.array([pv_coth_closed_form(L, p, step) for p in s_pole.tolist()],
-                      dtype=float)
+    closed = pv_coth_closed_form(L, s_pole, step)
     lagrange = _lagrange_weights(grid, s_star)
     plus, minus = [], []
     for hk in rows:

@@ -9,8 +9,8 @@ sampled on the two contour rays.  One iteration evaluates
 with the coefficient families f from the exact log expansion of the side
 jump maps.  Stored node values are the boundary values from the clockwise
 side of each outward-oriented ray; with that convention the counterclockwise
-limit satisfies the multiplicative jump exactly, which is what check_jump
-verifies.
+limit satisfies the multiplicative jump exactly at the nodes; check_jump
+verifies it between them.
 
 A state is its node values and its prepared problem; every function of a
 state reads the configuration from state.problem.cfg.  iterate_once is the
@@ -28,16 +28,15 @@ nodes once per problem, and a step takes two exps per node, u_k =
 e^{i Theta_k}, and the integer powers of u_k from one table per basis
 charge.
 
-At the nodes the ray integrals are node matrices applied to the densities:
-c_same (the coth kernel of a ray on itself, pole removed), the derivative
-stencil fd of the removable limit and c_cross (the kernel between the two
-rays).  On the uniform node set both kernels are Toeplitz in the node offset
-times the weights, so _Prepared keeps their FFTs on circulants of length 2M
-and O(M) vectors, no M x M matrix: fd's interior rows fold into the coth
-kernel, pv_vec - row_sum is one diagonal and the rows within two nodes of an
-end are corrected directly.  node_transforms applies this to the sum and the
-difference of both sides' densities, stacked as (4, M), with one FFT, one
-product and one inverse FFT, once per Picard step and once per jump check;
+At the nodes the ray integrals are two node matrices applied to the
+densities: c_same, the principal value of the coth kernel of a ray on
+itself by the alternating-point rule (twice the kernel at odd node offsets,
+zero at even ones; spectrally accurate for these decaying densities), and
+c_cross, the tanh kernel between the two rays.  On the uniform node set both
+are Toeplitz in the node offset times the weights, so _Prepared keeps their
+FFTs on circulants of length 2M, no M x M matrix.  node_transforms applies
+them to the sum and the difference of both sides' densities, stacked as
+(4, M), with one FFT, one product and one inverse FFT, once per Picard step;
 setup and step cost O(M log M) at every M.  Off the nodes, evaluate_theta
 passes both basis targets of a side to integrate_ray as one (2, M) stack.
 """
@@ -54,8 +53,7 @@ import numpy as np
 
 from .charge_lattice import (Charge, GAMMA1, GAMMA2, Spectrum, extend,
                              require_support)
-from .contour_quadrature import (build_ray_grid, integrate_ray, on_covered_ray,
-                                 _derivative_rows)
+from .contour_quadrature import build_ray_grid, integrate_ray, on_covered_ray
 from .errors import (ConfigError, DivergenceError, NonContractionError,
                      TruncationUnsafeError)
 from .spectrum_rays import CentralCharge, RayDirection, admissible_pair
@@ -186,47 +184,28 @@ class _Prepared:
                            [v2 for _, _, v2 in charges]], dtype=complex)
             self.coords[side] = (c1, c2, fk)
 
-        # basis-charge exponents on both grids, for the jump checks
+        # central values of the basis charges, for the jump check
         self.basis_central = np.array([extend(g, *basis) for g in (GAMMA1, GAMMA2)])
-        self.basis_static = {side: _static_exponents(cfg, self.basis_central[:, None],
-                                                     self.grids[side].points())
-                             for side in (+1, -1)}
 
         # the node operator, shared by both rays (one node set
-        # s_j = -L + j step).  c_same[i, j] = w_j coth((s_j - s_i)/2), zero
-        # for j = i, and c_cross[i, j] = w_j tanh((s_j - s_i)/2) are Toeplitz
-        # in j - i times the weights, so they act on w h by FFT on circulants
-        # of length 2M.  The interior rows of the derivative stencil 2 w fd
-        # fold into the coth kernel at offsets +-1 and +-2; the rows within
-        # two nodes of an end are corrected by edge_lo and edge_hi, and
-        # pv_vec - row_sum is one diagonal.  node_transforms applies all of it
-        # to the sum and the difference of the two sides' densities; the 1/2
-        # that recovers each side is folded into the stored spectra (with the
-        # 1/2M of the inverse FFT), diagonal and edge rows.
+        # s_j = -L + j step).  The principal value of the coth kernel of a ray
+        # on itself is the alternating-point rule, c_same[i, j] =
+        # 2 w_j coth((s_j - s_i)/2) for odd j - i and zero for even j - i
+        # (Sidi & Israeli 1988), and c_cross[i, j] = w_j tanh((s_j - s_i)/2)
+        # is the kernel between the two rays.  Both are Toeplitz in j - i
+        # times the weights, so they act on w h by FFT on circulants of length
+        # 2M.  node_transforms applies them to the sum and the difference of
+        # the two sides' densities; the 1/2 that recovers each side is folded
+        # into the stored spectra, with the 1/2M of the inverse FFT.
         g0 = self.grids[+1]
-        s, w, step, L, M = g0.nodes, g0.weights, g0.step, g0.half_width, cfg.M
-        offsets = step * np.arange(1, M)
-        cross = np.tanh(0.5 * offsets)
-        coth = 1.0 / cross
-        same = coth.copy()
-        same[:2] += np.array([8.0, -1.0]) / (6.0 * step)
-        coth_hat, same_hat, cross_hat = map(_circulant_fft, (coth, same, cross))
-        row_sum = np.fft.ifft(np.fft.fft(w, 2 * M) * coth_hat)[:M].real
-        # pv_coth_closed_form at every node
-        sc = np.clip(s, -L + 0.5 * step, L - 0.5 * step)
-        pv_vec = 2.0 * (np.log(np.sinh(0.5 * (L - sc))) - np.log(np.sinh(0.5 * (L + sc))))
-        self.half_diag = 0.5 * (pv_vec - row_sum)
+        M = cfg.M
+        cross = np.tanh(0.5 * g0.step * np.arange(1, M))
+        same = 2.0 / cross
+        same[1::2] = 0.0  # even offsets
+        same_hat, cross_hat = _circulant_fft(same), _circulant_fft(cross)
         self.half_spectra = np.repeat([same_hat + cross_hat, same_hat - cross_hat],
                                       2, axis=0) / (4 * M)
-        # edge rows: the exact stencil rows 2 w_i fd[i] less what the folded
-        # kernel applies there (half end weights, shifted end stencils)
-        edge = np.array([0, 1, 2, M - 3, M - 2, M - 1])
-        fix = 2.0 * w[edge, None] * _derivative_rows(M, edge, step)
-        for off, c in ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0)):
-            rows = np.flatnonzero((edge + off >= 0) & (edge + off < M))
-            fix[rows, edge[rows] + off] -= c / (6.0 * step) * w[edge[rows] + off]
-        self.edge_lo, self.edge_hi = 0.5 * fix[:3, :5].T, 0.5 * fix[3:, -5:].T
-        self.weights = w
+        self.weights = g0.weights
 
     def densities(self, values: np.ndarray) -> dict[int, np.ndarray]:
         """Combined density per side and target, shape (M, 2), from the node
@@ -252,28 +231,24 @@ class _Prepared:
     def node_transforms(self, dens: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
         """Principal value, at each side's nodes, of the integral over both
         rays of the two sides' densities (shape (M, 2) each): for side s,
-        c_same h_s - row_sum h_s + 2 w (fd h_s) + pv_vec h_s + c_cross h_-s.
+        c_same h_s + c_cross h_-s.
 
         With u and v the half sum and half difference of h_+1 and h_-1, side
-        s is (same + cross) u + s (same - cross) v (plus the diagonal and
-        edge rows of same), from one FFT of the weighted (4, M) stack of
-        h_+1 + h_-1 and h_+1 - h_-1 (the halves are in the stored spectra,
-        diagonal and edges), one product with the spectra and one inverse FFT.
+        s is (same + cross) u + s (same - cross) v, from one FFT of the
+        weighted (4, M) stack of h_+1 + h_-1 and h_+1 - h_-1 (the halves are
+        in the stored spectra), one product with the spectra and one inverse
+        FFT.
         """
         M = self.cfg.M
         hp, hm = dens[+1].T, dens[-1].T
-        uv = np.empty((4, M), dtype=complex)
-        np.add(hp, hm, out=uv[:2])
-        np.subtract(hp, hm, out=uv[2:])
         work = np.zeros((4, 2 * M), dtype=complex)  # in place, zero-padded
-        np.multiply(uv, self.weights, out=work[:, :M])
+        np.add(hp, hm, out=work[:2, :M])
+        np.subtract(hp, hm, out=work[2:, :M])
+        work[:, :M] *= self.weights
         np.fft.fft(work, out=work)
         work *= self.half_spectra
         # unscaled inverse: half_spectra carries the 1/2M
         out = np.fft.ifft(work, norm="forward", out=work)[:, :M]
-        out += self.half_diag * uv
-        out[:, :3] += uv[:, :5] @ self.edge_lo
-        out[:, -3:] += uv[:, -5:] @ self.edge_hi
         return {+1: (out[:2] + out[2:]).T, -1: (out[:2] - out[2:]).T}
 
 
@@ -285,13 +260,6 @@ def _circulant_fft(k: np.ndarray) -> np.ndarray:
     col[1:len(k) + 1] = -k
     col[len(k) + 2:] = k[::-1]
     return np.fft.fft(col)
-
-
-def _boundary_value(pv: np.ndarray, dens: np.ndarray, sign: int) -> np.ndarray:
-    """Boundary value of a ray integral at the ray's own nodes from its
-    principal value; sign +1 gives the counterclockwise limit, -1 the
-    clockwise (stored) one."""
-    return pv + sign * 2j * math.pi * dens
 
 
 @dataclass
@@ -343,7 +311,7 @@ def iterate_once(state: ThetaState) -> ThetaState:
 
     pv = prep.node_transforms(dens)
     for s, ray_idx in ((+1, 0), (-1, 1)):
-        stored = _boundary_value(pv[s], dens[s], -1)
+        stored = pv[s] - 2j * math.pi * dens[s]  # the clockwise limit
         new[ray_idx] = theta_vec[None, :] - stored / FOUR_PI
     return ThetaState(new, prep)
 
@@ -485,42 +453,39 @@ def check_jump(state: ThetaState) -> float:
     """Sup relative residual of the multiplicative jump on both rays.
 
     The counterclockwise boundary values must equal the side's jump map
-    applied to the clockwise values: Y+ = Y- * exp(sum_g f_g Y_g^-).  The
-    check runs at the nodes and at the midpoints between them; at a node
-    the discrete representation satisfies the jump by construction, while
-    a midpoint compares the interpolated boundary transform against the
-    jump series evaluated on the there-computed solution, so quadrature
-    and interpolation error stay visible.
+    applied to the clockwise values: Y+ = Y- * exp(sum_g f_g Y_g^-).  At a
+    node this holds to rounding by construction (Theta+ - Theta- = -i h), so
+    the check runs at about 32 midpoints between the nodes of each ray,
+    where quadrature error stays visible.  A midpoint sits half a step from
+    its neighbours, so the plain trapezoid sum over all nodes of its own ray
+    is the alternating-point rule of the half-step grid; the density there is
+    band-limited (sinc) interpolation of the node values, and the other
+    ray's integral is off-ray.  A non-finite residual is returned as such.
     """
     prep = state.problem
+    cfg = prep.cfg
     state.guard()
     dens = state.densities
-    theta_vec = np.array(prep.cfg.theta, dtype=complex)
-    pv = prep.node_transforms(dens)
-    worst = 0.0
+    theta = np.array(cfg.theta, dtype=complex)[:, None]
+    worst = []
     for s in (+1, -1):
-        theta_minus = theta_vec[None, :] - _boundary_value(pv[s], dens[s], -1) / FOUR_PI
-        theta_plus = theta_vec[None, :] - _boundary_value(pv[s], dens[s], +1) / FOUR_PI
-        y_minus = np.exp(prep.basis_static[s].T + 1j * theta_minus)
-        y_plus = np.exp(prep.basis_static[s].T + 1j * theta_plus)
-        predicted = y_minus * np.exp(dens[s])
-        worst = max(worst, float(np.max(np.abs(predicted - y_plus) / np.abs(y_plus))))
-        worst = max(worst, _midpoint_jump_residual(state, s))
-    return worst
-
-
-def _midpoint_jump_residual(state: ThetaState, s: int) -> float:
-    prep = state.problem
-    cfg = prep.cfg
-    grid = prep.grids[s]
-    mids = 0.5 * (grid.nodes[:-1] + grid.nodes[1:])
-    zeta = np.exp(mids[:: max(1, len(mids) // 32)]) * grid.direction.unit()
-    tp, tm = (np.stack(th, axis=1) for th in evaluate_theta(state, zeta, side="both"))
-    basis = _static_exponents(cfg, prep.basis_central[:, None], zeta).T
-    y_plus = np.exp(basis + 1j * tp)
-    factor = np.exp(_static_exponents(cfg, prep.central[s][:, None], zeta))
-    predicted = np.exp(basis + 1j * tm) * np.exp(prep.series(s, factor, tm))
-    return float(np.max(np.abs(predicted - y_plus) / np.abs(y_plus)))
+        grid = prep.grids[s]
+        mids = 0.5 * (grid.nodes[:-1] + grid.nodes[1:])
+        mids = mids[:: max(1, len(mids) // 32)]
+        zeta = np.exp(mids) * grid.direction.unit()
+        h = dens[s].T  # one density row per basis target
+        offset = grid.nodes - mids[:, None]
+        pv = h @ (grid.weights / np.tanh(0.5 * offset)).T
+        pv += integrate_ray(prep.grids[-s], dens[-s].T, zeta, side="off")
+        half_jump = 2j * math.pi * (h @ np.sinc(offset / grid.step).T)
+        tp = (theta - (pv + half_jump) / FOUR_PI).T
+        tm = (theta - (pv - half_jump) / FOUR_PI).T
+        basis = _static_exponents(cfg, prep.basis_central[:, None], zeta).T
+        y_plus = np.exp(basis + 1j * tp)
+        factor = np.exp(_static_exponents(cfg, prep.central[s][:, None], zeta))
+        predicted = np.exp(basis + 1j * tm) * np.exp(prep.series(s, factor, tm))
+        worst.append(np.abs(predicted - y_plus) / np.abs(y_plus))
+    return float(np.max(worst))
 
 
 @functools.lru_cache(maxsize=32)

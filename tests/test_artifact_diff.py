@@ -44,3 +44,34 @@ def test_csv_fields_are_the_numeric_columns(tmp_path):
     assert fields == {"index": [0.0, 0.0], "re_theta1": [0.5, 0.25]}
     assert artifact_diff._numeric_fields(base / "solve" / "report.json") == {
         "iterations": [6.0], "theta0[0][0]": [0.7], "theta0[0][1]": [0.0]}
+
+
+def _residual_tree(root: Path, jumps: list, reality: str, boundary: float) -> Path:
+    for i, jump in enumerate(jumps):
+        (root / f"solve-{i}").mkdir(parents=True)
+        (root / f"solve-{i}" / "report.json").write_text(json.dumps(
+            {"iterations": 6, "residuals": {"jump": jump, "reality": 1e-16}}))
+    (root / "sweep").mkdir()
+    (root / "sweep" / "sweep.csv").write_text(
+        "R,iterations,jump_residual,reality_residual\n"
+        f"4.0,2,1e-14,{reality}\n"
+        "0.3,22,1e-13,2e-16\n")
+    (root / "scalar").mkdir()
+    (root / "scalar" / "scalar_report.json").write_text(
+        json.dumps({"eta0": 0.25, "residuals": {"boundary": boundary}}))
+    return root
+
+
+def test_residual_rises_name_the_count_the_largest_rise_and_its_op(tmp_path):
+    base = _residual_tree(tmp_path / "base", [1e-7, 2e-7], "1e-16", 4e-12)
+    tree = _residual_tree(tmp_path / "tree", [1e-13, 3e-7], "nan", 4e-12)
+    lines = artifact_diff.residual_rises(base, tree)
+    assert lines == [
+        "  report.json residuals.jump: 1 of 2 rose; max 2e-07 -> 3e-07; "
+        "largest rise 1e-07 on solve-1",
+        "  report.json residuals.reality: 0 of 2 rose; max 1e-16 -> 1e-16",
+        "  scalar_report.json residuals.boundary: 0 of 1 rose; max 4e-12 -> 4e-12",
+        "  sweep.csv jump_residual: 0 of 2 rose; max 1e-13 -> 1e-13",
+        "  sweep.csv reality_residual: 1 of 2 rose; max 2e-16 -> nan; "
+        "largest rise inf on sweep",
+    ]

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from rhflow.charge_lattice import Charge, GAMMA1, GAMMA2, Spectrum, pentagon_spectrum
-from rhflow.contour_quadrature import pv_coth_closed_form
 from rhflow.errors import (ConfigError, DivergenceError, NonContractionError,
                            TruncationUnsafeError)
 from rhflow.rh_solver import (SolverConfig, ThetaState, _Prepared, asymptotic_theta,
@@ -466,12 +465,22 @@ def test_solve_evaluates_theta_in_batches(monkeypatch):
 
 
 def test_jump_check_sees_discretisation_error():
-    # midpoints off the nodes compare the interpolated boundary transform
-    # against the jump series, so the residual falls as the grid is refined;
-    # at the nodes alone it would hold by construction at every M
-    coarse, _ = solve(pentagon_cfg(R=0.3, M=128))
+    # midpoints off the nodes compare the boundary transform there against
+    # the jump series, so the residual falls as the grid is refined; at the
+    # nodes alone it would hold by construction at every M.  The node rule is
+    # spectral: M = 128 already sits at the rounding floor of M = 512
+    coarse, _ = solve(pentagon_cfg(R=0.3, M=64))
     fine, _ = solve(pentagon_cfg(R=0.3, M=512))
     assert check_jump(coarse) >= 100 * check_jump(fine)
+
+
+def test_jump_check_propagates_a_nan_node_value():
+    state, _ = solve(pentagon_cfg(R=1.0))
+    values = state.values.copy()
+    values[0, 40, 1] = np.nan
+    broken = ThetaState(values, state.problem)
+    assert math.isnan(check_jump(broken))
+    assert math.isnan(verify(broken)["jump"])
 
 
 # ---------------- one operator product per step ----------------
@@ -496,31 +505,25 @@ def test_solve_makes_few_ray_integrals(monkeypatch):
 @pytest.mark.parametrize("M", [128, 512, 2048])
 def test_iterate_once_matches_the_split_formula(M):
     # Theta_k <- theta_k - [B(-) h_same + C_cross h_other] / 4 pi with
-    # B(-) h = C_same h - diag(row sums) h + 2 w (D h) + diag(pv) h - 2 pi i h,
-    # the real node matrices rebuilt densely here from the grid and the
-    # stencil D applied row by row
+    # B(-) h = C_same h - 2 pi i h, the real node matrices rebuilt densely
+    # here: C_same the alternating-point rule 2 w_j coth((s_j - s_i)/2) at odd
+    # j - i, C_cross w_j tanh((s_j - s_i)/2), both from the offsets
+    # (j - i) step (differences of node values lose digits near the diagonal)
     cfg = pentagon_cfg(R=0.3, M=M)
     state = iterate_once(iterate_once(init_state(cfg)))
     g = state.problem.grids[+1]
-    s, w, step = g.nodes, g.weights, g.step
-    c_cross = np.subtract(s[None, :], s[:, None])
-    c_cross *= 0.5
-    np.tanh(c_cross, out=c_cross)
+    w = g.weights
+    k = np.subtract.outer(np.arange(M), np.arange(M)).T  # k[i, j] = j - i
+    c_cross = np.tanh(0.5 * g.step * k)
     with np.errstate(divide="ignore"):
-        c_same = np.divide(w, c_cross)
-    np.fill_diagonal(c_same, 0.0)
+        c_same = np.where(k % 2 == 1, 2.0 / c_cross, 0.0) * w
     c_cross *= w
-    j = np.clip(np.arange(M), 2, M - 3)
-    pv_vec = np.array([pv_coth_closed_form(g.half_width, si, step) for si in s])
     dens = state.densities
     new = iterate_once(state).values
     theta = np.array(cfg.theta)
     for side, ray in ((+1, 0), (-1, 1)):
         h = dens[side]
-        fd_h = (h[j - 2] - 8.0 * h[j - 1] + 8.0 * h[j + 1] - h[j + 2]) / (12.0 * step)
-        same = (c_same @ h - c_same.sum(axis=1)[:, None] * h
-                + 2.0 * w[:, None] * fd_h + pv_vec[:, None] * h
-                - 2j * math.pi * h)
+        same = c_same @ h - 2j * math.pi * h
         expected = theta - (same + c_cross @ dens[-side]) / (4.0 * math.pi)
         assert np.max(np.abs(new[ray] - expected)) <= 1e-15 * np.max(np.abs(expected))
         assert np.max(np.abs(new[ray] - theta)) > 1e-3  # the correction is not trivial
@@ -610,18 +613,3 @@ def test_evaluate_theta_both_sides_match_the_single_sides_bit_for_bit():
                    for a, b in zip(minus, evaluate_theta(state, zeta, side="auto")))
     with pytest.raises(ValueError, match="side"):
         evaluate_theta(state, pts, side="left")
-
-
-def test_check_jump_takes_both_limits_in_one_pass_per_ray(monkeypatch):
-    import rhflow.rh_solver as rh
-    state, _ = solve(pentagon_cfg(R=1.0))
-    sides = []
-    original = rh.evaluate_theta
-
-    def counting(*args, **kwargs):
-        sides.append(kwargs.get("side"))
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(rh, "evaluate_theta", counting)
-    check_jump(state)
-    assert sides == ["both", "both"]

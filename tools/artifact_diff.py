@@ -5,11 +5,12 @@
 Runs a pinned list of ops through `rhflow.cli_driver.main` twice: once on a
 `git archive` of the base ref (default HEAD) and once on the working tree's
 `src`, each side in a fresh interpreter with one BLAS thread (threaded BLAS
-splits products differently by matrix size, on any commit).  Prints the
-`diff -r` of the two output trees and each op's exit codes and, when the
-trees differ, the largest absolute difference of each numeric field of each
-differing JSON or CSV artifact.  Exits 0 when the trees are identical and
-every exit code matches, 1 otherwise.
+splits products differently by matrix size, on any commit).  Prints each op's
+exit codes, the `diff -r` of the two output trees, for each residual field
+how many of its values rose over the base and the largest rise with its op,
+and, when the trees differ, the largest absolute difference of each numeric
+field of each differing JSON or CSV artifact.  Exits 0 when the trees are
+identical and every exit code matches, 1 otherwise.
 
 The op list is the first block of each `bench/workloads.py` generator
 (imported read-only) at fixed seeds, pentagon `solve` at R in {0.01, 0.05,
@@ -39,6 +40,8 @@ import sys
 import tarfile
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -185,6 +188,51 @@ def numeric_differences(base: Path, tree: Path) -> list[str]:
     return lines
 
 
+def _residual_fields(path: Path) -> dict[str, list[float]]:
+    """The residual fields of an artifact: `residuals.*` of `report.json`
+    and `scalar_report.json`, the residual columns of `sweep.csv`."""
+    if path.name in ("report.json", "scalar_report.json"):
+        return {k: v for k, v in _numeric_fields(path).items()
+                if k.startswith("residuals.")}
+    if path.name == "sweep.csv":
+        fields = _numeric_fields(path)
+        return {k: fields[k] for k in ("jump_residual", "reality_residual") if k in fields}
+    return {}
+
+
+def residual_rises(base: Path, tree: Path) -> list[str]:
+    """One line per residual field over all ops: how many of its values rose
+    over the base (a NaN where the base is a number counts as a rise), the
+    largest value on each side (NaN if any is), and the largest rise with
+    the op it occurred on."""
+    values: dict[str, tuple[list, list, list]] = {}  # base, tree, op per value
+    for b in sorted(base.rglob("*")):
+        t = tree / b.relative_to(base)
+        if not (b.is_file() and t.is_file()):
+            continue
+        ft = _residual_fields(t)
+        for field, vb in _residual_fields(b).items():
+            vt = ft.get(field)
+            if vt is None or len(vt) != len(vb):
+                continue  # numeric_differences reports the mismatch
+            xs, ys, ops = values.setdefault(f"{b.name} {field}", ([], [], []))
+            xs += vb
+            ys += vt
+            ops += [b.relative_to(base).parts[0]] * len(vb)
+    lines = []
+    for field, (xs, ys, ops) in sorted(values.items()):
+        rises = [math.inf if math.isnan(y) and not math.isnan(x) else y - x
+                 for x, y in zip(xs, ys)]
+        rose = [i for i, r in enumerate(rises) if r > 0]
+        line = (f"  {field}: {len(rose)} of {len(xs)} rose; "
+                f"max {np.max(xs):.3g} -> {np.max(ys):.3g}")
+        if rose:
+            top = max(rose, key=rises.__getitem__)
+            line += f"; largest rise {rises[top]:.3g} on {ops[top]}"
+        lines.append(line)
+    return lines
+
+
 def run_side(src: str, ops_file: str, out: str) -> None:
     """Run every op with rhflow imported from src; write the exit codes to
     out + '.codes.json' and the artifacts under out/<op name>."""
@@ -238,6 +286,8 @@ def compare(base: str, work: Path) -> int:
         mismatched += b != t
         print(f"  {op['name']:<40} {b} -> {t}{'   MISMATCH' if b != t else ''}")
     print(diff.stdout, end="")
+    print("residuals (values that rose over the base, of all compared):")
+    print("\n".join(residual_rises(work / "out-base", work / "out-tree")))
     identical = diff.returncode == 0
     if not identical:
         print("largest absolute difference per numeric field:")
