@@ -2,14 +2,14 @@
 
 Rays through the origin are parametrized as zeta' = e^(s + i phase), which
 turns the measure dzeta'/zeta' into ds and places the peak of the
-exponential integrands at s = 0.  Off-ray values are plain trapezoid sums;
-boundary values at arbitrary points of the integration ray (the scalar
-boundary-value solution, the saddle comparison, rh_solver.evaluate_theta)
-use singularity subtraction with the closed-form principal value of the
-coth kernel plus the half-residue term of the chosen side.  rh_solver's
-node values use the alternating-point rule instead; that rule is spectral
-only for densities that decay at the ends of the grid, and scalar densities
-may keep constant tails, where it is first order.
+exponential integrands at s = 0.  Off-ray values are plain trapezoid sums.
+On the ray, band_limited_limits serves rh_solver's densities, which decay at
+both grid ends: the principal value of their sinc interpolant is spectral,
+and at the nodes it is the alternating-point rule.  Scalar densities may keep
+constant tails, where sinc interpolation is first order, so the scalar
+solution and the saddle comparison use integrate_ray's singularity
+subtraction: the closed-form principal value of the coth kernel plus the
+half-residue term of the chosen side.
 """
 
 from __future__ import annotations
@@ -64,12 +64,13 @@ def build_ray_grid(direction: RayDirection, decay_scale: float, M: int,
 
 def on_covered_ray(grid: RayGrid, zeta) -> np.ndarray:
     """True where zeta (a point or an array of points) lies on the grid ray,
-    within the angular margin, and inside the covered range |s| <= L."""
+    within the angular margin, and inside the covered range |s| <= L (a few
+    ulps over L still count: log |e^(-L) unit| may round past -L)."""
     z = np.asarray(zeta, dtype=complex)
     with np.errstate(divide="ignore"):
         s = np.log(np.abs(z))
     rel = np.angle(z * np.conj(grid.direction.unit()))
-    return (np.abs(rel) <= EPS_ANGLE) & (np.abs(s) <= grid.half_width)
+    return (np.abs(rel) <= EPS_ANGLE) & (np.abs(s) <= grid.half_width * (1 + 1e-12))
 
 
 def pv_coth_closed_form(L: float, s, step: float):
@@ -83,15 +84,31 @@ def pv_coth_closed_form(L: float, s, step: float):
     return 2.0 * (np.log(np.sinh(0.5 * (L - sc))) - np.log(np.sinh(0.5 * (L + sc))))
 
 
-def _derivative_rows(M: int, idx: np.ndarray, step: float) -> np.ndarray:
-    """Fourth-order central first-derivative stencils at the nodes idx, one
-    row each (shifted near the edges, where the integrands are at tail
-    level)."""
-    j = np.clip(idx, 2, M - 3)
-    rows = np.zeros((len(j), M))
-    for off, c in ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0)):
-        rows[np.arange(len(j)), j + off] += c / (12.0 * step)
-    return rows
+def band_limited_limits(grid: RayGrid, values: np.ndarray, zeta: np.ndarray):
+    """Boundary values (plus, minus) = PV +/- 2 pi i h*, each (K, P), of the
+    integral of K(zeta, .) times a (K, M) stack of densities at P points on
+    the covered ray ("plus" from the counterclockwise side), for the sinc
+    interpolant h*(s) = sum_j h_j sinc((s - s_j)/step) (Stenger 1993).  PV is
+    the trapezoid sum times 1 - cos(pi (s_j - s)/step), 0 at a coincident
+    node (a point within rounding of a node is at it): the alternating-point
+    rule at the nodes (Sidi & Israeli 1988), the trapezoid sum at midpoints.
+    """
+    x = (np.log(np.abs(zeta)) + grid.half_width) / grid.step  # in steps from s_0
+    n = np.rint(x)
+    d = np.where(np.abs(x - n) <= 4 * np.spacing(float(grid.count)), 0.0, x - n)
+    offset = np.arange(grid.count) - (n + d)[:, None]  # (s_j - s) / step
+    # cos and sin of pi (s_j - s)/step are (-1)^(j + n) times those of -pi d:
+    # P cosines and sines, not P x M, and exact at the nodes
+    alt, sign = (-1.0) ** np.arange(grid.count), (-1.0) ** n  # (-1)^j, (-1)^n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kernel = grid.weights / np.tanh(0.5 * grid.step * offset)
+        kernel *= 1.0 - alt * (sign * np.cos(math.pi * d))[:, None]
+        sinc = alt * (sign * np.sin(math.pi * d) / -math.pi)[:, None] / offset
+    kernel[offset == 0], sinc[offset == 0] = 0.0, 1.0
+    h = np.asarray(values, dtype=complex)[:, None, :]  # row by row: batch-free
+    pv = np.sum(kernel * h, axis=2)
+    half_jump = 2j * math.pi * np.sum(sinc * h, axis=2)
+    return pv + half_jump, pv - half_jump
 
 
 def integrate_ray(grid: RayGrid, values: np.ndarray, zeta, side: str = "off"):
@@ -160,12 +177,17 @@ def integrate_ray(grid: RayGrid, values: np.ndarray, zeta, side: str = "off"):
     wcoth[node, i[node]] = 0.0
     wcoth *= grid.weights
     node_weights = grid.weights[i[node]] * 2.0
-    stencils = _derivative_rows(grid.count, i[node], step)
+    # fourth-order derivative stencils at the pole nodes (shifted near the edges)
+    j = np.clip(i[node], 2, grid.count - 3)
+    stencils = np.zeros((len(j), grid.count))
+    for off, c in ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0)):
+        stencils[np.arange(len(j)), j + off] += c / (12.0 * step)
     closed = pv_coth_closed_form(L, s_pole, step)
-    lagrange = _lagrange_weights(grid, s_star)
+    idx, lagrange = _lagrange_weights(grid, s_star)
     plus, minus = [], []
     for hk in rows:
-        h_star = np.where(node, hk[i], _interpolate(hk, *lagrange))
+        interpolated = sum(hk[idx[:, a]] * wa for a, wa in enumerate(lagrange))
+        h_star = np.where(node, hk[i], interpolated)
         terms = hk - h_star[:, None]
         terms *= wcoth
         pv = terms.sum(axis=1)
@@ -204,14 +226,6 @@ def _lagrange_weights(grid: RayGrid, s: np.ndarray) -> tuple[np.ndarray, list]:
             den *= xs[:, a] - xs[:, b]
         weights.append(num / den)
     return idx, weights
-
-
-def _interpolate(h: np.ndarray, idx: np.ndarray, weights: list) -> np.ndarray:
-    """A smooth density interpolated with the stencils of _lagrange_weights."""
-    out = np.zeros(len(idx), dtype=complex)
-    for a, wa in enumerate(weights):
-        out += h[idx[:, a]] * wa
-    return out
 
 
 def sweep_sign(from_dir: RayDirection, to_dir: RayDirection) -> int:

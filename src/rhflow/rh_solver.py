@@ -10,7 +10,7 @@ with the coefficient families f from the exact log expansion of the side
 jump maps.  Stored node values are the boundary values from the clockwise
 side of each outward-oriented ray; with that convention the counterclockwise
 limit satisfies the multiplicative jump exactly at the nodes; check_jump
-verifies it between them.
+verifies it between them, from evaluate_theta's two limits there.
 
 A state is its node values and its prepared problem; every function of a
 state reads the configuration from state.problem.cfg.  iterate_once is the
@@ -28,17 +28,14 @@ nodes once per problem, and a step takes two exps per node, u_k =
 e^{i Theta_k}, and the integer powers of u_k from one table per basis
 charge.
 
-At the nodes the ray integrals are two node matrices applied to the
-densities: c_same, the principal value of the coth kernel of a ray on
-itself by the alternating-point rule (twice the kernel at odd node offsets,
-zero at even ones; spectrally accurate for these decaying densities), and
-c_cross, the tanh kernel between the two rays.  On the uniform node set both
-are Toeplitz in the node offset times the weights, so _Prepared keeps their
-FFTs on circulants of length 2M, no M x M matrix.  node_transforms applies
-them to the sum and the difference of both sides' densities, stacked as
-(4, M), with one FFT, one product and one inverse FFT, once per Picard step;
-setup and step cost O(M log M) at every M.  Off the nodes, evaluate_theta
-passes both basis targets of a side to integrate_ray as one (2, M) stack.
+At the nodes the ray integrals are two Toeplitz kernels times the weights:
+c_same, the coth kernel of a ray on itself by the alternating-point rule
+(spectrally accurate for these decaying densities), and c_cross, the tanh
+kernel between the rays.  _Prepared keeps their FFTs on circulants of length
+2M, and node_transforms applies them in one FFT, product and inverse FFT per
+Picard step.  evaluate_theta passes both basis targets of a side as one
+(2, M) stack: on a ray to contour_quadrature.band_limited_limits, whose node
+rule is c_same's (so it returns the stored values there), else integrate_ray.
 """
 
 from __future__ import annotations
@@ -53,7 +50,8 @@ import numpy as np
 
 from .charge_lattice import (Charge, GAMMA1, GAMMA2, Spectrum, extend,
                              require_support)
-from .contour_quadrature import build_ray_grid, integrate_ray, on_covered_ray
+from .contour_quadrature import (band_limited_limits, build_ray_grid, integrate_ray,
+                                 on_covered_ray)
 from .errors import (ConfigError, DivergenceError, NonContractionError,
                      TruncationUnsafeError)
 from .spectrum_rays import CentralCharge, RayDirection, admissible_pair
@@ -188,15 +186,12 @@ class _Prepared:
         self.basis_central = np.array([extend(g, *basis) for g in (GAMMA1, GAMMA2)])
 
         # the node operator, shared by both rays (one node set
-        # s_j = -L + j step).  The principal value of the coth kernel of a ray
-        # on itself is the alternating-point rule, c_same[i, j] =
-        # 2 w_j coth((s_j - s_i)/2) for odd j - i and zero for even j - i
-        # (Sidi & Israeli 1988), and c_cross[i, j] = w_j tanh((s_j - s_i)/2)
-        # is the kernel between the two rays.  Both are Toeplitz in j - i
-        # times the weights, so they act on w h by FFT on circulants of length
-        # 2M.  node_transforms applies them to the sum and the difference of
-        # the two sides' densities; the 1/2 that recovers each side is folded
-        # into the stored spectra, with the 1/2M of the inverse FFT.
+        # s_j = -L + j step): c_same[i, j] = 2 w_j coth((s_j - s_i)/2) at odd
+        # j - i and 0 at even j - i (band_limited_limits' rule at the nodes,
+        # Sidi & Israeli 1988), c_cross[i, j] = w_j tanh((s_j - s_i)/2).  Both
+        # act on w h by FFT on circulants of length 2M; the 1/2 that recovers
+        # each side from the sum and the difference of the sides' densities is
+        # folded into the stored spectra, with the 1/2M of the inverse FFT.
         g0 = self.grids[+1]
         M = cfg.M
         cross = np.tanh(0.5 * g0.step * np.arange(1, M))
@@ -386,18 +381,18 @@ def verify(state: ThetaState) -> dict:
     }
 
 
-def evaluate_theta(state: ThetaState, zeta, side: str = "auto") -> tuple:
+def evaluate_theta(state: ThetaState, zeta, side: str = "minus") -> tuple:
     """Theta at one point or at a 1-D array of points via the integral
     representation; returns the pair (Theta_1, Theta_2) of complex numbers
     or of arrays.
 
-    On a contour ray, side "plus"/"minus" selects the boundary value;
-    "auto" returns the stored (clockwise) side there.  side "both" returns
-    the pair of pairs ((Theta_1+, Theta_2+), (Theta_1-, Theta_2-)) from one
-    quadrature pass; the single sides are elements of that pass.
+    On a contour ray, side "plus"/"minus" selects the boundary value by
+    band_limited_limits ("minus", the clockwise side, is the stored one);
+    "both" returns ((Theta_1+, Theta_2+), (Theta_1-, Theta_2-)) from one
+    quadrature pass, whose elements the single sides are.
     """
-    if side not in ("auto", "plus", "minus", "both"):
-        raise ValueError("side must be 'auto', 'plus', 'minus' or 'both'")
+    if side not in ("plus", "minus", "both"):
+        raise ValueError("side must be 'plus', 'minus' or 'both'")
     prep = state.problem
     dens = state.densities
     z = np.asarray(zeta, dtype=complex)
@@ -408,7 +403,7 @@ def evaluate_theta(state: ThetaState, zeta, side: str = "auto") -> tuple:
         on = on_covered_ray(grid, zs)
         rows = dens[s].T  # one density row per basis target
         if on.any():
-            acc[:, :, on] += integrate_ray(grid, rows, zs[on], side="both")
+            acc[:, :, on] += band_limited_limits(grid, rows, zs[on])
         if not on.all():
             acc[:, :, ~on] += integrate_ray(grid, rows, zs[~on], side="off")
     out = np.array(prep.cfg.theta)[:, None] - acc / FOUR_PI
@@ -418,7 +413,7 @@ def evaluate_theta(state: ThetaState, zeta, side: str = "auto") -> tuple:
 
 
 def evaluate_Y(state: ThetaState, g: Charge, zeta: complex,
-               side: str = "auto") -> complex:
+               side: str = "minus") -> complex:
     """Solution function for one charge: the semiflat exponential with the
     corrected angles at zeta."""
     if zeta == 0:
@@ -456,36 +451,26 @@ def check_jump(state: ThetaState) -> float:
     applied to the clockwise values: Y+ = Y- * exp(sum_g f_g Y_g^-).  At a
     node this holds to rounding by construction (Theta+ - Theta- = -i h), so
     the check runs at about 32 midpoints between the nodes of each ray,
-    where quadrature error stays visible.  A midpoint sits half a step from
-    its neighbours, so the plain trapezoid sum over all nodes of its own ray
-    is the alternating-point rule of the half-step grid; the density there is
-    band-limited (sinc) interpolation of the node values, and the other
-    ray's integral is off-ray.  A non-finite residual is returned as such.
+    where quadrature error stays visible, and takes both limits there from
+    one evaluate_theta call.  A non-finite residual is returned as such.
     """
     prep = state.problem
     cfg = prep.cfg
     state.guard()
-    dens = state.densities
-    theta = np.array(cfg.theta, dtype=complex)[:, None]
-    worst = []
+    rays = []
     for s in (+1, -1):
-        grid = prep.grids[s]
-        mids = 0.5 * (grid.nodes[:-1] + grid.nodes[1:])
-        mids = mids[:: max(1, len(mids) // 32)]
-        zeta = np.exp(mids) * grid.direction.unit()
-        h = dens[s].T  # one density row per basis target
-        offset = grid.nodes - mids[:, None]
-        pv = h @ (grid.weights / np.tanh(0.5 * offset)).T
-        pv += integrate_ray(prep.grids[-s], dens[-s].T, zeta, side="off")
-        half_jump = 2j * math.pi * (h @ np.sinc(offset / grid.step).T)
-        tp = (theta - (pv + half_jump) / FOUR_PI).T
-        tm = (theta - (pv - half_jump) / FOUR_PI).T
-        basis = _static_exponents(cfg, prep.basis_central[:, None], zeta).T
-        y_plus = np.exp(basis + 1j * tp)
-        factor = np.exp(_static_exponents(cfg, prep.central[s][:, None], zeta))
-        predicted = np.exp(basis + 1j * tm) * np.exp(prep.series(s, factor, tm))
-        worst.append(np.abs(predicted - y_plus) / np.abs(y_plus))
-    return float(np.max(worst))
+        mids = 0.5 * (prep.grids[s].nodes[:-1] + prep.grids[s].nodes[1:])
+        rays.append(np.exp(mids[:: max(1, len(mids) // 32)]) * prep.rays[s].unit())
+    zeta, n = np.concatenate(rays), len(rays[0])
+    plus, minus = evaluate_theta(state, zeta, side="both")
+    tm = np.stack(minus, axis=1)
+    basis = _static_exponents(cfg, prep.basis_central[:, None], zeta).T
+    y_plus = np.exp(basis + 1j * np.stack(plus, axis=1))
+    predicted = np.exp(basis + 1j * tm)
+    for s, on in ((+1, slice(None, n)), (-1, slice(n, None))):
+        factor = np.exp(_static_exponents(cfg, prep.central[s][:, None], zeta[on]))
+        predicted[on] *= np.exp(prep.series(s, factor, tm[on]))
+    return float(np.max(np.abs(predicted - y_plus) / np.abs(y_plus)))
 
 
 @functools.lru_cache(maxsize=32)
@@ -508,8 +493,8 @@ def reality_samples(r: RayDirection, count: int = 64, seed: int = 2026) -> np.nd
 def check_reality(state: ThetaState, count: int = 64) -> float:
     """Sup over samples of |conj(Theta_k(-1/conj zeta)) - Theta_k(zeta)|."""
     z = reality_samples(state.problem.r, count)
-    direct = np.stack(evaluate_theta(state, z))
-    mirrored = np.stack(evaluate_theta(state, -1.0 / z.conjugate()))
+    both = np.stack(evaluate_theta(state, np.concatenate([z, -1.0 / z.conjugate()])))
+    direct, mirrored = both[:, :len(z)], both[:, len(z):]
     return float(np.max(np.abs(mirrored.conj() - direct), initial=0.0))
 
 

@@ -98,13 +98,13 @@ def test_criterion_2_contraction(solved_r4):
 
 def test_criterion_3_jump_condition(solved_r4):
     _, _, _, residuals = solved_r4
-    coarse = residuals["jump"]
-    fine_cfg = pentagon_cfg(M=256, N=10)
-    fine_state, _ = solve(fine_cfg)
-    fine = check_jump(fine_state)
-    ok = coarse < 1e-6 and fine < coarse
-    assert report(3, ok, f"residual {coarse:.3e} at M=128/N=8, "
-                         f"{fine:.3e} at M=256/N=10")
+    at_r4 = residuals["jump"]
+    # at R = 4 the residual is round-off at every M; refinement shows at R = 0.3
+    coarse = check_jump(solve(pentagon_cfg(R=0.3, M=48))[0])
+    fine = check_jump(solve(pentagon_cfg(R=0.3, M=96))[0])
+    ok = at_r4 < 1e-6 and coarse >= 100 * fine
+    assert report(3, ok, f"residual {at_r4:.3e} at R=4, M=128/N=8; at R=0.3 "
+                         f"{coarse:.3e} at M=48, {fine:.3e} at M=96")
 
 
 def test_criterion_4_reality_and_asymptotics(solved_r4):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from rhflow.charge_lattice import Charge, pentagon_spectrum
-from rhflow.contour_quadrature import (build_ray_grid, deform_to_bps_ray,
+from rhflow.contour_quadrature import (band_limited_limits, build_ray_grid,
+                                       deform_to_bps_ray,
                                        in_swept_sector, integrate_ray,
                                        on_covered_ray, pv_coth_closed_form,
                                        sweep_sign)
@@ -272,3 +273,22 @@ def test_both_limits_come_from_one_pass_bit_for_bit(half):
             assert np.array_equal(minus, integrate_ray(g, values, zeta, side="minus"))
     with pytest.raises(ValueError, match="side"):
         integrate_ray(g, h, pts, side="left")
+
+
+def test_band_limited_limits_are_one_rule_at_nodes_and_midpoints():
+    # at the nodes the alternating-point rule, 2 w_j coth((s_j - s_i)/2) at
+    # odd j - i, rebuilt densely from the offsets (j - i) step; at the
+    # midpoints the plain trapezoid sum
+    g, h = _rh_half()
+    stack = np.stack([h, (0.3 - 1.1j) * h[::-1]])
+    k = np.subtract.outer(np.arange(g.count), np.arange(g.count)).T  # j - i
+    with np.errstate(divide="ignore"):
+        alternating = np.where(k % 2 == 1, 2.0 / np.tanh(0.5 * g.step * k), 0.0)
+    pv = stack @ (alternating * g.weights).T
+    plus, minus = band_limited_limits(g, stack, g.points())
+    for got, want in ((plus, pv + 2j * math.pi * stack), (minus, pv - 2j * math.pi * stack)):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    mids = 0.5 * (g.nodes[:-1] + g.nodes[1:])
+    plus, minus = band_limited_limits(g, stack, np.exp(mids) * g.direction.unit())
+    trapezoid = stack @ (g.weights / np.tanh(0.5 * (g.nodes - mids[:, None]))).T
+    assert np.max(np.abs(0.5 * (plus + minus) - trapezoid)) <= 1e-14 * np.max(np.abs(trapezoid))

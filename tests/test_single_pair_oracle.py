@@ -11,8 +11,8 @@ int X_{+-n gamma1} dzeta/zeta = 2 K0(2 pi n R |Z|) e^{+-i n theta_1}, so
     Theta_2(0) = theta_2 - (1/4 pi) sum_n (1/n) 2 K0(2 pi n R |Z|) (e^{i n theta_1} - e^{-i n theta_1})
                = theta_2 - (i/pi) sum_n sin(n theta_1)/n K0(2 pi n R |Z|).
 
-At the nodes the reference is a fine trapezoid rule on the Gaussian-subtracted
-principal-value integrand, which is smooth and decays.
+At the nodes and between them the reference is a fine trapezoid rule on the
+Gaussian-subtracted principal-value integrand, which is smooth and decays.
 """
 
 import math
@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from rhflow.charge_lattice import Spectrum
-from rhflow.rh_solver import SolverConfig, solve
+from rhflow.rh_solver import SolverConfig, evaluate_theta, solve
 from rhflow.spectrum_rays import CentralCharge
 from rhflow.stokes_series import stokes_log_coeffs
 
@@ -86,6 +86,21 @@ def _density(state, side: int, t: np.ndarray) -> np.ndarray:
     return out
 
 
+def _reference(state, side: int, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """PV int coth((t - s)/2) h_side(t) dt + int tanh((t - s)/2) h_-side(t) dt
+    and h_side(s) at the log radii s, by a fine trapezoid rule on the
+    Gaussian-subtracted integrand, du = 0.01 on |u| <= 60, half a step off
+    u = 0."""
+    du = 0.01
+    u = du * (np.arange(-6000, 6000) + 0.5)
+    h_pole = _density(state, side, s)
+    h_same = _density(state, side, s[:, None] + u)
+    h_other = _density(state, -side, s[:, None] + u)
+    pv = du * np.sum((h_same - h_pole[:, None] * np.exp(-u * u)) / np.tanh(0.5 * u), axis=1)
+    cross = du * np.sum(h_other * np.tanh(0.5 * u), axis=1)
+    return pv + cross, h_pole
+
+
 @pytest.mark.parametrize("R", [1.0, 0.3, 0.1])
 def test_node_values_match_a_fine_reference(R):
     # stored node values are the clockwise limits:
@@ -93,16 +108,27 @@ def test_node_values_match_a_fine_reference(R):
     #                      + int tanh((t - s)/2) h_-s(t) dt] / 4 pi
     M = 64
     state, _ = solve(pair_cfg(R, M))
-    du = 0.01
-    u = du * (np.arange(-6000, 6000) + 0.5)  # |u| <= 60, half a step off u = 0
     idx = np.arange(M // 4, 3 * M // 4 + 1)
     s = state.problem.grids[+1].nodes[idx]
     for side, ray in ((+1, 0), (-1, 1)):
-        h_node = _density(state, side, s)
-        h_same = _density(state, side, s[:, None] + u)
-        h_other = _density(state, -side, s[:, None] + u)
-        pv = du * np.sum((h_same - h_node[:, None] * np.exp(-u * u)) / np.tanh(0.5 * u), axis=1)
-        cross = du * np.sum(h_other * np.tanh(0.5 * u), axis=1)
-        want = THETA[1] - (pv - 2j * math.pi * h_node + cross) / (4.0 * math.pi)
+        integrals, h = _reference(state, side, s)
+        want = THETA[1] - (integrals - 2j * math.pi * h) / (4.0 * math.pi)
         assert np.max(np.abs(want - THETA[1])) > 1e-6
         assert np.max(np.abs(state.values[ray, idx, 1] - want)) <= 1e-13, side
+
+
+@pytest.mark.parametrize("R", [1.0, 0.3, 0.1])
+def test_off_node_limits_match_a_fine_reference(R):
+    # both limits of evaluate_theta between the nodes:
+    # Theta_2(+-) = theta_2 - [PV ... +- 2 pi i h_s(s) + ...] / 4 pi
+    M = 64
+    state, _ = solve(pair_cfg(R, M))
+    nodes = state.problem.grids[+1].nodes
+    s = np.random.default_rng(14).uniform(nodes[M // 4], nodes[3 * M // 4], 12)
+    for side in (+1, -1):
+        zeta = np.exp(s) * state.problem.rays[side].unit()
+        plus, minus = evaluate_theta(state, zeta, side="both")
+        integrals, h = _reference(state, side, s)
+        for sign, got in ((+1, plus[1]), (-1, minus[1])):
+            want = THETA[1] - (integrals + sign * 2j * math.pi * h) / (4.0 * math.pi)
+            assert np.max(np.abs(got - want)) <= 1e-13, (side, sign)
