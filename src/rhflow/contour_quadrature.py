@@ -147,14 +147,12 @@ def integrate_ray(grid: RayGrid, values: np.ndarray, zeta, side: str = "off"):
                 "ray; use side='plus' or side='minus'"
             )
         # on the ray beyond the grid coverage the kernel pole sits where the
-        # density is already at tail level; the sum below is regular
+        # density is already at tail level; the sum below is regular.  A node
+        # lies on the covered ray (|s| <= L), so no point here is a node
         pts = grid.points()
-        diff = pts - zs[:, None]
-        if np.any(diff == 0):
-            raise SingularKernelError("evaluation point coincides with a grid node")
         # in place: the (points x nodes) work arrays are the memory peak
         kernel = pts + zs[:, None]
-        kernel /= diff
+        kernel /= pts - zs[:, None]
         kernel *= grid.weights
         out = []
         for k, hk in enumerate(rows):

@@ -3,30 +3,31 @@
 The unknown is the pair of corrected angles Theta = (Theta_1, Theta_2)
 sampled on the two contour rays.  One iteration evaluates
 
-    Theta_k <- theta_k - (1/4pi) * [ sum_{g > 0} f_g^k I_r[X^sf_g(Theta)]
-                                   + sum_{g < 0} f_g^k I_{-r}[X^sf_g(Theta)] ]
+    Theta_k <- theta_k - (1/4pi) * [ I_r[h^k_{+1}(Theta)] + I_{-r}[h^k_{-1}(Theta)] ]
 
-with the coefficient families f from the exact log expansion of the side
-jump maps.  Stored node values are the boundary values from the clockwise
-side of each outward-oriented ray; with that convention the counterclockwise
-limit satisfies the multiplicative jump exactly at the nodes; check_jump
-verifies it between them, from evaluate_theta's two limits there.
+with h^k_s = log(S_s x_k / x_k) the exact log of the side's jump map S_s, the
+finite Kontsevich-Soibelman product of the side's active charges, at
+x = Y- (Gaiotto-Moore-Neitzke, arXiv:0807.4723).  Stored node values are the
+boundary values from the clockwise side of each outward-oriented ray; with
+that convention the counterclockwise limit satisfies the multiplicative jump
+exactly at the nodes; check_jump verifies it between them, from
+evaluate_theta's two limits there.
 
 A state is its node values and its prepared problem; every function of a
 state reads the configuration from state.problem.cfg.  iterate_once is the
 bare map; solve applies it, keeps the iteration record and returns it with
 the converged state; verify returns the residuals of the defining
-conditions on that state.  solve keeps one check, truncation_guard, since
-the jump series it iterates converges only for |Y_g| < 1; a state runs it
-at most once and keeps its limits at 0 and infinity (state.limits), so
-verify repeats neither on a solved state.
+conditions on that state.  solve keeps one check, truncation_guard, which
+keeps the solution where |Y_g| < 1 on the jump rays, the domain in which
+the side maps' log series (stokes_series) converge; a state runs it at most
+once and keeps its limits at 0 and infinity (state.limits), so verify
+repeats neither.
 
 The densities use the split of the semiflat exponential
-X_g = exp(pi R (Z_g / zeta + zeta conj Z_g)) * prod_k (e^{i Theta_k})^{c_k}:
-_Prepared stores the first, theta-free factor of every series charge at the
-nodes once per problem, and a step takes two exps per node, u_k =
-e^{i Theta_k}, and the integer powers of u_k from one table per basis
-charge.
+X_g = exp(pi R (Z_g / zeta + zeta conj Z_g) + i c_g . Theta): _Prepared
+stores the first, theta-free exponent of every active charge at the nodes
+once per problem, and _SideMap.log applies a side's factors in order, one
+exp and one log1p per node and active charge.
 
 At the nodes the ray integrals are two Toeplitz kernels times the weights:
 c_same, the coth kernel of a ray on itself by the alternating-point rule
@@ -48,14 +49,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .charge_lattice import (Charge, GAMMA1, GAMMA2, Spectrum, extend,
+from .charge_lattice import (Charge, GAMMA1, GAMMA2, Spectrum, extend, pairing,
                              require_support)
 from .contour_quadrature import (band_limited_limits, build_ray_grid, integrate_ray,
                                  on_covered_ray)
 from .errors import (ConfigError, DivergenceError, NonContractionError,
                      TruncationUnsafeError)
 from .spectrum_rays import CentralCharge, RayDirection, admissible_pair
-from .stokes_series import stokes_log_coeffs
+from .stokes_series import ordered_side_charges, refinement_sign
+# not called by the solver: the benchmark tracer (bench/tracer.py) still
+# resolves this name here; drop it when the tracer no longer does
+from .stokes_series import stokes_log_coeffs  # noqa: F401
 
 FOUR_PI = 4.0 * math.pi
 LN2 = math.log(2.0)
@@ -68,7 +72,7 @@ class SolverConfig:
     theta: tuple[float, float]
     spectrum: Spectrum
     Z: CentralCharge
-    N: int = 8
+    N: int = 8  # stokes_series' truncation order: validated, unused by the solve
     M: int = 128
     target_tail: float = 40.0
     tol: float = 1e-12
@@ -110,24 +114,63 @@ def _static_exponents(cfg: SolverConfig, zg: complex | np.ndarray,
     return math.pi * cfg.R * (zg / pts + pts * np.conj(zg))
 
 
-def _powers(u: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """u ** c, shape (K, P), for integer exponents c (shape (K,)) and points
-    u (shape (P,)), indexed from one table of u^n, min(c, 0) <= n <= max(c, 0),
-    built by repeated multiplication by u and, for n < 0, by 1 / u."""
-    lo, hi = min(int(c.min(initial=0)), 0), max(int(c.max(initial=0)), 0)
-    table = np.empty((hi - lo + 1, len(u)), dtype=complex)
-    table[-lo] = 1.0
-    for n in range(1, hi + 1):
-        np.multiply(table[n - 1 - lo], u, out=table[n - lo])
-    if lo < 0:
-        inv = 1.0 / u
-        for n in range(-1, lo - 1, -1):
-            np.multiply(table[n + 1 - lo], inv, out=table[n - lo])
-    return table[c - lo]
+class _SideMap:
+    """The jump map of one side: its active charges a_j in
+    ordered_side_charges order, which is the order of the
+    Kontsevich-Soibelman factors (1 - sigma_j x^{a_j})^{Omega_j <gamma_k, a_j>}
+    (as in stokes_series.ks_apply), with their central values."""
+
+    def __init__(self, charges: list[tuple[Charge, int]], basis: tuple[complex, complex]):
+        self.charges = charges
+        self.central = np.array([extend(g, *basis) for g, _ in charges], dtype=complex)
+        self.coords = np.array([(g.c1, g.c2) for g, _ in charges], dtype=float).reshape(-1, 2)
+        # per factor j: the earlier factors i that move x^{a_j}, with the
+        # power Omega_i <a_j, a_i>; the targets k it moves, with the weight
+        # Omega_j <gamma_k, a_j>; and whether -sigma_j x is -x
+        self._factors = [
+            ([(i, om_i * pairing(g, g_i)) for i, (g_i, om_i) in enumerate(charges[:j])
+              if pairing(g, g_i)],
+             [(k, om * pairing(gk, g)) for k, gk in enumerate((GAMMA1, GAMMA2))
+              if pairing(gk, g)],
+             refinement_sign(g) > 0)
+            for j, (g, om) in enumerate(charges)]
+
+    def log(self, static: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        """log(S x_k / x_k) per target k, shape (P, 2), at the points where
+        x_g = exp(static_g + i c_g . Theta), from the theta-free exponents of
+        the side's charges there (shape (n, P)) and Theta (shape (P, 2)).
+
+        Factor j adds Omega_j <gamma_k, a_j> log(1 - sigma_j x_j^cur) to
+        target k, where x_j^cur is x^{a_j} moved by the factors before it:
+        exp(static_j + c_j . (i Theta + delta)) with delta the sum so far.
+        Since c_j . delta = sum_{i<j} Omega_i <a_j, a_i> log(1 - sigma_i x_i^cur)
+        with integer coefficients, x_j^cur = x_j prod_{i<j} (1 - sigma_i
+        x_i^cur)^{Omega_i <a_j, a_i>}: one exp per charge and point, and no
+        sum of a small delta into a large exponent.
+        """
+        delta = np.zeros((2, theta.shape[0]), dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            # exp overflows, and log1p(-1) diverges, only for an iterate far
+            # outside |Y| < 1; the caller checks for non-finite values
+            x = np.exp(static + 1j * (self.coords[:, :1] * theta[:, 0]
+                                      + self.coords[:, 1:] * theta[:, 1]))
+            one_minus = []  # 1 - sigma_i x_i^cur of the factors so far
+            for xj, (earlier, weights, negate) in zip(x, self._factors):
+                for i, q in earlier:  # |q| products or quotients
+                    for _ in range(abs(q)):
+                        (np.multiply if q > 0 else np.divide)(xj, one_minus[i], out=xj)
+                if negate:
+                    np.negative(xj, out=xj)
+                one_minus.append(1.0 + xj)
+                np.log1p(xj, out=xj)
+                for k, w in weights:
+                    delta[k] += w * xj
+        # (2, P) rows keep each target's density contiguous for the ray sums
+        return delta.T
 
 
 class _Prepared:
-    """Grids, coefficient families and the node operator for one configuration."""
+    """Grids, side maps and the node operator for one configuration."""
 
     def __init__(self, cfg: SolverConfig):
         cfg.validate()
@@ -137,28 +180,21 @@ class _Prepared:
             cfg.Z, cfg.spectrum, cfg.a, split_phase=cfg.split_phase)
         self.rays = {+1: self.r, -1: self.r.opposite()}
 
-        # coefficient families f per side and basis target
-        self.f: dict[int, list[tuple[Charge, complex, complex]]] = {}
-        for side in (+1, -1):
-            f1 = stokes_log_coeffs(cfg.spectrum, cfg.Z, cfg.a, side, 1, cfg.N, self.r)
-            f2 = stokes_log_coeffs(cfg.spectrum, cfg.Z, cfg.a, side, 2, cfg.N, self.r)
-            support = sorted(set(f1) | set(f2), key=lambda g: (g.l1, g.c1, g.c2))
-            self.f[side] = [(g, complex(f1.get(g, 0)), complex(f2.get(g, 0)))
-                            for g in support]
-
-        # central values of the charges of self.f, from the basis values by
-        # extend; a side charge's value lies in its side's open half-plane,
-        # so it is nonzero and its BPS ray is defined
+        # the side maps; a side charge's central value lies in its side's
+        # open half-plane, so it is nonzero and its BPS ray is defined
         basis = cfg.Z.basis_values(cfg.a)
-        self.central: dict[int, np.ndarray] = {
-            side: np.array([extend(g, *basis) for g, _, _ in self.f[side]], dtype=complex)
-            for side in (+1, -1)}
+        self.maps = {side: _SideMap(ordered_side_charges(cfg.spectrum, cfg.Z, cfg.a,
+                                                         side, self.r), basis)
+                     for side in (+1, -1)}
 
-        # one symmetric node set for both rays: slowest decay over both sides
+        # one symmetric node set for both rays: slowest decay over both
+        # sides' active charges.  The decay 2 pi R |Z_g| cos(angle) is linear
+        # in g (the projection of -Z_g on the ray), so no sum of a side's
+        # active charges, such as a monomial of its log series, decays slower
         decay = math.inf
         for side in (+1, -1):
             ray = self.rays[side]
-            for zg in self.central[side].tolist():
+            for zg in self.maps[side].central.tolist():
                 ang = RayDirection(cmath.phase(-zg)).angle_to(ray)
                 decay = min(decay, 2.0 * math.pi * cfg.R * abs(zg) * math.cos(ang))
         if not math.isfinite(decay):  # empty spectrum: any width will do
@@ -167,20 +203,11 @@ class _Prepared:
                                            cfg.target_tail)
                       for side in (+1, -1)}
 
-        # per side and charge of self.f: the theta-free factor
-        # exp(pi R (Z_g / zeta + zeta conj Z_g)) at the nodes, one row per
-        # charge; the charge coordinates; the coefficients per target
-        self.factor: dict[int, np.ndarray] = {}
-        self.coords: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        for side in (+1, -1):
-            charges = self.f[side]
-            self.factor[side] = np.exp(_static_exponents(
-                cfg, self.central[side][:, None], self.grids[side].points()))
-            c1 = np.array([g.c1 for g, _, _ in charges], dtype=int)
-            c2 = np.array([g.c2 for g, _, _ in charges], dtype=int)
-            fk = np.array([[v1 for _, v1, _ in charges],
-                           [v2 for _, _, v2 in charges]], dtype=complex)
-            self.coords[side] = (c1, c2, fk)
+        # per side: the theta-free exponents pi R (Z_g / zeta + zeta conj Z_g)
+        # of the active charges at the nodes, one row per charge
+        self.static = {side: _static_exponents(cfg, self.maps[side].central[:, None],
+                                               self.grids[side].points())
+                       for side in (+1, -1)}
 
         # central values of the basis charges, for the jump check
         self.basis_central = np.array([extend(g, *basis) for g in (GAMMA1, GAMMA2)])
@@ -205,23 +232,8 @@ class _Prepared:
     def densities(self, values: np.ndarray) -> dict[int, np.ndarray]:
         """Combined density per side and target, shape (M, 2), from the node
         values of Theta (shape (2, M, 2); axis 0 is the ray: 0 -> r, 1 -> -r)."""
-        return {side: self.series(side, self.factor[side], values[ray_idx])
+        return {side: self.maps[side].log(self.static[side], values[ray_idx])
                 for side, ray_idx in ((+1, 0), (-1, 1))}
-
-    def series(self, side: int, factor: np.ndarray, th: np.ndarray) -> np.ndarray:
-        """Jump series exponent sum_g f_g^k X_g of one side per target k,
-        shape (P, 2), from the theta-free factors of the side's charges at P
-        points (shape (K, P)) and the angles Theta there (shape (P, 2)):
-        X_g = factor_g u_1^c1 u_2^c2 with u_k = e^{i Theta_k}."""
-        c1, c2, fk = self.coords[side]
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            # |u_k^c| <= 2^|c| while Theta stays in the ball (ball_epsilon
-            # <= ln 2); overflow means a diverging iterate, the caller checks
-            u = np.exp(1j * th)
-            x = _powers(u[:, 0], c1)
-            x *= _powers(u[:, 1], c2)
-            x *= factor
-            return (fk @ x).T
 
     def node_transforms(self, dens: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
         """Principal value, at each side's nodes, of the integral over both
@@ -426,8 +438,10 @@ def evaluate_Y(state: ThetaState, g: Charge, zeta: complex,
 
 def truncation_guard(state: ThetaState) -> None:
     """Raise TruncationUnsafeError where an active charge has |Y_g| >= 1 at
-    the nodes of its own jump ray: the jump series across that ray
-    converges only for |Y_g| < 1."""
+    the nodes of its own jump ray: the log series of the jump map across
+    that ray (stokes_series) converges only for |Y_g| < 1, and solutions are
+    kept inside that domain, where the exact log the solver iterates is its
+    sum."""
     prep = state.problem
     cfg = prep.cfg
     for s, ray_idx in ((+1, 0), (-1, 1)):
@@ -440,7 +454,7 @@ def truncation_guard(state: ThetaState) -> None:
             if np.any(mags >= 1.0):
                 raise TruncationUnsafeError(
                     f"|Y| = {mags.max():.3g} >= 1 for charge ({g.c1},{g.c2}) "
-                    "on its jump ray; the truncated jump series does not converge"
+                    "on its jump ray; the log series of its jump map does not converge"
                 )
 
 
@@ -448,7 +462,8 @@ def check_jump(state: ThetaState) -> float:
     """Sup relative residual of the multiplicative jump on both rays.
 
     The counterclockwise boundary values must equal the side's jump map
-    applied to the clockwise values: Y+ = Y- * exp(sum_g f_g Y_g^-).  At a
+    applied to the clockwise values: Y+ = Y- * exp(h(Y-)), with h the exact
+    log of the side map that the solver iterates (_SideMap.log).  At a
     node this holds to rounding by construction (Theta+ - Theta- = -i h), so
     the check runs at about 32 midpoints between the nodes of each ray,
     where quadrature error stays visible, and takes both limits there from
@@ -468,8 +483,9 @@ def check_jump(state: ThetaState) -> float:
     y_plus = np.exp(basis + 1j * np.stack(plus, axis=1))
     predicted = np.exp(basis + 1j * tm)
     for s, on in ((+1, slice(None, n)), (-1, slice(n, None))):
-        factor = np.exp(_static_exponents(cfg, prep.central[s][:, None], zeta[on]))
-        predicted[on] *= np.exp(prep.series(s, factor, tm[on]))
+        side_map = prep.maps[s]
+        static = _static_exponents(cfg, side_map.central[:, None], zeta[on])
+        predicted[on] *= np.exp(side_map.log(static, tm[on]))
     return float(np.max(np.abs(predicted - y_plus) / np.abs(y_plus)))
 
 

@@ -199,6 +199,18 @@ def _scalar_half():
 
 
 @pytest.mark.parametrize("half", [_rh_half, _scalar_half], ids=["rh", "scalar"])
+def test_every_node_is_rejected_off_the_ray(half):
+    # integrate_ray's off-ray sum divides by (node - zeta); the on-ray test
+    # must reject every node, so no point reaching the sum is a node
+    g, h = half()
+    for z in g.points():
+        with pytest.raises(SingularKernelError, match="covered part"):
+            integrate_ray(g, h, z, side="off")
+    with pytest.raises(SingularKernelError, match="covered part"):
+        integrate_ray(g, h, g.points(), side="off")
+
+
+@pytest.mark.parametrize("half", [_rh_half, _scalar_half], ids=["rh", "scalar"])
 def test_array_evaluation_matches_single_points_bit_for_bit(half):
     g, h = half()
     u = g.direction.unit()

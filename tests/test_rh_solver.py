@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from rhflow.charge_lattice import Charge, GAMMA1, GAMMA2, Spectrum, pentagon_spectrum
+from rhflow.charge_lattice import (Charge, GAMMA1, GAMMA2, Spectrum, pairing,
+                                   pentagon_spectrum)
 from rhflow.contour_quadrature import on_covered_ray
 from rhflow.errors import (ConfigError, DivergenceError, NonContractionError,
                            TruncationUnsafeError)
@@ -13,6 +14,7 @@ from rhflow.rh_solver import (SolverConfig, ThetaState, _Prepared, asymptotic_th
                               check_reality, evaluate_Y, evaluate_theta, init_state,
                               iterate_once, smoothness_probe, solve, verify)
 from rhflow.spectrum_rays import CentralCharge, alternative_split_phases, semiflat
+from rhflow.stokes_series import ordered_side_charges
 
 Z = CentralCharge.constant(1.0, 1j)
 
@@ -104,12 +106,16 @@ def test_solve_computes_densities_once_per_state(monkeypatch):
 @pytest.mark.parametrize("N", [1, 2])
 def test_jump_guard_names_a_charge_with_large_Y(N):
     # pushing Im Theta_2 down by K multiplies |Y_g| by e^{c2 K}: e1 stays
-    # below 1 and e1 + e2 exceeds it.  At N = 1 the truncated series has no
-    # term at e1 + e2, at N = 2 it has one; the guard checks it either way.
+    # below 1 and e1 + e2 exceeds it.  The truncation order N does not enter
+    # the solve: the side map has e1 + e2 as a factor at every N, and the
+    # guard checks it either way
     spec = Spectrum.from_pairs([((1, 0), 1), ((-1, 0), 1), ((1, 1), 1), ((-1, -1), 1)])
     cfg = empty_cfg(spectrum=spec, N=N, M=64)
     st = init_state(cfg)
-    assert (Charge(1, 1) in [g for g, _, _ in st.problem.f[+1]]) == (N == 2)
+    assert Charge(1, 1) in [g for g, _ in st.problem.maps[+1].charges]
+    other = init_state(empty_cfg(spectrum=spec, N=3 - N, M=64))
+    for side in (+1, -1):
+        assert np.array_equal(st.densities[side], other.densities[side])
     values = st.values.copy()
     values[..., 1] -= 100j
     with pytest.raises(TruncationUnsafeError, match=r"for charge \(1,1\) on its jump ray"):
@@ -140,11 +146,30 @@ def test_contraction_improves_with_R():
 
 
 def test_non_contraction_raises():
-    # far below the contraction range the iterates overflow before max_iter
-    with pytest.raises(DivergenceError) as err:
+    # far below the contraction range the map expands; the exact log of the
+    # side maps grows like the exponent of Y, so the iterates stay finite
+    # and the solve ends at max_iter with the worst ratio above one
+    with pytest.raises(NonContractionError) as err:
         solve(pentagon_cfg(R=0.01, tol=1e-14))
-    assert str(err.value) == ("non-finite iterate at step 4; R = 0.01 is too "
-                              "small for this spectrum")
+    assert str(err.value) == ("no convergence in 30 iterations (last delta 3.579e+00, "
+                              "worst ratio 1.41); R = 0.01 is too small for this "
+                              "spectrum")
+
+
+def test_non_finite_iterate_raises_divergence(monkeypatch):
+    # the guard for an iterate that overflows: no configuration of the test
+    # suite reaches it any more, so a step is made to return a NaN
+    import rhflow.rh_solver as rh
+    original = rh.iterate_once
+
+    def poisoned(state):
+        new = original(state)
+        new.values[0, 0, 0] = np.nan
+        return new
+
+    monkeypatch.setattr(rh, "iterate_once", poisoned)
+    with pytest.raises(DivergenceError, match="non-finite iterate at step 1; R = 4"):
+        solve(pentagon_cfg())
 
 
 def test_slow_contraction_raises_with_last_delta_and_worst_ratio():
@@ -541,30 +566,38 @@ def test_iterate_once_matches_the_split_formula(M):
         assert np.max(np.abs(new[ray] - theta)) > 1e-3  # the correction is not trivial
 
 
-# ---------------- theta-free factors, powers of e^{i Theta} ----------------
+# ---------------- the exact side maps ----------------
 
 GENERIC_Z = CentralCharge.constant(1.3 + 0.2j, -0.25 + 1.1j)
 GENERIC = Spectrum.from_pairs([((1, 0), 1), ((-1, 0), 1), ((0, 1), 1), ((0, -1), 1)])
 
 
-def _per_charge_densities(prep, values):
-    # the jump series with one exp per charge and point:
-    # sum_g f_g^k exp(pi R (Z_g / zeta + zeta conj Z_g) + i (c1 Theta_1 + c2 Theta_2))
-    cfg = prep.cfg
-    out = {}
-    for side, ray in ((+1, 0), (-1, 1)):
-        charges = prep.f[side]
-        zeta = prep.grids[side].points()
-        th = values[ray]
-        rows = [np.exp(math.pi * cfg.R * (cfg.Z.of(g, cfg.a) / zeta
-                                          + zeta * np.conj(cfg.Z.of(g, cfg.a)))
-                       + 1j * (g.c1 * th[:, 0] + g.c2 * th[:, 1]))
-                for g, _, _ in charges]
-        expo = np.array(rows).reshape(len(charges), cfg.M)
-        out[side] = np.stack([np.array([f1 for _, f1, _ in charges], dtype=complex) @ expo,
-                              np.array([f2 for _, _, f2 in charges], dtype=complex) @ expo],
-                             axis=1)
-    return out
+def ks_product(state, side: int, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The side's Kontsevich-Soibelman product applied to the basis values y
+    (shape (P, 2)), factor by factor in ordered_side_charges order: each
+    factor multiplies y_k by (1 - sigma_g y^g)^{<gamma_k, g> Omega_g}, with
+    y^g from the current y.  Returns the image of y and the log of the image
+    over y per target, summed factor by factor as <gamma_k, g> Omega_g
+    log(1 - sigma_g y^g)."""
+    cfg, prep = state.problem.cfg, state.problem
+    y = np.array(y, dtype=complex)
+    logs = np.zeros_like(y)
+    for g, om in ordered_side_charges(cfg.spectrum, cfg.Z, cfg.a, side, prep.r):
+        sigma = -1 if (g.c1 * g.c2) % 2 else 1
+        minus_x = -sigma * y[:, 0] ** g.c1 * y[:, 1] ** g.c2
+        for k, gk in enumerate((GAMMA1, GAMMA2)):
+            p = pairing(gk, g) * om
+            y[:, k] *= (1.0 + minus_x) ** p
+            logs[:, k] += p * np.log1p(minus_x)
+    return y, logs
+
+
+def basis_Y(state, zeta: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Y_{gamma_k} = exp(pi R (Z_k / zeta + zeta conj Z_k) + i Theta_k), shape (P, 2)."""
+    cfg = state.problem.cfg
+    zk = np.array(cfg.Z.basis_values(cfg.a))
+    return np.exp(math.pi * cfg.R * (zk / zeta[:, None] + zeta[:, None] * zk.conj())
+                  + 1j * theta)
 
 
 @pytest.mark.parametrize("kw", [
@@ -572,23 +605,42 @@ def _per_charge_densities(prep, values):
     dict(spectrum=GENERIC, Z=GENERIC_Z, R=0.3), dict(spectrum=Spectrum(()), R=1.0),
 ], ids=["pentagon_N8", "pentagon_N12", "generic_two_pair", "empty"])
 def test_densities_match_one_exp_per_charge(kw):
+    # the densities are the log of the side's KS product at Y- on the nodes,
+    # here from products of the factors (one exp per basis charge and node)
     cfg = pentagon_cfg(**{"max_iter": 100, **kw})
     state, _ = solve(cfg)
     prep = state.problem
-    if kw.get("spectrum") is GENERIC:
-        assert prep.coords[+1][1].min() < 0  # side +1 needs powers of 1/u
     # the converged state, and one pushed off the real angles (|u| != 1)
     pushed = state.values + 0.3j * np.random.default_rng(7).standard_normal(
         state.values.shape)
     for values in (state.values, pushed):
         got = prep.densities(values)
-        want = _per_charge_densities(prep, values)
-        for side in (+1, -1):
+        for side, ray in ((+1, 0), (-1, 1)):
+            y = basis_Y(state, prep.grids[side].points(), values[ray])
+            _, want = ks_product(state, side, y)
             assert got[side].shape == (cfg.M, 2)
-            rel = np.abs(got[side] - want[side]) / np.maximum(np.abs(want[side]),
-                                                              np.finfo(float).tiny)
+            rel = np.abs(got[side] - want) / np.maximum(np.abs(want), np.finfo(float).tiny)
             assert np.max(rel, initial=0.0) <= 1e-14, side
     assert np.max(np.abs(pushed.imag)) > 0.5
+
+
+@pytest.mark.parametrize("R, N", [(0.3, 8), (0.15, 12)])
+def test_jump_holds_for_the_exact_side_map(R, N):
+    # Y+ = S Y- at every midpoint of both rays, with S the side's KS product
+    # applied to Y- in floating point (not the solver's side log); a solve
+    # with the order-N series misses it by 7.2e-6 at R = 0.3, N = 8 and by
+    # 1.7e-4 at R = 0.15, N = 12
+    state, _ = solve(pentagon_cfg(R=R, N=N, M=256, max_iter=100))
+    worst = 0.0
+    for side in (+1, -1):
+        nodes = state.problem.grids[side].nodes
+        mids = np.exp(0.5 * (nodes[:-1] + nodes[1:])) * state.problem.rays[side].unit()
+        plus, minus = evaluate_theta(state, mids, side="both")
+        y_plus = basis_Y(state, mids, np.stack(plus, axis=1))
+        predicted, _ = ks_product(state, side, basis_Y(state, mids, np.stack(minus, axis=1)))
+        worst = max(worst, float(np.max(np.abs(predicted - y_plus) / np.abs(y_plus))))
+    assert worst <= 1e-10
+    assert check_jump(state) <= 1e-10
 
 
 def _arrays(obj):

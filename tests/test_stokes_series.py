@@ -1,5 +1,7 @@
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -246,14 +248,14 @@ def test_one_composition_per_side_serves_both_targets(composition_count):
 
 
 def test_second_solve_at_other_R_and_theta_composes_nothing(composition_count):
+    # the solver iterates the exact side maps: no solve composes a series
     cfg = rh_solver.SolverConfig(R=4.0, a=0.0, theta=(0.7, 1.3),
                                  spectrum=pentagon_spectrum(), Z=Z, N=6, M=64)
-    rh_solver.solve(cfg)
-    assert len(composition_count) == 2
+    rh_solver.verify(rh_solver.solve(cfg)[0])
     rh_solver.solve(rh_solver.SolverConfig(R=2.0, a=0.0, theta=(0.2, -0.4),
                                            spectrum=pentagon_spectrum(), Z=Z,
                                            N=6, M=64))
-    assert len(composition_count) == 2
+    assert composition_count == []
 
 
 def test_keys_differing_in_multiplicity_or_N_are_distinct():
@@ -290,3 +292,46 @@ def test_cached_families_equal_uncached_composition(picks, N):
         for k in (1, 2):
             got = stokes_log_coeffs(spec, Zg, 0.0, side, k, N, r)
             assert got == _uncached(spec, side, k, N, Zc=Zg)
+
+
+# ---------------- the series as the oracle of the exact side maps ----------------
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_CANDIDATES), st.integers(1, 2)),
+                min_size=1, max_size=3, unique_by=lambda t: t[0]),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_exact_side_log_matches_the_order_12_series(picks, seed):
+    # the solver's side log (the KS product of the active charges, factor by
+    # factor) against sum_g f_g x^g from stokes_log_coeffs at N = 12, on a
+    # random symmetric spectrum at a generic Z.  The series truncates by l1
+    # degree, so the points keep |x_a| <= 0.05^{l1(a)} for every active a:
+    # every dropped monomial is then below 0.05^13 (at |x_a| <= 0.1 the
+    # dropped terms reach 8e-4).  An order-2 error of a wrong factor order,
+    # sign or pairing is of size 0.05^2.
+    pairs = []
+    for (c1, c2), om in picks:
+        pairs += [((c1, c2), om), ((-c1, -c2), om)]
+    spec = Spectrum.from_pairs(pairs)
+    Zg = CentralCharge.constant(1.3 + 0.2j, -0.25 + 1.1j)
+    prep = rh_solver._Prepared(rh_solver.SolverConfig(
+        R=1.0, a=0.0, theta=(0.0, 0.0), spectrum=spec, Z=Zg, M=16))
+    rng = np.random.default_rng(seed)
+    basis = np.array(Zg.basis_values(0.0))
+    for side in (+1, -1):
+        side_map = prep.maps[side]
+        c = side_map.coords  # (n, 2)
+        # log x_g = c_g . ell; with Re ell = -t w + eta, where c_a . w > 0 is
+        # the decay of a on its side's ray, t puts every |x_a| in bounds
+        w = (-basis * np.conj(prep.rays[side].unit())).real
+        eta = rng.normal(size=(64, 2))
+        bound = 0.05 ** np.abs(c).sum(axis=1)
+        t = np.max((eta @ c.T - np.log(bound)) / (c @ w), axis=1)
+        ell = -t[:, None] * w + eta + 1j * rng.uniform(0.0, 2.0 * math.pi, (64, 2))
+        ratio = np.abs(np.exp(c @ ell.T)) / bound[:, None]
+        assert np.all(ratio <= 1 + 1e-12) and np.all(ratio.max(axis=0) >= 1 - 1e-12)
+        got = side_map.log(c @ ell.T, np.zeros((64, 2)))
+        for k in (1, 2):
+            series = stokes_log_coeffs(spec, Zg, 0.0, side, k, 12, prep.r)
+            want = sum(float(f) * np.exp(g.c1 * ell[:, 0] + g.c2 * ell[:, 1])
+                       for g, f in series.items())
+            assert np.max(np.abs(got[:, k - 1] - want)) <= 1e-10, (side, k)

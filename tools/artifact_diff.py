@@ -14,8 +14,9 @@ identical and every exit code matches, 1 otherwise.
 
 The op list is the first block of each `bench/workloads.py` generator
 (imported read-only) at fixed seeds, pentagon `solve` at R in {0.01, 0.05,
-0.08} with tol 1e-14 (small R, where the iteration diverges), at R = 1
-with M = 2048 (a wide grid), at R = 0.3 with max_iter 3 (no convergence: the error carries the last delta and the
+0.08} with tol 1e-14 (small R, where the iteration does not contract), at R = 1
+with M = 2048 (a wide grid), the mutually local spectra {+-gamma1} with
+Omega = 2 and {+-(gamma1 + gamma2)} at R = 0.1, at R = 0.3 with max_iter 3 (no convergence: the error carries the last delta and the
 worst ratio) and at M = 64 with ball_epsilon 1e-10 (every iterate leaves
 the ball), `sweep_r` over R in {4, 0.3} at max_iter 5, `smoothness`
 in every probe direction at orders 1 to 3 and once where a converged
@@ -79,6 +80,13 @@ def pinned_ops() -> list[dict]:
             {"problem": dict(PENTAGON, R=R, tol=1e-14)})
     # a wide grid: the node operator's FFT application at M = 2048
     add("solve-M2048", "solve", {"problem": dict(PENTAGON, R=1.0, M=2048)})
+    # mutually local spectra, where Theta(0) has an all-orders Bessel sum:
+    # the pair {+-gamma1} with Omega = 2 and {+-(gamma1 + gamma2)} (sigma = -1)
+    for name, entries in (("pair-omega2", [[[1, 0], 2], [[-1, 0], 2]]),
+                          ("diagonal", [[[1, 1], 1], [[-1, -1], 1]])):
+        add(f"solve-{name}-R0.1", "solve",
+            {"problem": dict(PENTAGON, R=0.1, spectrum={"entries": entries,
+                                                        "support_constant": 0.5})})
     add("solve-no-convergence", "solve", {"problem": dict(PENTAGON, R=0.3, max_iter=3)})
     add("solve-ball-exits", "solve",
         {"problem": dict(PENTAGON, M=64, ball_epsilon=1e-10)})
