@@ -13,6 +13,12 @@ that convention the counterclockwise limit satisfies the multiplicative jump
 exactly at the nodes; check_jump verifies it between them, from
 evaluate_theta's two limits there.
 
+Only r is iterated: the reality involution zeta -> -1/conj zeta maps node j
+of r to node M-1-j of -r and side +1's charges to side -1's, and the map
+commutes with it, so -r's node values and densities are the conjugate
+reversals of r's (h_{-1} = -conj h_{+1}).  check_jump checks -r independently,
+with side -1's own map at -r's midpoints.
+
 A state is its node values and its prepared problem; every function of a
 state reads the configuration from state.problem.cfg.  iterate_once is the
 bare map; solve applies it, keeps the iteration record and returns it with
@@ -25,16 +31,16 @@ repeats neither.
 
 The densities use the split of the semiflat exponential
 X_g = exp(pi R (Z_g / zeta + zeta conj Z_g) + i c_g . Theta): _Prepared
-stores the first, theta-free exponent of every active charge at the nodes
-once per problem, and _SideMap.log applies a side's factors in order, one
+stores the first, theta-free exponent of every side +1 charge at the r nodes
+once per problem, and _SideMap.log applies the side's factors in order, one
 exp and one log1p per node and active charge.
 
 At the nodes the ray integrals are two Toeplitz kernels times the weights:
 c_same, the coth kernel of a ray on itself by the alternating-point rule
 (spectrally accurate for these decaying densities), and c_cross, the tanh
 kernel between the rays.  _Prepared keeps their FFTs on circulants of length
-2M, and node_transforms applies them in one FFT, product and inverse FFT per
-Picard step.  evaluate_theta passes both basis targets of a side as one
+2M, and node_transforms applies them on r in one FFT, product and inverse FFT
+per Picard step.  evaluate_theta passes both basis targets of a side as one
 (2, M) stack: on a ray to contour_quadrature.band_limited_limits, whose node
 rule is c_same's (so it returns the stored values there), else integrate_ray.
 """
@@ -203,11 +209,10 @@ class _Prepared:
                                            cfg.target_tail)
                       for side in (+1, -1)}
 
-        # per side: the theta-free exponents pi R (Z_g / zeta + zeta conj Z_g)
-        # of the active charges at the nodes, one row per charge
-        self.static = {side: _static_exponents(cfg, self.maps[side].central[:, None],
-                                               self.grids[side].points())
-                       for side in (+1, -1)}
+        # the theta-free exponents pi R (Z_g / zeta + zeta conj Z_g) of side
+        # +1's active charges at the r nodes, one row per charge
+        self.static = _static_exponents(cfg, self.maps[+1].central[:, None],
+                                        self.grids[+1].points())
 
         # central values of the basis charges, for the jump check
         self.basis_central = np.array([extend(g, *basis) for g in (GAMMA1, GAMMA2)])
@@ -216,47 +221,43 @@ class _Prepared:
         # s_j = -L + j step): c_same[i, j] = 2 w_j coth((s_j - s_i)/2) at odd
         # j - i and 0 at even j - i (band_limited_limits' rule at the nodes,
         # Sidi & Israeli 1988), c_cross[i, j] = w_j tanh((s_j - s_i)/2).  Both
-        # act on w h by FFT on circulants of length 2M; the 1/2 that recovers
-        # each side from the sum and the difference of the sides' densities is
-        # folded into the stored spectra, with the 1/2M of the inverse FFT.
+        # act on w h by FFT on circulants of length 2M.  Side -1's w h is
+        # -conj of side +1's reversed, so its FFT is -e^{-i pi (M-1) k/M} conj(H_k):
+        # that factor (exponent reduced mod 2M) and the 1/2M of the inverse
+        # FFT are folded into the stored spectra
         g0 = self.grids[+1]
         M = cfg.M
         cross = np.tanh(0.5 * g0.step * np.arange(1, M))
         same = 2.0 / cross
         same[1::2] = 0.0  # even offsets
-        same_hat, cross_hat = _circulant_fft(same), _circulant_fft(cross)
-        self.half_spectra = np.repeat([same_hat + cross_hat, same_hat - cross_hat],
-                                      2, axis=0) / (4 * M)
+        turn = np.exp(-1j * math.pi / M * ((M - 1) * np.arange(2 * M) % (2 * M)))
+        self.spectra = np.stack([_circulant_fft(same),
+                                 -turn * _circulant_fft(cross)]) / (2 * M)
         self.weights = g0.weights
 
-    def densities(self, values: np.ndarray) -> dict[int, np.ndarray]:
+    def densities(self, ray: np.ndarray) -> dict[int, np.ndarray]:
         """Combined density per side and target, shape (M, 2), from the node
-        values of Theta (shape (2, M, 2); axis 0 is the ray: 0 -> r, 1 -> -r)."""
-        return {side: self.maps[side].log(self.static[side], values[ray_idx])
-                for side, ray_idx in ((+1, 0), (-1, 1))}
+        values of Theta on r (shape (M, 2)): side +1's by its side map, side
+        -1's, on -r, as the involution image -conj(h_{+1}[::-1])."""
+        h = self.maps[+1].log(self.static, ray)
+        return {+1: h, -1: -h[::-1].conj()}
 
-    def node_transforms(self, dens: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
-        """Principal value, at each side's nodes, of the integral over both
-        rays of the two sides' densities (shape (M, 2) each): for side s,
-        c_same h_s + c_cross h_-s.
-
-        With u and v the half sum and half difference of h_+1 and h_-1, side
-        s is (same + cross) u + s (same - cross) v, from one FFT of the
-        weighted (4, M) stack of h_+1 + h_-1 and h_+1 - h_-1 (the halves are
-        in the stored spectra), one product with the spectra and one inverse
-        FFT.
-        """
+    def node_transforms(self, h: np.ndarray) -> np.ndarray:
+        """Principal value, at the r nodes, of the integral over both rays of
+        the two sides' densities, given side +1's h (shape (M, 2)):
+        c_same h + c_cross h_{-1}, with h_{-1} = -conj(h[::-1]) on -r.  One
+        FFT of the weighted (2, M) stack of h's targets, one product with
+        each spectrum (the second of conj(H)) and one inverse FFT."""
         M = self.cfg.M
-        hp, hm = dens[+1].T, dens[-1].T
-        work = np.zeros((4, 2 * M), dtype=complex)  # in place, zero-padded
-        np.add(hp, hm, out=work[:2, :M])
-        np.subtract(hp, hm, out=work[2:, :M])
-        work[:, :M] *= self.weights
+        work = np.zeros((2, 2 * M), dtype=complex)  # in place, zero-padded
+        np.multiply(h.T, self.weights, out=work[:, :M])
         np.fft.fft(work, out=work)
-        work *= self.half_spectra
-        # unscaled inverse: half_spectra carries the 1/2M
-        out = np.fft.ifft(work, norm="forward", out=work)[:, :M]
-        return {+1: (out[:2] + out[2:]).T, -1: (out[:2] - out[2:]).T}
+        other = work.conj()
+        other *= self.spectra[1]
+        work *= self.spectra[0]
+        work += other
+        # unscaled inverse: spectra carry the 1/2M
+        return np.fft.ifft(work, norm="forward", out=work)[:, :M].T
 
 
 def _circulant_fft(k: np.ndarray) -> np.ndarray:
@@ -273,11 +274,11 @@ def _circulant_fft(k: np.ndarray) -> np.ndarray:
 class ThetaState:
     """Node values of the corrected angles on both contour rays.
 
-    values[0] holds the r ray, values[1] the opposite ray; the last axis is
-    the basis index.  Stored values are clockwise-side boundary values.  The
-    combined densities and the limits at 0 and infinity are computed from
-    values on first use and kept, and truncation_guard passes at most once,
-    so values must not be changed in place.
+    values[0] holds the r ray, values[1] the opposite ray, conj(values[0][::-1])
+    (only values[0] enters the densities); the last axis is the basis index.
+    Stored values are clockwise-side boundary values.  The combined densities
+    and the limits at 0 and infinity are computed on first use and kept, and
+    truncation_guard passes at most once, so values must not change in place.
     """
 
     values: np.ndarray
@@ -285,7 +286,7 @@ class ThetaState:
 
     @functools.cached_property
     def densities(self) -> dict[int, np.ndarray]:
-        return self.problem.densities(self.values)
+        return self.problem.densities(self.values[0])
 
     @functools.cached_property
     def limits(self) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
@@ -310,17 +311,14 @@ def init_state(cfg: SolverConfig) -> ThetaState:
 
 
 def iterate_once(state: ThetaState) -> ThetaState:
-    """One application of the integral-equation map to the node values."""
+    """One application of the integral-equation map to the node values of r;
+    those of -r are their image under the reality involution."""
     prep = state.problem
     dens = state.densities
-    new = np.empty_like(state.values)
     theta_vec = np.array(prep.cfg.theta, dtype=complex)
-
-    pv = prep.node_transforms(dens)
-    for s, ray_idx in ((+1, 0), (-1, 1)):
-        stored = pv[s] - 2j * math.pi * dens[s]  # the clockwise limit
-        new[ray_idx] = theta_vec[None, :] - stored / FOUR_PI
-    return ThetaState(new, prep)
+    stored = prep.node_transforms(dens[+1]) - 2j * math.pi * dens[+1]  # the clockwise limit
+    ray = theta_vec[None, :] - stored / FOUR_PI
+    return ThetaState(np.stack([ray, ray[::-1].conj()]), prep)
 
 
 def solve(cfg: SolverConfig) -> tuple[ThetaState, dict]:
@@ -339,13 +337,14 @@ def solve(cfg: SolverConfig) -> tuple[ThetaState, dict]:
     ball_exits: list[int] = []
     for step in range(1, cfg.max_iter + 1):
         new = iterate_once(state)
-        if not np.all(np.isfinite(new.values)):
+        ray = new.values[0]  # -r is its conjugate reversal: the same moduli
+        if not np.all(np.isfinite(ray)):
             raise DivergenceError(
                 f"non-finite iterate at step {step}; R = {cfg.R:g} is too "
                 "small for this spectrum"
             )
-        deltas.append(float(np.max(np.abs(new.values - state.values))))
-        if float(np.max(np.abs(new.values - theta_vec))) > cfg.ball_epsilon:
+        deltas.append(float(np.max(np.abs(ray - state.values[0]))))
+        if float(np.max(np.abs(ray - theta_vec))) > cfg.ball_epsilon:
             ball_exits.append(step)
         state = new
         if step >= 2 and deltas[-1] < cfg.tol:

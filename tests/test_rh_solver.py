@@ -9,8 +9,8 @@ from rhflow.charge_lattice import (Charge, GAMMA1, GAMMA2, Spectrum, pairing,
 from rhflow.contour_quadrature import on_covered_ray
 from rhflow.errors import (ConfigError, DivergenceError, NonContractionError,
                            TruncationUnsafeError)
-from rhflow.rh_solver import (SolverConfig, ThetaState, _Prepared, asymptotic_theta,
-                              check_jump,
+from rhflow.rh_solver import (SolverConfig, ThetaState, _Prepared, _SideMap,
+                              asymptotic_theta, check_jump,
                               check_reality, evaluate_Y, evaluate_theta, init_state,
                               iterate_once, smoothness_probe, solve, verify)
 from rhflow.spectrum_rays import CentralCharge, alternative_split_phases, semiflat
@@ -605,22 +605,23 @@ def basis_Y(state, zeta: np.ndarray, theta: np.ndarray) -> np.ndarray:
     dict(spectrum=GENERIC, Z=GENERIC_Z, R=0.3), dict(spectrum=Spectrum(()), R=1.0),
 ], ids=["pentagon_N8", "pentagon_N12", "generic_two_pair", "empty"])
 def test_densities_match_one_exp_per_charge(kw):
-    # the densities are the log of the side's KS product at Y- on the nodes,
-    # here from products of the factors (one exp per basis charge and node)
+    # side +1's density is the log of its KS product at Y- on the r nodes,
+    # here from products of the factors (one exp per basis charge and node);
+    # side -1's, on -r, is its image under the reality involution
     cfg = pentagon_cfg(**{"max_iter": 100, **kw})
     state, _ = solve(cfg)
     prep = state.problem
-    # the converged state, and one pushed off the real angles (|u| != 1)
-    pushed = state.values + 0.3j * np.random.default_rng(7).standard_normal(
-        state.values.shape)
-    for values in (state.values, pushed):
+    # the converged r values, and ones pushed off the real angles (|u| != 1)
+    ray = state.values[0]
+    pushed = ray + 0.3j * np.random.default_rng(7).standard_normal(ray.shape)
+    for values in (ray, pushed):
         got = prep.densities(values)
-        for side, ray in ((+1, 0), (-1, 1)):
-            y = basis_Y(state, prep.grids[side].points(), values[ray])
-            _, want = ks_product(state, side, y)
-            assert got[side].shape == (cfg.M, 2)
-            rel = np.abs(got[side] - want) / np.maximum(np.abs(want), np.finfo(float).tiny)
-            assert np.max(rel, initial=0.0) <= 1e-14, side
+        y = basis_Y(state, prep.grids[+1].points(), values)
+        _, want = ks_product(state, +1, y)
+        assert got[+1].shape == got[-1].shape == (cfg.M, 2)
+        rel = np.abs(got[+1] - want) / np.maximum(np.abs(want), np.finfo(float).tiny)
+        assert np.max(rel, initial=0.0) <= 1e-14
+        assert got[-1].tobytes() == (-got[+1][::-1].conj()).tobytes()
     assert np.max(np.abs(pushed.imag)) > 0.5
 
 
@@ -676,3 +677,54 @@ def test_evaluate_theta_both_sides_match_the_single_sides_bit_for_bit():
     for bad in ("left", "auto"):
         with pytest.raises(ValueError, match="side"):
             evaluate_theta(state, pts, side=bad)
+
+
+# ---------------- one ray iterated, the other by the reality involution ----------------
+
+Z_LINEAR = CentralCharge((1.0, 0.5), (1j,))  # z1 = 1 + a/2, z2 = i
+DOUBLE = Spectrum.from_pairs([((1, 0), 1), ((-1, 0), 1), ((2, 0), 1), ((-2, 0), 1)])
+MIRROR_CASES = {
+    "pentagon": dict(R=0.3),
+    "generic_two_pair": dict(spectrum=GENERIC, Z=GENERIC_Z, R=0.3),
+    "z_linear_complex_a": dict(Z=Z_LINEAR, a=0.1 + 0.05j, R=0.3),
+    # a second admissible split, not the default one; its grid needs M = 256
+    # for the jump check's bound (4.3e-8 at M = 128)
+    "split_phase": dict(R=0.3, M=256,
+                        split_phase=alternative_split_phases(Z, pentagon_spectrum(), 0.0)[1]),
+    # gamma1 and 2 gamma1 share a BPS ray: the side order breaks the tie by
+    # coordinates, which negation reverses
+    "double": dict(spectrum=DOUBLE, R=0.1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MIRROR_CASES))
+def test_opposite_ray_is_the_involution_image_bit_for_bit(name):
+    state, _ = solve(pentagon_cfg(**{"max_iter": 100, **MIRROR_CASES[name]}))
+    values, dens = state.values, state.densities
+    assert values[1].tobytes() == values[0][::-1].conj().tobytes()
+    assert dens[-1].tobytes() == (-dens[+1][::-1].conj()).tobytes()
+    assert np.max(np.abs(values - np.array(state.problem.cfg.theta))) > 1e-6
+    # -r's jump is checked with side -1's own map at -r's own midpoints
+    assert check_jump(state) <= 1e-10
+
+
+def test_solve_takes_one_side_log_per_step(monkeypatch):
+    # one side log per iterated state and one for the converged state's
+    # limits; iterating both rays takes twice that
+    calls = []
+    original = _SideMap.log
+
+    def counting(self, static, theta):
+        calls.append(1)
+        return original(self, static, theta)
+
+    monkeypatch.setattr(_SideMap, "log", counting)
+    for R in (1.0, 0.3):
+        calls.clear()
+        _, report = solve(pentagon_cfg(R=R))
+        assert 0 < len(calls) <= report["iterations"] + 1
+
+
+@pytest.mark.parametrize("R, iterations", [(0.15, 85), (0.3, 22), (1.0, 6)])
+def test_pentagon_iteration_counts(R, iterations):
+    assert solve(pentagon_cfg(R=R, max_iter=100))[1]["iterations"] == iterations

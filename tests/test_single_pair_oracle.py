@@ -34,7 +34,11 @@ PAIR = Spectrum.from_pairs([((1, 0), 1), ((-1, 0), 1)])
 SPECTRA = {
     "pair_omega2": Spectrum.from_pairs([((1, 0), 2), ((-1, 0), 2)]),
     "diagonal": Spectrum.from_pairs([((1, 1), 1), ((-1, -1), 1)]),  # sigma = -1
+    # gamma1 and 2 gamma1 share a BPS ray: each side orders them by a tie
+    # key that negation reverses
+    "double": Spectrum.from_pairs([((1, 0), 1), ((-1, 0), 1), ((2, 0), 1), ((-2, 0), 1)]),
 }
+MOVED = {"pair_omega2": [1], "diagonal": [0, 1], "double": [1]}
 Z = CentralCharge.constant(1.0, 1j)
 THETA = (0.7, 1.3)
 N = 8  # accepted by the configuration; the solve uses the exact side maps
@@ -95,12 +99,12 @@ def test_theta2_at_zero_matches_the_bessel_sum(R, M):
 @pytest.mark.parametrize("name", sorted(SPECTRA))
 def test_local_spectrum_limits_match_the_bessel_sum(name, R, M):
     # Omega = 2 doubles the pair's correction; the diagonal pair moves both
-    # targets, with sigma = -1
+    # targets, with sigma = -1; gamma1 and 2 gamma1 move only Theta_2
     spectrum = SPECTRA[name]
     state, _ = solve(local_cfg(spectrum, R, M))
     want = theta_at_zero(spectrum, R)
     moved = [k for k in (0, 1) if abs(want[k] - THETA[k]) > 1e-6]
-    assert moved == ([1] if name == "pair_omega2" else [0, 1])
+    assert moved == MOVED[name]
     for k in (0, 1):
         assert abs(state.limits[0][k] - want[k]) <= 1e-14, k
         assert abs(state.limits[1][k] - (2 * THETA[k] - want[k])) <= 1e-14, k

@@ -16,14 +16,15 @@ The op list is the first block of each `bench/workloads.py` generator
 (imported read-only) at fixed seeds, pentagon `solve` at R in {0.01, 0.05,
 0.08} with tol 1e-14 (small R, where the iteration does not contract), at R = 1
 with M = 2048 (a wide grid), the mutually local spectra {+-gamma1} with
-Omega = 2 and {+-(gamma1 + gamma2)} at R = 0.1, at R = 0.3 with max_iter 3 (no convergence: the error carries the last delta and the
-worst ratio) and at M = 64 with ball_epsilon 1e-10 (every iterate leaves
-the ball), `sweep_r` over R in {4, 0.3} at max_iter 5, `smoothness`
-in every probe direction at orders 1 to 3 and once where a converged
-stencil solve fails the |Y| < 1 guard, a few `deform_check`,
-`saddle_check` and manufactured-jump `scalar_bvp` configs, and one
-`scalar_bvp` with a sampled jump.  Outputs go to
-`--work` (kept) or to a temporary directory (removed).
+Omega = 2, {+-(gamma1 + gamma2)} and {+-gamma1, +-2 gamma1} at R = 0.1, at
+R = 1 with complex a and a split_phase, at R = 0.3 with max_iter 3 (no
+convergence: the error carries the last delta and the worst ratio) and at
+M = 64 with ball_epsilon 1e-10 (every iterate leaves the ball), `sweep_r`
+over R in {4, 0.3} at max_iter 5, `smoothness` in every probe direction at
+orders 1 to 3 and once where a converged stencil solve fails the |Y| < 1
+guard, a few `deform_check`, `saddle_check` and manufactured-jump
+`scalar_bvp` configs, and one `scalar_bvp` with a sampled jump.  Outputs go
+to `--work` (kept) or to a temporary directory (removed).
 """
 
 from __future__ import annotations
@@ -81,12 +82,19 @@ def pinned_ops() -> list[dict]:
     # a wide grid: the node operator's FFT application at M = 2048
     add("solve-M2048", "solve", {"problem": dict(PENTAGON, R=1.0, M=2048)})
     # mutually local spectra, where Theta(0) has an all-orders Bessel sum:
-    # the pair {+-gamma1} with Omega = 2 and {+-(gamma1 + gamma2)} (sigma = -1)
+    # the pair {+-gamma1} with Omega = 2, {+-(gamma1 + gamma2)} (sigma = -1)
+    # and {+-gamma1, +-2 gamma1} (two charges on one BPS ray)
     for name, entries in (("pair-omega2", [[[1, 0], 2], [[-1, 0], 2]]),
-                          ("diagonal", [[[1, 1], 1], [[-1, -1], 1]])):
+                          ("diagonal", [[[1, 1], 1], [[-1, -1], 1]]),
+                          ("double", [[[1, 0], 1], [[-1, 0], 1], [[2, 0], 1], [[-2, 0], 1]])):
         add(f"solve-{name}-R0.1", "solve",
             {"problem": dict(PENTAGON, R=0.1, spectrum={"entries": entries,
                                                         "support_constant": 0.5})})
+    # complex a with a central charge that depends on it (z1 = 1 + a/2), on a
+    # contour ray set by split_phase rather than the default split
+    add("solve-complex-a-split", "solve",
+        {"problem": dict(PENTAGON, R=1.0, M=256, a=[0.1, 0.05], split_phase=1.172,
+                         Z={"z1": [[1.0, 0.0], [0.5, 0.0]], "z2": [[0.0, 1.0]]})})
     add("solve-no-convergence", "solve", {"problem": dict(PENTAGON, R=0.3, max_iter=3)})
     add("solve-ball-exits", "solve",
         {"problem": dict(PENTAGON, M=64, ball_epsilon=1e-10)})
