@@ -16,18 +16,18 @@ evaluate_theta's two limits there.
 Only r is iterated: the reality involution zeta -> -1/conj zeta maps node j
 of r to node M-1-j of -r and side +1's charges to side -1's, and the map
 commutes with it, so -r's node values and densities are the conjugate
-reversals of r's (h_{-1} = -conj h_{+1}).  check_jump checks -r independently,
-with side -1's own map at -r's midpoints.
+reversals of r's (h_{-1} = -conj h_{+1}).  The reality and asymptotic
+residuals of verify hold by construction and read rounding; check_jump on -r,
+with side -1's own map at -r's midpoints, is what catches a wrong side -1 map.
 
 A state is its node values and its prepared problem; every function of a
 state reads the configuration from state.problem.cfg.  iterate_once is the
 bare map; solve applies it, keeps the iteration record and returns it with
-the converged state; verify returns the residuals of the defining
-conditions on that state.  solve keeps one check, truncation_guard, which
-keeps the solution where |Y_g| < 1 on the jump rays, the domain in which
-the side maps' log series (stokes_series) converge; a state runs it at most
-once and keeps its limits at 0 and infinity (state.limits), so verify
-repeats neither.
+the converged state; verify returns the residuals of the defining conditions
+on that state.  solve keeps one check, truncation_guard, which keeps the
+solution where |Y_g| < 1 on the jump rays, the domain in which the side maps'
+log series (stokes_series) converge; a state runs it at most once and keeps
+its limits at 0 and infinity (state.limits), so verify repeats neither.
 
 The densities use the split of the semiflat exponential
 X_g = exp(pi R (Z_g / zeta + zeta conj Z_g) + i c_g . Theta): _Prepared
@@ -381,7 +381,8 @@ def verify(state: ThetaState) -> dict:
     """Residuals of the defining conditions at a solved state, for the
     configuration it was built from: the jump (check_jump), the reality
     involution (check_reality), the real part of Theta(0) - theta
-    (asymptotic_real) and |Theta(0) - conj Theta(inf)| (asymptotic_conj)."""
+    (asymptotic_real) and |Theta(0) - conj Theta(inf)| (asymptotic_conj).
+    With -r mirrored from r, the last three read rounding only."""
     cfg = state.problem.cfg
     theta0, thetainf = state.limits
     return {
@@ -506,7 +507,7 @@ def reality_samples(r: RayDirection, count: int = 64, seed: int = 2026) -> np.nd
 
 
 def check_reality(state: ThetaState, count: int = 64) -> float:
-    """Sup over samples of |conj(Theta_k(-1/conj zeta)) - Theta_k(zeta)|."""
+    """Sup over samples of |conj(Theta_k(-1/conj zeta)) - Theta_k(zeta)|; rounding (see verify)."""
     z = reality_samples(state.problem.r, count)
     both = np.stack(evaluate_theta(state, np.concatenate([z, -1.0 / z.conjugate()])))
     direct, mirrored = both[:, :len(z)], both[:, len(z):]

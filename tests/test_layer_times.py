@@ -1,6 +1,10 @@
-"""tools/layer_times.py: the paired summary of end-to-end runs."""
+"""tools/layer_times.py: the paired summary of end-to-end runs, and the fixed-op runs."""
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -24,3 +28,15 @@ def test_summary_counts_pair_wins_by_each_metrics_direction():
     assert summary["ops_per_s"]["tree"]["median"] == 70.0
     base = summary["latency_p50_ms"]["base"]
     assert base["q1"] <= base["median"] <= base["q3"]
+
+
+def test_fixed_ops_run_through_the_benchmarks_own_op_runner():
+    # a fresh interpreter, as the tool runs it: bench/run.py re-imports rhflow
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "layer_times.py"),
+                           "--ops-of", str(ROOT), "solve-verify", "41", "3"],
+                          capture_output=True, text=True, check=True,
+                          env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
+    got = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert got["failed"] == 0
+    assert 0.0 < got["residual_max"] < 1e-10
+    assert got["peak_rss_mb"] > 0.0

@@ -2,27 +2,31 @@
 metrics, on a base git ref and on the working tree; write both to one JSON
 record (a BENCH_*.json file).
 
-    python tools/layer_times.py --out BENCH_x.json [--base REF] [--rounds 3]
-        [--workload W ...] [--pairs 10] [--seconds 38]
+    python tools/layer_times.py --out BENCH_x.json [--base REF] [--workload W ...]
 
 Layers: for the pentagon (support constant 0.9, Z = (1, i), a = 0,
 theta = (0.7, 1.3), tol 1e-12, max_iter 100) at each (R, M) of CASES, the
 time of `_Prepared(cfg)`, of one `iterate_once` including the new state's
 densities, of `solve(cfg)`, and of `check_jump`, `check_reality` and
 `verify` on the solved state (guard passed, limits kept).  Each side runs in
-a fresh interpreter with one BLAS thread; the sides alternate for `--rounds`
+a fresh interpreter with one BLAS thread; the sides alternate for ROUNDS
 rounds, and each layer is reported in ms per call as the median and the
 minimum over all its samples.
 
-End to end: for each `--workload`, `bench/run.py --trace 0` runs from a
-`git archive` of the base and from the working tree, `--pairs` pairs at
-seeds 41, 42, ..., the side that runs first alternating from pair to pair.
-Every run's metrics are kept, with each side's median and quartiles and the
-number of pairs the tree won by each metric's `better` direction.  Since a
-run's `residual_max` is a max over the ops it attempted, and a faster side
-attempts more, the record adds both sides' largest gate residual over one
-fixed op count: the first ops of seed 41's stream, as many as every run
-attempted.
+Both sides run from fresh directories: a `git archive` of the base and a
+copy of the working tree's files (tracked or untracked, not ignored).
+
+End to end: for each `--workload`, `bench/run.py --trace 0` runs from both
+for BENCHMARK.json's `run_seconds`, PAIRS pairs at seeds 41, 42, ..., the
+side that runs first alternating from pair to pair.  Every run's metrics
+are kept, with each side's median and quartiles and the number of pairs the
+tree won by each metric's `better` direction.  A run's `residual_max` is a
+max over the ops it attempted, and its `peak_rss_mb` grows with the results
+it keeps, so a faster side reads higher on both.  The record therefore
+adds, per side, the first ops of seed 41's stream, as many as every run
+attempted, run by bench/run.py's `setup` and `run_op` in a fresh
+interpreter for ROUNDS alternating rounds: their failures, their largest
+gate residual and the peak RSS after them.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import io
 import json
 import os
 import platform
-import random
+import resource
 import shutil
 import statistics
 import subprocess
@@ -47,6 +51,8 @@ ROOT = Path(__file__).resolve().parent.parent
 CASES = ((4.0, 128), (1.0, 128), (0.3, 128), (0.15, 128),
          (1.0, 512), (0.3, 512), (1.0, 2048))
 LAYERS = ("_Prepared", "iterate_once", "solve", "check_jump", "check_reality", "verify")
+ROUNDS = 3   # alternating rounds of layer times and of fixed-op runs
+PAIRS = 10   # alternating end-to-end pairs per workload
 SAMPLES = {"solve": 11}  # per round; every other layer takes 21
 THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
@@ -91,30 +97,20 @@ def time_layers(src: str) -> dict:
     return out
 
 
-def fixed_op_residuals(src: str, workload: str, seed: int, count: int) -> dict:
-    """The largest gate residual over the first count ops of a workload's
-    seeded stream, run as bench/run.py runs them, with rhflow imported from
-    src; and how many of those ops failed the gate."""
-    sys.path[:0] = [src, str(ROOT / "bench")]
-    from rhflow import cli_driver
-    from workloads import WORKLOADS, gate
-    residuals, failed = [], 0
+def fixed_ops(root: str, workload: str, seed: int, count: int) -> dict:
+    """The first count ops of a workload's seeded stream, run by root's
+    bench/run.py (its setup, then run_op), each result kept: how many failed
+    the gate, their largest gate residual and the peak RSS after them."""
+    sys.path.insert(0, str(Path(root) / "bench"))
+    import run
+    cli, first, blocks, _ = run.setup(workload, seed, Path(root))
+    ops = islice(chain.from_iterable(chain(first, blocks)), count)
     with tempfile.TemporaryDirectory(prefix="layer-times-ops-") as tmp:
-        cfg, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
-        for op in islice(chain.from_iterable(WORKLOADS[workload](random.Random(seed))), count):
-            shutil.rmtree(out, ignore_errors=True)
-            cfg.write_text(op.text(), encoding="utf-8")
-            try:
-                code = cli_driver.main([op.command, "--config", str(cfg), "--out", str(out),
-                                        "--seed", str(op.seed)])
-            except Exception:  # an op that raises is a failed op, as in bench/run.py
-                failed += 1
-                continue
-            result = gate(op, code, out)
-            failed += not result.ok
-            if result.residual is not None:
-                residuals.append(result.residual)
-    return {"failed": failed, "residual_max": max(residuals, default=0.0)}
+        results = [run.run_op(cli, op, Path(tmp))[1] for op in ops]
+    return {"failed": sum(not r.ok for r in results),
+            "residual_max": max((r.residual for r in results if r.residual is not None),
+                                default=0.0),
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}
 
 
 def _child(args: list[str], **kw) -> subprocess.CompletedProcess:
@@ -147,9 +143,9 @@ def summarize(runs: dict[str, list[dict]], better: dict[str, str]) -> dict:
     return summary
 
 
-def layers(sides: dict[str, Path], rounds: int) -> dict:
+def layers(sides: dict[str, Path]) -> dict:
     samples: dict = {side: {} for side in sides}
-    for i in range(rounds):
+    for i in range(ROUNDS):
         for side in (list(sides) if i % 2 == 0 else list(sides)[::-1]):
             got = _last_line(_child([__file__, "--layers-of", str(sides[side] / "src")]))
             for case, row in got.items():
@@ -164,11 +160,12 @@ def layers(sides: dict[str, Path], rounds: int) -> dict:
             for side, by_case in samples.items()}
 
 
-def end_to_end(sides: dict[str, Path], workload: str, pairs: int, seconds: int) -> dict:
-    better = {m["name"]: m["better"]
-              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+def end_to_end(sides: dict[str, Path], workload: str) -> dict:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seconds = spec["run_seconds"]
     runs: dict = {side: [] for side in sides}
-    seeds = [41 + i for i in range(pairs)]
+    seeds = [41 + i for i in range(PAIRS)]
     for i, seed in enumerate(seeds):
         for side in (list(sides) if i % 2 == 0 else list(sides)[::-1]):
             proc = _child([str(sides[side] / "bench" / "run.py"), "--workload", workload,
@@ -179,12 +176,14 @@ def end_to_end(sides: dict[str, Path], workload: str, pairs: int, seconds: int) 
                                "failed": result["failed"],
                                **{k: m["value"] for k, m in result["metrics"].items()}})
     count = min(run["attempted"] for run in chain(*runs.values()))
-    fixed = {side: _last_line(_child([__file__, "--residuals-of", str(sides[side] / "src"),
-                                      workload, str(seeds[0]), str(count)]))
-             for side in sides}
+    fixed: dict = {side: [] for side in sides}
+    for i in range(ROUNDS):
+        for side in (list(sides) if i % 2 == 0 else list(sides)[::-1]):
+            fixed[side].append(_last_line(_child([__file__, "--ops-of", str(sides[side]),
+                                                  workload, str(seeds[0]), str(count)])))
     return {"seeds": seeds, "seconds": seconds, "runs": runs,
             "summary": summarize(runs, better),
-            "fixed_op_residual_max": {"seed": seeds[0], "ops": count, **fixed}}
+            "fixed_ops": {"seed": seeds[0], "ops": count, **fixed}}
 
 
 def environment() -> dict:
@@ -199,36 +198,41 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", help="JSON record to write")
     parser.add_argument("--base", default="HEAD", help="git ref to compare against")
-    parser.add_argument("--rounds", type=int, default=3)
     parser.add_argument("--workload", action="append", default=[])
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=int, default=38)
     parser.add_argument("--layers-of", help=argparse.SUPPRESS)
-    parser.add_argument("--residuals-of", nargs=4, help=argparse.SUPPRESS)
+    parser.add_argument("--ops-of", nargs=4, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.layers_of:
         print(json.dumps(time_layers(args.layers_of)))
         return 0
-    if args.residuals_of:
-        src, workload, seed, count = args.residuals_of
-        print(json.dumps(fixed_op_residuals(src, workload, int(seed), int(count))))
+    if args.ops_of:
+        root, workload, seed, count = args.ops_of
+        print(json.dumps(fixed_ops(root, workload, int(seed), int(count))))
         return 0
-    if not args.out or args.pairs < 2:
-        parser.error("--out is required, and --pairs must be at least 2")
+    if not args.out:
+        parser.error("--out is required")
     sha = subprocess.run(["git", "-C", str(ROOT), "rev-parse", args.base],
                          capture_output=True, text=True, check=True).stdout.strip()
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", sha],
                              capture_output=True, check=True).stdout
+    # the tree runs from a copy too: run from the checkout, the same code
+    # read 0.1-0.2 MiB more peak RSS than from a fresh directory
+    files = subprocess.run(["git", "-C", str(ROOT), "ls-files", "-z", "--cached", "--others",
+                            "--exclude-standard"], capture_output=True, text=True,
+                           check=True).stdout.split("\0")
     with tempfile.TemporaryDirectory(prefix="layer-times-") as tmp:
+        sides = {"base": Path(tmp) / "base", "tree": Path(tmp) / "tree"}
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(tmp, filter="data")
-        sides = {"base": Path(tmp), "tree": ROOT}
+            tar.extractall(sides["base"], filter="data")
+        for name in files:
+            if (ROOT / name).is_file():  # not deleted in the working tree
+                (sides["tree"] / name).parent.mkdir(parents=True, exist_ok=True)
+                shutil.copy2(ROOT / name, sides["tree"] / name)
         record = {"base": sha, "tree": "working tree", "environment": environment(),
                   "cases": "pentagon, support constant 0.9, Z = (1, i), a = 0, "
                            "theta = (0.7, 1.3), tol 1e-12, max_iter 100",
-                  "layers": layers(sides, args.rounds),
-                  "end_to_end": {w: end_to_end(sides, w, args.pairs, args.seconds)
-                                 for w in args.workload}}
+                  "layers": layers(sides),
+                  "end_to_end": {w: end_to_end(sides, w) for w in args.workload}}
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
