@@ -3,9 +3,9 @@ and bit-stable report emission.
 
 Commands: solve, sweep_r, pentagon_table, saddle_check, scalar_bvp,
 deform_check, smoothness.  Configurations are JSON; complex numbers are
-[re, im] pairs and polynomials coefficient arrays, low order first.  All
-floating-point output is written with 17 significant digits so reruns are
-byte-identical.
+[re, im] pairs and polynomials coefficient arrays, low order first.  CSV
+floats are written with 17 significant digits and JSON floats as their
+repr; both round-trip every double, so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -188,27 +188,25 @@ def load_config(text: str, command: str, seed: int = 0) -> RunConfig:
 
 # ---------------------------------------------------------------- outputs
 
-def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
+def _write(path: Path, text: str) -> None:
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.write(text)
+
+
+def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
+    _write(path, "".join(",".join(row) + "\n" for row in [header, *rows]))
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """json writes every float as its repr, which round-trips it, so the
+    same payload gives the same bytes."""
+    _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _round_floats(obj):
-    if isinstance(obj, float):
-        return float(fmt(obj))
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_round_floats(v) for v in obj]
-    return obj
+def _negated_reversed(column: list[str]) -> list[str]:
+    """The fmt strings of -x for the x of column, in reverse order (signed
+    zeros included: "0" and "-0" swap)."""
+    return [x[1:] if x.startswith("-") else "-" + x for x in reversed(column)]
 
 
 # ---------------------------------------------------------------- commands
@@ -216,12 +214,15 @@ def _round_floats(obj):
 def _cmd_solve(rc: RunConfig, out: Path) -> None:
     state, report = solve(rc.solver)
     report["residuals"] = verify(state)
-    _write_json(out / "report.json", _round_floats(report))
+    _write_json(out / "report.json", report)
     s = fmt_column(state.problem.grids[+1].nodes)
-    rows = []
-    for v, label in zip(state.values, ("r", "-r")):
-        cols = [fmt_column(part) for c in v.T for part in (c.real, c.imag)]
-        rows += [[si, label, *vals] for si, *vals in zip(s, *cols)]
+    re1, im1, re2, im2 = [fmt_column(part) for c in state.values[0].T
+                          for part in (c.real, c.imag)]
+    # -r's values are conj(r[::-1]) exactly, so its strings are r's reversed,
+    # the imaginary parts negated
+    rows = ([[si, "r", *vals] for si, *vals in zip(s, re1, im1, re2, im2)]
+            + [[si, "-r", *vals] for si, *vals in zip(s, re1[::-1], _negated_reversed(im1),
+                                                      re2[::-1], _negated_reversed(im2))])
     _write_csv(out / "nodes.csv",
                ["s", "ray", "re_theta1", "im_theta1", "re_theta2", "im_theta2"],
                rows)
@@ -418,7 +419,7 @@ def _cmd_scalar_bvp(rc: RunConfig, out: Path) -> None:
     if alt is not None:
         payload["residuals"]["uniqueness"] = verify_uniqueness(
             problem, _complex(alt, "scalar.zeta0_alt"))
-    _write_json(out / "scalar_report.json", _round_floats(payload))
+    _write_json(out / "scalar_report.json", payload)
 
 
 _RUNNERS = {

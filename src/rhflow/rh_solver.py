@@ -21,26 +21,33 @@ residuals of verify hold by construction and read rounding; check_jump on -r,
 with side -1's own map at -r's midpoints, is what catches a wrong side -1 map.
 
 A state is its node values and its prepared problem; every function of a
-state reads the configuration from state.problem.cfg.  iterate_once is the
-bare map; solve applies it, keeps the iteration record and returns it with
-the converged state; verify returns the residuals of the defining conditions
-on that state.  solve keeps one check, truncation_guard, which keeps the
+state reads the configuration from state.problem.cfg.  The prepared problem
+(_Prepared) is the configuration, theta as a vector, and a theta-free
+problem (_ThetaFree: rays, side maps, grids, exponents and kernel spectra)
+that theta_free_problem builds once per R, a, spectrum, Z, M, target_tail
+and split_phase and keeps for the session (32 at most), so the solves of
+an R ladder or of a theta or a stencil share it.  It is shared, so it is
+read-only: its arrays refuse writes.
+
+iterate_once is the bare map; solve applies it, keeps the iteration record
+and returns it with the converged state; verify returns the residuals of the
+defining conditions on that state.  solve keeps one check, truncation_guard, which keeps the
 solution where |Y_g| < 1 on the jump rays, the domain in which the side maps'
 log series (stokes_series) converge; a state runs it at most once and keeps
 its limits at 0 and infinity (state.limits), so verify repeats neither.
 
 The densities use the split of the semiflat exponential
-X_g = exp(pi R (Z_g / zeta + zeta conj Z_g) + i c_g . Theta): _Prepared
-stores the first, theta-free exponent of every side +1 charge at the r nodes
-once per problem, and _SideMap.log applies the side's factors in order, one
-exp and one log1p per node and active charge.
+X_g = exp(pi R (Z_g / zeta + zeta conj Z_g) + i c_g . Theta): the theta-free
+problem stores the first exponent of every side +1 charge at the r nodes,
+and _SideMap.log applies the side's factors in order, one exp and one log1p
+per node and active charge.  A Picard step forms side +1's density only.
 
 At the nodes the ray integrals are two Toeplitz kernels times the weights:
 c_same, the coth kernel of a ray on itself by the alternating-point rule
 (spectrally accurate for these decaying densities), and c_cross, the tanh
-kernel between the rays.  _Prepared keeps their FFTs on circulants of length
-2M, and node_transforms applies them on r in one FFT, product and inverse FFT
-per Picard step.  evaluate_theta passes both basis targets of a side as one
+kernel between the rays.  The theta-free problem keeps their FFTs on
+circulants of length 2M, and node_transforms applies them on r in one FFT,
+product and inverse FFT per Picard step.  evaluate_theta passes both basis targets of a side as one
 (2, M) stack: on a ray to contour_quadrature.band_limited_limits, whose node
 rule is c_same's (so it returns the stored values there), else integrate_ray.
 """
@@ -52,6 +59,7 @@ import dataclasses
 import functools
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -113,11 +121,11 @@ class SolverConfig:
             raise ConfigError("Z coefficients must be finite")
 
 
-def _static_exponents(cfg: SolverConfig, zg: complex | np.ndarray,
+def _static_exponents(R: float, zg: complex | np.ndarray,
                       pts: complex | np.ndarray) -> np.ndarray:
     """pi R (Z_g / zeta' + zeta' conj Z_g) for central charge values zg at
     the points pts (broadcast against each other)."""
-    return math.pi * cfg.R * (zg / pts + pts * np.conj(zg))
+    return math.pi * R * (zg / pts + pts * np.conj(zg))
 
 
 class _SideMap:
@@ -170,28 +178,39 @@ class _SideMap:
                 one_minus.append(1.0 + xj)
                 np.log1p(xj, out=xj)
                 for k, w in weights:
-                    delta[k] += w * xj
+                    if w == 1:
+                        delta[k] += xj
+                    elif w == -1:
+                        delta[k] -= xj
+                    else:
+                        delta[k] += w * xj
         # (2, P) rows keep each target's density contiguous for the ray sums
         return delta.T
 
 
-class _Prepared:
-    """Grids, side maps and the node operator for one configuration."""
+class _ThetaFree:
+    """Everything of a problem that theta does not enter: the contour rays
+    and their classification, the side maps, the grids, side +1's
+    theta-free exponents, the node operator's spectra and weights, and
+    truncation_guard's exponents.  Built once per (R, a, spectrum, Z, M,
+    target_tail, split_phase) by theta_free_problem and shared by every
+    solve with those fields, so every array it holds is read-only and its
+    dicts are read-only views."""
 
-    def __init__(self, cfg: SolverConfig):
-        cfg.validate()
-        require_support(cfg.spectrum, cfg.Z, cfg.a)
-        self.cfg = cfg
-        self.r, self.classification = admissible_pair(
-            cfg.Z, cfg.spectrum, cfg.a, split_phase=cfg.split_phase)
-        self.rays = {+1: self.r, -1: self.r.opposite()}
+    def __init__(self, R: float, a: complex, spectrum: Spectrum, Z: CentralCharge,
+                 M: int, target_tail: float, split_phase: float | None):
+        require_support(spectrum, Z, a)
+        self.M = M
+        self.r, classification = admissible_pair(Z, spectrum, a, split_phase=split_phase)
+        self.classification = MappingProxyType(classification)
+        self.rays = MappingProxyType({+1: self.r, -1: self.r.opposite()})
 
         # the side maps; a side charge's central value lies in its side's
         # open half-plane, so it is nonzero and its BPS ray is defined
-        basis = cfg.Z.basis_values(cfg.a)
-        self.maps = {side: _SideMap(ordered_side_charges(cfg.spectrum, cfg.Z, cfg.a,
-                                                         side, self.r), basis)
-                     for side in (+1, -1)}
+        basis = Z.basis_values(a)
+        self.maps = MappingProxyType(
+            {side: _SideMap(ordered_side_charges(spectrum, Z, a, side, self.r), basis)
+             for side in (+1, -1)})
 
         # one symmetric node set for both rays: slowest decay over both
         # sides' active charges.  The decay 2 pi R |Z_g| cos(angle) is linear
@@ -202,17 +221,24 @@ class _Prepared:
             ray = self.rays[side]
             for zg in self.maps[side].central.tolist():
                 ang = RayDirection(cmath.phase(-zg)).angle_to(ray)
-                decay = min(decay, 2.0 * math.pi * cfg.R * abs(zg) * math.cos(ang))
+                decay = min(decay, 2.0 * math.pi * R * abs(zg) * math.cos(ang))
         if not math.isfinite(decay):  # empty spectrum: any width will do
-            decay = 2.0 * math.pi * cfg.R * min(abs(z) for z in basis if z != 0)
-        self.grids = {side: build_ray_grid(self.rays[side], decay, cfg.M,
-                                           cfg.target_tail)
-                      for side in (+1, -1)}
+            decay = 2.0 * math.pi * R * min(abs(z) for z in basis if z != 0)
+        self.grids = MappingProxyType(
+            {side: build_ray_grid(self.rays[side], decay, M, target_tail)
+             for side in (+1, -1)})
 
         # the theta-free exponents pi R (Z_g / zeta + zeta conj Z_g) of side
         # +1's active charges at the r nodes, one row per charge
-        self.static = _static_exponents(cfg, self.maps[+1].central[:, None],
+        self.static = _static_exponents(R, self.maps[+1].central[:, None],
                                         self.grids[+1].points())
+
+        # truncation_guard's: each active charge with the index of its
+        # side's ray and its exponents at that ray's nodes, in guard order
+        self.guard_exponents = tuple(
+            (g, ray_idx, _static_exponents(R, Z.of(g, a), self.grids[s].points()))
+            for s, ray_idx in ((+1, 0), (-1, 1))
+            for g, _ in spectrum.active() if self.classification.get(g) == s)
 
         # central values of the basis charges, for the jump check
         self.basis_central = np.array([extend(g, *basis) for g in (GAMMA1, GAMMA2)])
@@ -226,7 +252,6 @@ class _Prepared:
         # that factor (exponent reduced mod 2M) and the 1/2M of the inverse
         # FFT are folded into the stored spectra
         g0 = self.grids[+1]
-        M = cfg.M
         cross = np.tanh(0.5 * g0.step * np.arange(1, M))
         same = 2.0 / cross
         same[1::2] = 0.0  # even offsets
@@ -235,11 +260,22 @@ class _Prepared:
                                  -turn * _circulant_fft(cross)]) / (2 * M)
         self.weights = g0.weights
 
+        for arr in (self.static, self.basis_central, self.spectra,
+                    *(stat for _, _, stat in self.guard_exponents),
+                    *(x for m in self.maps.values() for x in (m.central, m.coords)),
+                    *(x for g in self.grids.values() for x in (g.nodes, g.weights))):
+            arr.flags.writeable = False
+
+    def side_log(self, ray: np.ndarray) -> np.ndarray:
+        """Side +1's density on r, shape (M, 2), from the node values of
+        Theta there (shape (M, 2))."""
+        return self.maps[+1].log(self.static, ray)
+
     def densities(self, ray: np.ndarray) -> dict[int, np.ndarray]:
         """Combined density per side and target, shape (M, 2), from the node
         values of Theta on r (shape (M, 2)): side +1's by its side map, side
         -1's, on -r, as the involution image -conj(h_{+1}[::-1])."""
-        h = self.maps[+1].log(self.static, ray)
+        h = self.side_log(ray)
         return {+1: h, -1: -h[::-1].conj()}
 
     def node_transforms(self, h: np.ndarray) -> np.ndarray:
@@ -248,7 +284,7 @@ class _Prepared:
         c_same h + c_cross h_{-1}, with h_{-1} = -conj(h[::-1]) on -r.  One
         FFT of the weighted (2, M) stack of h's targets, one product with
         each spectrum (the second of conj(H)) and one inverse FFT."""
-        M = self.cfg.M
+        M = self.M
         work = np.zeros((2, 2 * M), dtype=complex)  # in place, zero-padded
         np.multiply(h.T, self.weights, out=work[:, :M])
         np.fft.fft(work, out=work)
@@ -258,6 +294,36 @@ class _Prepared:
         work += other
         # unscaled inverse: spectra carry the 1/2M
         return np.fft.ifft(work, norm="forward", out=work)[:, :M].T
+
+
+@functools.lru_cache(maxsize=32)
+def theta_free_problem(R: float, a: complex, spectrum: Spectrum, Z: CentralCharge,
+                       M: int, target_tail: float,
+                       split_phase: float | None) -> _ThetaFree:
+    """The shared theta-free problem of these fields, built on first use
+    and kept for the session (at most 32); fields that compare equal share
+    one problem."""
+    return _ThetaFree(R, a, spectrum, Z, M, target_tail, split_phase)
+
+
+class _Prepared:
+    """One solve's problem: its configuration, its theta as a read-only
+    complex vector, and the shared theta-free problem (shared), whose
+    attributes it reads through."""
+
+    def __init__(self, cfg: SolverConfig):
+        cfg.validate()
+        self.cfg = cfg
+        self.theta = np.array(cfg.theta, dtype=complex)
+        self.theta.flags.writeable = False
+        self.shared = theta_free_problem(cfg.R, cfg.a, cfg.spectrum, cfg.Z, cfg.M,
+                                         cfg.target_tail, cfg.split_phase)
+
+    def __getattr__(self, name: str):
+        # reached only for names the instance lacks: the shared problem's
+        if name == "shared":
+            raise AttributeError(name)
+        return getattr(self.shared, name)
 
 
 def _circulant_fft(k: np.ndarray) -> np.ndarray:
@@ -304,20 +370,21 @@ class ThetaState:
 def init_state(cfg: SolverConfig) -> ThetaState:
     """Zeroth iterate: Theta identically equal to the reference angles."""
     prep = _Prepared(cfg)
-    values = np.zeros((2, cfg.M, 2), dtype=complex)
-    values[..., 0] = cfg.theta[0]
-    values[..., 1] = cfg.theta[1]
+    values = np.empty((2, cfg.M, 2), dtype=complex)
+    values[...] = prep.theta
     return ThetaState(values, prep)
 
 
 def iterate_once(state: ThetaState) -> ThetaState:
     """One application of the integral-equation map to the node values of r;
-    those of -r are their image under the reality involution."""
+    those of -r are their image under the reality involution.  It forms side
+    +1's density only; the state's densities (both sides) are left to
+    verify and the limits."""
     prep = state.problem
-    dens = state.densities
-    theta_vec = np.array(prep.cfg.theta, dtype=complex)
-    stored = prep.node_transforms(dens[+1]) - 2j * math.pi * dens[+1]  # the clockwise limit
-    ray = theta_vec[None, :] - stored / FOUR_PI
+    shared = prep.shared
+    h = shared.side_log(state.values[0])
+    stored = shared.node_transforms(h) - 2j * math.pi * h  # the clockwise limit
+    ray = prep.theta - stored / FOUR_PI
     return ThetaState(np.stack([ray, ray[::-1].conj()]), prep)
 
 
@@ -332,18 +399,21 @@ def solve(cfg: SolverConfig) -> tuple[ThetaState, dict]:
     truncation_guard; verify does not run it again on that state.
     """
     state = init_state(cfg)
-    theta_vec = np.array(cfg.theta, dtype=complex)
+    theta_vec = state.problem.theta
     deltas: list[float] = []
     ball_exits: list[int] = []
     for step in range(1, cfg.max_iter + 1):
         new = iterate_once(state)
         ray = new.values[0]  # -r is its conjugate reversal: the same moduli
-        if not np.all(np.isfinite(ray)):
+        # the previous iterate is finite, so a NaN or inf in this one makes
+        # the delta non-finite
+        delta = float(np.max(np.abs(ray - state.values[0])))
+        if not math.isfinite(delta):
             raise DivergenceError(
                 f"non-finite iterate at step {step}; R = {cfg.R:g} is too "
                 "small for this spectrum"
             )
-        deltas.append(float(np.max(np.abs(ray - state.values[0]))))
+        deltas.append(delta)
         if float(np.max(np.abs(ray - theta_vec))) > cfg.ball_epsilon:
             ball_exits.append(step)
         state = new
@@ -433,7 +503,7 @@ def evaluate_Y(state: ThetaState, g: Charge, zeta: complex,
     th1, th2 = evaluate_theta(state, zeta, side=side)
     thg = g.c1 * th1 + g.c2 * th2
     cfg = state.problem.cfg
-    return complex(np.exp(_static_exponents(cfg, cfg.Z.of(g, cfg.a), zeta) + 1j * thg))
+    return complex(np.exp(_static_exponents(cfg.R, cfg.Z.of(g, cfg.a), zeta) + 1j * thg))
 
 
 def truncation_guard(state: ThetaState) -> None:
@@ -442,20 +512,14 @@ def truncation_guard(state: ThetaState) -> None:
     that ray (stokes_series) converges only for |Y_g| < 1, and solutions are
     kept inside that domain, where the exact log the solver iterates is its
     sum."""
-    prep = state.problem
-    cfg = prep.cfg
-    for s, ray_idx in ((+1, 0), (-1, 1)):
-        for g, _ in cfg.spectrum.active():
-            if prep.classification.get(g) != s:
-                continue
-            stat = _static_exponents(cfg, cfg.Z.of(g, cfg.a), prep.grids[s].points())
-            thg = g.c1 * state.values[ray_idx, :, 0] + g.c2 * state.values[ray_idx, :, 1]
-            mags = np.abs(np.exp(stat + 1j * thg))
-            if np.any(mags >= 1.0):
-                raise TruncationUnsafeError(
-                    f"|Y| = {mags.max():.3g} >= 1 for charge ({g.c1},{g.c2}) "
-                    "on its jump ray; the log series of its jump map does not converge"
-                )
+    for g, ray_idx, stat in state.problem.guard_exponents:
+        thg = g.c1 * state.values[ray_idx, :, 0] + g.c2 * state.values[ray_idx, :, 1]
+        mags = np.abs(np.exp(stat + 1j * thg))
+        if np.any(mags >= 1.0):
+            raise TruncationUnsafeError(
+                f"|Y| = {mags.max():.3g} >= 1 for charge ({g.c1},{g.c2}) "
+                "on its jump ray; the log series of its jump map does not converge"
+            )
 
 
 def check_jump(state: ThetaState) -> float:
@@ -479,12 +543,12 @@ def check_jump(state: ThetaState) -> float:
     zeta, n = np.concatenate(rays), len(rays[0])
     plus, minus = evaluate_theta(state, zeta, side="both")
     tm = np.stack(minus, axis=1)
-    basis = _static_exponents(cfg, prep.basis_central[:, None], zeta).T
+    basis = _static_exponents(cfg.R, prep.basis_central[:, None], zeta).T
     y_plus = np.exp(basis + 1j * np.stack(plus, axis=1))
     predicted = np.exp(basis + 1j * tm)
     for s, on in ((+1, slice(None, n)), (-1, slice(n, None))):
         side_map = prep.maps[s]
-        static = _static_exponents(cfg, side_map.central[:, None], zeta[on])
+        static = _static_exponents(cfg.R, side_map.central[:, None], zeta[on])
         predicted[on] *= np.exp(side_map.log(static, tm[on]))
     return float(np.max(np.abs(predicted - y_plus) / np.abs(y_plus)))
 

@@ -1,7 +1,10 @@
-"""tools/artifact_diff.py: the numeric comparison of two output trees."""
+"""tools/artifact_diff.py: the numeric comparison of two output trees, and\nthe repeat of each op on the tree side."""
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -75,3 +78,35 @@ def test_residual_rises_name_the_count_the_largest_rise_and_its_op(tmp_path):
         "  sweep.csv reality_residual: 1 of 2 rose; max 2e-16 -> nan; "
         "largest rise inf on sweep",
     ]
+
+
+def _files(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_each_op_run_again_finds_its_problems_cached_and_writes_the_same_bytes(tmp_path):
+    # a solve, a sweep over two R and a smoothness probe whose stencil points
+    # share one theta-free problem, each run twice in one interpreter
+    pentagon = artifact_diff.PENTAGON
+    ops = [{"name": "solve", "command": "solve", "seed": 0,
+            "doc": {"problem": dict(pentagon, R=0.3, M=64)}},
+           {"name": "sweep", "command": "sweep_r", "seed": 0,
+            "doc": {"problem": dict(pentagon, M=64), "R_values": [4.0, 1.0]}},
+           {"name": "smoothness", "command": "smoothness", "seed": 0,
+            "doc": {"problem": dict(pentagon, M=64),
+                    "smoothness": {"direction": "theta1", "orders": [1, 2]}}}]
+    ops_file = tmp_path / "ops.json"
+    ops_file.write_text(json.dumps(ops))
+    out, again = tmp_path / "out", tmp_path / "again"
+    subprocess.run([sys.executable, str(ROOT / "tools" / "artifact_diff.py"), "--side",
+                    str(ROOT / "src"), str(ops_file), str(out), str(again)],
+                   check=True, capture_output=True,
+                   env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
+    codes = json.loads(Path(f"{out}.codes.json").read_text())
+    repeat = json.loads(Path(f"{again}.codes.json").read_text())
+    assert codes == repeat["codes"] == {"solve": 0, "sweep": 0, "smoothness": 0}
+    assert repeat["cache_misses"] == 0
+    first = _files(out)
+    assert sorted(first) == ["smoothness/smoothness.csv", "solve/nodes.csv",
+                             "solve/report.json", "sweep/sweep.csv"]
+    assert _files(again) == first

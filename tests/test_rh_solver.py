@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from rhflow.charge_lattice import (Charge, GAMMA1, GAMMA2, Spectrum, pairing,
 from rhflow.contour_quadrature import on_covered_ray
 from rhflow.errors import (ConfigError, DivergenceError, NonContractionError,
                            TruncationUnsafeError)
-from rhflow.rh_solver import (SolverConfig, ThetaState, _Prepared, _SideMap,
+from rhflow.rh_solver import (SolverConfig, ThetaState, _Prepared, _SideMap, _ThetaFree,
                               asymptotic_theta, check_jump,
                               check_reality, evaluate_Y, evaluate_theta, init_state,
                               iterate_once, smoothness_probe, solve, verify)
@@ -90,17 +91,18 @@ def test_pentagon_first_step_is_small():
 
 
 def test_solve_computes_densities_once_per_state(monkeypatch):
-    # one density set per iterate plus the converged state's for the checks
+    # a Picard step forms side +1's density only; both sides' densities are
+    # built once, for the converged state's limits
     calls = []
-    original = _Prepared.densities
+    original = _ThetaFree.densities
 
     def counting(self, values):
         calls.append(1)
         return original(self, values)
 
-    monkeypatch.setattr(_Prepared, "densities", counting)
-    _, report = solve(pentagon_cfg())
-    assert 0 < len(calls) <= report["iterations"] + 1
+    monkeypatch.setattr(_ThetaFree, "densities", counting)
+    solve(pentagon_cfg())
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("N", [1, 2])
@@ -645,22 +647,26 @@ def test_jump_holds_for_the_exact_side_map(R, N):
 
 
 def _arrays(obj):
+    """Every array reachable from obj through mappings, sequences and the
+    attributes of plain objects."""
     if isinstance(obj, np.ndarray):
         yield obj
-    elif isinstance(obj, dict):
+    elif isinstance(obj, Mapping):
         for v in obj.values():
             yield from _arrays(v)
     elif isinstance(obj, (list, tuple)):
         for v in obj:
             yield from _arrays(v)
+    elif hasattr(obj, "__dict__"):
+        yield from _arrays(vars(obj))
 
 
 def test_prepared_keeps_no_square_array():
     # the node operator is kept as kernel spectra and O(M) vectors; nothing
     # of the problem grows like M^2
     M = 4096
-    prep = init_state(pentagon_cfg(M=M)).problem
-    sizes = [a.size for a in _arrays(vars(prep))]
+    shared = init_state(pentagon_cfg(M=M)).problem.shared
+    sizes = [a.size for a in _arrays(shared)]
     assert sizes and max(sizes) < M * M
 
 
@@ -728,3 +734,64 @@ def test_solve_takes_one_side_log_per_step(monkeypatch):
 @pytest.mark.parametrize("R, iterations", [(0.15, 85), (0.3, 22), (1.0, 6)])
 def test_pentagon_iteration_counts(R, iterations):
     assert solve(pentagon_cfg(R=R, max_iter=100))[1]["iterations"] == iterations
+
+
+# ---------------- theta-free problems shared per session ----------------
+
+@pytest.mark.parametrize("change", [
+    dict(theta=(0.2, -0.4)), dict(N=3), dict(tol=1e-9), dict(max_iter=7),
+    dict(ball_epsilon=0.1),
+], ids=["theta", "N", "tol", "max_iter", "ball_epsilon"])
+def test_configs_differing_only_in_theta_free_fields_share_one_problem(change):
+    cfg = pentagon_cfg(M=64)
+    prep, other = _Prepared(cfg), _Prepared(dataclasses.replace(cfg, **change))
+    assert other.shared is prep.shared
+    assert other.cfg != prep.cfg
+    # the per-solve object adds only the config and theta
+    assert sorted(vars(other)) == ["cfg", "shared", "theta"]
+    assert other.theta.tolist() == [complex(t) for t in other.cfg.theta]
+
+
+@pytest.mark.parametrize("change", [
+    dict(R=2.0), dict(a=0.01), dict(M=128), dict(target_tail=30.0),
+    dict(split_phase=alternative_split_phases(Z, pentagon_spectrum(), 0.0)[1]),
+    dict(spectrum=pentagon_spectrum(0.5)), dict(Z=Z_LINEAR),
+], ids=["R", "a", "M", "target_tail", "split_phase", "spectrum", "Z"])
+def test_a_change_of_a_field_the_problem_reads_builds_a_new_problem(change):
+    cfg = pentagon_cfg(M=64, Z=CentralCharge((1.0,), (1j,)))
+    assert _Prepared(dataclasses.replace(cfg, **change)).shared is not _Prepared(cfg).shared
+
+
+def test_every_cached_array_is_read_only():
+    shared = _Prepared(pentagon_cfg(M=64)).shared
+    arrays = list(_arrays(shared))
+    # static, guard exponents, spectra, basis values, the side maps' values
+    # and coordinates, the grids' nodes and weights
+    assert len(arrays) >= 12
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0
+    for name in ("rays", "maps", "grids", "classification"):
+        with pytest.raises(TypeError):
+            getattr(shared, name)[+1] = None
+    with pytest.raises(ValueError, match="read-only"):
+        _Prepared(pentagon_cfg(M=64)).theta[0] = 0
+
+
+def test_warm_solve_is_bit_identical_to_a_cold_one():
+    import rhflow.rh_solver as rh
+    cfg = pentagon_cfg(R=0.3, M=64)
+    rh.theta_free_problem.cache_clear()
+    cold, cold_report = solve(cfg)
+    cold_residuals = verify(cold)
+    # warm: the shared problem was built for another theta and reused twice
+    rh.theta_free_problem.cache_clear()
+    solve(dataclasses.replace(cfg, theta=(2.0, -1.0)))
+    solve(cfg)
+    hits = rh.theta_free_problem.cache_info().hits
+    warm, warm_report = solve(cfg)
+    assert rh.theta_free_problem.cache_info().hits == hits + 1
+    assert warm.problem.shared is not cold.problem.shared
+    assert warm.values.tobytes() == cold.values.tobytes()
+    assert warm_report == cold_report
+    assert verify(warm) == cold_residuals

@@ -2,15 +2,22 @@
 
     python tools/artifact_diff.py [--base REF] [--work DIR]
 
-Runs a pinned list of ops through `rhflow.cli_driver.main` twice: once on a
-`git archive` of the base ref (default HEAD) and once on the working tree's
-`src`, each side in a fresh interpreter with one BLAS thread (threaded BLAS
-splits products differently by matrix size, on any commit).  Prints each op's
-exit codes, the `diff -r` of the two output trees, for each residual field
-how many of its values rose over the base and the largest rise with its op,
-and, when the trees differ, the largest absolute difference of each numeric
-field of each differing JSON or CSV artifact.  Exits 0 when the trees are
-identical and every exit code matches, 1 otherwise.
+Runs a pinned list of ops through `rhflow.cli_driver.main` on a `git
+archive` of the base ref (default HEAD) and on the working tree's `src`,
+each side in a fresh interpreter with one BLAS thread (threaded BLAS splits
+products differently by matrix size, on any commit).  The tree side runs
+each op a second time right after the first, into a second output tree:
+no op solves more than the 32 theta-free problems that
+rh_solver.theta_free_problem keeps, so every solve of the repeat finds its
+problem built, and the repeats must give the same bytes and exit codes as
+the first runs, with no cache miss.  Prints
+each op's exit codes, the `diff -r` of the two output trees, for each
+residual field how many of its values rose over the base and the largest
+rise with its op, when the trees differ the largest absolute difference of
+each numeric field of each differing JSON or CSV artifact, and the `diff -r`
+of the tree's two passes with the repeats' cache misses.  Exits 0 when the
+trees are identical, the two passes are identical with no miss in the
+repeats, and every exit code matches; 1 otherwise.
 
 The op list is the first block of each `bench/workloads.py` generator
 (imported read-only) at fixed seeds, pentagon `solve` at R in {0.01, 0.05,
@@ -249,36 +256,52 @@ def residual_rises(base: Path, tree: Path) -> list[str]:
     return lines
 
 
-def run_side(src: str, ops_file: str, out: str) -> None:
+def run_side(src: str, ops_file: str, out: str, again: str | None = None) -> None:
     """Run every op with rhflow imported from src; write the exit codes to
-    out + '.codes.json' and the artifacts under out/<op name>."""
+    out + '.codes.json' and the artifacts under out/<op name>.  With again,
+    run each op a second time right after the first, into again, and write
+    its exit codes and the misses of rh_solver.theta_free_problem in these
+    repeats to again + '.codes.json'."""
     sys.path.insert(0, src)
-    from rhflow import cli_driver
+    from rhflow import cli_driver, rh_solver
     if not Path(cli_driver.__file__).resolve().is_relative_to(Path(src).resolve()):
         raise SystemExit(f"rhflow imported from {cli_driver.__file__}, not {src}")
     ops = json.loads(Path(ops_file).read_text())
     configs = Path(out + ".configs")
     configs.mkdir(parents=True)
-    codes = {}
-    for op in ops:
-        cfg = configs / f"{op['name']}.json"
-        cfg.write_text(json.dumps(op["doc"], sort_keys=True), encoding="utf-8")
+    codes, repeats, missed = {}, {}, 0
+
+    def run(op, root):
         try:
-            codes[op["name"]] = cli_driver.main(
-                [op["command"], "--config", str(cfg), "--out", f"{out}/{op['name']}",
-                 "--seed", str(op["seed"])])
+            return cli_driver.main(
+                [op["command"], "--config", str(configs / f"{op['name']}.json"),
+                 "--out", f"{root}/{op['name']}", "--seed", str(op["seed"])])
         except Exception as exc:  # an op that raises is a result to compare
-            codes[op["name"]] = f"raised {type(exc).__name__}"
+            return f"raised {type(exc).__name__}"
+
+    for op in ops:
+        (configs / f"{op['name']}.json").write_text(json.dumps(op["doc"], sort_keys=True),
+                                                    encoding="utf-8")
+        codes[op["name"]] = run(op, out)
+        if again:
+            info = rh_solver.theta_free_problem.cache_info
+            before = info().misses
+            repeats[op["name"]] = run(op, again)
+            missed += info().misses - before
     Path(out + ".codes.json").write_text(json.dumps(codes, indent=1))
+    if again:
+        Path(again + ".codes.json").write_text(json.dumps(
+            {"codes": repeats, "cache_misses": missed}, indent=1))
 
 
-def _spawn(src: Path, ops_file: Path, out: Path) -> dict:
+def _spawn(src: Path, ops_file: Path, out: Path, again: Path | None = None) -> dict:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
     env.pop("PYTHONPATH", None)
     with open(f"{out}.stderr", "w") as err:
         subprocess.run([sys.executable, __file__, "--side", str(src), str(ops_file),
-                        str(out)], env=env, stderr=err, check=True)
+                        str(out), *([str(again)] if again else [])],
+                       env=env, stderr=err, check=True)
     return json.loads(Path(f"{out}.codes.json").read_text())
 
 
@@ -291,9 +314,13 @@ def compare(base: str, work: Path) -> int:
     ops = pinned_ops()
     ops_file.write_text(json.dumps(ops))
     codes = {"base": _spawn(work / "base" / "src", ops_file, work / "out-base"),
-             "tree": _spawn(ROOT / "src", ops_file, work / "out-tree")}
+             "tree": _spawn(ROOT / "src", ops_file, work / "out-tree",
+                            work / "out-tree-again")}
+    repeat = json.loads((work / "out-tree-again.codes.json").read_text())
     diff = subprocess.run(["diff", "-r", "out-base", "out-tree"], cwd=work,
                           capture_output=True, text=True)
+    again = subprocess.run(["diff", "-r", "out-tree", "out-tree-again"], cwd=work,
+                           capture_output=True, text=True)
     print(f"{len(ops)} ops, base {base} vs working tree")
     print("exit codes (base -> tree):")
     mismatched = 0
@@ -308,16 +335,25 @@ def compare(base: str, work: Path) -> int:
     if not identical:
         print("largest absolute difference per numeric field:")
         print("\n".join(numeric_differences(work / "out-base", work / "out-tree")))
+    print(f"tree, each op run again (theta-free cache misses in the repeats: "
+          f"{repeat['cache_misses']}):")
+    print(again.stdout, end="")
+    for name, code in codes["tree"].items():
+        if repeat["codes"][name] != code:
+            print(f"  {name:<40} {code} -> {repeat['codes'][name]}   MISMATCH")
+    repeated = (again.returncode == 0 and repeat["codes"] == codes["tree"]
+                and repeat["cache_misses"] == 0)
     print(f"diff -r: {'empty' if identical else 'DIFFERS'}; "
-          f"exit codes: {'all match' if not mismatched else f'{mismatched} differ'}")
-    return 0 if identical and not mismatched else 1
+          f"exit codes: {'all match' if not mismatched else f'{mismatched} differ'}; "
+          f"second pass: {'identical' if repeated else 'DIFFERS'}")
+    return 0 if identical and not mismatched and repeated else 1
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", default="HEAD", help="git ref to compare against")
     parser.add_argument("--work", help="directory for the outputs (kept)")
-    parser.add_argument("--side", nargs=3, metavar=("SRC", "OPS", "OUT"),
+    parser.add_argument("--side", nargs="+", metavar="SRC OPS OUT [AGAIN]",
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.side:

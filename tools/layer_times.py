@@ -6,9 +6,13 @@ record (a BENCH_*.json file).
 
 Layers: for the pentagon (support constant 0.9, Z = (1, i), a = 0,
 theta = (0.7, 1.3), tol 1e-12, max_iter 100) at each (R, M) of CASES, the
-time of `_Prepared(cfg)`, of one `iterate_once` including the new state's
-densities, of `solve(cfg)`, and of `check_jump`, `check_reality` and
-`verify` on the solved state (guard passed, limits kept).  Each side runs in
+time of `_Prepared(cfg)` cold (rh_solver's cache of theta-free problems
+cleared first) and warm (the problem cached), of one `iterate_once` from a
+fresh state with the solution's values (whose densities are not yet
+computed, as in `solve`), of `solve(cfg)`, and of `check_jump`,
+`check_reality` and `verify` on the solved state (guard passed, limits
+kept).  On a side without that cache, cold and warm time the same call.
+Each side runs in
 a fresh interpreter with one BLAS thread; the sides alternate for ROUNDS
 rounds, and each layer is reported in ms per call as the median and the
 minimum over all its samples.
@@ -50,7 +54,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CASES = ((4.0, 128), (1.0, 128), (0.3, 128), (0.15, 128),
          (1.0, 512), (0.3, 512), (1.0, 2048))
-LAYERS = ("_Prepared", "iterate_once", "solve", "check_jump", "check_reality", "verify")
+LAYERS = ("_Prepared cold", "_Prepared warm", "iterate_once", "solve", "check_jump",
+          "check_reality", "verify")
 ROUNDS = 3   # alternating rounds of layer times and of fixed-op runs
 PAIRS = 10   # alternating end-to-end pairs per workload
 SAMPLES = {"solve": 11}  # per round; every other layer takes 21
@@ -85,8 +90,11 @@ def time_layers(src: str) -> dict:
                               max_iter=100)
         state, report = rh.solve(cfg)
         rh.verify(state)
-        fns = {"_Prepared": lambda: rh._Prepared(cfg),
-               "iterate_once": lambda: rh.iterate_once(state).densities,
+        clear = getattr(getattr(rh, "theta_free_problem", None), "cache_clear", lambda: None)
+        fns = {"_Prepared cold": lambda: (clear(), rh._Prepared(cfg)),
+               "_Prepared warm": lambda: rh._Prepared(cfg),
+               "iterate_once": lambda: rh.iterate_once(rh.ThetaState(state.values,
+                                                                     state.problem)),
                "solve": lambda: rh.solve(cfg),
                "check_jump": lambda: rh.check_jump(state),
                "check_reality": lambda: rh.check_reality(state),
