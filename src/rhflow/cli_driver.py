@@ -407,8 +407,10 @@ def _cmd_scalar_bvp(rc: RunConfig, out: Path) -> None:
     rng = np.random.default_rng(rc.seed)
     ts = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), size=n // 2))
     ts = np.concatenate([ts, -ts])
-    ts = np.array([t for t in ts
-                   if all(abs(t - alpha.real) > 1e-2 for alpha, _ in problem.zeros)])
+    # the zeros' line coordinates: alpha = t e^{i line_phase}
+    unturn = cmath.exp(-1j * problem.line_phase)
+    at = [(alpha * unturn).real for alpha, _ in problem.zeros]
+    ts = np.array([t for t in ts if all(abs(t - t0) > 1e-2 for t0 in at)])
     residual = sol.boundary_residual(ts)
     payload = {
         "eta0": [sol.eta0.real, sol.eta0.imag],

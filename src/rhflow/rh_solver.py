@@ -19,6 +19,11 @@ commutes with it, so -r's node values and densities are the conjugate
 reversals of r's (h_{-1} = -conj h_{+1}).  The reality and asymptotic
 residuals of verify hold by construction and read rounding; check_jump on -r,
 with side -1's own map at -r's midpoints, is what catches a wrong side -1 map.
+check_reality compares Theta at the node radii on two pairs of opposite
+off-contour rays (perpendicular to the contour line, and 0.3 rad from r),
+from both sides' stored densities by FFT (reality_rays): it catches a side
+-1 density that is not side +1's involution image, but not an asymmetric
+node set, since both rays share one node set by construction.
 
 A state is its node values and its prepared problem; every function of a
 state reads the configuration from state.problem.cfg.  The prepared problem
@@ -46,8 +51,9 @@ At the nodes the ray integrals are two Toeplitz kernels times the weights:
 c_same, the coth kernel of a ray on itself by the alternating-point rule
 (spectrally accurate for these decaying densities), and c_cross, the tanh
 kernel between the rays.  The theta-free problem keeps their FFTs on
-circulants of length 2M, and node_transforms applies them on r in one FFT,
-product and inverse FFT per Picard step.  evaluate_theta passes both basis targets of a side as one
+circulants of length 2M (_circulant_fft, which reality_rays uses too), and
+node_transforms applies them on r in one FFT, product and inverse FFT per
+Picard step.  evaluate_theta passes both basis targets of a side as one
 (2, M) stack: on a ray to contour_quadrature.band_limited_limits, whose node
 rule is c_same's (so it returns the stored values there), else integrate_ray.
 """
@@ -256,8 +262,8 @@ class _ThetaFree:
         same = 2.0 / cross
         same[1::2] = 0.0  # even offsets
         turn = np.exp(-1j * math.pi / M * ((M - 1) * np.arange(2 * M) % (2 * M)))
-        self.spectra = np.stack([_circulant_fft(same),
-                                 -turn * _circulant_fft(cross)]) / (2 * M)
+        self.spectra = np.stack([_circulant_fft(_odd(same)),
+                                 -turn * _circulant_fft(_odd(cross))]) / (2 * M)
         self.weights = g0.weights
 
         for arr in (self.static, self.basis_central, self.spectra,
@@ -326,14 +332,21 @@ class _Prepared:
         return getattr(self.shared, name)
 
 
-def _circulant_fft(k: np.ndarray) -> np.ndarray:
+def _circulant_fft(kappa: np.ndarray) -> np.ndarray:
     """FFT of the circulant of length 2M that embeds the Toeplitz matrix
-    T[i, j] = k(j - i) of an odd kernel, given as k(1), ..., k(M - 1):
+    T[i, j] = kappa(j - i), given kappa(m) for m = -(M - 1), ..., M - 1 along
+    the last axis (a stack of kernels gives a stack of spectra):
     (T g)_i = ifft(fft(g, 2M) * result)_i for i < M."""
-    col = np.zeros(2 * len(k) + 2)
-    col[1:len(k) + 1] = -k
-    col[len(k) + 2:] = k[::-1]
+    M = (kappa.shape[-1] + 1) // 2
+    col = np.zeros(kappa.shape[:-1] + (2 * M,), dtype=kappa.dtype)
+    col[..., :M] = kappa[..., M - 1::-1]    # kappa(0), kappa(-1), ..., kappa(1 - M)
+    col[..., M + 1:] = kappa[..., :M - 1:-1]  # kappa(M - 1), ..., kappa(1)
     return np.fft.fft(col)
+
+
+def _odd(k: np.ndarray) -> np.ndarray:
+    """The odd kernel with values k(1), ..., k(M - 1), for m = -(M - 1) .. M - 1."""
+    return np.concatenate([-k[::-1], [0.0], k])
 
 
 @dataclass
@@ -452,7 +465,10 @@ def verify(state: ThetaState) -> dict:
     configuration it was built from: the jump (check_jump), the reality
     involution (check_reality), the real part of Theta(0) - theta
     (asymptotic_real) and |Theta(0) - conj Theta(inf)| (asymptotic_conj).
-    With -r mirrored from r, the last three read rounding only."""
+    With -r mirrored from r, the last three read rounding only: the reality
+    check compares Theta on two pairs of opposite off-contour rays, by FFT
+    from both sides' densities, so it shows a side -1 density that is not
+    the involution image of side +1's, but both rays share one node set."""
     cfg = state.problem.cfg
     theta0, thetainf = state.limits
     return {
@@ -553,28 +569,53 @@ def check_jump(state: ThetaState) -> float:
     return float(np.max(np.abs(predicted - y_plus) / np.abs(y_plus)))
 
 
-@functools.lru_cache(maxsize=32)
-def reality_samples(r: RayDirection, count: int = 64, seed: int = 2026) -> np.ndarray:
-    """Deterministic off-contour sample points for the reality check, drawn
-    once per ray, count and seed and returned read-only."""
-    rng = np.random.default_rng(seed)
-    out = []
-    while len(out) < count:
-        rho = math.exp(rng.uniform(-1.4, 1.4))
-        ang = rng.uniform(0.0, 2.0 * math.pi)
-        # distance to the contour line, mod pi, keeps both rays excluded
-        if abs(math.remainder(ang - r.phase, math.pi)) > 0.15:
-            out.append(rho * complex(math.cos(ang), math.sin(ang)))
-    pts = np.array(out)
-    pts.flags.writeable = False
-    return pts
+# check_reality's sample rays: each at this angle from r, paired with its
+# opposite ray; both keep at least 0.15 rad from the contour line
+REALITY_OFFSETS = (0.5 * math.pi, 0.3)
 
 
-def check_reality(state: ThetaState, count: int = 64) -> float:
-    """Sup over samples of |conj(Theta_k(-1/conj zeta)) - Theta_k(zeta)|; rounding (see verify)."""
-    z = reality_samples(state.problem.r, count)
-    both = np.stack(evaluate_theta(state, np.concatenate([z, -1.0 / z.conjugate()])))
-    direct, mirrored = both[:, :len(z)], both[:, len(z):]
+def reality_rays(state: ThetaState) -> tuple[np.ndarray, np.ndarray]:
+    """Theta at the node radii e^{s_j} on check_reality's sample rays: for
+    each offset alpha of REALITY_OFFSETS, the ray at phase(r) + alpha and
+    its opposite.  Returns their phases, shape (2, 2) (pair, ray), and
+    Theta there, shape (2, 2, 2, M) (pair, ray, basis target, node).
+
+    Both contour rays carry one node set, so at e^{s_i} on the ray at
+    phase(r) + alpha the kernel (zeta' + zeta)/(zeta' - zeta) of node j of r
+    is kappa(j - i) = (e^{(j - i) step} + rho)/(e^{(j - i) step} - rho) with
+    rho = e^{i alpha}, and that of node j of -r is 1/kappa(j - i) (rho -> -rho);
+    the opposite ray swaps the two.  The trapezoid sums are Toeplitz
+    products, taken by FFT on circulants of length 2M: one FFT of both sides'
+    weighted densities (state.densities, side -1's as stored) and of the
+    four kernels, one product per sample ray and one inverse FFT.
+    """
+    prep = state.problem
+    M = prep.M
+    rho = np.exp(1j * np.array(REALITY_OFFSETS))[:, None]
+    e = np.exp(prep.grids[+1].step * np.arange(1 - M, M))
+    num, den = e + rho, e - rho
+    same, other = np.moveaxis(_circulant_fft(np.stack([num / den, den / num], axis=1)), 1, 0)
+    work = np.zeros((2, 2, 2 * M), dtype=complex)  # (side, target), zero-padded
+    np.multiply(np.stack([state.densities[+1].T, state.densities[-1].T]), prep.weights,
+                out=work[..., :M])
+    plus, minus = np.fft.fft(work)
+    sums = np.stack([plus * same[:, None] + minus * other[:, None],
+                     plus * other[:, None] + minus * same[:, None]], axis=1)
+    values = np.array(prep.cfg.theta)[:, None] - np.fft.ifft(sums)[..., :M] / FOUR_PI
+    return prep.r.phase + np.add.outer(REALITY_OFFSETS, [0.0, math.pi]), values
+
+
+def check_reality(state: ThetaState) -> float:
+    """Sup of |conj(Theta_k(-1/conj zeta)) - Theta_k(zeta)| over the node
+    radii of reality_rays' first ray of each pair; the involution maps its
+    point i to point M - 1 - i of the opposite ray.
+
+    It reads both sides' densities, so a side -1 density that is not the
+    involution image of side +1's shows; an asymmetric node set cannot,
+    since both contour rays share one by construction.  On a solved state
+    it reads rounding (see verify)."""
+    _, values = reality_rays(state)
+    direct, mirrored = values[:, 0], values[:, 1, :, ::-1]
     return float(np.max(np.abs(mirrored.conj() - direct), initial=0.0))
 
 

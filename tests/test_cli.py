@@ -458,3 +458,27 @@ def test_solve_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outs.append((out / "nodes.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_scalar_bvp_drops_samples_at_a_zero_on_a_rotated_line(tmp_path, monkeypatch):
+    # on the line at phase 1.2 the zero 0.8 e^{1.2i} sits at t = 0.8, not at
+    # its real part 0.29; seed 29 draws a sample 1.4e-4 from t = 0.8
+    from rhflow.scalar_bvp import ScalarSolution
+    samples = []
+    original = ScalarSolution.boundary_residual
+
+    def capturing(self, ts):
+        samples.append(np.array(ts))
+        return original(self, ts)
+
+    monkeypatch.setattr(ScalarSolution, "boundary_residual", capturing)
+    phase, zero = 1.2, 0.8 * np.exp(1.2j)
+    base = {"jump": {"kind": "manufactured", "eta0": 0.25}, "line_phase": phase,
+            "zeta0": [-1.5 * math.sin(phase), 1.5 * math.cos(phase)], "samples": 400}
+    for name, zeros in (("plain", []), ("zero", [[[zero.real, zero.imag], 1]])):
+        cfg = write_cfg(tmp_path, {"scalar": dict(base, zeros=zeros)}, f"{name}.json")
+        assert main(["scalar_bvp", "--config", str(cfg), "--out", str(tmp_path / name),
+                     "--seed", "29"]) == 0
+    drawn, kept = samples  # the draw depends on the seed and the count only
+    assert np.min(np.abs(drawn - 0.8)) < 1e-3
+    assert kept.tolist() == [t for t in drawn if abs(t - 0.8) > 1e-2]

@@ -30,6 +30,25 @@ def test_summary_counts_pair_wins_by_each_metrics_direction():
     assert base["q1"] <= base["median"] <= base["q3"]
 
 
+def test_layer_rounds_are_paired_and_counted_per_layer():
+    # three rounds per side; each layer's round medians are paired by round
+    def round_(times, iterations=6):
+        return {"R=1,M=128": {"iterations": iterations,
+                              **{name: list(times.get(name, [1.0, 1.0, 1.0]))
+                                 for name in layer_times.LAYERS}}}
+    rounds = {"base": [round_({"solve": [3.0, 2.0, 9.0]}), round_({"solve": [2.5, 2.5, 2.5]}),
+                       round_({"solve": [2.0, 2.1, 2.2]})],
+              "tree": [round_({"solve": [2.0, 0.5, 2.0]}, 7), round_({"solve": [2.6, 2.6, 2.6]}, 7),
+                       round_({"solve": [1.0, 1.9, 1.9]}, 7)]}
+    case = layer_times.layer_summary(rounds)["R=1,M=128"]
+    assert case["iterations"] == {"base": 6, "tree": 7}
+    # round medians 3.0, 2.5, 2.1 against 2.0, 2.6, 1.9: the second round is lost
+    assert case["solve"]["tree_wins"] == "2 of 3"
+    assert case["solve"]["base"]["median"] == 2.5
+    assert case["solve"]["tree"]["min"] == 0.5
+    assert case["verify"]["tree_wins"] == "0 of 3"  # ties count for neither
+
+
 def test_fixed_ops_run_through_the_benchmarks_own_op_runner():
     # a fresh interpreter, as the tool runs it: bench/run.py re-imports rhflow
     proc = subprocess.run([sys.executable, str(ROOT / "tools" / "layer_times.py"),

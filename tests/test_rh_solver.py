@@ -10,10 +10,11 @@ from rhflow.charge_lattice import (Charge, GAMMA1, GAMMA2, Spectrum, pairing,
 from rhflow.contour_quadrature import on_covered_ray
 from rhflow.errors import (ConfigError, DivergenceError, NonContractionError,
                            TruncationUnsafeError)
-from rhflow.rh_solver import (SolverConfig, ThetaState, _Prepared, _SideMap, _ThetaFree,
-                              asymptotic_theta, check_jump,
-                              check_reality, evaluate_Y, evaluate_theta, init_state,
-                              iterate_once, smoothness_probe, solve, verify)
+from rhflow.rh_solver import (REALITY_OFFSETS, SolverConfig, ThetaState, _Prepared,
+                              _SideMap, _ThetaFree, _circulant_fft, asymptotic_theta,
+                              check_jump, check_reality, evaluate_Y, evaluate_theta,
+                              init_state, iterate_once, reality_rays, smoothness_probe,
+                              solve, verify)
 from rhflow.spectrum_rays import CentralCharge, alternative_split_phases, semiflat
 from rhflow.stokes_series import ordered_side_charges
 
@@ -423,37 +424,13 @@ def test_generic_two_pair_spectrum():
         assert abs(rho - c) < 1e-6 * abs(c)
 
 
-def test_reality_samples_are_drawn_once_per_ray(monkeypatch):
-    # a sweep_r-style run: three verified solves on one ray draw the samples
-    # once, and the kept points are the ones a fresh draw gives
-    import rhflow.rh_solver as rh
-    rh.reality_samples.cache_clear()
-    draws = []
-    original = np.random.default_rng
-
-    def counting(*args, **kwargs):
-        draws.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(np.random, "default_rng", counting)
-    states = [solve(pentagon_cfg(R=R))[0] for R in (4.0, 1.0, 0.3)]
-    for state in states:
-        verify(state)
-    assert len(draws) == 1
-    r = states[0].problem.r
-    assert all(st.problem.r == r for st in states)
-    kept = rh.reality_samples(r, 64)
-    assert not kept.flags.writeable
-    assert kept.tobytes() == rh.reality_samples.__wrapped__(r, 64).tobytes()
-
-
 def test_reality_residual_invariant_under_angle_period():
     cfg = pentagon_cfg(M=64)
     state, _ = solve(cfg)
     shifted = pentagon_cfg(M=64, theta=(cfg.theta[0] + 2 * math.pi, cfg.theta[1]))
     state2, _ = solve(shifted)
-    r1 = check_reality(state, count=16)
-    r2 = check_reality(state2, count=16)
+    r1 = check_reality(state)
+    r2 = check_reality(state2)
     assert abs(r1 - r2) < 1e-12
     # the solution functions themselves are periodic in the angles
     z = 0.5 + 0.9j
@@ -795,3 +772,52 @@ def test_warm_solve_is_bit_identical_to_a_cold_one():
     assert warm.values.tobytes() == cold.values.tobytes()
     assert warm_report == cold_report
     assert verify(warm) == cold_residuals
+
+
+# ---------------- reality checked on two mirror pairs of rays by FFT ----------------
+
+@pytest.mark.parametrize("kw", [
+    dict(R=1.0), dict(spectrum=GENERIC, Z=GENERIC_Z, R=0.3), MIRROR_CASES["split_phase"],
+], ids=["pentagon", "generic_two_pair", "split_phase"])
+def test_reality_rays_are_theta_at_their_points(kw):
+    # the Toeplitz sums by FFT are the trapezoid sums evaluate_theta takes
+    # at the node radii of each sample ray
+    state, _ = solve(pentagon_cfg(**{"max_iter": 100, **kw}))
+    phases, values = reality_rays(state)
+    M = state.problem.cfg.M
+    assert phases.shape == (2, 2) and values.shape == (2, 2, 2, M)
+    r = state.problem.r.phase
+    assert np.allclose(phases[:, 0] - r, REALITY_OFFSETS)
+    assert np.allclose(phases[:, 1] - phases[:, 0], math.pi)
+    assert min(abs(math.remainder(p - r, math.pi)) for p in phases.ravel()) >= 0.15
+    pts = np.exp(state.problem.grids[+1].nodes) * np.exp(1j * phases[..., None])
+    want = np.stack(evaluate_theta(state, pts.ravel()))
+    got = np.moveaxis(values, 2, 0).reshape(2, -1)
+    assert np.max(np.abs(got - want)) <= 1e-14
+    assert np.max(np.abs(values - np.array(state.problem.cfg.theta)[:, None])) > 1e-3
+
+
+def test_reality_check_reads_side_minus_one_density_off_the_involution_image():
+    state, _ = solve(pentagon_cfg(R=1.0))
+    assert check_reality(state) < 1e-14
+    M = state.problem.cfg.M
+    bent = state.densities[-1].copy()
+    bent[M // 2, 1] += 1e-6
+    perturbed = ThetaState(state.values, state.problem)
+    perturbed.densities = {+1: state.densities[+1], -1: bent}
+    assert check_reality(perturbed) > 1e-8
+
+
+def test_circulant_fft_applies_any_toeplitz_kernel():
+    # kappa(m) for m = -(M - 1) .. M - 1, neither odd nor even, and a stack
+    M = 16
+    rng = np.random.default_rng(5)
+    kappa = rng.standard_normal((2, 2 * M - 1)) + 1j * rng.standard_normal((2, 2 * M - 1))
+    g = rng.standard_normal(M) + 1j * rng.standard_normal(M)
+    j_minus_i = np.subtract.outer(np.arange(M), np.arange(M)).T
+    spectra = _circulant_fft(kappa)
+    for k, spectrum in zip(kappa, spectra):
+        dense = k[j_minus_i + M - 1] @ g
+        got = np.fft.ifft(np.fft.fft(g, 2 * M) * spectrum)[:M]
+        assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(np.abs(dense))
+        assert _circulant_fft(k).tobytes() == spectrum.tobytes()

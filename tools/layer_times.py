@@ -12,10 +12,12 @@ fresh state with the solution's values (whose densities are not yet
 computed, as in `solve`), of `solve(cfg)`, and of `check_jump`,
 `check_reality` and `verify` on the solved state (guard passed, limits
 kept).  On a side without that cache, cold and warm time the same call.
-Each side runs in
-a fresh interpreter with one BLAS thread; the sides alternate for ROUNDS
-rounds, and each layer is reported in ms per call as the median and the
-minimum over all its samples.
+Each side runs in a fresh interpreter with one BLAS thread; the sides
+alternate for LAYER_ROUNDS short rounds (about a second each), so a slow
+spell of a shared host lands on both.  Each layer is reported in ms per
+call, per side, as the median and quartiles of its round medians and the
+minimum of all its samples, with the number of rounds the tree won (round
+i of each side is a pair).
 
 Both sides run from fresh directories: a `git archive` of the base and a
 copy of the working tree's files (tracked or untracked, not ignored).
@@ -29,8 +31,8 @@ max over the ops it attempted, and its `peak_rss_mb` grows with the results
 it keeps, so a faster side reads higher on both.  The record therefore
 adds, per side, the first ops of seed 41's stream, as many as every run
 attempted, run by bench/run.py's `setup` and `run_op` in a fresh
-interpreter for ROUNDS alternating rounds: their failures, their largest
-gate residual and the peak RSS after them.
+interpreter for OP_ROUNDS alternating rounds: their failures, their
+largest gate residual and the peak RSS after them.
 """
 
 from __future__ import annotations
@@ -56,9 +58,10 @@ CASES = ((4.0, 128), (1.0, 128), (0.3, 128), (0.15, 128),
          (1.0, 512), (0.3, 512), (1.0, 2048))
 LAYERS = ("_Prepared cold", "_Prepared warm", "iterate_once", "solve", "check_jump",
           "check_reality", "verify")
-ROUNDS = 3   # alternating rounds of layer times and of fixed-op runs
-PAIRS = 10   # alternating end-to-end pairs per workload
-SAMPLES = {"solve": 11}  # per round; every other layer takes 21
+LAYER_ROUNDS = 12  # alternating rounds of layer times
+OP_ROUNDS = 3      # alternating rounds of fixed-op runs
+PAIRS = 10         # alternating end-to-end pairs per workload
+SAMPLES = {"solve": 3}  # per round; every other layer takes 5
 THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
@@ -100,7 +103,7 @@ def time_layers(src: str) -> dict:
                "check_reality": lambda: rh.check_reality(state),
                "verify": lambda: rh.verify(state)}
         out[f"R={R:g},M={M}"] = {"iterations": report["iterations"],
-                                 **{name: _per_call(fns[name], SAMPLES.get(name, 21))
+                                 **{name: _per_call(fns[name], SAMPLES.get(name, 5))
                                     for name in LAYERS}}
     return out
 
@@ -151,21 +154,31 @@ def summarize(runs: dict[str, list[dict]], better: dict[str, str]) -> dict:
     return summary
 
 
+def layer_summary(rounds: dict[str, list[dict]]) -> dict:
+    """Per case and layer, from each side's rounds (time_layers' output, one
+    per round): summarize's quartiles of the round medians and rounds won
+    (pair i is round i of each side; lower wins), each side's minimum over
+    all samples, and each side's iteration count."""
+    out = {}
+    for case in rounds["base"][0]:
+        medians = {side: [{name: statistics.median(r[case][name]) for name in LAYERS}
+                          for r in rs] for side, rs in rounds.items()}
+        summary = summarize(medians, dict.fromkeys(LAYERS, "lower"))
+        for name in LAYERS:
+            for side, rs in rounds.items():
+                summary[name][side]["min"] = min(x for r in rs for x in r[case][name])
+        out[case] = {"iterations": {side: rs[0][case]["iterations"]
+                                    for side, rs in rounds.items()}, **summary}
+    return out
+
+
 def layers(sides: dict[str, Path]) -> dict:
-    samples: dict = {side: {} for side in sides}
-    for i in range(ROUNDS):
+    rounds: dict = {side: [] for side in sides}
+    for i in range(LAYER_ROUNDS):
         for side in (list(sides) if i % 2 == 0 else list(sides)[::-1]):
-            got = _last_line(_child([__file__, "--layers-of", str(sides[side] / "src")]))
-            for case, row in got.items():
-                acc = samples[side].setdefault(case, {"iterations": row["iterations"]})
-                for name in LAYERS:
-                    acc.setdefault(name, []).extend(row[name])
-    return {side: {case: {"iterations": row["iterations"],
-                          **{name: {"median_ms": statistics.median(row[name]),
-                                    "min_ms": min(row[name]), "samples": len(row[name])}
-                             for name in LAYERS}}
-                   for case, row in by_case.items()}
-            for side, by_case in samples.items()}
+            rounds[side].append(_last_line(_child([__file__, "--layers-of",
+                                                   str(sides[side] / "src")])))
+    return {"rounds": LAYER_ROUNDS, "ms_per_call": layer_summary(rounds)}
 
 
 def end_to_end(sides: dict[str, Path], workload: str) -> dict:
@@ -185,7 +198,7 @@ def end_to_end(sides: dict[str, Path], workload: str) -> dict:
                                **{k: m["value"] for k, m in result["metrics"].items()}})
     count = min(run["attempted"] for run in chain(*runs.values()))
     fixed: dict = {side: [] for side in sides}
-    for i in range(ROUNDS):
+    for i in range(OP_ROUNDS):
         for side in (list(sides) if i % 2 == 0 else list(sides)[::-1]):
             fixed[side].append(_last_line(_child([__file__, "--ops-of", str(sides[side]),
                                                   workload, str(seeds[0]), str(count)])))
@@ -206,7 +219,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", help="JSON record to write")
     parser.add_argument("--base", default="HEAD", help="git ref to compare against")
-    parser.add_argument("--workload", action="append", default=[])
+    parser.add_argument("--workload", action="extend", nargs="+", default=[])
     parser.add_argument("--layers-of", help=argparse.SUPPRESS)
     parser.add_argument("--ops-of", nargs=4, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
