@@ -409,8 +409,8 @@ def _cmd_scalar_bvp(rc: RunConfig, out: Path) -> None:
     ts = np.concatenate([ts, -ts])
     # the zeros' line coordinates: alpha = t e^{i line_phase}
     unturn = cmath.exp(-1j * problem.line_phase)
-    at = [(alpha * unturn).real for alpha, _ in problem.zeros]
-    ts = np.array([t for t in ts if all(abs(t - t0) > 1e-2 for t0 in at)])
+    at = np.array([(alpha * unturn).real for alpha, _ in problem.zeros], dtype=float)
+    ts = ts[np.all(np.abs(ts[:, None] - at) > 1e-2, axis=1)]
     residual = sol.boundary_residual(ts)
     payload = {
         "eta0": [sol.eta0.real, sol.eta0.imag],

@@ -3,9 +3,13 @@
 Rays through the origin are parametrized as zeta' = e^(s + i phase), which
 turns the measure dzeta'/zeta' into ds and places the peak of the
 exponential integrands at s = 0.  Off-ray values are plain trapezoid sums.
-On the ray, band_limited_limits serves rh_solver's densities, which decay at
-both grid ends: the principal value of their sinc interpolant is spectral,
-and at the nodes it is the alternating-point rule.  Scalar densities may keep
+On the opposite ray, zeta = -e^{s*} u, the kernel at the node e^{s_j} u is
+the real tanh((s_j - s*)/2), the kernel c_cross of rh_solver's node operator
+between its two rays, and it acts on the real and imaginary parts of the
+densities; every other off-ray point takes the complex kernel.  On the ray,
+band_limited_limits serves rh_solver's densities, which decay at both grid
+ends: the principal value of their sinc interpolant is spectral, and at the
+nodes it is the alternating-point rule.  Scalar densities may keep
 constant tails, where sinc interpolation is first order, so the scalar
 solution and the saddle comparison use integrate_ray's singularity
 subtraction: the closed-form principal value of the coth kernel plus the
@@ -73,6 +77,14 @@ def on_covered_ray(grid: RayGrid, zeta) -> np.ndarray:
     return (np.abs(rel) <= EPS_ANGLE) & (np.abs(s) <= grid.half_width * (1 + 1e-12))
 
 
+def on_opposite_ray(grid: RayGrid, zeta) -> np.ndarray:
+    """True where zeta (a point or an array of points) lies on the ray
+    opposite the grid ray, within on_covered_ray's angular margin, at any
+    radius."""
+    z = np.asarray(zeta, dtype=complex)
+    return np.abs(np.angle(-z * np.conj(grid.direction.unit()))) <= EPS_ANGLE
+
+
 def pv_coth_closed_form(L: float, s, step: float):
     """PV integral of coth((t - s)/2) over [-L, L], at one pole s or at an
     array of poles.
@@ -122,7 +134,13 @@ def integrate_ray(grid: RayGrid, values: np.ndarray, zeta, side: str = "off"):
     formed once per call and applied to each density in turn, so row k of a
     stacked result equals the call with values[k] bit for bit.
 
-    side="off" requires every zeta away from the covered ray.
+    side="off" requires every zeta away from the covered ray.  A point on
+    the opposite ray (on_opposite_ray: within the angular margin of
+    -direction.unit(), at any radius) takes the real kernel
+    w_j tanh((s_j - s*)/2), s* = log |zeta|, on the real and imaginary parts
+    of the density, one dot product per point; every other point takes the
+    complex kernel w_j (zeta_j + zeta)/(zeta_j - zeta).  The choice is made
+    per point, so a point's value does not depend on the batch.
     side="plus"/"minus"/"both" evaluates boundary values on the covered
     ray: the principal value via subtraction of the density h* at the pole
     (the node value when the pole sits on a node, with the removable limit
@@ -149,16 +167,12 @@ def integrate_ray(grid: RayGrid, values: np.ndarray, zeta, side: str = "off"):
         # on the ray beyond the grid coverage the kernel pole sits where the
         # density is already at tail level; the sum below is regular.  A node
         # lies on the covered ray (|s| <= L), so no point here is a node
-        pts = grid.points()
-        # in place: the (points x nodes) work arrays are the memory peak
-        kernel = pts + zs[:, None]
-        kernel /= pts - zs[:, None]
-        kernel *= grid.weights
-        out = []
-        for k, hk in enumerate(rows):
-            last = k == len(rows) - 1
-            terms = np.multiply(kernel, hk, out=kernel if last else None)
-            out.append(terms.sum(axis=1))
+        out = np.empty((len(rows), len(zs)), dtype=complex)
+        opposite = on_opposite_ray(grid, zs)
+        if opposite.any():
+            out[:, opposite] = _opposite_ray_sums(grid, rows, zs[opposite])
+        if not opposite.all():
+            out[:, ~opposite] = _off_ray_sums(grid, rows, zs[~opposite])
         return _shaped(out, h, z)
     if side not in ("plus", "minus", "both"):
         raise ValueError("side must be 'off', 'plus', 'minus' or 'both'")
@@ -169,7 +183,9 @@ def integrate_ray(grid: RayGrid, values: np.ndarray, zeta, side: str = "off"):
     i = np.rint((s_star + L) / step).astype(int)
     node = np.abs(grid.nodes[i] - s_star) < 1e-9 * step
     s_pole = np.where(node, grid.nodes[i], s_star)
-    wcoth = np.tanh(0.5 * (grid.nodes - s_pole[:, None]))
+    wcoth = np.subtract(grid.nodes, s_pole[:, None])  # in place from here on
+    wcoth *= 0.5
+    np.tanh(wcoth, out=wcoth)
     with np.errstate(divide="ignore"):
         np.divide(1.0, wcoth, out=wcoth)
     wcoth[node, i[node]] = 0.0
@@ -198,8 +214,41 @@ def integrate_ray(grid: RayGrid, values: np.ndarray, zeta, side: str = "off"):
     return limits if side == "both" else limits[side == "minus"]
 
 
-def _shaped(out: list, h: np.ndarray, z: np.ndarray):
-    """The per-density results in the shapes of the density and the points."""
+def _off_ray_sums(grid: RayGrid, rows: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """(K, P) trapezoid sums of the complex kernel times each density row."""
+    pts = grid.points()
+    # in place: the (points x nodes) work arrays are the memory peak
+    kernel = pts + zs[:, None]
+    kernel /= pts - zs[:, None]
+    kernel *= grid.weights
+    out = np.empty((len(rows), len(zs)), dtype=complex)
+    for k, hk in enumerate(rows):
+        last = k == len(rows) - 1
+        out[k] = np.multiply(kernel, hk, out=kernel if last else None).sum(axis=1)
+    return out
+
+
+def _opposite_ray_sums(grid: RayGrid, rows: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """(K, P) trapezoid sums at points on the opposite ray.  There
+    zeta = -e^{s*} u, and the kernel (zeta' + zeta)/(zeta' - zeta) at
+    zeta' = e^{s_j} u is the real tanh((s_j - s*)/2), rh_solver's c_cross
+    kernel between the two rays: it acts on the real and imaginary parts of
+    each weighted density, one dot product per point (batch-free)."""
+    with np.errstate(divide="ignore"):
+        half_s = 0.5 * np.log(np.abs(zs))
+    kernel = np.subtract(0.5 * grid.nodes, half_s[:, None])
+    np.tanh(kernel, out=kernel)
+    out = np.empty((len(rows), len(zs)), dtype=complex)
+    for k, hk in enumerate(rows):
+        weighted = grid.weights * hk
+        out[k].real = np.vecdot(kernel, weighted.real)
+        out[k].imag = np.vecdot(kernel, weighted.imag)
+    return out
+
+
+def _shaped(out, h: np.ndarray, z: np.ndarray):
+    """The per-density results (a (K, P) array or a list of K rows) in the
+    shapes of the density and the points."""
     res = out[0] if h.ndim == 1 else np.stack(out)
     if z.ndim:
         return res

@@ -55,7 +55,9 @@ circulants of length 2M (_circulant_fft, which reality_rays uses too), and
 node_transforms applies them on r in one FFT, product and inverse FFT per
 Picard step.  evaluate_theta passes both basis targets of a side as one
 (2, M) stack: on a ray to contour_quadrature.band_limited_limits, whose node
-rule is c_same's (so it returns the stored values there), else integrate_ray.
+rule is c_same's (so it returns the stored values there), else integrate_ray,
+whose kernel on the opposite ray is c_cross's real tanh and elsewhere the
+complex Cauchy kernel.
 """
 
 from __future__ import annotations
@@ -547,7 +549,10 @@ def check_jump(state: ThetaState) -> float:
     node this holds to rounding by construction (Theta+ - Theta- = -i h), so
     the check runs at about 32 midpoints between the nodes of each ray,
     where quadrature error stays visible, and takes both limits there from
-    one evaluate_theta call.  A non-finite residual is returned as such.
+    one evaluate_theta call: each ray's own integral by band_limited_limits,
+    the other ray's by integrate_ray's real tanh kernel (the midpoints of r
+    lie on the opposite ray of -r's grid, and those of -r on r's).  A
+    non-finite residual is returned as such.
     """
     prep = state.problem
     cfg = prep.cfg

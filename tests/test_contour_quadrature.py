@@ -8,7 +8,8 @@ from rhflow.charge_lattice import Charge, pentagon_spectrum
 from rhflow.contour_quadrature import (band_limited_limits, build_ray_grid,
                                        deform_to_bps_ray,
                                        in_swept_sector, integrate_ray,
-                                       on_covered_ray, pv_coth_closed_form,
+                                       on_covered_ray, on_opposite_ray,
+                                       pv_coth_closed_form,
                                        sweep_sign)
 from rhflow.errors import SingularKernelError
 from rhflow.rh_solver import SolverConfig, init_state
@@ -262,6 +263,63 @@ def test_stacked_densities_match_single_densities_bit_for_bit(half):
         one_point = integrate_ray(g, stack, complex(pts[1]), side=side)
         assert one_point.shape == (3,)
         assert np.array_equal(one_point, single[:, 1]), side
+
+
+def _dense_off_ray(g, values, zeta):
+    """The trapezoid sums with the complex kernel formed point by point,
+    and the sums of the terms' magnitudes, each (K, P)."""
+    pts = g.points()
+    kernel = (pts + zeta[:, None]) / (pts - zeta[:, None]) * g.weights
+    terms = np.atleast_2d(values)[:, None, :] * kernel
+    return terms.sum(axis=2), np.abs(terms).sum(axis=2)
+
+
+def _opposite_points(g):
+    # on the opposite ray at nodes, midpoints and beyond |s| <= L on both ends
+    s = np.concatenate([g.nodes[[0, 1, 7, g.count // 2, g.count - 1]],
+                        0.5 * (g.nodes[[3, 50]] + g.nodes[[4, 51]]),
+                        [g.half_width + 0.5, -g.half_width - 2.0, 3.0 * g.half_width]])
+    return -np.exp(s) * g.direction.unit()
+
+
+@pytest.mark.parametrize("half", [_rh_half, _scalar_half], ids=["rh", "scalar"])
+def test_opposite_ray_matches_the_complex_kernel(half):
+    # zeta = -e^{s*} u turns the kernel into the real tanh((s_j - s*)/2)
+    g, h = half()
+    pts = _opposite_points(g)
+    assert np.all(on_opposite_ray(g, pts))
+    for values in (h, np.stack([h, (0.3 - 1.1j) * h[::-1]])):
+        got = np.atleast_2d(integrate_ray(g, values, pts))
+        want, scale = _dense_off_ray(g, values, pts)
+        assert np.max(np.abs(got - want) / scale) <= 1e-15
+
+
+@pytest.mark.parametrize("half", [_rh_half, _scalar_half], ids=["rh", "scalar"])
+def test_opposite_and_generic_points_in_one_batch_match_single_points_bit_for_bit(half):
+    g, h = half()
+    u = g.direction.unit()
+    opposite = _opposite_points(g)
+    generic = np.array([0.4 + 1.1j, -2.0 + 0.3j, 30.0 * u * 1j,
+                        math.exp(g.half_width + 1.0) * u])
+    pts = np.concatenate([opposite[:4], generic[:2], opposite[4:], generic[2:]])
+    stack = np.stack([h, (0.3 - 1.1j) * h[::-1]])
+    for values in (h, stack):
+        batched = integrate_ray(g, values, pts)
+        single = np.stack([integrate_ray(g, values, complex(z)) for z in pts], axis=-1)
+        assert np.array_equal(batched, single)
+
+
+@pytest.mark.parametrize("half", [_rh_half, _scalar_half], ids=["rh", "scalar"])
+def test_a_point_just_off_the_opposite_ray_keeps_the_complex_kernel(half):
+    g, h = half()
+    on = _opposite_points(g)[[2, 5]]
+    near = on * cmath.exp(1e-6j)
+    assert not np.any(on_opposite_ray(g, near))
+    got = integrate_ray(g, h, near)
+    want, scale = _dense_off_ray(g, h, near)
+    assert np.max(np.abs(got - want[0]) / scale[0]) <= 1e-15
+    # the rotation is resolved, not snapped onto the opposite ray
+    assert np.min(np.abs(got - integrate_ray(g, h, on)) / scale[0]) > 1e-10
 
 
 def test_stacked_densities_on_a_different_grid_are_rejected():

@@ -12,6 +12,11 @@ fresh state with the solution's values (whose densities are not yet
 computed, as in `solve`), of `solve(cfg)`, and of `check_jump`,
 `check_reality` and `verify` on the solved state (guard passed, limits
 kept).  On a side without that cache, cold and warm time the same call.
+For the scalar manufactured jump of the scalar-bvp workload at each
+(eta0, zeros) of SCALAR_CASES, at M = 512: `solve_scalar_bvp`, the
+one-pass `boundary_values` at 200 samples on the line (seed 41's draw of
+`rhflow scalar_bvp`, both halves) and `verify_uniqueness` with the
+alternative base point 0.7i, at its own default grid.
 Each side runs in a fresh interpreter with one BLAS thread; the sides
 alternate for LAYER_ROUNDS short rounds (about a second each), so a slow
 spell of a shared host lands on both.  Each layer is reported in ms per
@@ -58,6 +63,8 @@ CASES = ((4.0, 128), (1.0, 128), (0.3, 128), (0.15, 128),
          (1.0, 512), (0.3, 512), (1.0, 2048))
 LAYERS = ("_Prepared cold", "_Prepared warm", "iterate_once", "solve", "check_jump",
           "check_reality", "verify")
+SCALAR_CASES = ((0.1, ()), (0.25, ((0.8, 2),)))  # eta0, (zero on the line, order)
+SCALAR_LAYERS = ("solve_scalar_bvp", "boundary_values", "verify_uniqueness")
 LAYER_ROUNDS = 12  # alternating rounds of layer times
 OP_ROUNDS = 3      # alternating rounds of fixed-op runs
 PAIRS = 10         # alternating end-to-end pairs per workload
@@ -105,6 +112,30 @@ def time_layers(src: str) -> dict:
         out[f"R={R:g},M={M}"] = {"iterations": report["iterations"],
                                  **{name: _per_call(fns[name], SAMPLES.get(name, 5))
                                     for name in LAYERS}}
+    out.update(time_scalar_layers())
+    return out
+
+
+def time_scalar_layers() -> dict:
+    """Samples per scalar case and layer, with rhflow already on the path."""
+    import numpy as np
+    from rhflow import scalar_bvp as sb
+    from rhflow.cli_driver import _scalar_problem
+    rng = np.random.default_rng(41)
+    ts = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), size=100))
+    ts = np.concatenate([ts, -ts])
+    out = {}
+    for eta0, zeros in SCALAR_CASES:
+        p = _scalar_problem({"jump": {"kind": "manufactured", "eta0": eta0},
+                             "zeros": [[[t0, 0.0], m] for t0, m in zeros]})
+        sol = sb.solve_scalar_bvp(p, M=512)
+        at = np.array([t0 for t0, _ in zeros], dtype=float)  # as rhflow scalar_bvp drops
+        zeta = p.contour_point(ts[np.all(np.abs(ts[:, None] - at) > 1e-2, axis=1)])
+        fns = {"solve_scalar_bvp": lambda: sb.solve_scalar_bvp(p, M=512),
+               "boundary_values": lambda: sol.boundary_values(zeta),
+               "verify_uniqueness": lambda: sb.verify_uniqueness(p, 0.7j)}
+        out[f"scalar eta0={eta0:g},zeros={len(zeros)}"] = {
+            name: _per_call(fns[name], 5) for name in SCALAR_LAYERS}
     return out
 
 
@@ -158,17 +189,20 @@ def layer_summary(rounds: dict[str, list[dict]]) -> dict:
     """Per case and layer, from each side's rounds (time_layers' output, one
     per round): summarize's quartiles of the round medians and rounds won
     (pair i is round i of each side; lower wins), each side's minimum over
-    all samples, and each side's iteration count."""
+    all samples, and each side's iteration count where the case has one."""
     out = {}
-    for case in rounds["base"][0]:
-        medians = {side: [{name: statistics.median(r[case][name]) for name in LAYERS}
+    for case, first in rounds["base"][0].items():
+        names = [name for name in first if name != "iterations"]
+        medians = {side: [{name: statistics.median(r[case][name]) for name in names}
                           for r in rs] for side, rs in rounds.items()}
-        summary = summarize(medians, dict.fromkeys(LAYERS, "lower"))
-        for name in LAYERS:
+        summary = summarize(medians, dict.fromkeys(names, "lower"))
+        for name in names:
             for side, rs in rounds.items():
                 summary[name][side]["min"] = min(x for r in rs for x in r[case][name])
-        out[case] = {"iterations": {side: rs[0][case]["iterations"]
-                                    for side, rs in rounds.items()}, **summary}
+        if "iterations" in first:
+            summary = {"iterations": {side: rs[0][case]["iterations"]
+                                      for side, rs in rounds.items()}, **summary}
+        out[case] = summary
     return out
 
 
