@@ -136,7 +136,6 @@ def _parse_solver(problem: dict) -> SolverConfig:
                _number(float, theta[1], "problem.theta")),
         spectrum=spectrum,
         Z=Z,
-        N=number(int, "N", 8),
         M=number(int, "M", 128),
         target_tail=number(float, "target_tail", 40.0),
         tol=number(float, "tol", 1e-12),
@@ -216,7 +215,7 @@ def _cmd_solve(rc: RunConfig, out: Path) -> None:
     report["residuals"] = verify(state)
     _write_json(out / "report.json", report)
     s = fmt_column(state.problem.grids[+1].nodes)
-    re1, im1, re2, im2 = [fmt_column(part) for c in state.values[0].T
+    re1, im1, re2, im2 = [fmt_column(part) for c in state.values.T
                           for part in (c.real, c.imag)]
     # -r's values are conj(r[::-1]) exactly, so its strings are r's reversed,
     # the imaginary parts negated

@@ -37,6 +37,16 @@ class RayGrid:
     half_width: float
     count: int
 
+    @classmethod
+    def uniform(cls, direction: RayDirection, half_width: float, M: int) -> RayGrid:
+        """M equally spaced nodes on [-half_width, half_width], trapezoid
+        weights (half a step at the two ends)."""
+        s = np.linspace(-half_width, half_width, M)
+        w = np.full(M, s[1] - s[0])
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        return cls(direction, s, w, half_width, M)
+
     def points(self) -> np.ndarray:
         return np.exp(self.nodes) * self.direction.unit()
 
@@ -58,12 +68,7 @@ def build_ray_grid(direction: RayDirection, decay_scale: float, M: int,
         raise ValueError("node count must be even and at least 16")
     if target_tail <= 0:
         raise ValueError("target tail must be positive")
-    L = math.acosh(1.0 + target_tail / decay_scale)
-    s = np.linspace(-L, L, M)
-    w = np.full(M, s[1] - s[0])
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return RayGrid(direction, s, w, L, M)
+    return RayGrid.uniform(direction, math.acosh(1.0 + target_tail / decay_scale), M)
 
 
 def on_covered_ray(grid: RayGrid, zeta) -> np.ndarray:

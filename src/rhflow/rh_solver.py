@@ -25,13 +25,11 @@ from both sides' stored densities by FFT (reality_rays): it catches a side
 -1 density that is not side +1's involution image, but not an asymmetric
 node set, since both rays share one node set by construction.
 
-A state is its node values and its prepared problem; every function of a
-state reads the configuration from state.problem.cfg.  The prepared problem
-(_Prepared) is the configuration, theta as a vector, and a theta-free
-problem (_ThetaFree: rays, side maps, grids, exponents and kernel spectra)
-that theta_free_problem builds once per R, a, spectrum, Z, M, target_tail
-and split_phase and keeps for the session (32 at most), so the solves of
-an R ladder or of a theta or a stencil share it.  It is shared, so it is
+A state is r's node values, its configuration and its theta-free problem
+(_ThetaFree: rays, side maps, grids, exponents and kernel spectra), which
+theta_free_problem builds once per R, a, spectrum, Z, M, target_tail and
+split_phase and keeps for the session (32 at most), so the solves of an R
+ladder or of a theta or a stencil share it.  It is shared, so it is
 read-only: its arrays refuse writes.
 
 iterate_once is the bare map; solve applies it, keeps the iteration record
@@ -94,7 +92,6 @@ class SolverConfig:
     theta: tuple[float, float]
     spectrum: Spectrum
     Z: CentralCharge
-    N: int = 8  # stokes_series' truncation order: validated, unused by the solve
     M: int = 128
     target_tail: float = 40.0
     tol: float = 1e-12
@@ -109,8 +106,6 @@ class SolverConfig:
             raise ConfigError("tol must be positive and finite")
         if not (self.target_tail > 0 and math.isfinite(self.target_tail)):
             raise ConfigError("target_tail must be positive and finite")
-        if self.N < 1:
-            raise ConfigError("series order N must be >= 1")
         if self.M < 16 or self.M % 2:
             raise ConfigError("node count M must be even and >= 16")
         if self.max_iter < 2:
@@ -241,11 +236,11 @@ class _ThetaFree:
         self.static = _static_exponents(R, self.maps[+1].central[:, None],
                                         self.grids[+1].points())
 
-        # truncation_guard's: each active charge with the index of its
-        # side's ray and its exponents at that ray's nodes, in guard order
+        # truncation_guard's: each active charge with its side and its
+        # exponents at the nodes of that side's ray, in guard order
         self.guard_exponents = tuple(
-            (g, ray_idx, _static_exponents(R, Z.of(g, a), self.grids[s].points()))
-            for s, ray_idx in ((+1, 0), (-1, 1))
+            (g, s, _static_exponents(R, Z.of(g, a), self.grids[s].points()))
+            for s in (+1, -1)
             for g, _ in spectrum.active() if self.classification.get(g) == s)
 
         # central values of the basis charges, for the jump check
@@ -314,26 +309,6 @@ def theta_free_problem(R: float, a: complex, spectrum: Spectrum, Z: CentralCharg
     return _ThetaFree(R, a, spectrum, Z, M, target_tail, split_phase)
 
 
-class _Prepared:
-    """One solve's problem: its configuration, its theta as a read-only
-    complex vector, and the shared theta-free problem (shared), whose
-    attributes it reads through."""
-
-    def __init__(self, cfg: SolverConfig):
-        cfg.validate()
-        self.cfg = cfg
-        self.theta = np.array(cfg.theta, dtype=complex)
-        self.theta.flags.writeable = False
-        self.shared = theta_free_problem(cfg.R, cfg.a, cfg.spectrum, cfg.Z, cfg.M,
-                                         cfg.target_tail, cfg.split_phase)
-
-    def __getattr__(self, name: str):
-        # reached only for names the instance lacks: the shared problem's
-        if name == "shared":
-            raise AttributeError(name)
-        return getattr(self.shared, name)
-
-
 def _circulant_fft(kappa: np.ndarray) -> np.ndarray:
     """FFT of the circulant of length 2M that embeds the Toeplitz matrix
     T[i, j] = kappa(j - i), given kappa(m) for m = -(M - 1), ..., M - 1 along
@@ -353,21 +328,24 @@ def _odd(k: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ThetaState:
-    """Node values of the corrected angles on both contour rays.
+    """Node values of the corrected angles on the contour ray r, shape
+    (M, 2) with the basis index last, with the configuration they solve and
+    its shared theta-free problem.
 
-    values[0] holds the r ray, values[1] the opposite ray, conj(values[0][::-1])
-    (only values[0] enters the densities); the last axis is the basis index.
-    Stored values are clockwise-side boundary values.  The combined densities
-    and the limits at 0 and infinity are computed on first use and kept, and
-    truncation_guard passes at most once, so values must not change in place.
+    Those of -r are their image under the reality involution,
+    values[::-1].conj().  Stored values are clockwise-side boundary values.
+    The combined densities and the limits at 0 and infinity are computed on
+    first use and kept, and truncation_guard passes at most once, so values
+    must not change in place.
     """
 
     values: np.ndarray
-    problem: _Prepared = field(repr=False, compare=False)
+    cfg: SolverConfig = field(repr=False, compare=False)
+    problem: _ThetaFree = field(repr=False, compare=False)
 
     @functools.cached_property
     def densities(self) -> dict[int, np.ndarray]:
-        return self.problem.densities(self.values[0])
+        return self.problem.densities(self.values)
 
     @functools.cached_property
     def limits(self) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
@@ -384,23 +362,22 @@ class ThetaState:
 
 def init_state(cfg: SolverConfig) -> ThetaState:
     """Zeroth iterate: Theta identically equal to the reference angles."""
-    prep = _Prepared(cfg)
-    values = np.empty((2, cfg.M, 2), dtype=complex)
-    values[...] = prep.theta
-    return ThetaState(values, prep)
+    cfg.validate()
+    problem = theta_free_problem(cfg.R, cfg.a, cfg.spectrum, cfg.Z, cfg.M,
+                                 cfg.target_tail, cfg.split_phase)
+    values = np.empty((cfg.M, 2), dtype=complex)
+    values[...] = cfg.theta
+    return ThetaState(values, cfg, problem)
 
 
 def iterate_once(state: ThetaState) -> ThetaState:
-    """One application of the integral-equation map to the node values of r;
-    those of -r are their image under the reality involution.  It forms side
-    +1's density only; the state's densities (both sides) are left to
-    verify and the limits."""
-    prep = state.problem
-    shared = prep.shared
-    h = shared.side_log(state.values[0])
-    stored = shared.node_transforms(h) - 2j * math.pi * h  # the clockwise limit
-    ray = prep.theta - stored / FOUR_PI
-    return ThetaState(np.stack([ray, ray[::-1].conj()]), prep)
+    """One application of the integral-equation map to the node values of r.
+    It forms side +1's density only; the state's densities (both sides) are
+    left to verify and the limits."""
+    problem = state.problem
+    h = problem.side_log(state.values)
+    stored = problem.node_transforms(h) - 2j * math.pi * h  # the clockwise limit
+    return ThetaState(np.array(state.cfg.theta) - stored / FOUR_PI, state.cfg, problem)
 
 
 def solve(cfg: SolverConfig) -> tuple[ThetaState, dict]:
@@ -414,15 +391,15 @@ def solve(cfg: SolverConfig) -> tuple[ThetaState, dict]:
     truncation_guard; verify does not run it again on that state.
     """
     state = init_state(cfg)
-    theta_vec = state.problem.theta
+    theta_vec = np.array(cfg.theta)
     deltas: list[float] = []
     ball_exits: list[int] = []
     for step in range(1, cfg.max_iter + 1):
         new = iterate_once(state)
-        ray = new.values[0]  # -r is its conjugate reversal: the same moduli
+        ray = new.values
         # the previous iterate is finite, so a NaN or inf in this one makes
         # the delta non-finite
-        delta = float(np.max(np.abs(ray - state.values[0])))
+        delta = float(np.max(np.abs(ray - state.values)))
         if not math.isfinite(delta):
             raise DivergenceError(
                 f"non-finite iterate at step {step}; R = {cfg.R:g} is too "
@@ -447,7 +424,7 @@ def solve(cfg: SolverConfig) -> tuple[ThetaState, dict]:
     report = {
         "config": {
             "R": cfg.R, "a": [cfg.a.real, cfg.a.imag], "theta": list(cfg.theta),
-            "N": cfg.N, "M": cfg.M, "target_tail": cfg.target_tail,
+            "M": cfg.M, "target_tail": cfg.target_tail,
             "tol": cfg.tol, "max_iter": cfg.max_iter,
             "ball_epsilon": cfg.ball_epsilon,
             "contour_phase": state.problem.r.phase,
@@ -471,7 +448,7 @@ def verify(state: ThetaState) -> dict:
     check compares Theta on two pairs of opposite off-contour rays, by FFT
     from both sides' densities, so it shows a side -1 density that is not
     the involution image of side +1's, but both rays share one node set."""
-    cfg = state.problem.cfg
+    cfg = state.cfg
     theta0, thetainf = state.limits
     return {
         "jump": check_jump(state),
@@ -493,20 +470,20 @@ def evaluate_theta(state: ThetaState, zeta, side: str = "minus") -> tuple:
     """
     if side not in ("plus", "minus", "both"):
         raise ValueError("side must be 'plus', 'minus' or 'both'")
-    prep = state.problem
+    problem = state.problem
     dens = state.densities
     z = np.asarray(zeta, dtype=complex)
     zs = np.atleast_1d(z)
     acc = np.zeros((2, 2, len(zs)), dtype=complex)  # (plus, minus) x targets
     for s in (+1, -1):
-        grid = prep.grids[s]
+        grid = problem.grids[s]
         on = on_covered_ray(grid, zs)
         rows = dens[s].T  # one density row per basis target
         if on.any():
             acc[:, :, on] += band_limited_limits(grid, rows, zs[on])
         if not on.all():
             acc[:, :, ~on] += integrate_ray(grid, rows, zs[~on], side="off")
-    out = np.array(prep.cfg.theta)[:, None] - acc / FOUR_PI
+    out = np.array(state.cfg.theta)[:, None] - acc / FOUR_PI
     pairs = [(th[0], th[1]) if z.ndim else (complex(th[0, 0]), complex(th[1, 0]))
              for th in out]
     return tuple(pairs) if side == "both" else pairs[0 if side == "plus" else 1]
@@ -520,7 +497,7 @@ def evaluate_Y(state: ThetaState, g: Charge, zeta: complex,
         raise ValueError("use asymptotic_theta for the limits at 0 and infinity")
     th1, th2 = evaluate_theta(state, zeta, side=side)
     thg = g.c1 * th1 + g.c2 * th2
-    cfg = state.problem.cfg
+    cfg = state.cfg
     return complex(np.exp(_static_exponents(cfg.R, cfg.Z.of(g, cfg.a), zeta) + 1j * thg))
 
 
@@ -530,8 +507,9 @@ def truncation_guard(state: ThetaState) -> None:
     that ray (stokes_series) converges only for |Y_g| < 1, and solutions are
     kept inside that domain, where the exact log the solver iterates is its
     sum."""
-    for g, ray_idx, stat in state.problem.guard_exponents:
-        thg = g.c1 * state.values[ray_idx, :, 0] + g.c2 * state.values[ray_idx, :, 1]
+    rays = {+1: state.values, -1: state.values[::-1].conj()}
+    for g, side, stat in state.problem.guard_exponents:
+        thg = g.c1 * rays[side][:, 0] + g.c2 * rays[side][:, 1]
         mags = np.abs(np.exp(stat + 1j * thg))
         if np.any(mags >= 1.0):
             raise TruncationUnsafeError(
@@ -554,21 +532,20 @@ def check_jump(state: ThetaState) -> float:
     lie on the opposite ray of -r's grid, and those of -r on r's).  A
     non-finite residual is returned as such.
     """
-    prep = state.problem
-    cfg = prep.cfg
+    problem, cfg = state.problem, state.cfg
     state.guard()
     rays = []
     for s in (+1, -1):
-        mids = 0.5 * (prep.grids[s].nodes[:-1] + prep.grids[s].nodes[1:])
-        rays.append(np.exp(mids[:: max(1, len(mids) // 32)]) * prep.rays[s].unit())
+        mids = 0.5 * (problem.grids[s].nodes[:-1] + problem.grids[s].nodes[1:])
+        rays.append(np.exp(mids[:: max(1, len(mids) // 32)]) * problem.rays[s].unit())
     zeta, n = np.concatenate(rays), len(rays[0])
     plus, minus = evaluate_theta(state, zeta, side="both")
     tm = np.stack(minus, axis=1)
-    basis = _static_exponents(cfg.R, prep.basis_central[:, None], zeta).T
+    basis = _static_exponents(cfg.R, problem.basis_central[:, None], zeta).T
     y_plus = np.exp(basis + 1j * np.stack(plus, axis=1))
     predicted = np.exp(basis + 1j * tm)
     for s, on in ((+1, slice(None, n)), (-1, slice(n, None))):
-        side_map = prep.maps[s]
+        side_map = problem.maps[s]
         static = _static_exponents(cfg.R, side_map.central[:, None], zeta[on])
         predicted[on] *= np.exp(side_map.log(static, tm[on]))
     return float(np.max(np.abs(predicted - y_plus) / np.abs(y_plus)))
@@ -594,20 +571,20 @@ def reality_rays(state: ThetaState) -> tuple[np.ndarray, np.ndarray]:
     weighted densities (state.densities, side -1's as stored) and of the
     four kernels, one product per sample ray and one inverse FFT.
     """
-    prep = state.problem
-    M = prep.M
+    problem = state.problem
+    M = problem.M
     rho = np.exp(1j * np.array(REALITY_OFFSETS))[:, None]
-    e = np.exp(prep.grids[+1].step * np.arange(1 - M, M))
+    e = np.exp(problem.grids[+1].step * np.arange(1 - M, M))
     num, den = e + rho, e - rho
     same, other = np.moveaxis(_circulant_fft(np.stack([num / den, den / num], axis=1)), 1, 0)
     work = np.zeros((2, 2, 2 * M), dtype=complex)  # (side, target), zero-padded
-    np.multiply(np.stack([state.densities[+1].T, state.densities[-1].T]), prep.weights,
+    np.multiply(np.stack([state.densities[+1].T, state.densities[-1].T]), problem.weights,
                 out=work[..., :M])
     plus, minus = np.fft.fft(work)
     sums = np.stack([plus * same[:, None] + minus * other[:, None],
                      plus * other[:, None] + minus * same[:, None]], axis=1)
-    values = np.array(prep.cfg.theta)[:, None] - np.fft.ifft(sums)[..., :M] / FOUR_PI
-    return prep.r.phase + np.add.outer(REALITY_OFFSETS, [0.0, math.pi]), values
+    values = np.array(state.cfg.theta)[:, None] - np.fft.ifft(sums)[..., :M] / FOUR_PI
+    return problem.r.phase + np.add.outer(REALITY_OFFSETS, [0.0, math.pi]), values
 
 
 def check_reality(state: ThetaState) -> float:
@@ -633,14 +610,14 @@ def asymptotic_theta(state: ThetaState
     The difference from the reference angles is purely imaginary and the two
     limits are complex conjugates of each other.
     """
-    prep = state.problem
     dens = state.densities
-    w = prep.weights
+    w = state.problem.weights
+    theta = state.cfg.theta
     at0, atinf = [], []
     for k in (0, 1):
         acc = np.sum(w * dens[+1][:, k]) + np.sum(w * dens[-1][:, k])
-        at0.append(prep.cfg.theta[k] - acc / FOUR_PI)
-        atinf.append(prep.cfg.theta[k] + acc / FOUR_PI)
+        at0.append(theta[k] - acc / FOUR_PI)
+        atinf.append(theta[k] + acc / FOUR_PI)
     return (at0[0], at0[1]), (atinf[0], atinf[1])
 
 
@@ -685,11 +662,11 @@ def smoothness_probe(cfg: SolverConfig, direction: str, order: int,
         shifted = shift(cfg, offset)
         if shifted not in solutions:
             st, _ = solve(shifted)
-            solutions[shifted] = (st.values.copy(), np.array(st.limits[0]))
+            solutions[shifted] = (st.values, np.array(st.limits[0]))
         return solutions[shifted]
 
     def estimate(h: float):
-        nodes = np.zeros((2, cfg.M, 2), dtype=complex)
+        nodes = np.zeros((cfg.M, 2), dtype=complex)
         t0 = np.zeros(2, dtype=complex)
         for mult, coeff in _STENCILS[order]:
             v, t = solved(mult * h)

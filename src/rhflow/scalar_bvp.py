@@ -169,7 +169,6 @@ class ContinuousSolution:
     """Cauchy-transform solution of Y+ = G1 Y- with log G1 decaying along
     the contour after removal of the common endpoint constant."""
 
-    p: ScalarBVProblem
     grids: tuple[RayGrid, RayGrid]          # positive half, negative half
     log_density: tuple[np.ndarray, np.ndarray]
     endpoint_log: complex                    # removed constant c
@@ -201,10 +200,8 @@ class ContinuousSolution:
         return out if z.ndim else complex(out[0])
 
 
-def solve_continuous(G1: Callable, line_phase: float,
-                     p: ScalarBVProblem, half_width: float = 7.0,
-                     M: int = 512, winding_tol: float = 0.25,
-                     ) -> ContinuousSolution:
+def solve_continuous(G1: Callable, line_phase: float, half_width: float = 7.0,
+                     M: int = 512, winding_tol: float = 0.25) -> ContinuousSolution:
     """Cauchy-transform solution of the continuous problem.
 
     log G1 is tracked continuously along the oriented contour; a nonzero
@@ -213,12 +210,9 @@ def solve_continuous(G1: Callable, line_phase: float,
     re-enters as the assembly constant), and the result is normalized to
     one at infinity.
     """
-    s = np.linspace(-half_width, half_width, M)
-    w = np.full(M, s[1] - s[0])
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    pos = RayGrid(RayDirection(line_phase), s, w, half_width, M)
-    neg = RayGrid(RayDirection(line_phase + math.pi), s, w, half_width, M)
+    pos = RayGrid.uniform(RayDirection(line_phase), half_width, M)
+    neg = RayGrid.uniform(RayDirection(line_phase + math.pi), half_width, M)
+    s, w = pos.nodes, pos.weights
 
     # G1 on both halves in contour order, t from -inf to +inf, in one call
     # (a constant G1 may return one value)
@@ -253,7 +247,7 @@ def solve_continuous(G1: Callable, line_phase: float,
     # exact limit of the raw transform at infinity: the kernel tends to -1
     # on both halves
     y_inf = cmath.exp(-(np.sum(w * dens_pos) - np.sum(w * dens_neg)) / (4j * math.pi))
-    return ContinuousSolution(p, (pos, neg), (dens_pos, dens_neg), c, y_inf)
+    return ContinuousSolution((pos, neg), (dens_pos, dens_neg), c, y_inf)
 
 
 @dataclass(frozen=True)
@@ -306,7 +300,7 @@ def solve_scalar_bvp(p: ScalarBVProblem, half_width: float = 7.0,
     if eta0 == 0:
         kappa = 0  # continuous boundary function: classical index-zero route
     G1 = regularize(p, eta0)
-    cont = solve_continuous(G1, p.line_phase, p, half_width=half_width, M=M)
+    cont = solve_continuous(G1, p.line_phase, half_width=half_width, M=M)
     return ScalarSolution(p, eta0, kappa, cont)
 
 

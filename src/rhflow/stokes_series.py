@@ -4,7 +4,8 @@ All series arithmetic is exact (Fraction coefficients) over monomials
 x^g indexed by lattice charges, truncated by |c1| + |c2| <= N.  Jump
 maps for one side of the contour are composed transformation by
 transformation in counterclockwise ray order; the composite's log
-expansion yields the coefficient family f consumed by the solver.
+expansion yields the coefficient family f, the oracle that the solver's
+exact side maps are tested against.
 
 The binomial base of each transformation carries the quadratic
 refinement sign(g) = (-1)^(c1*c2).  Without it the composed map would
@@ -15,7 +16,6 @@ is what makes the closed-form coefficient table an exact oracle.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -228,17 +228,6 @@ def log_coeffs_from_state(state: dict[Charge, TruncatedSeries], k: int,
     return {g: c for g, c in logs.coefficients.items() if g.l1 <= N}
 
 
-@functools.lru_cache(maxsize=64)
-def _side_log_coeffs(charges: tuple[tuple[Charge, int], ...], N: int,
-                     ) -> tuple[dict[Charge, Fraction], dict[Charge, Fraction]]:
-    """Both basis targets' families for one ordered side, composed once.
-
-    The series depend only on the ordered charges (with multiplicities)
-    and N, so solves that differ in R, theta, M or the grid share them."""
-    state = side_jump_state(list(charges), N + 1)
-    return log_coeffs_from_state(state, 1, N), log_coeffs_from_state(state, 2, N)
-
-
 def stokes_log_coeffs(spectrum: Spectrum, Z: CentralCharge, a: complex,
                       side: int, k: int, N: int,
                       r: RayDirection) -> dict[Charge, Fraction]:
@@ -246,15 +235,14 @@ def stokes_log_coeffs(spectrum: Spectrum, Z: CentralCharge, a: complex,
     expansion log((S x_k) / x_k) = sum_g f_g x^g over the side's charges.
 
     Composed at truncation N + 1 so the division by x^{gamma_k} is exact
-    through degree N.  The composition is cached per process on the
-    ordered side charges and N; each call returns a fresh dict.
+    through degree N.
     """
     if N < 1:
         raise ValueError("truncation order must be >= 1")
     if k not in (1, 2):
         raise ValueError("k selects a basis charge, 1 or 2")
-    charges = tuple(ordered_side_charges(spectrum, Z, a, side, r))
-    return dict(_side_log_coeffs(charges, N)[k - 1])
+    state = side_jump_state(ordered_side_charges(spectrum, Z, a, side, r), N + 1)
+    return log_coeffs_from_state(state, k, N)
 
 
 def pentagon_coeff(i: int, j: int, k: int) -> Fraction:

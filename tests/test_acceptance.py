@@ -40,7 +40,7 @@ def report(number: int, ok: bool, detail: str) -> bool:
 
 def pentagon_cfg(**kw):
     base = dict(R=4.0, a=0.0, theta=THETA, spectrum=pentagon_spectrum(),
-                Z=Z, N=8, M=128, tol=1e-12, max_iter=30)
+                Z=Z, M=128, tol=1e-12, max_iter=30)
     base.update(kw)
     return SolverConfig(**base)
 
@@ -103,7 +103,7 @@ def test_criterion_3_jump_condition(solved_r4):
     coarse = check_jump(solve(pentagon_cfg(R=0.3, M=48))[0])
     fine = check_jump(solve(pentagon_cfg(R=0.3, M=96))[0])
     ok = at_r4 < 1e-6 and coarse >= 100 * fine
-    assert report(3, ok, f"residual {at_r4:.3e} at R=4, M=128/N=8; at R=0.3 "
+    assert report(3, ok, f"residual {at_r4:.3e} at R=4, M=128; at R=0.3 "
                          f"{coarse:.3e} at M=48, {fine:.3e} at M=96")
 
 

@@ -46,8 +46,8 @@ def test_fmt_column_matches_fmt_on_special_values():
 
 def test_load_config_defaults():
     rc = load_config(json.dumps(PENTAGON), "solve")
-    assert rc.solver.N == 8
     assert rc.solver.M == 128
+    assert rc.solver.max_iter == 30
     assert rc.solver.tol == 1e-12
 
 
@@ -89,6 +89,21 @@ def test_solve_command_writes_report_and_nodes(tmp_path):
     assert len(lines) == 1 + 2 * 128
 
 
+def test_a_series_order_N_in_the_config_is_ignored(tmp_path):
+    # no solve reads a series order: a config that still carries "N" solves
+    # to the same nodes, and report.json echoes no N
+    outs = []
+    for name, problem in (("with_N", dict(PENTAGON["problem"], N=12)),
+                          ("without_N", PENTAGON["problem"])):
+        cfg = write_cfg(tmp_path, {"problem": problem}, name=f"{name}.json")
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        outs.append(tmp_path / name)
+    assert (outs[0] / "nodes.csv").read_bytes() == (outs[1] / "nodes.csv").read_bytes()
+    report = json.loads((outs[0] / "report.json").read_text())
+    assert "N" not in report["config"]
+    assert report == json.loads((outs[1] / "report.json").read_text())
+
+
 def test_exit_code_2_on_numerical_failure(tmp_path):
     doc = json.loads(json.dumps(PENTAGON))
     doc["problem"]["R"] = 0.01
@@ -127,7 +142,7 @@ def test_exit_code_1_when_Z_lacks_z2(tmp_path, capsys):
     assert "problem.Z.z2" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key, value", [("R", "abc"), ("N", "eight"),
+@pytest.mark.parametrize("key, value", [("R", "abc"), ("max_iter", "eight"),
                                         ("split_phase", [1, 2])])
 def test_exit_code_1_when_a_number_is_wrongly_typed(tmp_path, capsys, key, value):
     doc = json.loads(json.dumps(PENTAGON))
@@ -232,13 +247,13 @@ def test_exit_code_1_when_spectrum_entry_is_malformed(tmp_path, capsys):
     assert "problem.spectrum.entries" in capsys.readouterr().err
 
 
-def test_exit_code_1_when_N_overflows_int(tmp_path, capsys):
+def test_exit_code_1_when_max_iter_overflows_int(tmp_path, capsys):
     # json reads 1e999 as inf, which int() cannot convert
-    text = json.dumps(dict(PENTAGON["problem"], N="@")).replace('"@"', "1e999")
+    text = json.dumps(dict(PENTAGON["problem"], max_iter="@")).replace('"@"', "1e999")
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"problem": ' + text + "}", encoding="utf-8")
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
-    assert "problem.N" in capsys.readouterr().err
+    assert "problem.max_iter" in capsys.readouterr().err
 
 
 def test_exit_code_1_when_entries_is_not_a_list(tmp_path, capsys):

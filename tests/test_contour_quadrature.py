@@ -13,7 +13,7 @@ from rhflow.contour_quadrature import (band_limited_limits, build_ray_grid,
                                        sweep_sign)
 from rhflow.errors import SingularKernelError
 from rhflow.rh_solver import SolverConfig, init_state
-from rhflow.scalar_bvp import ScalarBVProblem, solve_continuous
+from rhflow.scalar_bvp import solve_continuous
 from rhflow.spectrum_rays import CentralCharge, RayDirection, bps_ray, semiflat
 
 
@@ -193,9 +193,8 @@ def _rh_half():
 
 
 def _scalar_half():
-    p = ScalarBVProblem(0.3, lambda t: 1.0, (1, 1, 1, 1))
     sol = solve_continuous(lambda t: np.exp(0.2 * np.exp(-np.log(np.abs(t)) ** 2) + 0j),
-                           0.3, p, half_width=7.0, M=256)
+                           0.3, half_width=7.0, M=256)
     return sol.grids[1], sol.log_density[1]
 
 

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("layer_times", ROOT / "tools" / "layer_times.py")
 layer_times = importlib.util.module_from_spec(_spec)
@@ -71,3 +73,16 @@ def test_fixed_ops_run_through_the_benchmarks_own_op_runner():
     assert got["failed"] == 0
     assert 0.0 < got["residual_max"] < 1e-10
     assert got["peak_rss_mb"] > 0.0
+
+
+def test_every_layer_call_runs_on_this_tree():
+    from rhflow import rh_solver
+    iterations, calls = layer_times.layer_calls(rh_solver, 4.0, 64)
+    assert iterations >= 2 and list(calls) == list(layer_times.LAYERS)
+    _, cold = calls["init_state cold"]()
+    assert cold.values.shape == calls["init_state warm"]().values.shape == (64, 2)
+    # iterate_once steps from a copy of the solved state: a fixed point
+    again = calls["iterate_once"]()
+    solved, _ = calls["solve"]()
+    assert np.max(np.abs(again.values - solved.values)) < 1e-11
+    assert 0.0 < calls["verify"]()["jump"] < 1e-8

@@ -10,11 +10,10 @@ from rhflow.charge_lattice import (Charge, GAMMA1, GAMMA2, Spectrum, pairing,
 from rhflow.contour_quadrature import on_covered_ray
 from rhflow.errors import (ConfigError, DivergenceError, NonContractionError,
                            TruncationUnsafeError)
-from rhflow.rh_solver import (REALITY_OFFSETS, SolverConfig, ThetaState, _Prepared,
-                              _SideMap, _ThetaFree, _circulant_fft, asymptotic_theta,
-                              check_jump, check_reality, evaluate_Y, evaluate_theta,
-                              init_state, iterate_once, reality_rays, smoothness_probe,
-                              solve, verify)
+from rhflow.rh_solver import (REALITY_OFFSETS, SolverConfig, _SideMap, _ThetaFree,
+                              _circulant_fft, asymptotic_theta, check_jump, check_reality,
+                              evaluate_Y, evaluate_theta, init_state, iterate_once,
+                              reality_rays, smoothness_probe, solve, verify)
 from rhflow.spectrum_rays import CentralCharge, alternative_split_phases, semiflat
 from rhflow.stokes_series import ordered_side_charges
 
@@ -23,7 +22,7 @@ Z = CentralCharge.constant(1.0, 1j)
 
 def pentagon_cfg(**kw):
     base = dict(R=4.0, a=0.0, theta=(0.7, 1.3), spectrum=pentagon_spectrum(),
-                Z=Z, N=8, M=128, tol=1e-12, max_iter=30)
+                Z=Z, M=128, tol=1e-12, max_iter=30)
     base.update(kw)
     return SolverConfig(**base)
 
@@ -48,10 +47,13 @@ def test_config_rejects_bad_fields():
 # ---------------- iteration basics ----------------
 
 def test_init_state_is_constant_theta():
-    st = init_state(empty_cfg(theta=(0.0, 0.0)))
-    assert np.all(st.values == 0)
-    # a state is its node values and its problem; solve keeps the record
-    assert [f.name for f in dataclasses.fields(st)] == ["values", "problem"]
+    cfg = empty_cfg(theta=(0.0, 0.0))
+    st = init_state(cfg)
+    assert st.values.shape == (cfg.M, 2) and np.all(st.values == 0)
+    # a state is r's node values, its config and its theta-free problem;
+    # solve keeps the record
+    assert [f.name for f in dataclasses.fields(st)] == ["values", "cfg", "problem"]
+    assert st.cfg is cfg
 
 
 def test_empty_spectrum_fixed_after_one_step():
@@ -106,23 +108,16 @@ def test_solve_computes_densities_once_per_state(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("N", [1, 2])
-def test_jump_guard_names_a_charge_with_large_Y(N):
-    # pushing Im Theta_2 down by K multiplies |Y_g| by e^{c2 K}: e1 stays
-    # below 1 and e1 + e2 exceeds it.  The truncation order N does not enter
-    # the solve: the side map has e1 + e2 as a factor at every N, and the
-    # guard checks it either way
+def test_jump_guard_names_a_charge_with_large_Y():
+    # pushing Im Theta_2 down by K on r multiplies |Y_g| by e^{c2 K}: e1
+    # stays below 1 and e1 + e2 exceeds it
     spec = Spectrum.from_pairs([((1, 0), 1), ((-1, 0), 1), ((1, 1), 1), ((-1, -1), 1)])
-    cfg = empty_cfg(spectrum=spec, N=N, M=64)
-    st = init_state(cfg)
+    st = init_state(empty_cfg(spectrum=spec, M=64))
     assert Charge(1, 1) in [g for g, _ in st.problem.maps[+1].charges]
-    other = init_state(empty_cfg(spectrum=spec, N=3 - N, M=64))
-    for side in (+1, -1):
-        assert np.array_equal(st.densities[side], other.densities[side])
     values = st.values.copy()
-    values[..., 1] -= 100j
+    values[:, 1] -= 100j
     with pytest.raises(TruncationUnsafeError, match=r"for charge \(1,1\) on its jump ray"):
-        check_jump(ThetaState(values, st.problem))
+        check_jump(dataclasses.replace(st, values=values))
 
 
 def test_pentagon_solves_quickly_with_tiny_ratios():
@@ -167,7 +162,7 @@ def test_non_finite_iterate_raises_divergence(monkeypatch):
 
     def poisoned(state):
         new = original(state)
-        new.values[0, 0, 0] = np.nan
+        new.values[0, 0] = np.nan
         return new
 
     monkeypatch.setattr(rh, "iterate_once", poisoned)
@@ -225,19 +220,19 @@ def test_init_state_propagates_no_admissible_ray():
 def test_stored_nodes_are_minus_side_values():
     # evaluate_theta's rule on a ray is the node operator's at the nodes,
     # end nodes included
-    for kw in (dict(R=8.0, N=12, M=128), dict(R=1.0, M=128), dict(R=0.3, M=64)):
+    for kw in (dict(R=8.0, M=128), dict(R=1.0, M=128), dict(R=0.3, M=64)):
         state, _ = solve(pentagon_cfg(**kw))
-        for side, ray in ((+1, 0), (-1, 1)):
+        for side, values in ((+1, state.values), (-1, state.values[::-1].conj())):
             th = evaluate_theta(state, state.problem.grids[side].points(), side="minus")
             for k in (0, 1):
-                err = np.max(np.abs(th[k] - state.values[ray, :, k]))
+                err = np.max(np.abs(th[k] - values[:, k]))
                 assert err <= 1e-12, (kw, side, k)
 
 
 def test_end_nodes_count_as_on_the_ray():
     # log|e^{-L} unit| may round past -L; the first node must still take the
     # on-ray rule, not the off-ray sum with a pole on a node
-    state, _ = solve(pentagon_cfg(R=8.0, N=12, M=128))
+    state, _ = solve(pentagon_cfg(R=8.0, M=128))
     for side in (+1, -1):
         grid = state.problem.grids[side]
         evaluate_theta(state, grid.points(), side="both")
@@ -306,7 +301,7 @@ def test_smoothness_probe_theta_direction():
     out = smoothness_probe(cfg, "theta1", 1, 1e-2)
     assert out["rel_change"] < 1e-4
     # the identity part of dTheta1/dtheta1 dominates
-    assert abs(out["nodes"][0, cfg.M // 2, 0] - 1.0) < 1e-3
+    assert abs(out["nodes"][cfg.M // 2, 0] - 1.0) < 1e-3
 
 
 def test_smoothness_probe_second_order():
@@ -348,7 +343,7 @@ def test_solve_guards_each_converged_state_once(monkeypatch):
     original = rh.truncation_guard
 
     def counting(state):
-        guarded.append(state.problem.cfg)
+        guarded.append(state.cfg)
         return original(state)
 
     monkeypatch.setattr(rh, "truncation_guard", counting)
@@ -377,7 +372,7 @@ def test_solve_and_verify_guard_and_take_the_limits_once_per_state(monkeypatch):
         abs(a - b.conjugate()) for a, b in zip(*state.limits))
     # a state that never went through solve is guarded by check_jump, once
     calls.clear()
-    fresh = ThetaState(state.values, state.problem)
+    fresh = dataclasses.replace(state)
     assert check_jump(fresh) == check_jump(state)
     check_jump(fresh)
     assert calls == ["truncation_guard"]
@@ -493,8 +488,8 @@ def test_jump_check_sees_discretisation_error():
 def test_jump_check_propagates_a_nan_node_value():
     state, _ = solve(pentagon_cfg(R=1.0))
     values = state.values.copy()
-    values[0, 40, 1] = np.nan
-    broken = ThetaState(values, state.problem)
+    values[40, 1] = np.nan
+    broken = dataclasses.replace(state, values=values)
     assert math.isnan(check_jump(broken))
     assert math.isnan(verify(broken)["jump"])
 
@@ -537,12 +532,12 @@ def test_iterate_once_matches_the_split_formula(M):
     dens = state.densities
     new = iterate_once(state).values
     theta = np.array(cfg.theta)
-    for side, ray in ((+1, 0), (-1, 1)):
+    for side, values in ((+1, new), (-1, new[::-1].conj())):
         h = dens[side]
         same = c_same @ h - 2j * math.pi * h
         expected = theta - (same + c_cross @ dens[-side]) / (4.0 * math.pi)
-        assert np.max(np.abs(new[ray] - expected)) <= 1e-15 * np.max(np.abs(expected))
-        assert np.max(np.abs(new[ray] - theta)) > 1e-3  # the correction is not trivial
+        assert np.max(np.abs(values - expected)) <= 1e-15 * np.max(np.abs(expected))
+        assert np.max(np.abs(values - theta)) > 1e-3  # the correction is not trivial
 
 
 # ---------------- the exact side maps ----------------
@@ -558,7 +553,7 @@ def ks_product(state, side: int, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     y^g from the current y.  Returns the image of y and the log of the image
     over y per target, summed factor by factor as <gamma_k, g> Omega_g
     log(1 - sigma_g y^g)."""
-    cfg, prep = state.problem.cfg, state.problem
+    cfg, prep = state.cfg, state.problem
     y = np.array(y, dtype=complex)
     logs = np.zeros_like(y)
     for g, om in ordered_side_charges(cfg.spectrum, cfg.Z, cfg.a, side, prep.r):
@@ -573,14 +568,17 @@ def ks_product(state, side: int, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 def basis_Y(state, zeta: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Y_{gamma_k} = exp(pi R (Z_k / zeta + zeta conj Z_k) + i Theta_k), shape (P, 2)."""
-    cfg = state.problem.cfg
+    cfg = state.cfg
     zk = np.array(cfg.Z.basis_values(cfg.a))
     return np.exp(math.pi * cfg.R * (zk / zeta[:, None] + zeta[:, None] * zk.conj())
                   + 1j * theta)
 
 
+# the pentagon ids name the series order of the benchmark workloads that
+# solve at these R (solve-verify at N = 8, sweep-probe at N = 12); the solve
+# itself reads no N
 @pytest.mark.parametrize("kw", [
-    dict(N=8, R=0.3), dict(N=12, R=0.15),
+    dict(R=0.3), dict(R=0.15),
     dict(spectrum=GENERIC, Z=GENERIC_Z, R=0.3), dict(spectrum=Spectrum(()), R=1.0),
 ], ids=["pentagon_N8", "pentagon_N12", "generic_two_pair", "empty"])
 def test_densities_match_one_exp_per_charge(kw):
@@ -591,7 +589,7 @@ def test_densities_match_one_exp_per_charge(kw):
     state, _ = solve(cfg)
     prep = state.problem
     # the converged r values, and ones pushed off the real angles (|u| != 1)
-    ray = state.values[0]
+    ray = state.values
     pushed = ray + 0.3j * np.random.default_rng(7).standard_normal(ray.shape)
     for values in (ray, pushed):
         got = prep.densities(values)
@@ -604,13 +602,13 @@ def test_densities_match_one_exp_per_charge(kw):
     assert np.max(np.abs(pushed.imag)) > 0.5
 
 
-@pytest.mark.parametrize("R, N", [(0.3, 8), (0.15, 12)])
-def test_jump_holds_for_the_exact_side_map(R, N):
+@pytest.mark.parametrize("R", [0.3, 0.15], ids=["0.3-8", "0.15-12"])  # R and the series' N
+def test_jump_holds_for_the_exact_side_map(R):
     # Y+ = S Y- at every midpoint of both rays, with S the side's KS product
     # applied to Y- in floating point (not the solver's side log); a solve
     # with the order-N series misses it by 7.2e-6 at R = 0.3, N = 8 and by
     # 1.7e-4 at R = 0.15, N = 12
-    state, _ = solve(pentagon_cfg(R=R, N=N, M=256, max_iter=100))
+    state, _ = solve(pentagon_cfg(R=R, M=256, max_iter=100))
     worst = 0.0
     for side in (+1, -1):
         nodes = state.problem.grids[side].nodes
@@ -642,7 +640,7 @@ def test_prepared_keeps_no_square_array():
     # the node operator is kept as kernel spectra and O(M) vectors; nothing
     # of the problem grows like M^2
     M = 4096
-    shared = init_state(pentagon_cfg(M=M)).problem.shared
+    shared = init_state(pentagon_cfg(M=M)).problem
     sizes = [a.size for a in _arrays(shared)]
     assert sizes and max(sizes) < M * M
 
@@ -684,9 +682,9 @@ MIRROR_CASES = {
 def test_opposite_ray_is_the_involution_image_bit_for_bit(name):
     state, _ = solve(pentagon_cfg(**{"max_iter": 100, **MIRROR_CASES[name]}))
     values, dens = state.values, state.densities
-    assert values[1].tobytes() == values[0][::-1].conj().tobytes()
+    assert values.shape == (state.cfg.M, 2)
     assert dens[-1].tobytes() == (-dens[+1][::-1].conj()).tobytes()
-    assert np.max(np.abs(values - np.array(state.problem.cfg.theta))) > 1e-6
+    assert np.max(np.abs(values - np.array(state.cfg.theta))) > 1e-6
     # -r's jump is checked with side -1's own map at -r's own midpoints
     assert check_jump(state) <= 1e-10
 
@@ -716,17 +714,13 @@ def test_pentagon_iteration_counts(R, iterations):
 # ---------------- theta-free problems shared per session ----------------
 
 @pytest.mark.parametrize("change", [
-    dict(theta=(0.2, -0.4)), dict(N=3), dict(tol=1e-9), dict(max_iter=7),
-    dict(ball_epsilon=0.1),
-], ids=["theta", "N", "tol", "max_iter", "ball_epsilon"])
+    dict(theta=(0.2, -0.4)), dict(tol=1e-9), dict(max_iter=7), dict(ball_epsilon=0.1),
+], ids=["theta", "tol", "max_iter", "ball_epsilon"])
 def test_configs_differing_only_in_theta_free_fields_share_one_problem(change):
     cfg = pentagon_cfg(M=64)
-    prep, other = _Prepared(cfg), _Prepared(dataclasses.replace(cfg, **change))
-    assert other.shared is prep.shared
-    assert other.cfg != prep.cfg
-    # the per-solve object adds only the config and theta
-    assert sorted(vars(other)) == ["cfg", "shared", "theta"]
-    assert other.theta.tolist() == [complex(t) for t in other.cfg.theta]
+    st, other = init_state(cfg), init_state(dataclasses.replace(cfg, **change))
+    assert other.problem is st.problem
+    assert other.cfg != st.cfg
 
 
 @pytest.mark.parametrize("change", [
@@ -736,11 +730,11 @@ def test_configs_differing_only_in_theta_free_fields_share_one_problem(change):
 ], ids=["R", "a", "M", "target_tail", "split_phase", "spectrum", "Z"])
 def test_a_change_of_a_field_the_problem_reads_builds_a_new_problem(change):
     cfg = pentagon_cfg(M=64, Z=CentralCharge((1.0,), (1j,)))
-    assert _Prepared(dataclasses.replace(cfg, **change)).shared is not _Prepared(cfg).shared
+    assert init_state(dataclasses.replace(cfg, **change)).problem is not init_state(cfg).problem
 
 
 def test_every_cached_array_is_read_only():
-    shared = _Prepared(pentagon_cfg(M=64)).shared
+    shared = init_state(pentagon_cfg(M=64)).problem
     arrays = list(_arrays(shared))
     # static, guard exponents, spectra, basis values, the side maps' values
     # and coordinates, the grids' nodes and weights
@@ -751,8 +745,6 @@ def test_every_cached_array_is_read_only():
     for name in ("rays", "maps", "grids", "classification"):
         with pytest.raises(TypeError):
             getattr(shared, name)[+1] = None
-    with pytest.raises(ValueError, match="read-only"):
-        _Prepared(pentagon_cfg(M=64)).theta[0] = 0
 
 
 def test_warm_solve_is_bit_identical_to_a_cold_one():
@@ -768,7 +760,7 @@ def test_warm_solve_is_bit_identical_to_a_cold_one():
     hits = rh.theta_free_problem.cache_info().hits
     warm, warm_report = solve(cfg)
     assert rh.theta_free_problem.cache_info().hits == hits + 1
-    assert warm.problem.shared is not cold.problem.shared
+    assert warm.problem is not cold.problem
     assert warm.values.tobytes() == cold.values.tobytes()
     assert warm_report == cold_report
     assert verify(warm) == cold_residuals
@@ -784,7 +776,7 @@ def test_reality_rays_are_theta_at_their_points(kw):
     # at the node radii of each sample ray
     state, _ = solve(pentagon_cfg(**{"max_iter": 100, **kw}))
     phases, values = reality_rays(state)
-    M = state.problem.cfg.M
+    M = state.cfg.M
     assert phases.shape == (2, 2) and values.shape == (2, 2, 2, M)
     r = state.problem.r.phase
     assert np.allclose(phases[:, 0] - r, REALITY_OFFSETS)
@@ -794,16 +786,16 @@ def test_reality_rays_are_theta_at_their_points(kw):
     want = np.stack(evaluate_theta(state, pts.ravel()))
     got = np.moveaxis(values, 2, 0).reshape(2, -1)
     assert np.max(np.abs(got - want)) <= 1e-14
-    assert np.max(np.abs(values - np.array(state.problem.cfg.theta)[:, None])) > 1e-3
+    assert np.max(np.abs(values - np.array(state.cfg.theta)[:, None])) > 1e-3
 
 
 def test_reality_check_reads_side_minus_one_density_off_the_involution_image():
     state, _ = solve(pentagon_cfg(R=1.0))
     assert check_reality(state) < 1e-14
-    M = state.problem.cfg.M
+    M = state.cfg.M
     bent = state.densities[-1].copy()
     bent[M // 2, 1] += 1e-6
-    perturbed = ThetaState(state.values, state.problem)
+    perturbed = dataclasses.replace(state)
     perturbed.densities = {+1: state.densities[+1], -1: bent}
     assert check_reality(perturbed) > 1e-8
 

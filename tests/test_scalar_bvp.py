@@ -106,8 +106,7 @@ def test_manufactured_limits_recover_eta():
 # ---------------- continuous solve ----------------
 
 def test_trivial_jump_gives_unit_solution():
-    p = ScalarBVProblem(0.0, lambda t: 1.0, (1, 1, 1, 1))
-    sol = solve_continuous(lambda t: 1.0 + 0j, 0.0, p, half_width=5.0, M=128)
+    sol = solve_continuous(lambda t: 1.0 + 0j, 0.0, half_width=5.0, M=128)
     for z in (0.5j, -0.7j, 2.0 + 1.0j):
         assert sol(z) == pytest.approx(1.0, abs=1e-12)
 
@@ -115,7 +114,7 @@ def test_trivial_jump_gives_unit_solution():
 def test_continuous_boundary_ratio():
     p = ScalarBVProblem(0.0, lambda t: 1.0, (1, 1, 1, 1))
     G1 = lambda t: np.exp(bump(t))
-    sol = solve_continuous(G1, 0.0, p, half_width=7.0, M=512)
+    sol = solve_continuous(G1, 0.0, half_width=7.0, M=512)
     for t in (0.3, 1.7, -0.9, -4.0, 12.0):
         yp = sol(p.contour_point(t), side="plus")
         ym = sol(p.contour_point(t), side="minus")
@@ -123,18 +122,16 @@ def test_continuous_boundary_ratio():
 
 
 def test_winding_jump_rejected():
-    p = ScalarBVProblem(0.0, lambda t: 1.0, (1, 1, 1, 1))
     # arg of G1 advances by 2 pi along the contour
     G1 = lambda t: np.exp(2j * np.arctan(np.sign(t) * np.log(np.abs(t))))
     with pytest.raises(NonzeroIndexError):
-        solve_continuous(G1, 0.0, p, half_width=7.0, M=256)
+        solve_continuous(G1, 0.0, half_width=7.0, M=256)
 
 
 def test_discontinuous_regularized_jump_rejected():
-    p = ScalarBVProblem(0.0, lambda t: 1.0, (1, 1, 1, 1))
     G1 = lambda t: np.exp(np.where(t > 0, 0.4, 0.0) + 0j)  # gap across 0 and infinity
     with pytest.raises(NonzeroIndexError, match="continuous"):
-        solve_continuous(G1, 0.0, p, half_width=7.0, M=256)
+        solve_continuous(G1, 0.0, half_width=7.0, M=256)
 
 
 def test_opposite_constant_tails_are_handled():
@@ -142,7 +139,7 @@ def test_opposite_constant_tails_are_handled():
     # reach: the paired halves cancel the non-decaying parts
     p = ScalarBVProblem(0.0, lambda t: 1.0, (1, 1, 1, 1))
     G1 = lambda t: np.exp(0.3 * np.tanh(np.log(np.abs(t))) + 0j)
-    sol = solve_continuous(G1, 0.0, p, half_width=16.0, M=1024)
+    sol = solve_continuous(G1, 0.0, half_width=16.0, M=1024)
     for t in (0.5, 2.0, -1.3):
         yp = sol(p.contour_point(t), side="plus")
         ym = sol(p.contour_point(t), side="minus")
@@ -333,7 +330,7 @@ def test_solve_continuous_samples_the_jump_in_one_call():
         return G1(t)
 
     M = 256
-    solve_continuous(counting, 0.0, p, half_width=7.0, M=M)
+    solve_continuous(counting, 0.0, half_width=7.0, M=M)
     assert calls == [(2 * M,)]
 
 

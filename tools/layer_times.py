@@ -6,10 +6,10 @@ record (a BENCH_*.json file).
 
 Layers: for the pentagon (support constant 0.9, Z = (1, i), a = 0,
 theta = (0.7, 1.3), tol 1e-12, max_iter 100) at each (R, M) of CASES, the
-time of `_Prepared(cfg)` cold (rh_solver's cache of theta-free problems
+time of `init_state(cfg)` cold (rh_solver's cache of theta-free problems
 cleared first) and warm (the problem cached), of one `iterate_once` from a
-fresh state with the solution's values (whose densities are not yet
-computed, as in `solve`), of `solve(cfg)`, and of `check_jump`,
+fresh copy of the solved state (`dataclasses.replace`: its densities not
+yet computed, as in `solve`), of `solve(cfg)`, and of `check_jump`,
 `check_reality` and `verify` on the solved state (guard passed, limits
 kept).  On a side without that cache, cold and warm time the same call.
 For the scalar manufactured jump of the scalar-bvp workload at each
@@ -43,6 +43,7 @@ largest gate residual and the peak RSS after them.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import json
 import os
@@ -61,7 +62,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CASES = ((4.0, 128), (1.0, 128), (0.3, 128), (0.15, 128),
          (1.0, 512), (0.3, 512), (1.0, 2048))
-LAYERS = ("_Prepared cold", "_Prepared warm", "iterate_once", "solve", "check_jump",
+LAYERS = ("init_state cold", "init_state warm", "iterate_once", "solve", "check_jump",
           "check_reality", "verify")
 SCALAR_CASES = ((0.1, ()), (0.25, ((0.8, 2),)))  # eta0, (zero on the line, order)
 SCALAR_LAYERS = ("solve_scalar_bvp", "boundary_values", "verify_uniqueness")
@@ -87,29 +88,34 @@ def _per_call(fn, count: int) -> list[float]:
     return out
 
 
+def layer_calls(rh, R: float, M: int) -> tuple[int, dict]:
+    """The pentagon case at (R, M), solved and verified with rh (rhflow's
+    rh_solver module): its iteration count, and a call per LAYERS name."""
+    from rhflow.charge_lattice import pentagon_spectrum
+    from rhflow.spectrum_rays import CentralCharge
+    cfg = rh.SolverConfig(R=R, a=0.0, theta=(0.7, 1.3), spectrum=pentagon_spectrum(0.9),
+                          Z=CentralCharge.constant(1.0, 1j), M=M, tol=1e-12, max_iter=100)
+    state, report = rh.solve(cfg)
+    rh.verify(state)
+    clear = getattr(getattr(rh, "theta_free_problem", None), "cache_clear", lambda: None)
+    return report["iterations"], {
+        "init_state cold": lambda: (clear(), rh.init_state(cfg)),
+        "init_state warm": lambda: rh.init_state(cfg),
+        "iterate_once": lambda: rh.iterate_once(dataclasses.replace(state)),
+        "solve": lambda: rh.solve(cfg),
+        "check_jump": lambda: rh.check_jump(state),
+        "check_reality": lambda: rh.check_reality(state),
+        "verify": lambda: rh.verify(state)}
+
+
 def time_layers(src: str) -> dict:
     """Samples per case and layer, with rhflow imported from src."""
     sys.path.insert(0, src)
     from rhflow import rh_solver as rh
-    from rhflow.charge_lattice import pentagon_spectrum
-    from rhflow.spectrum_rays import CentralCharge
     out = {}
     for R, M in CASES:
-        cfg = rh.SolverConfig(R=R, a=0.0, theta=(0.7, 1.3), spectrum=pentagon_spectrum(0.9),
-                              Z=CentralCharge.constant(1.0, 1j), M=M, tol=1e-12,
-                              max_iter=100)
-        state, report = rh.solve(cfg)
-        rh.verify(state)
-        clear = getattr(getattr(rh, "theta_free_problem", None), "cache_clear", lambda: None)
-        fns = {"_Prepared cold": lambda: (clear(), rh._Prepared(cfg)),
-               "_Prepared warm": lambda: rh._Prepared(cfg),
-               "iterate_once": lambda: rh.iterate_once(rh.ThetaState(state.values,
-                                                                     state.problem)),
-               "solve": lambda: rh.solve(cfg),
-               "check_jump": lambda: rh.check_jump(state),
-               "check_reality": lambda: rh.check_reality(state),
-               "verify": lambda: rh.verify(state)}
-        out[f"R={R:g},M={M}"] = {"iterations": report["iterations"],
+        iterations, fns = layer_calls(rh, R, M)
+        out[f"R={R:g},M={M}"] = {"iterations": iterations,
                                  **{name: _per_call(fns[name], SAMPLES.get(name, 5))
                                     for name in LAYERS}}
     out.update(time_scalar_layers())
