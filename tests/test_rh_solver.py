@@ -108,12 +108,15 @@ def test_solve_computes_densities_once_per_state(monkeypatch):
     assert len(calls) == 1
 
 
-def test_jump_guard_names_a_charge_with_large_Y():
+@pytest.mark.parametrize("omega", [1, 2])
+def test_jump_guard_names_a_charge_with_large_Y(omega):
     # pushing Im Theta_2 down by K on r multiplies |Y_g| by e^{c2 K}: e1
-    # stays below 1 and e1 + e2 exceeds it
-    spec = Spectrum.from_pairs([((1, 0), 1), ((-1, 0), 1), ((1, 1), 1), ((-1, -1), 1)])
+    # stays below 1 and e1 + e2 exceeds it.  The guard bounds |Y_g| itself,
+    # so it fires whatever the multiplicity Omega(e1 + e2)
+    spec = Spectrum.from_pairs([((1, 0), 1), ((-1, 0), 1),
+                                ((1, 1), omega), ((-1, -1), omega)])
     st = init_state(empty_cfg(spectrum=spec, M=64))
-    assert Charge(1, 1) in [g for g, _ in st.problem.maps[+1].charges]
+    assert (Charge(1, 1), omega) in st.problem.maps[+1].charges
     values = st.values.copy()
     values[:, 1] -= 100j
     with pytest.raises(TruncationUnsafeError, match=r"for charge \(1,1\) on its jump ray"):
