@@ -10,8 +10,8 @@ finite Kontsevich-Soibelman product of the side's active charges, at
 x = Y- (Gaiotto-Moore-Neitzke, arXiv:0807.4723).  Stored node values are the
 boundary values from the clockwise side of each outward-oriented ray; with
 that convention the counterclockwise limit satisfies the multiplicative jump
-exactly at the nodes; check_jump verifies it between them, from
-evaluate_theta's two limits there.
+exactly at the nodes; check_jump verifies it at every midpoint between them,
+from the two limits there (midpoint_limits).
 
 Only r is iterated: the reality involution zeta -> -1/conj zeta maps node j
 of r to node M-1-j of -r and side +1's charges to side -1's, and the map
@@ -51,11 +51,16 @@ c_same, the coth kernel of a ray on itself by the alternating-point rule
 kernel between the rays.  The theta-free problem keeps their FFTs on
 circulants of length 2M (_circulant_fft, which reality_rays uses too), and
 node_transforms applies them on r in one FFT, product and inverse FFT per
-Picard step.  evaluate_theta passes both basis targets of a side as one
-(2, M) stack: on a ray to contour_quadrature.band_limited_limits, whose node
-rule is c_same's (so it returns the stored values there), else integrate_ray,
-whose kernel on the opposite ray is c_cross's real tanh and elsewhere the
-complex Cauchy kernel.
+Picard step.  At the midpoints of the rays the limits are Toeplitz products
+too, at half-integer offsets: midpoint_limits takes both limits on both rays
+from three kept kernel spectra (coth, sinc and tanh) in one FFT and one
+inverse FFT, which is all check_jump needs, so verify builds no dense kernel.
+evaluate_theta serves arbitrary points and passes both basis targets of a
+side as one (2, M) stack: on a ray to contour_quadrature.band_limited_limits,
+whose node rule is c_same's (so it returns the stored values there) and
+whose midpoint rule is midpoint_limits', else integrate_ray, whose kernel on
+the opposite ray is c_cross's real tanh and elsewhere the complex Cauchy
+kernel.
 """
 
 from __future__ import annotations
@@ -194,7 +199,8 @@ class _SideMap:
 class _ThetaFree:
     """Everything of a problem that theta does not enter: the contour rays
     and their classification, the side maps, the grids, side +1's
-    theta-free exponents, the node operator's spectra and weights, and
+    theta-free exponents, the node operator's spectra and weights,
+    check_jump's exponents and midpoint_limits' spectra, and
     truncation_guard's exponents.  Built once per (R, a, spectrum, Z, M,
     target_tail, split_phase) by theta_free_problem and shared by every
     solve with those fields, so every array it holds is read-only and its
@@ -243,8 +249,13 @@ class _ThetaFree:
             for s in (+1, -1)
             for g, _ in spectrum.active() if self.classification.get(g) == s)
 
-        # central values of the basis charges, for the jump check
-        self.basis_central = np.array([extend(g, *basis) for g in (GAMMA1, GAMMA2)])
+        # check_jump's: each side's theta-free exponents at the M - 1
+        # midpoints e^{(s_i + s_{i+1})/2} of its own ray
+        mids = np.exp(0.5 * (self.grids[+1].nodes[:-1] + self.grids[+1].nodes[1:]))
+        self.mid_static = MappingProxyType(
+            {side: _static_exponents(R, self.maps[side].central[:, None],
+                                     mids * self.rays[side].unit())
+             for side in (+1, -1)})
 
         # the node operator, shared by both rays (one node set
         # s_j = -L + j step): c_same[i, j] = 2 w_j coth((s_j - s_i)/2) at odd
@@ -263,7 +274,19 @@ class _ThetaFree:
                                  -turn * _circulant_fft(_odd(cross))]) / (2 * M)
         self.weights = g0.weights
 
-        for arr in (self.static, self.basis_central, self.spectra,
+        # midpoint_limits' kernels at the half-integer offsets m - 1/2 of
+        # node j = i + m from midpoint i (band_limited_limits at d = 1/2,
+        # where its cos factor vanishes): coth for the own ray's principal
+        # value, 2 pi i sinc on the unweighted density for its half jump and
+        # tanh for the other ray.  The 1/2M of the inverse FFT is folded in
+        m = np.arange(1 - M, M)
+        half = m - 0.5
+        tanh = np.tanh(0.5 * g0.step * half)
+        self.mid_spectra = _circulant_fft(
+            np.stack([1.0 / tanh, (1 - 2 * (m % 2)) / (-math.pi * half), tanh])) / (2 * M)
+        self.mid_spectra[1] *= 2j * math.pi
+
+        for arr in (self.static, *self.mid_static.values(), self.spectra, self.mid_spectra,
                     *(stat for _, _, stat in self.guard_exponents),
                     *(x for m in self.maps.values() for x in (m.central, m.coords)),
                     *(x for g in self.grids.values() for x in (g.nodes, g.weights))):
@@ -525,30 +548,59 @@ def check_jump(state: ThetaState) -> float:
     applied to the clockwise values: Y+ = Y- * exp(h(Y-)), with h the exact
     log of the side map that the solver iterates (_SideMap.log).  At a
     node this holds to rounding by construction (Theta+ - Theta- = -i h), so
-    the check runs at about 32 midpoints between the nodes of each ray,
-    where quadrature error stays visible, and takes both limits there from
-    one evaluate_theta call: each ray's own integral by band_limited_limits,
-    the other ray's by integrate_ray's real tanh kernel (the midpoints of r
-    lie on the opposite ray of -r's grid, and those of -r on r's).  A
-    non-finite residual is returned as such.
+    the check runs at every one of the M - 1 midpoints between the nodes of
+    each ray, where quadrature error stays visible, with both limits there
+    from midpoint_limits (by FFT) and each side's map at its own ray's
+    midpoints.  The residual per midpoint and target is
+    |S Y- - Y+| / |Y+| = |exp(i (Theta- - Theta+) + h(Y-)) - 1|, taken by
+    expm1 and never through Y+- themselves.  A non-finite residual is
+    returned as such.
     """
-    problem, cfg = state.problem, state.cfg
+    problem = state.problem
     state.guard()
-    rays = []
-    for s in (+1, -1):
-        mids = 0.5 * (problem.grids[s].nodes[:-1] + problem.grids[s].nodes[1:])
-        rays.append(np.exp(mids[:: max(1, len(mids) // 32)]) * problem.rays[s].unit())
-    zeta, n = np.concatenate(rays), len(rays[0])
-    plus, minus = evaluate_theta(state, zeta, side="both")
-    tm = np.stack(minus, axis=1)
-    basis = _static_exponents(cfg.R, problem.basis_central[:, None], zeta).T
-    y_plus = np.exp(basis + 1j * np.stack(plus, axis=1))
-    predicted = np.exp(basis + 1j * tm)
-    for s, on in ((+1, slice(None, n)), (-1, slice(n, None))):
-        side_map = problem.maps[s]
-        static = _static_exponents(cfg.R, side_map.central[:, None], zeta[on])
-        predicted[on] *= np.exp(side_map.log(static, tm[on]))
-    return float(np.max(np.abs(predicted - y_plus) / np.abs(y_plus)))
+    plus, minus = midpoint_limits(state)
+    residuals = [np.abs(np.expm1(1j * (minus[ray] - plus[ray]).T
+                                 + problem.maps[s].log(problem.mid_static[s], minus[ray].T)))
+                 for ray, s in enumerate((+1, -1))]
+    return float(np.max(residuals))
+
+
+def midpoint_limits(state: ThetaState) -> np.ndarray:
+    """Theta+ and Theta- at the M - 1 midpoints e^{(s_i + s_{i+1})/2} of r
+    and of -r, shape (2, 2, 2, M - 1) (limit: plus, minus; ray: r, -r; basis
+    target; midpoint); "plus" is the counterclockwise side of each ray.
+
+    Both rays carry one node set, so node j sits at the half-integer offset
+    j - i - 1/2 from midpoint i and each limit is a Toeplitz product: on the
+    midpoint's own ray, the principal value is the weighted density under
+    coth((j - i - 1/2) step/2) (band_limited_limits at d = 1/2) and the half
+    jump +- 2 pi i times the unweighted density under sinc(j - i - 1/2); the
+    other ray adds its weighted density under tanh((j - i - 1/2) step/2).
+    -r's midpoints take the same kernels with the sides swapped.  One FFT of
+    the (weighted, unweighted) x side x target stack of state.densities,
+    one product with each kept spectrum and one inverse FFT.
+    """
+    problem = state.problem
+    M = problem.M
+    # in place from here on: from M = 512 on, a (2, 2, 2, 2M) temporary is
+    # large enough to be freshly mapped and page-faulted on every call
+    work = np.zeros((2, 2, 2, 2 * M), dtype=complex)  # (weighted, unweighted), zero-padded
+    for side, i in ((+1, 0), (-1, 1)):
+        work[1, i, :, :M] = state.densities[side].T
+    np.multiply(work[1, ..., :M], problem.weights, out=work[0, ..., :M])
+    np.fft.fft(work, out=work)
+    weighted, half_jump = work
+    coth, sinc, tanh = problem.mid_spectra
+    pv = coth * weighted
+    pv += tanh * weighted[::-1]
+    half_jump *= sinc
+    np.add(pv, half_jump, out=work[0])
+    np.subtract(pv, half_jump, out=work[1])
+    # unscaled inverse: the spectra carry the 1/2M
+    sums = np.fft.ifft(work, norm="forward", out=work)[..., :M - 1]
+    sums /= -FOUR_PI
+    sums += np.array(state.cfg.theta)[:, None]
+    return sums
 
 
 # check_reality's sample rays: each at this angle from r, paired with its

@@ -13,7 +13,8 @@ from rhflow.errors import (ConfigError, DivergenceError, NonContractionError,
 from rhflow.rh_solver import (REALITY_OFFSETS, SolverConfig, _SideMap, _ThetaFree,
                               _circulant_fft, asymptotic_theta, check_jump, check_reality,
                               evaluate_Y, evaluate_theta, init_state, iterate_once,
-                              reality_rays, smoothness_probe, solve, verify)
+                              midpoint_limits, reality_rays, smoothness_probe, solve,
+                              verify)
 from rhflow.spectrum_rays import CentralCharge, alternative_split_phases, semiflat
 from rhflow.stokes_series import ordered_side_charges
 
@@ -328,7 +329,7 @@ def test_smoothness_probe_a_dependence():
 def test_smoothness_probe_verifies_nothing(monkeypatch):
     import rhflow.rh_solver as rh
     calls = []
-    for name in ("check_jump", "check_reality", "evaluate_theta"):
+    for name in ("check_jump", "midpoint_limits", "check_reality", "evaluate_theta"):
         original = getattr(rh, name)
 
         def counting(*args, _name=name, _original=original, **kwargs):
@@ -464,7 +465,9 @@ def test_evaluate_theta_on_an_array_matches_single_points_bit_for_bit():
             assert np.array_equal(batched[k], np.array([t[k] for t in single])), side
 
 
-def test_solve_evaluates_theta_in_batches(monkeypatch):
+def test_verify_calls_no_evaluate_theta(monkeypatch):
+    # check_jump takes its limits from midpoint_limits' Toeplitz products;
+    # evaluate_theta serves arbitrary points only
     import rhflow.rh_solver as rh
     calls = []
     original = rh.evaluate_theta
@@ -475,7 +478,7 @@ def test_solve_evaluates_theta_in_batches(monkeypatch):
 
     monkeypatch.setattr(rh, "evaluate_theta", counting)
     verify(solve(pentagon_cfg(R=1.0))[0])
-    assert 0 < len(calls) <= 2
+    assert calls == []
 
 
 def test_jump_check_sees_discretisation_error():
@@ -499,10 +502,9 @@ def test_jump_check_propagates_a_nan_node_value():
 
 # ---------------- one operator product per step ----------------
 
-def test_solve_makes_few_ray_integrals(monkeypatch):
-    # evaluate_theta passes both basis targets of a side in one stacked call
-    # and skips empty point sets: two calls per batch, two batches per
-    # verification
+def test_verify_makes_no_ray_integrals(monkeypatch):
+    # neither solving nor verifying sums a ray point by point: the node
+    # operator, midpoint_limits and reality_rays all go through FFTs
     import rhflow.rh_solver as rh
     calls = []
     original = rh.integrate_ray
@@ -513,7 +515,7 @@ def test_solve_makes_few_ray_integrals(monkeypatch):
 
     monkeypatch.setattr(rh, "integrate_ray", counting)
     verify(solve(pentagon_cfg(R=1.0))[0])
-    assert 0 < len(calls) <= 4
+    assert calls == []
 
 
 @pytest.mark.parametrize("M", [128, 512, 2048])
@@ -605,23 +607,64 @@ def test_densities_match_one_exp_per_charge(kw):
     assert np.max(np.abs(pushed.imag)) > 0.5
 
 
-@pytest.mark.parametrize("R", [0.3, 0.15], ids=["0.3-8", "0.15-12"])  # R and the series' N
-def test_jump_holds_for_the_exact_side_map(R):
-    # Y+ = S Y- at every midpoint of both rays, with S the side's KS product
-    # applied to Y- in floating point (not the solver's side log); a solve
-    # with the order-N series misses it by 7.2e-6 at R = 0.3, N = 8 and by
-    # 1.7e-4 at R = 0.15, N = 12
-    state, _ = solve(pentagon_cfg(R=R, M=256, max_iter=100))
+def ray_midpoints(state, side: int) -> np.ndarray:
+    """The M - 1 points halfway, in log radius, between the nodes of the
+    side's ray."""
+    nodes = state.problem.grids[side].nodes
+    return np.exp(0.5 * (nodes[:-1] + nodes[1:])) * state.problem.rays[side].unit()
+
+
+def exact_jump_residual(state) -> float:
+    """max |S Y- - Y+| / |Y+| over every midpoint of both rays, with Y+-
+    from evaluate_theta's dense limits and S the side's KS product applied
+    to Y- in floating point (not the solver's side log)."""
     worst = 0.0
     for side in (+1, -1):
-        nodes = state.problem.grids[side].nodes
-        mids = np.exp(0.5 * (nodes[:-1] + nodes[1:])) * state.problem.rays[side].unit()
+        mids = ray_midpoints(state, side)
         plus, minus = evaluate_theta(state, mids, side="both")
         y_plus = basis_Y(state, mids, np.stack(plus, axis=1))
         predicted, _ = ks_product(state, side, basis_Y(state, mids, np.stack(minus, axis=1)))
         worst = max(worst, float(np.max(np.abs(predicted - y_plus) / np.abs(y_plus))))
-    assert worst <= 1e-10
+    return worst
+
+
+@pytest.mark.parametrize("R", [0.3, 0.15], ids=["0.3-8", "0.15-12"])  # R and the series' N
+def test_jump_holds_for_the_exact_side_map(R):
+    # Y+ = S Y- at every midpoint of both rays; a solve with the order-N
+    # series misses it by 7.2e-6 at R = 0.3, N = 8 and by 1.7e-4 at
+    # R = 0.15, N = 12
+    state, _ = solve(pentagon_cfg(R=R, M=256, max_iter=100))
+    assert exact_jump_residual(state) <= 1e-10
     assert check_jump(state) <= 1e-10
+
+
+@pytest.mark.parametrize("M", [128, 512, 2048])
+def test_midpoint_limits_match_the_dense_limits(M):
+    # the Toeplitz products at half-integer offsets against evaluate_theta's
+    # band_limited_limits and opposite-ray tanh sums at the same midpoints
+    # (a strided subset at M = 2048, where the dense kernels are large)
+    state, _ = solve(pentagon_cfg(R=0.3, M=M, max_iter=100))
+    limits = midpoint_limits(state)
+    assert limits.shape == (2, 2, 2, M - 1)
+    pick = np.arange(0, M - 1, 1 if M < 2048 else 7)
+    for ray, side in enumerate((+1, -1)):
+        dense = np.array(evaluate_theta(state, ray_midpoints(state, side)[pick], side="both"))
+        assert np.max(np.abs(limits[:, ray][..., pick] - dense)) <= 1e-14
+        # the two limits differ: the midpoints see the jump
+        assert np.max(np.abs(dense[0] - dense[1])) > 1e-3
+
+
+def test_jump_check_sees_a_node_between_sparse_samples():
+    # a node off by 1e-6 breaks the jump at the midpoints next to it (7.3e-9
+    # there); a check that samples every 15th midpoint, between 240 and 255,
+    # sees it only through the sinc tail (4.9e-10)
+    state, _ = solve(pentagon_cfg(R=1.0, M=512))
+    values = state.values.copy()
+    values[248, 0] += 1e-6
+    perturbed = dataclasses.replace(state, values=values)
+    got = check_jump(perturbed)
+    assert got > 3e-9
+    assert got == pytest.approx(exact_jump_residual(perturbed), rel=1e-6)
 
 
 def _arrays(obj):
