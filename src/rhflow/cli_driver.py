@@ -42,9 +42,10 @@ def fmt(x: float) -> str:
 
 
 def fmt_column(values: np.ndarray) -> list[str]:
-    """fmt of every element of a real array, from one tolist() pass:
-    "%.17g" % x formats a Python float exactly as format(x, ".17g")."""
-    return ["%.17g" % x for x in values.tolist()]
+    """fmt of every element of a real array, in C order, from one "%" over
+    the whole array: "%.17g" % x formats a Python float exactly as
+    format(x, ".17g"), and no such string holds whitespace."""
+    return (("%.17g\n" * values.size) % tuple(values.ravel().tolist())).split()
 
 
 def _number(kind, value, where: str):
@@ -187,9 +188,9 @@ def load_config(text: str, command: str, seed: int = 0) -> RunConfig:
 
 # ---------------------------------------------------------------- outputs
 
-def _write(path: Path, text: str) -> None:
+def _write(path: Path, *texts: str) -> None:
     with open(path, "w", newline="\n") as fh:
-        fh.write(text)
+        fh.writelines(texts)
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
@@ -202,10 +203,12 @@ def _write_json(path: Path, payload: dict) -> None:
     _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _negated_reversed(column: list[str]) -> list[str]:
-    """The fmt strings of -x for the x of column, in reverse order (signed
-    zeros included: "0" and "-0" swap)."""
-    return [x[1:] if x.startswith("-") else "-" + x for x in reversed(column)]
+def _print_error(exc: Exception, **context) -> dict:
+    """Print exc's diagnostic, with context, as one JSON line on stderr, and
+    return it."""
+    diag = {"error": type(exc).__name__, "message": str(exc), **context}
+    print(json.dumps(diag, sort_keys=True), file=sys.stderr)
+    return diag
 
 
 # ---------------------------------------------------------------- commands
@@ -214,17 +217,21 @@ def _cmd_solve(rc: RunConfig, out: Path) -> None:
     state, report = solve(rc.solver)
     report["residuals"] = verify(state)
     _write_json(out / "report.json", report)
-    s = fmt_column(state.problem.grids[+1].nodes)
-    re1, im1, re2, im2 = [fmt_column(part) for c in state.values.T
-                          for part in (c.real, c.imag)]
-    # -r's values are conj(r[::-1]) exactly, so its strings are r's reversed,
-    # the imaginary parts negated
-    rows = ([[si, "r", *vals] for si, *vals in zip(s, re1, im1, re2, im2)]
-            + [[si, "-r", *vals] for si, *vals in zip(s, re1[::-1], _negated_reversed(im1),
-                                                      re2[::-1], _negated_reversed(im2))])
-    _write_csv(out / "nodes.csv",
-               ["s", "ray", "re_theta1", "im_theta1", "re_theta2", "im_theta2"],
-               rows)
+    M = state.problem.M
+    # r's rows [s, Re theta1, Im theta1, Re theta2, Im theta2], row-major
+    fields = fmt_column(np.column_stack([state.problem.grids[+1].nodes,
+                                         np.ascontiguousarray(state.values).view(float)]))
+    # -r's values are conj(r[::-1]) exactly, so its row j is s_j, then the
+    # fields of r's row M - 1 - j with each imaginary part's sign toggled
+    # (signed zeros included: "0" and "-0" swap)
+    mirrored = fields[:]
+    for k in range(1, 5):
+        column = fields[k - 5::-5]  # r's field k, last row first
+        mirrored[k::5] = (column if k % 2 else
+                          [x[1:] if x[0] == "-" else "-" + x for x in column])
+    _write(out / "nodes.csv", "s,ray,re_theta1,im_theta1,re_theta2,im_theta2\n",
+           ("%s,r,%s,%s,%s,%s\n" * M) % tuple(fields),
+           ("%s,-r,%s,%s,%s,%s\n" * M) % tuple(mirrored))
 
 
 def _cmd_sweep_r(rc: RunConfig, out: Path) -> None:
@@ -439,35 +446,37 @@ def run(rc: RunConfig, out_dir: str) -> int:
     error found during the run, 2 on numerical failure.  Artifacts are
     deterministic for identical config and seed."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in its place or on its path
+        _print_error(exc)
+        return 1
     try:
         _RUNNERS[rc.command](rc, out)
     except RHFlowError as exc:
-        diag = {"error": type(exc).__name__, "message": str(exc),
-                "command": rc.command}
-        _write_json(out / "error.json", diag)
-        print(json.dumps(diag, sort_keys=True), file=sys.stderr)
+        _write_json(out / "error.json", _print_error(exc, command=rc.command))
         return 1 if isinstance(exc, ConfigError) else 2
     return 0
 
 
+_PARSER = argparse.ArgumentParser(
+    prog="rhflow",
+    description="Riemann-Hilbert fixed-point solver and diagnostics",
+)
+_PARSER.add_argument("command", choices=COMMANDS)
+_PARSER.add_argument("--config", required=True, help="path to a JSON config")
+_PARSER.add_argument("--out", required=True, help="output directory")
+_PARSER.add_argument("--seed", type=int, default=0,
+                     help="seed for sampled diagnostic points")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="rhflow",
-        description="Riemann-Hilbert fixed-point solver and diagnostics",
-    )
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--config", required=True, help="path to a JSON config")
-    parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for sampled diagnostic points")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         text = Path(args.config).read_text(encoding="utf-8")
         rc = load_config(text, args.command, seed=args.seed)
     except (OSError, ConfigError) as exc:
-        diag = {"error": type(exc).__name__, "message": str(exc)}
-        print(json.dumps(diag, sort_keys=True), file=sys.stderr)
+        _print_error(exc)
         return 1
     return run(rc, args.out)
 

@@ -49,7 +49,7 @@ At the nodes the ray integrals are two Toeplitz kernels times the weights:
 c_same, the coth kernel of a ray on itself by the alternating-point rule
 (spectrally accurate for these decaying densities), and c_cross, the tanh
 kernel between the rays.  The theta-free problem keeps their FFTs on
-circulants of length 2M (_circulant_fft, which reality_rays uses too), and
+circulants of length 2M (_circulant_fft, as it does reality_rays'), and
 node_transforms applies them on r in one FFT, product and inverse FFT per
 Picard step.  At the midpoints of the rays the limits are Toeplitz products
 too, at half-integer offsets: midpoint_limits takes both limits on both rays
@@ -200,7 +200,7 @@ class _ThetaFree:
     """Everything of a problem that theta does not enter: the contour rays
     and their classification, the side maps, the grids, side +1's
     theta-free exponents, the node operator's spectra and weights,
-    check_jump's exponents and midpoint_limits' spectra, and
+    check_jump's exponents, midpoint_limits' and reality_rays' spectra, and
     truncation_guard's exponents.  Built once per (R, a, spectrum, Z, M,
     target_tail, split_phase) by theta_free_problem and shared by every
     solve with those fields, so every array it holds is read-only and its
@@ -286,7 +286,19 @@ class _ThetaFree:
             np.stack([1.0 / tanh, (1 - 2 * (m % 2)) / (-math.pi * half), tanh])) / (2 * M)
         self.mid_spectra[1] *= 2j * math.pi
 
+        # reality_rays' kernels at the integer offsets m of node j = i + m from
+        # node radius i on the ray at phase(r) + alpha, alpha in
+        # REALITY_OFFSETS: r's (e^{m step} + rho)/(e^{m step} - rho) with
+        # rho = e^{i alpha} and its reciprocal for -r, shape (pair, kernel, 2M):
+        # the ray at phase(r) + alpha takes them in this order, its opposite
+        # swapped
+        rho = np.exp(1j * np.array(REALITY_OFFSETS))[:, None]
+        e = np.exp(g0.step * np.arange(1 - M, M))
+        num, den = e + rho, e - rho
+        self.reality_spectra = _circulant_fft(np.stack([num / den, den / num], axis=1))
+
         for arr in (self.static, *self.mid_static.values(), self.spectra, self.mid_spectra,
+                    self.reality_spectra,
                     *(stat for _, _, stat in self.guard_exponents),
                     *(x for m in self.maps.values() for x in (m.central, m.coords)),
                     *(x for g in self.grids.values() for x in (g.nodes, g.weights))):
@@ -620,22 +632,26 @@ def reality_rays(state: ThetaState) -> tuple[np.ndarray, np.ndarray]:
     rho = e^{i alpha}, and that of node j of -r is 1/kappa(j - i) (rho -> -rho);
     the opposite ray swaps the two.  The trapezoid sums are Toeplitz
     products, taken by FFT on circulants of length 2M: one FFT of both sides'
-    weighted densities (state.densities, side -1's as stored) and of the
-    four kernels, one product per sample ray and one inverse FFT.
+    weighted densities (state.densities, side -1's as stored), one product
+    with each of the theta-free problem's kernel spectra and one inverse FFT.
     """
     problem = state.problem
     M = problem.M
-    rho = np.exp(1j * np.array(REALITY_OFFSETS))[:, None]
-    e = np.exp(problem.grids[+1].step * np.arange(1 - M, M))
-    num, den = e + rho, e - rho
-    same, other = np.moveaxis(_circulant_fft(np.stack([num / den, den / num], axis=1)), 1, 0)
+    # in place, as in midpoint_limits
     work = np.zeros((2, 2, 2 * M), dtype=complex)  # (side, target), zero-padded
-    np.multiply(np.stack([state.densities[+1].T, state.densities[-1].T]), problem.weights,
-                out=work[..., :M])
-    plus, minus = np.fft.fft(work)
-    sums = np.stack([plus * same[:, None] + minus * other[:, None],
-                     plus * other[:, None] + minus * same[:, None]], axis=1)
-    values = np.array(state.cfg.theta)[:, None] - np.fft.ifft(sums)[..., :M] / FOUR_PI
+    for i, side in enumerate((+1, -1)):
+        np.multiply(state.densities[side].T, problem.weights, out=work[i, :, :M])
+    plus, minus = np.fft.fft(work, out=work)
+    # sums[pair, ray, target]: side +1's transform under the ray's kernel,
+    # plus side -1's under the other one
+    kernels = problem.reality_spectra[:, :, None]
+    sums = np.multiply(plus, kernels)
+    term = np.empty_like(sums[:, 0])
+    for ray in (0, 1):
+        sums[:, ray] += np.multiply(minus, kernels[:, 1 - ray], out=term)
+    values = np.fft.ifft(sums, out=sums)[..., :M]
+    values /= FOUR_PI
+    np.subtract(np.array(state.cfg.theta)[:, None], values, out=values)
     return problem.r.phase + np.add.outer(REALITY_OFFSETS, [0.0, math.pi]), values
 
 

@@ -8,8 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rhflow.charge_lattice import Spectrum
 from rhflow.cli_driver import fmt, fmt_column, load_config, main
 from rhflow.errors import ConfigError
+from rhflow.rh_solver import solve
+from rhflow.spectrum_rays import CentralCharge, alternative_split_phases
 
 PENTAGON = {
     "problem": {
@@ -42,6 +45,10 @@ def test_fmt_column_matches_fmt_on_special_values():
                        2.5e-17, np.inf, -np.inf, np.nan])
     assert fmt_column(values) == [fmt(x) for x in values]
     assert fmt_column(values)[:3] == ["0", "-0", "4.9406564584124654e-324"]
+    # a table is formatted row by row
+    table = np.stack([values, values[::-1]], axis=1)
+    assert fmt_column(table) == [fmt(x) for x in table.ravel()]
+    assert fmt_column(np.empty((0, 5))) == []
 
 
 def test_load_config_defaults():
@@ -89,6 +96,41 @@ def test_solve_command_writes_report_and_nodes(tmp_path):
     assert len(lines) == 1 + 2 * 128
 
 
+GENERIC_Z = {"z1": [[1.3, 0.2]], "z2": [[-0.25, 1.1]]}
+GENERIC_ENTRIES = [[[1, 0], 1], [[-1, 0], 1], [[0, 1], 1], [[0, -1], 1]]
+NODES_CASES = {
+    "pentagon": {},
+    # Theta stays theta = (0, -0) exactly: -r's rows toggle signed zeros
+    "empty_signed_zeros": {"spectrum": {"entries": []}, "theta": [0.0, -0.0], "R": 1.0},
+    "single_pair_M16": {"spectrum": {"entries": [[[1, 0], 1], [[-1, 0], 1]],
+                                     "support_constant": 0.9}, "R": 1.0, "M": 16},
+    "generic_split_M514": {
+        "spectrum": {"entries": GENERIC_ENTRIES}, "Z": GENERIC_Z, "R": 1.0, "M": 514,
+        "split_phase": alternative_split_phases(
+            CentralCharge.constant(1.3 + 0.2j, -0.25 + 1.1j),
+            Spectrum.from_pairs([(tuple(c), om) for c, om in GENERIC_ENTRIES]), 0.0)[1]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(NODES_CASES))
+def test_nodes_csv_matches_a_field_by_field_reference(tmp_path, name):
+    # the reference formats every field by fmt, and -r's rows from the
+    # mirrored values themselves, not from r's strings
+    doc = {"problem": dict(PENTAGON["problem"], **NODES_CASES[name])}
+    state, _ = solve(load_config(json.dumps(doc), "solve").solver)
+    lines = ["s,ray,re_theta1,im_theta1,re_theta2,im_theta2"]
+    for ray, values in (("r", state.values), ("-r", state.values[::-1].conj())):
+        lines += [",".join([fmt(s), ray, fmt(t1.real), fmt(t1.imag), fmt(t2.real),
+                            fmt(t2.imag)])
+                  for s, (t1, t2) in zip(state.problem.grids[+1].nodes, values)]
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(write_cfg(tmp_path, doc)), "--out", str(out)]) == 0
+    assert (out / "nodes.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+    if name == "empty_signed_zeros":
+        fields = [f for line in lines[1:] for f in line.split(",")]
+        assert fields.count("-0") == 4 * state.problem.M and "0" in fields
+
+
 def test_a_series_order_N_in_the_config_is_ignored(tmp_path):
     # no solve reads a series order: a config that still carries "N" solves
     # to the same nodes, and report.json echoes no N
@@ -119,6 +161,34 @@ def test_exit_code_2_on_numerical_failure(tmp_path):
 def test_exit_code_1_on_config_error(tmp_path):
     cfg = write_cfg(tmp_path, {"problem": {"R": 4.0}})
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+
+
+@pytest.mark.parametrize("where", ["file", "under_a_file"])
+def test_exit_code_1_when_out_is_not_a_directory(tmp_path, capsys, where):
+    # the output directory cannot be made: a diagnostic, not a traceback
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory")
+    out = blocker if where == "file" else blocker / "out"
+    cfg = write_cfg(tmp_path, PENTAGON)
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+    diag = json.loads(capsys.readouterr().err)
+    assert diag["error"] in ("FileExistsError", "NotADirectoryError")
+    assert str(blocker) in diag["message"]
+    assert blocker.read_text() == "not a directory"
+
+
+@pytest.mark.parametrize("argv", [
+    ["solves", "--config", "c.json", "--out", "o"],
+    ["solve", "--config", "c.json"],
+    ["solve", "--config", "c.json", "--out", "o", "--seed", "x"],
+], ids=["unknown_command", "no_out", "seed_not_int"])
+def test_exit_code_2_on_a_usage_error(capsys, argv):
+    # argparse's own errors, from the one parser every call shares
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: rhflow ")
 
 
 def test_exit_code_1_when_sweep_r_lacks_R_values(tmp_path, capsys):

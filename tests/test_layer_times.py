@@ -75,9 +75,9 @@ def test_fixed_ops_run_through_the_benchmarks_own_op_runner():
     assert got["peak_rss_mb"] > 0.0
 
 
-def test_every_layer_call_runs_on_this_tree():
-    from rhflow import rh_solver
-    iterations, calls = layer_times.layer_calls(rh_solver, 4.0, 64)
+def test_every_layer_call_runs_on_this_tree(tmp_path):
+    from rhflow import cli_driver, rh_solver
+    iterations, calls = layer_times.layer_calls(rh_solver, 4.0, 64, tmp_path)
     assert iterations >= 2 and list(calls) == list(layer_times.LAYERS)
     _, cold = calls["init_state cold"]()
     assert cold.values.shape == calls["init_state warm"]().values.shape == (64, 2)
@@ -86,3 +86,19 @@ def test_every_layer_call_runs_on_this_tree():
     solved, _ = calls["solve"]()
     assert np.max(np.abs(again.values - solved.values)) < 1e-11
     assert 0.0 < calls["verify"]()["jump"] < 1e-8
+    # write: rhflow solve's artifacts for the solved state, solve and verify
+    # stubbed only for the call
+    out, again = calls["write"](), calls["write"]()
+    assert out != again and out.parent == again.parent == tmp_path
+    assert cli_driver.solve is rh_solver.solve and cli_driver.verify is rh_solver.verify
+    cfg = {"problem": {"R": 4.0, "theta": [0.7, 1.3], "M": 64, "tol": 1e-12, "max_iter": 100,
+                       "spectrum": {"entries": [[[1, 0], 1], [[-1, 0], 1], [[0, 1], 1],
+                                                [[0, -1], 1], [[1, 1], 1], [[-1, -1], 1]],
+                                    "support_constant": 0.9},
+                       "Z": {"z1": [[1.0, 0.0]], "z2": [[0.0, 1.0]]}}}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert cli_driver.main(["solve", "--config", str(tmp_path / "cfg.json"),
+                            "--out", str(tmp_path / "main")]) == 0
+    for name in ("report.json", "nodes.csv"):
+        expected = (tmp_path / "main" / name).read_bytes()
+        assert (out / name).read_bytes() == (again / name).read_bytes() == expected

@@ -11,7 +11,11 @@ cleared first) and warm (the problem cached), of one `iterate_once` from a
 fresh copy of the solved state (`dataclasses.replace`: its densities not
 yet computed, as in `solve`), of `solve(cfg)`, and of `check_jump`,
 `check_reality` and `verify` on the solved state (guard passed, limits
-kept).  On a side without that cache, cold and warm time the same call.
+kept), and of "write": `cli_driver._cmd_solve` with its `solve` and
+`verify` stubbed to return that state, a copy of its report and its
+residuals, so that only the artifacts are formatted and written
+(`report.json` and `nodes.csv`, into a fresh directory per call).  On a
+side without that cache, cold and warm time the same call.
 For the scalar manufactured jump of the scalar-bvp workload at each
 (eta0, zeros) of SCALAR_CASES, at M = 512: `solve_scalar_bvp`, the
 one-pass `boundary_values` at 200 samples on the line (seed 41's draw of
@@ -63,7 +67,7 @@ ROOT = Path(__file__).resolve().parent.parent
 CASES = ((4.0, 128), (1.0, 128), (0.3, 128), (0.15, 128),
          (1.0, 512), (0.3, 512), (1.0, 2048))
 LAYERS = ("init_state cold", "init_state warm", "iterate_once", "solve", "check_jump",
-          "check_reality", "verify")
+          "check_reality", "verify", "write")
 SCALAR_CASES = ((0.1, ()), (0.25, ((0.8, 2),)))  # eta0, (zero on the line, order)
 SCALAR_LAYERS = ("solve_scalar_bvp", "boundary_values", "verify_uniqueness")
 LAYER_ROUNDS = 12  # alternating rounds of layer times
@@ -88,16 +92,31 @@ def _per_call(fn, count: int) -> list[float]:
     return out
 
 
-def layer_calls(rh, R: float, M: int) -> tuple[int, dict]:
+def layer_calls(rh, R: float, M: int, tmp: Path) -> tuple[int, dict]:
     """The pentagon case at (R, M), solved and verified with rh (rhflow's
-    rh_solver module): its iteration count, and a call per LAYERS name."""
+    rh_solver module): its iteration count, and a call per LAYERS name.
+    "write" makes a new directory under tmp per call and returns it."""
+    from rhflow import cli_driver as cli
     from rhflow.charge_lattice import pentagon_spectrum
     from rhflow.spectrum_rays import CentralCharge
     cfg = rh.SolverConfig(R=R, a=0.0, theta=(0.7, 1.3), spectrum=pentagon_spectrum(0.9),
                           Z=CentralCharge.constant(1.0, 1j), M=M, tol=1e-12, max_iter=100)
     state, report = rh.solve(cfg)
-    rh.verify(state)
+    residuals = rh.verify(state)
     clear = getattr(getattr(rh, "theta_free_problem", None), "cache_clear", lambda: None)
+    rc = cli.RunConfig("solve", cfg, None, {})
+
+    def write() -> Path:
+        out = Path(tempfile.mkdtemp(dir=tmp))
+        solve, verify = cli.solve, cli.verify
+        cli.solve = lambda _: (state, dict(report))
+        cli.verify = lambda _: dict(residuals)
+        try:
+            cli._cmd_solve(rc, out)
+        finally:
+            cli.solve, cli.verify = solve, verify
+        return out
+
     return report["iterations"], {
         "init_state cold": lambda: (clear(), rh.init_state(cfg)),
         "init_state warm": lambda: rh.init_state(cfg),
@@ -105,7 +124,8 @@ def layer_calls(rh, R: float, M: int) -> tuple[int, dict]:
         "solve": lambda: rh.solve(cfg),
         "check_jump": lambda: rh.check_jump(state),
         "check_reality": lambda: rh.check_reality(state),
-        "verify": lambda: rh.verify(state)}
+        "verify": lambda: rh.verify(state),
+        "write": write}
 
 
 def time_layers(src: str) -> dict:
@@ -113,11 +133,12 @@ def time_layers(src: str) -> dict:
     sys.path.insert(0, src)
     from rhflow import rh_solver as rh
     out = {}
-    for R, M in CASES:
-        iterations, fns = layer_calls(rh, R, M)
-        out[f"R={R:g},M={M}"] = {"iterations": iterations,
-                                 **{name: _per_call(fns[name], SAMPLES.get(name, 5))
-                                    for name in LAYERS}}
+    with tempfile.TemporaryDirectory(prefix="layer-times-write-") as tmp:
+        for R, M in CASES:
+            iterations, fns = layer_calls(rh, R, M, Path(tmp))
+            out[f"R={R:g},M={M}"] = {"iterations": iterations,
+                                     **{name: _per_call(fns[name], SAMPLES.get(name, 5))
+                                        for name in LAYERS}}
     out.update(time_scalar_layers())
     return out
 
