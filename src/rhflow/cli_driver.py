@@ -407,9 +407,20 @@ def _cmd_scalar_bvp(rc: RunConfig, out: Path) -> None:
     section = rc.scalar
     problem = _scalar_problem(section)
     half_width = _number(float, section.get("half_width", 7.0), "scalar.half_width")
+    if not (math.isfinite(half_width) and half_width > 0):
+        raise ConfigError("scalar.half_width must be positive and finite")
     M = _number(int, section.get("M", 512), "scalar.M")
-    sol = solve_scalar_bvp(problem, half_width=half_width, M=M)
+    if M < 16:
+        raise ConfigError("scalar.M must be >= 16")
     n = _number(int, section.get("samples", 200), "scalar.samples")
+    if n < 2:
+        raise ConfigError("scalar.samples must be >= 2")
+    alt = section.get("zeta0_alt")
+    if alt is not None:
+        alt = _complex(alt, "scalar.zeta0_alt")
+        if not problem.in_upper(alt):
+            raise ConfigError("scalar.zeta0_alt must lie strictly inside D+")
+    sol = solve_scalar_bvp(problem, half_width=half_width, M=M)
     rng = np.random.default_rng(rc.seed)
     ts = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), size=n // 2))
     ts = np.concatenate([ts, -ts])
@@ -423,10 +434,8 @@ def _cmd_scalar_bvp(rc: RunConfig, out: Path) -> None:
         "kappa": sol.kappa,
         "residuals": {"boundary": residual},
     }
-    alt = section.get("zeta0_alt")
     if alt is not None:
-        payload["residuals"]["uniqueness"] = verify_uniqueness(
-            problem, _complex(alt, "scalar.zeta0_alt"))
+        payload["residuals"]["uniqueness"] = verify_uniqueness(problem, alt)
     _write_json(out / "scalar_report.json", payload)
 
 

@@ -200,25 +200,34 @@ class ContinuousSolution:
         return out if z.ndim else complex(out[0])
 
 
-def solve_continuous(G1: Callable, line_phase: float, half_width: float = 7.0,
+def contour_nodes(half_width: float, M: int) -> np.ndarray:
+    """The 2M contour coordinates at which solve_continuous samples its jump,
+    in contour order (t from -inf to +inf): +-e^s at M equally spaced s on
+    [-half_width, half_width]."""
+    t = np.exp(np.linspace(-half_width, half_width, M))
+    return np.concatenate([-t[::-1], t])
+
+
+def solve_continuous(G1: Callable | np.ndarray, line_phase: float, half_width: float = 7.0,
                      M: int = 512, winding_tol: float = 0.25) -> ContinuousSolution:
     """Cauchy-transform solution of the continuous problem.
 
-    log G1 is tracked continuously along the oriented contour; a nonzero
-    total winding is a nonzero-index configuration and is rejected.  The
-    common endpoint value of log G1 is removed before the transform (it
-    re-enters as the assembly constant), and the result is normalized to
-    one at infinity.
+    G1 is the jump as a function of the contour coordinate, sampled here in
+    one call, or its values at contour_nodes(half_width, M) already.  log G1
+    is tracked continuously along the oriented contour; a nonzero total
+    winding is a nonzero-index configuration and is rejected.  The common
+    endpoint value of log G1 is removed before the transform (it re-enters
+    as the assembly constant), and the result is normalized to one at
+    infinity.
     """
     pos = RayGrid.uniform(RayDirection(line_phase), half_width, M)
     neg = RayGrid.uniform(RayDirection(line_phase + math.pi), half_width, M)
-    s, w = pos.nodes, pos.weights
+    w = pos.weights
 
-    # G1 on both halves in contour order, t from -inf to +inf, in one call
-    # (a constant G1 may return one value)
-    t = np.exp(s)
-    t = np.concatenate([-t[::-1], t])
-    ordered = np.broadcast_to(np.asarray(G1(t), dtype=complex), t.shape)
+    # G1 on both halves in contour order (a constant G1 may return one value)
+    t = contour_nodes(half_width, M)
+    ordered = np.broadcast_to(np.asarray(G1(t) if callable(G1) else G1, dtype=complex),
+                              t.shape)
     if np.any(ordered == 0):
         raise ConfigError("continuous jump function vanishes on the contour")
 
@@ -283,6 +292,14 @@ class ScalarSolution:
         y_plus, y_minus = self.continuous(zs, "both")
         return self._plus(zs, y_plus), self._minus(zs, y_minus)
 
+    def side_values(self, zeta_plus: np.ndarray,
+                    zeta_minus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """X+ at points of D+ and X- at points of D-, all off the contour,
+        from one quadrature pass; equal to x_plus and x_minus bit for bit."""
+        zp, zm = (np.atleast_1d(np.asarray(z, dtype=complex)) for z in (zeta_plus, zeta_minus))
+        y = self.continuous(np.concatenate([zp, zm]))
+        return self._plus(zp, y[:len(zp)]), self._minus(zm, y[len(zp):])
+
     def boundary_residual(self, samples: np.ndarray) -> float:
         """sup over contour coordinates of |X+ - G X-| / (|X+| + |X-|)."""
         ts = np.asarray(samples, dtype=float)
@@ -291,38 +308,55 @@ class ScalarSolution:
         return float(np.max(np.abs(xp - g * xm) / (np.abs(xp) + np.abs(xm)), initial=0.0))
 
 
+def _exponents(p: ScalarBVProblem) -> tuple[complex, int]:
+    """p validated; its exponent eta_0 and its index."""
+    p.validate()
+    eta0, etainf = jump_exponents(p)
+    if eta0 == 0:
+        return eta0, 0  # continuous boundary function: classical index-zero route
+    return eta0, index(eta0, etainf)
+
+
 def solve_scalar_bvp(p: ScalarBVProblem, half_width: float = 7.0,
                      M: int = 512) -> ScalarSolution:
     """Full pipeline: exponents, index, regularization, Cauchy transform."""
-    p.validate()
-    eta0, etainf = jump_exponents(p)
-    kappa = index(eta0, etainf)
-    if eta0 == 0:
-        kappa = 0  # continuous boundary function: classical index-zero route
-    G1 = regularize(p, eta0)
-    cont = solve_continuous(G1, p.line_phase, half_width=half_width, M=M)
+    eta0, kappa = _exponents(p)
+    cont = solve_continuous(regularize(p, eta0), p.line_phase, half_width=half_width, M=M)
     return ScalarSolution(p, eta0, kappa, cont)
 
 
 def verify_uniqueness(p: ScalarBVProblem, zeta0_alt: complex,
-                      half_width: float = 16.0, M: int = 1024) -> float:
+                      half_width: float = 24.0, M: int = 512) -> float:
     """Solve with two base points in D+ and return the worst relative
     deviation of the solution ratio from a constant over off-contour samples.
 
     The alternative base point leaves the regularized jump with constant
     tails of opposite sign, which the paired halves cancel only as e^{-L};
-    hence the wider default grid here.
+    hence the wider default grid here.  The samples lie off the contour,
+    where the trapezoid sums converge geometrically in the step, so the
+    tails, not the step, set the deviation, and the step can be coarse.
+
+    Both solves share one node set, and only the branch factor depends on
+    the base point: G and the zero factor are sampled once, and each
+    solution is evaluated once at all the samples.
     """
     if zeta0_alt == p.zeta0:
         return 0.0
-    sol_a = solve_scalar_bvp(p, half_width, M)
-    sol_b = solve_scalar_bvp(dataclasses.replace(p, zeta0=zeta0_alt), half_width, M)
+    t = contour_nodes(half_width, M)
+    zeta = p.contour_point(t)
+    g, zf = p.G(t), zero_factor(p, zeta)
     e_up = cmath.exp(1j * (p.line_phase + 0.5 * math.pi))
     e_dn = cmath.exp(1j * (p.line_phase - 0.5 * math.pi))
     up = np.array([0.3 * e_up, 1.7 * e_up, 0.9 * e_up * cmath.exp(0.7j),
                    2.5 * e_up * cmath.exp(-0.5j)])
     dn = np.array([0.4 * e_dn, 2.1 * e_dn, 1.1 * e_dn * cmath.exp(0.6j),
                    0.7 * e_dn * cmath.exp(-0.8j)])
-    ratios = np.concatenate([sol_a.x_plus(up) / sol_b.x_plus(up),
-                             sol_a.x_minus(dn) / sol_b.x_minus(dn)])
+    values = []
+    for q in (p, dataclasses.replace(p, zeta0=zeta0_alt)):
+        eta0, kappa = _exponents(q)
+        # regularize's expression on the shared samples, so bit for bit its G1
+        G1 = regularizing_factor(q, eta0, zeta) * g / zf
+        cont = solve_continuous(G1, q.line_phase, half_width=half_width, M=M)
+        values.append(np.concatenate(ScalarSolution(q, eta0, kappa, cont).side_values(up, dn)))
+    ratios = values[0] / values[1]
     return float(np.max(np.abs(ratios - ratios[0]) / np.abs(ratios[0])))

@@ -244,6 +244,28 @@ def test_exit_code_1_when_a_command_section_is_wrongly_typed(tmp_path, capsys,
     assert json.loads((out / "error.json").read_text())["error"] == "ConfigError"
 
 
+@pytest.mark.parametrize("key,value", [
+    ("samples", -4), ("samples", 0), ("samples", 1), ("M", 3), ("M", 0),
+    ("half_width", -1.0), ("half_width", 0.0), ("half_width", float("inf")),
+    ("zeta0_alt", [0.0, -0.7]), ("zeta0_alt", [0.0, 0.0]), ("zeta0_alt", [0.5, 0.0]),
+], ids=["samples_negative", "samples_0", "samples_1", "M_3", "M_0", "half_width_negative",
+        "half_width_0", "half_width_inf", "alt_below", "alt_at_0", "alt_on_line"])
+def test_exit_code_1_when_a_scalar_grid_or_base_point_is_invalid(tmp_path, capsys,
+                                                                 monkeypatch, key, value):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the section was checked")
+
+    monkeypatch.setattr("rhflow.cli_driver.solve_scalar_bvp", no_solve)
+    scalar = {"jump": {"kind": "manufactured", "eta0": 0.25}, "zeta0_alt": [0.0, 0.7],
+              "samples": 20, key: value}
+    # json writes and reads Infinity
+    cfg = write_cfg(tmp_path, {"scalar": scalar})
+    out = tmp_path / "o"
+    assert main(["scalar_bvp", "--config", str(cfg), "--out", str(out)]) == 1
+    assert f"scalar.{key}" in capsys.readouterr().err
+    assert json.loads((out / "error.json").read_text())["error"] == "ConfigError"
+
+
 @pytest.mark.parametrize("key, value", [
     ("target_tail", 0), ("target_tail", -1), ("target_tail", float("nan")),
     ("tol", float("nan")), ("tol", float("inf")),

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -344,6 +345,71 @@ def test_one_pass_boundary_values_equal_x_plus_and_x_minus_bit_for_bit():
     yp, ym = sol.continuous(zs, "both")
     assert np.array_equal(yp, sol.continuous(zs, "plus"))
     assert np.array_equal(ym, sol.continuous(zs, "minus"))
+
+
+def test_one_pass_side_values_equal_x_plus_and_x_minus_bit_for_bit():
+    p = manufactured(0.25, zeros=((0.8, 2),))
+    sol = solve_scalar_bvp(p, M=256)
+    up = np.array([0.3j, 1.7j, 0.9j * cmath.exp(0.7j), 2.5 + 0.1j])
+    dn = np.array([-0.4j, -2.1j, 1.1 * cmath.exp(-0.9j), -0.7 - 0.2j])
+    xp, xm = sol.side_values(up, dn)
+    assert np.array_equal(xp, sol.x_plus(up))
+    assert np.array_equal(xm, sol.x_minus(dn))
+
+
+# ---------------- the uniqueness check ----------------
+
+SCALAR_BVP_JUMPS = [(eta0, zeros) for eta0 in (-0.3, 0.1, 0.25)
+                    for zeros in ([], [[[0.8, 0.0], 2]])]
+
+
+def _cli_manufactured(eta0, zeros):
+    """The manufactured jump of `rhflow scalar_bvp` (line phase 0, zeta0 1.5i)."""
+    from rhflow.cli_driver import _scalar_problem
+    return _scalar_problem({"jump": {"kind": "manufactured", "eta0": eta0}, "zeros": zeros})
+
+
+def _uniqueness_by_two_solves(p, zeta0_alt, half_width, M):
+    """verify_uniqueness as two full solves, each solution evaluated by
+    x_plus and x_minus at the check's off-contour samples."""
+    sol_a = solve_scalar_bvp(p, half_width, M)
+    sol_b = solve_scalar_bvp(dataclasses.replace(p, zeta0=zeta0_alt), half_width, M)
+    e_up, e_dn = 1j, -1j  # the normals of the line at phase 0
+    up = np.array([0.3 * e_up, 1.7 * e_up, 0.9 * e_up * cmath.exp(0.7j),
+                   2.5 * e_up * cmath.exp(-0.5j)])
+    dn = np.array([0.4 * e_dn, 2.1 * e_dn, 1.1 * e_dn * cmath.exp(0.6j),
+                   0.7 * e_dn * cmath.exp(-0.8j)])
+    ratios = np.concatenate([sol_a.x_plus(up) / sol_b.x_plus(up),
+                             sol_a.x_minus(dn) / sol_b.x_minus(dn)])
+    return float(np.max(np.abs(ratios - ratios[0]) / np.abs(ratios[0])))
+
+
+def test_verify_uniqueness_samples_the_jump_once_and_matches_two_full_solves():
+    p = _cli_manufactured(0.25, [[[0.8, 0.0], 2]])
+    calls = []
+
+    def counting(t):
+        calls.append(np.shape(t))
+        return p.G(t)
+
+    M = 256
+    dev = verify_uniqueness(dataclasses.replace(p, G=counting), 0.7j, 16.0, M)
+    assert calls == [(2 * M,)]
+    assert dev == _uniqueness_by_two_solves(p, 0.7j, 16.0, M)
+
+
+@pytest.mark.parametrize("eta0,zeros", SCALAR_BVP_JUMPS,
+                         ids=[f"eta0={e}-zeros={len(z)}" for e, z in SCALAR_BVP_JUMPS])
+def test_uniqueness_grid_is_set_by_the_tails_not_the_step(eta0, zeros):
+    # off the contour the trapezoid sums converge geometrically in the step,
+    # so the deviation is the e^{-L} of the constant tails: refining the step
+    # leaves it, widening the grid lowers it
+    p = _cli_manufactured(eta0, zeros)
+    by_M = [verify_uniqueness(p, 0.7j, 16.0, M) for M in (256, 512, 1024)]
+    assert max(by_M) < 1.01 * min(by_M)
+    by_width = [verify_uniqueness(p, 0.7j, L, 512) for L in (16.0, 20.0, 24.0)]
+    assert by_width[1] < by_width[0] / 20 and by_width[2] < by_width[1] / 20
+    assert verify_uniqueness(p, 0.7j) < by_M[2]
 
 
 def test_solution_skips_empty_point_sets(monkeypatch):
