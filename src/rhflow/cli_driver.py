@@ -239,6 +239,9 @@ def _cmd_sweep_r(rc: RunConfig, out: Path) -> None:
                 for R in _list(rc.extras.get("R_values", []), "R_values")]
     if not r_values:
         raise ConfigError("R_values list is required for sweep_r")
+    for R in r_values:  # every rung, before the first solve
+        if not (R > 0 and math.isfinite(R)):
+            raise ConfigError(f"R_values: R = {R!r} must be positive and finite")
     rows = []
     for R in r_values:
         state, report = solve(dataclasses.replace(rc.solver, R=R))
@@ -335,9 +338,20 @@ def _cmd_deform_check(rc: RunConfig, out: Path) -> None:
 def _cmd_smoothness(rc: RunConfig, out: Path) -> None:
     sm = _section(rc.extras.get("smoothness", {}), "smoothness")
     direction = str(sm.get("direction", "theta1"))  # smoothness_probe names a bad one
-    orders = [_number(int, o, "smoothness.orders")
-              for o in _list(sm.get("orders", [1, 2]), "smoothness.orders")]
+    orders = _list(sm.get("orders", [1, 2]), "smoothness.orders")
+    if not orders or not all(type(o) is int and o in (1, 2, 3) for o in orders):
+        raise ConfigError(f"smoothness.orders: {orders!r} is not a non-empty list of "
+                          "the integers 1, 2 or 3")
     step = _number(float, sm.get("step", 1e-2), "smoothness.step")
+    if not (step > 0 and math.isfinite(step)):
+        raise ConfigError(f"smoothness.step: {step!r} must be positive and finite")
+    try:  # the probe divides by step**order, extreme at the highest order
+        normal = step ** max(orders) >= sys.float_info.min
+    except OverflowError:
+        normal = False
+    if not normal:
+        raise ConfigError(f"smoothness.step: {step!r}**{max(orders)} is not a positive "
+                          "normal float")
     rows = []
     solutions: dict = {}  # stencil points shared by the orders
     for order in orders:

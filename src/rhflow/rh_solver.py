@@ -41,9 +41,13 @@ its limits at 0 and infinity (state.limits), so verify repeats neither.
 
 The densities use the split of the semiflat exponential
 X_g = exp(pi R (Z_g / zeta + zeta conj Z_g) + i c_g . Theta): the theta-free
-problem stores the first exponent of every side +1 charge at the r nodes,
-and _SideMap.log applies the side's factors in order, one exp and one log1p
-per node and active charge.  A Picard step forms side +1's density only.
+problem stores the first exponent of every side's charges at the nodes of
+its own ray (side +1's for the Picard step, both for truncation_guard's one
+exp per side), and _SideMap.log runs the side's factor chain, compiled once
+into a plan of in-place ufunc steps: one exp per node and active charge,
+then one log1p over the whole stack.  A Picard step forms side +1's density
+only, in its solve's scratch (ThetaState), so it allocates only the new
+values.
 
 At the nodes the ray integrals are two Toeplitz kernels times the weights:
 c_same, the coth kernel of a ray on itself by the alternating-point rule
@@ -69,6 +73,7 @@ import cmath
 import dataclasses
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -140,27 +145,67 @@ class _SideMap:
     """The jump map of one side: its active charges a_j in
     ordered_side_charges order, which is the order of the
     Kontsevich-Soibelman factors (1 - sigma_j x^{a_j})^{Omega_j <gamma_k, a_j>}
-    (as in stokes_series.ks_apply), with their central values."""
+    (as in stokes_series.ks_apply), with their central values, and that
+    factor chain compiled once into a plan of in-place ufunc steps."""
 
     def __init__(self, charges: list[tuple[Charge, int]], basis: tuple[complex, complex]):
         self.charges = charges
         self.central = np.array([extend(g, *basis) for g, _ in charges], dtype=complex)
         self.coords = np.array([(g.c1, g.c2) for g, _ in charges], dtype=float).reshape(-1, 2)
-        # per factor j: the earlier factors i that move x^{a_j}, with the
-        # power Omega_i <a_j, a_i>; the targets k it moves, with the weight
-        # Omega_j <gamma_k, a_j>; and whether -sigma_j x is -x
-        self._factors = [
-            ([(i, om_i * pairing(g, g_i)) for i, (g_i, om_i) in enumerate(charges[:j])
-              if pairing(g, g_i)],
-             [(k, om * pairing(gk, g)) for k, gk in enumerate((GAMMA1, GAMMA2))
-              if pairing(gk, g)],
-             refinement_sign(g) > 0)
-            for j, (g, om) in enumerate(charges)]
+        # i c_g per basis target, as (n, 1) columns
+        self.icoords = tuple(1j * self.coords[:, k:k + 1] for k in (0, 1))
+        # steps (ufunc, indices of its operands and out) into log's slots:
+        # rows of x (j), of 1 - sigma x (n + j) and of the density (d + k),
+        # then all of x, all of the density and the constants 0, 1, ...
+        n = len(charges)
+        d, zero, one = 2 * n, 2 * n + 4, 2 * n + 5
+        chain, terms, constants = [], [], [0.0, 1.0]
+        for j, (g, om) in enumerate(charges):
+            for i, (g_i, om_i) in enumerate(charges[:j]):
+                q = om_i * pairing(g, g_i)
+                chain += [(np.multiply if q > 0 else np.divide, (j, n + i, j))] * abs(q)
+            if refinement_sign(g) > 0:
+                chain.append((np.negative, (j, j)))
+            chain.append((np.add, (j, one, n + j)))
+            for k, gk in enumerate((GAMMA1, GAMMA2)):
+                w = om * pairing(gk, g)
+                if w in (1, -1):
+                    terms.append((np.add if w > 0 else np.subtract, (d + k, j, d + k)))
+                elif w:  # formed in the dead row 1 - sigma_j x_j^cur
+                    constants.append(w)
+                    terms += [(np.multiply, (zero + len(constants) - 1, j, n + j)),
+                              (np.add, (d + k, n + j, d + k))]
+        plan = chain + [(np.log1p, (d + 2, d + 2)), (np.copyto, (d + 3, zero))] + terms
+        self._plan = tuple((fn, operator.itemgetter(*args)) for fn, args in plan)
+        self._constants = tuple(constants)
 
-    def log(self, static: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    def buffers(self, P: int) -> tuple:
+        """Fresh buffers for log at P points (x and 1 - sigma x, shape
+        (n, P), and the density rows, shape (2, P)) and the plan's steps
+        bound to them, as (ufunc, arguments)."""
+        x = np.empty((len(self.charges), P), dtype=complex)
+        one_minus = np.empty_like(x)
+        out = np.empty((2, P), dtype=complex)
+        slots = [*x, *one_minus, *out, x, out, *self._constants]
+        return x, one_minus, out, tuple((fn, args(slots)) for fn, args in self._plan)
+
+    def exponentials(self, static: np.ndarray, theta: np.ndarray,
+                     out: np.ndarray | None = None,
+                     tmp: np.ndarray | None = None) -> np.ndarray:
+        """x_g = exp(static_g + i c_g . Theta), shape (n, P), from the
+        theta-free exponents (shape (n, P)) and Theta (shape (P, 2))."""
+        ic1, ic2 = self.icoords
+        x = np.multiply(ic1, theta[:, 0], out=out)
+        x += np.multiply(ic2, theta[:, 1], out=tmp)
+        x += static
+        return np.exp(x, out=x)
+
+    def log(self, static: np.ndarray, theta: np.ndarray,
+            buffers: tuple | None = None) -> np.ndarray:
         """log(S x_k / x_k) per target k, shape (P, 2), at the points where
         x_g = exp(static_g + i c_g . Theta), from the theta-free exponents of
-        the side's charges there (shape (n, P)) and Theta (shape (P, 2)).
+        the side's charges there (shape (n, P)) and Theta (shape (P, 2)), in
+        buffers (self.buffers(P), fresh by default): a view of their rows.
 
         Factor j adds Omega_j <gamma_k, a_j> log(1 - sigma_j x_j^cur) to
         target k, where x_j^cur is x^{a_j} moved by the factors before it:
@@ -168,41 +213,28 @@ class _SideMap:
         Since c_j . delta = sum_{i<j} Omega_i <a_j, a_i> log(1 - sigma_i x_i^cur)
         with integer coefficients, x_j^cur = x_j prod_{i<j} (1 - sigma_i
         x_i^cur)^{Omega_i <a_j, a_i>}: one exp per charge and point, and no
-        sum of a small delta into a large exponent.
+        sum of a small delta into a large exponent.  Later factors read only
+        1 - sigma_i x_i^cur, so one log1p over the stack follows the chain,
+        and the terms are added in factor order.  exp overflows, and
+        log1p(-1) diverges, only far outside |Y| < 1, and a NaN makes
+        divisions invalid: the callers silence those warnings.
         """
-        delta = np.zeros((2, theta.shape[0]), dtype=complex)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            # exp overflows, and log1p(-1) diverges, only for an iterate far
-            # outside |Y| < 1; the caller checks for non-finite values
-            x = np.exp(static + 1j * (self.coords[:, :1] * theta[:, 0]
-                                      + self.coords[:, 1:] * theta[:, 1]))
-            one_minus = []  # 1 - sigma_i x_i^cur of the factors so far
-            for xj, (earlier, weights, negate) in zip(x, self._factors):
-                for i, q in earlier:  # |q| products or quotients
-                    for _ in range(abs(q)):
-                        (np.multiply if q > 0 else np.divide)(xj, one_minus[i], out=xj)
-                if negate:
-                    np.negative(xj, out=xj)
-                one_minus.append(1.0 + xj)
-                np.log1p(xj, out=xj)
-                for k, w in weights:
-                    if w == 1:
-                        delta[k] += xj
-                    elif w == -1:
-                        delta[k] -= xj
-                    else:
-                        delta[k] += w * xj
+        x, one_minus, out, steps = buffers or self.buffers(theta.shape[0])
+        self.exponentials(static, theta, x, one_minus)
+        for fn, args in steps:
+            fn(*args)
         # (2, P) rows keep each target's density contiguous for the ray sums
-        return delta.T
+        return out.T
 
 
 class _ThetaFree:
     """Everything of a problem that theta does not enter: the contour rays
-    and their classification, the side maps, the grids, side +1's
-    theta-free exponents, the node operator's spectra and weights,
-    check_jump's exponents, midpoint_limits' and reality_rays' spectra, and
-    truncation_guard's exponents.  Built once per (R, a, spectrum, Z, M,
-    target_tail, split_phase) by theta_free_problem and shared by every
+    and their classification, the side maps, the grids, each side's
+    theta-free exponents at its own ray's nodes (side +1's for the Picard
+    step, both for truncation_guard) and at its midpoints (check_jump's),
+    truncation_guard's charge order, the node operator's spectra and
+    weights, and midpoint_limits' and reality_rays' spectra.  Built once
+    per (R, a, spectrum, Z, M, target_tail, split_phase) by theta_free_problem and shared by every
     solve with those fields, so every array it holds is read-only and its
     dicts are read-only views."""
 
@@ -237,17 +269,20 @@ class _ThetaFree:
             {side: build_ray_grid(self.rays[side], decay, M, target_tail)
              for side in (+1, -1)})
 
-        # the theta-free exponents pi R (Z_g / zeta + zeta conj Z_g) of side
-        # +1's active charges at the r nodes, one row per charge
-        self.static = _static_exponents(R, self.maps[+1].central[:, None],
-                                        self.grids[+1].points())
+        # the theta-free exponents pi R (Z_g / zeta + zeta conj Z_g) of each
+        # side's active charges at the nodes of its own ray, one row per
+        # charge in its side map's order: side +1's for every Picard step,
+        # both for truncation_guard
+        self.static = MappingProxyType(
+            {side: _static_exponents(R, self.maps[side].central[:, None],
+                                     self.grids[side].points())
+             for side in (+1, -1)})
 
-        # truncation_guard's: each active charge with its side and its
-        # exponents at the nodes of that side's ray, in guard order
-        self.guard_exponents = tuple(
-            (g, s, _static_exponents(R, Z.of(g, a), self.grids[s].points()))
-            for s in (+1, -1)
-            for g, _ in spectrum.active() if self.classification.get(g) == s)
+        # truncation_guard's order: each side's rows in spectrum order
+        rank = {g: i for i, (g, _) in enumerate(spectrum.active())}
+        self.guard_rows = MappingProxyType(
+            {side: tuple(sorted(range(len(m.charges)), key=lambda i: rank[m.charges[i][0]]))
+             for side, m in self.maps.items()})
 
         # check_jump's: each side's theta-free exponents at the M - 1
         # midpoints e^{(s_i + s_{i+1})/2} of its own ray
@@ -297,36 +332,33 @@ class _ThetaFree:
         num, den = e + rho, e - rho
         self.reality_spectra = _circulant_fft(np.stack([num / den, den / num], axis=1))
 
-        for arr in (self.static, *self.mid_static.values(), self.spectra, self.mid_spectra,
-                    self.reality_spectra,
-                    *(stat for _, _, stat in self.guard_exponents),
-                    *(x for m in self.maps.values() for x in (m.central, m.coords)),
+        for arr in (*self.static.values(), *self.mid_static.values(), self.spectra,
+                    self.mid_spectra, self.reality_spectra,
+                    *(x for m in self.maps.values() for x in (m.central, m.coords, *m.icoords)),
                     *(x for g in self.grids.values() for x in (g.nodes, g.weights))):
             arr.flags.writeable = False
-
-    def side_log(self, ray: np.ndarray) -> np.ndarray:
-        """Side +1's density on r, shape (M, 2), from the node values of
-        Theta there (shape (M, 2))."""
-        return self.maps[+1].log(self.static, ray)
 
     def densities(self, ray: np.ndarray) -> dict[int, np.ndarray]:
         """Combined density per side and target, shape (M, 2), from the node
         values of Theta on r (shape (M, 2)): side +1's by its side map, side
         -1's, on -r, as the involution image -conj(h_{+1}[::-1])."""
-        h = self.side_log(ray)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # see log
+            h = self.maps[+1].log(self.static[+1], ray)
         return {+1: h, -1: -h[::-1].conj()}
 
-    def node_transforms(self, h: np.ndarray) -> np.ndarray:
+    def node_transforms(self, h: np.ndarray,
+                        pair: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         """Principal value, at the r nodes, of the integral over both rays of
         the two sides' densities, given side +1's h (shape (M, 2)):
         c_same h + c_cross h_{-1}, with h_{-1} = -conj(h[::-1]) on -r.  One
         FFT of the weighted (2, M) stack of h's targets, one product with
-        each spectrum (the second of conj(H)) and one inverse FFT."""
+        each spectrum (the second of conj(H)) and one inverse FFT, in place
+        in pair, two (2, 2M) arrays; returns a (M, 2) view of the first."""
         M = self.M
-        work = np.zeros((2, 2 * M), dtype=complex)  # in place, zero-padded
-        np.multiply(h.T, self.weights, out=work[:, :M])
-        np.fft.fft(work, out=work)
-        other = work.conj()
+        work, other = pair
+        weighted = np.multiply(h.T, self.weights, out=other[:, :M])
+        np.fft.fft(weighted, n=2 * M, out=work)  # zero-padded
+        np.conjugate(work, out=other)
         other *= self.spectra[1]
         work *= self.spectra[0]
         work += other
@@ -361,6 +393,29 @@ def _odd(k: np.ndarray) -> np.ndarray:
     return np.concatenate([-k[::-1], [0.0], k])
 
 
+class _Scratch:
+    """One solve's work arrays: side +1's log buffers at the r nodes,
+    node_transforms' (2, 2M) pair, (2, M) complex and real rows for the
+    Picard step and solve's norms, and theta as a column.  No state keeps
+    any of them: every state gets fresh values."""
+
+    __slots__ = ("log", "fft", "rows", "mags", "theta")
+
+    def __init__(self, problem: _ThetaFree, theta: tuple[float, float]):
+        M = problem.M
+        self.log = problem.maps[+1].buffers(M)
+        self.fft = (np.empty((2, 2 * M), dtype=complex), np.empty((2, 2 * M), dtype=complex))
+        self.rows = np.empty((2, M), dtype=complex)
+        self.mags = np.empty((2, M))
+        self.theta = np.array(theta)[:, None]
+
+    def sup_distance(self, rows: np.ndarray, other: np.ndarray) -> float:
+        """max |rows - other| over r's node values as (2, M) rows (values.T);
+        other is such rows or theta as a column."""
+        np.subtract(rows, other, out=self.rows)
+        return float(np.abs(self.rows, out=self.mags).max())
+
+
 @dataclass
 class ThetaState:
     """Node values of the corrected angles on the contour ray r, shape
@@ -372,11 +427,20 @@ class ThetaState:
     The combined densities and the limits at 0 and infinity are computed on
     first use and kept, and truncation_guard passes at most once, so values
     must not change in place.
+
+    A state also carries its solve's work arrays (_scratch, not a field):
+    iterate_once passes them on to the state it makes, and any other state,
+    a dataclasses.replace copy too, makes its own on first use.  States that
+    share them must not be iterated concurrently.
     """
 
     values: np.ndarray
     cfg: SolverConfig = field(repr=False, compare=False)
     problem: _ThetaFree = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def _scratch(self) -> _Scratch:
+        return _Scratch(self.problem, self.cfg.theta)
 
     @functools.cached_property
     def densities(self) -> dict[int, np.ndarray]:
@@ -396,7 +460,8 @@ class ThetaState:
 
 
 def init_state(cfg: SolverConfig) -> ThetaState:
-    """Zeroth iterate: Theta identically equal to the reference angles."""
+    """Zeroth iterate: Theta identically equal to the reference angles; its
+    scratch, made on first use, serves the solve."""
     cfg.validate()
     problem = theta_free_problem(cfg.R, cfg.a, cfg.spectrum, cfg.Z, cfg.M,
                                  cfg.target_tail, cfg.split_phase)
@@ -408,11 +473,16 @@ def init_state(cfg: SolverConfig) -> ThetaState:
 def iterate_once(state: ThetaState) -> ThetaState:
     """One application of the integral-equation map to the node values of r.
     It forms side +1's density only; the state's densities (both sides) are
-    left to verify and the limits."""
-    problem = state.problem
-    h = problem.side_log(state.values)
-    stored = problem.node_transforms(h) - 2j * math.pi * h  # the clockwise limit
-    return ThetaState(np.array(state.cfg.theta) - stored / FOUR_PI, state.cfg, problem)
+    left to verify and the limits.  It works in the state's scratch, which
+    the new state shares; its values are a fresh array."""
+    problem, work = state.problem, state._scratch
+    h = problem.maps[+1].log(problem.static[+1], state.values, work.log)
+    stored = np.multiply(2j * math.pi, h.T, out=work.rows)
+    np.subtract(problem.node_transforms(h, work.fft).T, stored, out=stored)  # the clockwise limit
+    stored /= FOUR_PI
+    new = ThetaState(np.subtract(work.theta, stored).T, state.cfg, problem)
+    new._scratch = work
+    return new
 
 
 def solve(cfg: SolverConfig) -> tuple[ThetaState, dict]:
@@ -426,26 +496,29 @@ def solve(cfg: SolverConfig) -> tuple[ThetaState, dict]:
     truncation_guard; verify does not run it again on that state.
     """
     state = init_state(cfg)
-    theta_vec = np.array(cfg.theta)
+    work = state._scratch
     deltas: list[float] = []
     ball_exits: list[int] = []
-    for step in range(1, cfg.max_iter + 1):
-        new = iterate_once(state)
-        ray = new.values
-        # the previous iterate is finite, so a NaN or inf in this one makes
-        # the delta non-finite
-        delta = float(np.max(np.abs(ray - state.values)))
-        if not math.isfinite(delta):
-            raise DivergenceError(
-                f"non-finite iterate at step {step}; R = {cfg.R:g} is too "
-                "small for this spectrum"
-            )
-        deltas.append(delta)
-        if float(np.max(np.abs(ray - theta_vec))) > cfg.ball_epsilon:
-            ball_exits.append(step)
-        state = new
-        if step >= 2 and deltas[-1] < cfg.tol:
-            break
+    # exp overflows, and log1p(-1) diverges, only for an iterate far
+    # outside |Y| < 1; the delta check turns it into a DivergenceError
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for step in range(1, cfg.max_iter + 1):
+            new = iterate_once(state)
+            # the previous iterate is finite, so a NaN or inf in this one
+            # makes the delta non-finite
+            delta = work.sup_distance(new.values.T, state.values.T)
+            if not math.isfinite(delta):
+                raise DivergenceError(
+                    f"non-finite iterate at step {step}; R = {cfg.R:g} is too "
+                    "small for this spectrum"
+                )
+            deltas.append(delta)
+            if work.sup_distance(new.values.T, work.theta) > cfg.ball_epsilon:
+                ball_exits.append(step)
+            state = new
+            if step >= 2 and deltas[-1] < cfg.tol:
+                break
+    del work, state._scratch  # the converged state keeps no work arrays
     ratios = [d2 / d1 if d1 > 0 else 0.0 for d1, d2 in zip(deltas, deltas[1:])]
     if not deltas[-1] < cfg.tol:
         bad = max(ratios[1:] or ratios or [math.inf])
@@ -541,16 +614,21 @@ def truncation_guard(state: ThetaState) -> None:
     the nodes of its own jump ray: the log series of the jump map across
     that ray (stokes_series) converges only for |Y_g| < 1, and solutions are
     kept inside that domain, where the exact log the solver iterates is its
-    sum."""
-    rays = {+1: state.values, -1: state.values[::-1].conj()}
-    for g, side, stat in state.problem.guard_exponents:
-        thg = g.c1 * rays[side][:, 0] + g.c2 * rays[side][:, 1]
-        mags = np.abs(np.exp(stat + 1j * thg))
-        if np.any(mags >= 1.0):
-            raise TruncationUnsafeError(
-                f"|Y| = {mags.max():.3g} >= 1 for charge ({g.c1},{g.c2}) "
-                "on its jump ray; the log series of its jump map does not converge"
-            )
+    sum.  One exp over each side's (charges, M) stack; the charge named is
+    the first failing one in spectrum order, side +1 first."""
+    problem = state.problem
+    for side, ray in ((+1, state.values), (-1, state.values[::-1].conj())):
+        side_map = problem.maps[side]
+        mags = np.abs(side_map.exponentials(problem.static[side], ray))
+        if mags.max(initial=0.0) < 1.0:  # a NaN goes on to the loop, which passes it
+            continue
+        for i in problem.guard_rows[side]:
+            if np.any(mags[i] >= 1.0):
+                g = side_map.charges[i][0]
+                raise TruncationUnsafeError(
+                    f"|Y| = {mags[i].max():.3g} >= 1 for charge ({g.c1},{g.c2}) "
+                    "on its jump ray; the log series of its jump map does not converge"
+                )
 
 
 def check_jump(state: ThetaState) -> float:
@@ -571,9 +649,11 @@ def check_jump(state: ThetaState) -> float:
     problem = state.problem
     state.guard()
     plus, minus = midpoint_limits(state)
-    residuals = [np.abs(np.expm1(1j * (minus[ray] - plus[ray]).T
-                                 + problem.maps[s].log(problem.mid_static[s], minus[ray].T)))
-                 for ray, s in enumerate((+1, -1))]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # see _SideMap.log
+        logs = [problem.maps[s].log(problem.mid_static[s], minus[ray].T)
+                for ray, s in enumerate((+1, -1))]
+    residuals = [np.abs(np.expm1(1j * (minus[ray] - plus[ray]).T + logs[ray]))
+                 for ray in (0, 1)]
     return float(np.max(residuals))
 
 

@@ -266,6 +266,39 @@ def test_exit_code_1_when_a_scalar_grid_or_base_point_is_invalid(tmp_path, capsy
     assert json.loads((out / "error.json").read_text())["error"] == "ConfigError"
 
 
+@pytest.mark.parametrize("command, extras, where", [
+    ("smoothness", {"smoothness": {"step": 0}}, "smoothness.step"),
+    ("smoothness", {"smoothness": {"step": -0.01}}, "smoothness.step"),
+    ("smoothness", {"smoothness": {"step": 1e300}}, "smoothness.step"),
+    ("smoothness", {"smoothness": {"step": float("nan")}}, "smoothness.step"),
+    ("smoothness", {"smoothness": {"step": float("inf")}}, "smoothness.step"),
+    ("smoothness", {"smoothness": {"step": 1e-120, "orders": [1, 3]}}, "smoothness.step"),
+    ("smoothness", {"smoothness": {"orders": []}}, "smoothness.orders"),
+    ("smoothness", {"smoothness": {"orders": [2.5]}}, "smoothness.orders"),
+    ("smoothness", {"smoothness": {"orders": [1, 4]}}, "smoothness.orders"),
+    ("smoothness", {"smoothness": {"orders": [True]}}, "smoothness.orders"),
+    ("sweep_r", {"R_values": [1.0, -1]}, "R_values"),
+    ("sweep_r", {"R_values": [1.0, 0.0]}, "R_values"),
+    ("sweep_r", {"R_values": [2.0, float("inf")]}, "R_values"),
+], ids=["step_0", "step_negative", "step_1e300", "step_nan", "step_inf", "step_cubed_subnormal",
+        "orders_empty", "orders_2.5", "orders_1_4", "orders_bool", "R_negative", "R_0",
+        "R_inf"])
+def test_exit_code_1_when_a_probe_or_ladder_key_is_invalid_before_any_solve(
+        tmp_path, capsys, monkeypatch, command, extras, where):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the section was checked")
+
+    # sweep_r solves through cli_driver's name, smoothness_probe through rh_solver's
+    monkeypatch.setattr("rhflow.cli_driver.solve", no_solve)
+    monkeypatch.setattr("rhflow.rh_solver.solve", no_solve)
+    # json writes and reads NaN and Infinity
+    cfg = write_cfg(tmp_path, dict(json.loads(json.dumps(PENTAGON)), **extras))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert where in capsys.readouterr().err
+    assert json.loads((out / "error.json").read_text())["error"] == "ConfigError"
+
+
 @pytest.mark.parametrize("key, value", [
     ("target_tail", 0), ("target_tail", -1), ("target_tail", float("nan")),
     ("tol", float("nan")), ("tol", float("inf")),

@@ -77,20 +77,28 @@ def test_fixed_ops_run_through_the_benchmarks_own_op_runner():
 
 def test_every_layer_call_runs_on_this_tree(tmp_path):
     from rhflow import cli_driver, rh_solver
+    iterate, write = rh_solver.iterate_once, cli_driver._write
     iterations, calls = layer_times.layer_calls(rh_solver, 4.0, 64, tmp_path)
     assert iterations >= 2 and list(calls) == list(layer_times.LAYERS)
     _, cold = calls["init_state cold"]()
     assert cold.values.shape == calls["init_state warm"]().values.shape == (64, 2)
-    # iterate_once steps from a copy of the solved state: a fixed point
-    again = calls["iterate_once"]()
+    # the steady-state step: from one carried state, every call on the
+    # scratch of the step that made it, and a fixed point
+    again, twice = calls["iterate_once"](), calls["iterate_once"]()
+    assert again._scratch is twice._scratch
+    assert again.values.tobytes() == twice.values.tobytes()
     solved, _ = calls["solve"]()
     assert np.max(np.abs(again.values - solved.values)) < 1e-11
+    assert calls["truncation_guard"]() is None
     assert 0.0 < calls["verify"]()["jump"] < 1e-8
-    # write: rhflow solve's artifacts for the solved state, solve and verify
-    # stubbed only for the call
+    # format: rhflow solve's artifacts for the solved state, with solve,
+    # verify and the file writes stubbed only for the call; write: those
+    # texts, written into a new directory per call
+    texts = calls["format"]()
     out, again = calls["write"](), calls["write"]()
-    assert out != again and out.parent == again.parent == tmp_path
+    assert set(tmp_path.iterdir()) == {out, again}  # format wrote nothing
     assert cli_driver.solve is rh_solver.solve and cli_driver.verify is rh_solver.verify
+    assert cli_driver._write is write and rh_solver.iterate_once is iterate
     cfg = {"problem": {"R": 4.0, "theta": [0.7, 1.3], "M": 64, "tol": 1e-12, "max_iter": 100,
                        "spectrum": {"entries": [[[1, 0], 1], [[-1, 0], 1], [[0, 1], 1],
                                                 [[0, -1], 1], [[1, 1], 1], [[-1, -1], 1]],
@@ -99,6 +107,8 @@ def test_every_layer_call_runs_on_this_tree(tmp_path):
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
     assert cli_driver.main(["solve", "--config", str(tmp_path / "cfg.json"),
                             "--out", str(tmp_path / "main")]) == 0
-    for name in ("report.json", "nodes.csv"):
+    assert sorted(texts) == ["nodes.csv", "report.json"]
+    for name in texts:
         expected = (tmp_path / "main" / name).read_bytes()
+        assert "".join(texts[name]).encode() == expected
         assert (out / name).read_bytes() == (again / name).read_bytes() == expected

@@ -14,7 +14,7 @@ from rhflow.rh_solver import (REALITY_OFFSETS, SolverConfig, _SideMap, _ThetaFre
                               _circulant_fft, asymptotic_theta, check_jump, check_reality,
                               evaluate_Y, evaluate_theta, init_state, iterate_once,
                               midpoint_limits, reality_rays, smoothness_probe, solve,
-                              verify)
+                              truncation_guard, verify)
 from rhflow.spectrum_rays import CentralCharge, alternative_split_phases, semiflat
 from rhflow.stokes_series import ordered_side_charges
 
@@ -122,6 +122,54 @@ def test_jump_guard_names_a_charge_with_large_Y(omega):
     values[:, 1] -= 100j
     with pytest.raises(TruncationUnsafeError, match=r"for charge \(1,1\) on its jump ray"):
         check_jump(dataclasses.replace(st, values=values))
+
+
+def reference_guard_message(state):
+    """The guard's message by a loop over the active charges in spectrum
+    order, side +1 first, each from its own exp at its own ray's nodes; None
+    if every |Y_g| < 1.  Also the number of failing charges."""
+    cfg, problem = state.cfg, state.problem
+    rays = {+1: state.values, -1: state.values[::-1].conj()}
+    first, failing = None, 0
+    for side in (+1, -1):
+        pts = problem.grids[side].points()
+        for g, _ in cfg.spectrum.active():
+            if problem.classification[g] != side:
+                continue
+            zg = cfg.Z.of(g, cfg.a)
+            thg = g.c1 * rays[side][:, 0] + g.c2 * rays[side][:, 1]
+            mags = np.abs(np.exp(math.pi * cfg.R * (zg / pts + pts * np.conj(zg)) + 1j * thg))
+            if np.any(mags >= 1.0):
+                failing += 1
+                first = first or (f"|Y| = {mags.max():.3g} >= 1 for charge ({g.c1},{g.c2}) "
+                                  "on its jump ray; the log series of its jump map does "
+                                  "not converge")
+    return first, failing
+
+
+@pytest.mark.parametrize("shift", [(0, -100j), (30j, -80j), (-60j, -40j), (-5j, -5j)],
+                         ids=["theta2_down", "theta1_up", "both_down", "both_slightly_down"])
+def test_one_pass_guard_names_the_first_failing_charge_in_spectrum_order(shift):
+    # several charges reach |Y| >= 1; the guard takes one exp per side's
+    # stack, in side map order, and must still name the charge a per-charge
+    # loop in spectrum order names, with the same modulus
+    st = init_state(pentagon_cfg(M=64, R=1.0))
+    values = st.values + np.array(shift)
+    broken = dataclasses.replace(st, values=values)
+    want, failing = reference_guard_message(broken)
+    assert failing >= 2
+    with pytest.raises(TruncationUnsafeError) as err:
+        truncation_guard(broken)
+    assert str(err.value) == want
+    # the side map orders its charges otherwise: (1,1) before (0,1)
+    assert [g for g, _ in st.problem.maps[+1].charges] != [
+        g for g, _ in st.cfg.spectrum.active() if st.problem.classification[g] == +1]
+
+
+def test_one_pass_guard_passes_a_solved_state_as_the_reference_does():
+    state, _ = solve(pentagon_cfg(R=0.3))
+    assert reference_guard_message(state) == (None, 0)
+    truncation_guard(dataclasses.replace(state))
 
 
 def test_pentagon_solves_quickly_with_tiny_ratios():
@@ -741,9 +789,9 @@ def test_solve_takes_one_side_log_per_step(monkeypatch):
     calls = []
     original = _SideMap.log
 
-    def counting(self, static, theta):
+    def counting(self, static, theta, buffers=None):
         calls.append(1)
-        return original(self, static, theta)
+        return original(self, static, theta, buffers)
 
     monkeypatch.setattr(_SideMap, "log", counting)
     for R in (1.0, 0.3):
@@ -782,8 +830,8 @@ def test_a_change_of_a_field_the_problem_reads_builds_a_new_problem(change):
 def test_every_cached_array_is_read_only():
     shared = init_state(pentagon_cfg(M=64)).problem
     arrays = list(_arrays(shared))
-    # static, guard exponents, spectra, basis values, the side maps' values
-    # and coordinates, the grids' nodes and weights
+    # both sides' exponents at the nodes and midpoints, spectra, the side
+    # maps' values and coordinates, the grids' nodes and weights
     assert len(arrays) >= 12
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
@@ -791,6 +839,15 @@ def test_every_cached_array_is_read_only():
     for name in ("rays", "maps", "grids", "classification"):
         with pytest.raises(TypeError):
             getattr(shared, name)[+1] = None
+
+
+def test_theta_free_problem_holds_no_more_bytes_than_before_the_one_pass_guard():
+    # each side's guard exponents are the side's own stack (side +1's the
+    # Picard step's), not a second copy: the distinct arrays of a pentagon
+    # problem at M = 512 held 286,816 bytes with a copy per charge
+    shared = init_state(pentagon_cfg(M=512)).problem
+    distinct = {id(arr): arr for arr in _arrays(shared)}
+    assert sum(arr.nbytes for arr in distinct.values()) <= 286_816
 
 
 def test_warm_solve_is_bit_identical_to_a_cold_one():
@@ -859,3 +916,47 @@ def test_circulant_fft_applies_any_toeplitz_kernel():
         got = np.fft.ifft(np.fft.fft(g, 2 * M) * spectrum)[:M]
         assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(np.abs(dense))
         assert _circulant_fft(k).tobytes() == spectrum.tobytes()
+
+
+# ---------------- a Picard step in place on a per-solve scratch ----------------
+
+def test_iterates_sharing_a_scratch_keep_their_values():
+    a = init_state(pentagon_cfg(R=0.3))
+    a_values = a.values.copy()
+    b = iterate_once(a)
+    b_values = b.values.copy()
+    c = iterate_once(b)
+    iterate_once(c)
+    work = a._scratch
+    assert b._scratch is work and c._scratch is work
+    assert a.values.tobytes() == a_values.tobytes()
+    assert b.values.tobytes() == b_values.tobytes()
+    buffers = [*work.log[:3], *work.fft, work.rows, work.mags, work.theta]
+    for st in (a, b, c):
+        assert not any(np.shares_memory(st.values, buf) for buf in buffers)
+
+
+def test_a_step_on_the_shared_scratch_equals_one_on_a_fresh_scratch():
+    st = init_state(pentagon_cfg(R=0.15, max_iter=100))
+    for _ in range(4):
+        copy = dataclasses.replace(st)  # a fresh scratch on first use
+        fresh = iterate_once(copy)
+        assert fresh._scratch is copy._scratch is not st._scratch
+        nxt = iterate_once(st)
+        assert nxt.values.tobytes() == fresh.values.tobytes()
+        st = nxt
+
+
+def test_two_solves_interleaved_on_one_problem_give_their_own_values():
+    cfgs = [pentagon_cfg(R=0.3), pentagon_cfg(R=0.3, theta=(0.2, -0.4))]
+    alone = [solve(cfg) for cfg in cfgs]
+    states = [init_state(cfg) for cfg in cfgs]
+    assert states[0].problem is states[1].problem
+    assert states[0]._scratch is not states[1]._scratch
+    counts = [report["iterations"] for _, report in alone]
+    for step in range(max(counts)):
+        states = [iterate_once(st) if step < n else st for st, n in zip(states, counts)]
+    for st, (solved, _) in zip(states, alone):
+        assert st.values.tobytes() == solved.values.tobytes()
+    # the converged state solve returns keeps no work arrays
+    assert "_scratch" not in vars(alone[0][0])

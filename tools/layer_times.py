@@ -7,15 +7,18 @@ record (a BENCH_*.json file).
 Layers: for the pentagon (support constant 0.9, Z = (1, i), a = 0,
 theta = (0.7, 1.3), tol 1e-12, max_iter 100) at each (R, M) of CASES, the
 time of `init_state(cfg)` cold (rh_solver's cache of theta-free problems
-cleared first) and warm (the problem cached), of one `iterate_once` from a
-fresh copy of the solved state (`dataclasses.replace`: its densities not
-yet computed, as in `solve`), of `solve(cfg)`, and of `check_jump`,
-`check_reality` and `verify` on the solved state (guard passed, limits
-kept), and of "write": `cli_driver._cmd_solve` with its `solve` and
-`verify` stubbed to return that state, a copy of its report and its
-residuals, so that only the artifacts are formatted and written
-(`report.json` and `nodes.csv`, into a fresh directory per call).  On a
-side without that cache, cold and warm time the same call.
+cleared first) and warm (the problem cached), of the steady-state
+`iterate_once` that `solve` runs: a step from a state one step past the
+solved state, which carries that step's scratch (where the side has one),
+of `truncation_guard` on the solved state, of `solve(cfg)`, and of
+`check_jump`, `check_reality` and `verify` on the solved state (guard
+passed, limits kept).  "format" is `cli_driver._cmd_solve` with its
+`solve` and `verify` stubbed to return that state, a copy of its report
+and its residuals, and its `_write` stubbed to keep the texts: the
+artifacts' formatting, with no file system.  "write" writes those texts
+by `cli_driver._write` into a fresh directory per call (`report.json` and
+`nodes.csv`): the file system's part alone.  On a side without the cache
+of theta-free problems, cold and warm time the same call.
 For the scalar manufactured jump of the scalar-bvp workload at each
 (eta0, zeros) of SCALAR_CASES, at M = 512: `solve_scalar_bvp`, the
 one-pass `boundary_values` at 200 samples on the line (seed 41's draw of
@@ -66,8 +69,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CASES = ((4.0, 128), (1.0, 128), (0.3, 128), (0.15, 128),
          (1.0, 512), (0.3, 512), (1.0, 2048))
-LAYERS = ("init_state cold", "init_state warm", "iterate_once", "solve", "check_jump",
-          "check_reality", "verify", "write")
+LAYERS = ("init_state cold", "init_state warm", "iterate_once", "truncation_guard", "solve",
+          "check_jump", "check_reality", "verify", "format", "write")
 SCALAR_CASES = ((0.1, ()), (0.25, ((0.8, 2),)))  # eta0, (zero on the line, order)
 SCALAR_LAYERS = ("solve_scalar_bvp", "boundary_values", "verify_uniqueness")
 LAYER_ROUNDS = 12  # alternating rounds of layer times
@@ -95,7 +98,8 @@ def _per_call(fn, count: int) -> list[float]:
 def layer_calls(rh, R: float, M: int, tmp: Path) -> tuple[int, dict]:
     """The pentagon case at (R, M), solved and verified with rh (rhflow's
     rh_solver module): its iteration count, and a call per LAYERS name.
-    "write" makes a new directory under tmp per call and returns it."""
+    "iterate_once" returns the new state, "format" the texts per file name
+    and "write" the new directory under tmp that it makes per call."""
     from rhflow import cli_driver as cli
     from rhflow.charge_lattice import pentagon_spectrum
     from rhflow.spectrum_rays import CentralCharge
@@ -106,25 +110,39 @@ def layer_calls(rh, R: float, M: int, tmp: Path) -> tuple[int, dict]:
     clear = getattr(getattr(rh, "theta_free_problem", None), "cache_clear", lambda: None)
     rc = cli.RunConfig("solve", cfg, None, {})
 
+    def artifacts() -> dict:
+        texts = {}
+        stubs = {"solve": lambda _: (state, dict(report)), "verify": lambda _: dict(residuals),
+                 "_write": lambda path, *parts: texts.__setitem__(path.name, parts)}
+        saved = {name: getattr(cli, name) for name in stubs}
+        vars(cli).update(stubs)
+        try:
+            cli._cmd_solve(rc, tmp)
+        finally:
+            vars(cli).update(saved)
+        return texts
+
+    files = artifacts()
+
     def write() -> Path:
         out = Path(tempfile.mkdtemp(dir=tmp))
-        solve, verify = cli.solve, cli.verify
-        cli.solve = lambda _: (state, dict(report))
-        cli.verify = lambda _: dict(residuals)
-        try:
-            cli._cmd_solve(rc, out)
-        finally:
-            cli.solve, cli.verify = solve, verify
+        for name, parts in files.items():
+            cli._write(out / name, *parts)
         return out
 
+    # a step past the solved state: on a side with a per-solve scratch, the
+    # state carries the scratch of the step that made it, as in solve's loop
+    carried = rh.iterate_once(dataclasses.replace(state))
     return report["iterations"], {
         "init_state cold": lambda: (clear(), rh.init_state(cfg)),
         "init_state warm": lambda: rh.init_state(cfg),
-        "iterate_once": lambda: rh.iterate_once(dataclasses.replace(state)),
+        "iterate_once": lambda: rh.iterate_once(carried),
+        "truncation_guard": lambda: rh.truncation_guard(state),
         "solve": lambda: rh.solve(cfg),
         "check_jump": lambda: rh.check_jump(state),
         "check_reality": lambda: rh.check_reality(state),
         "verify": lambda: rh.verify(state),
+        "format": artifacts,
         "write": write}
 
 
