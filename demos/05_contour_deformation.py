@@ -38,7 +38,7 @@ def h(zp):
 dens_r = np.array([h(z) for z in grid_r.points()])
 for label, zeta in (("inside the sector ", cmath.exp(0.5j * (r.phase + ell.phase))),
                     ("outside the sector", 0.8 * cmath.exp(1j * (r.phase - 0.4)))):
-    lhs = integrate_ray(grid_r, dens_r, zeta, side="off")
+    lhs = integrate_ray(grid_r, dens_r, zeta)[0]
     moved, crossed = deform_to_bps_ray(zeta, r, grid_e, h)
     term = sweep_sign(r, ell) * 4j * math.pi * h(zeta) if crossed else 0.0
     rhs = moved + term

@@ -11,11 +11,10 @@ from .charge_lattice import (Charge, GAMMA1, GAMMA2, Spectrum, extend, norm,
                              pairing, pentagon_spectrum)
 from .errors import (AsymmetricJumpError, ConfigError, DegenerateRayError,
                      DivergenceError, NoAdmissibleRayError, NonContractionError,
-                     NonzeroIndexError, RHFlowError, SingularKernelError,
-                     SupportPropertyError, TruncationUnsafeError)
+                     NonzeroIndexError, RHFlowError, SupportPropertyError,
+                     TruncationUnsafeError)
 from .spectrum_rays import (CentralCharge, RayDirection, admissible_pair,
                             bps_ray, semiflat)
-from .stokes_series import (TruncatedSeries, ks_apply, pentagon_coeff,
-                            stokes_log_coeffs)
+from .stokes_series import pentagon_coeff
 
 __version__ = "0.1.0"

@@ -49,7 +49,12 @@ def fmt_column(values: np.ndarray) -> list[str]:
 
 
 def _number(kind, value, where: str):
-    """kind(value), with a wrongly typed value reported as a ConfigError."""
+    """kind(value), with a wrongly typed value reported as a ConfigError.
+    For kind int a boolean or a fractional number is one too, where int()
+    would truncate it; an integral float such as 128.0 is taken."""
+    if kind is int and (isinstance(value, bool) or
+                        (isinstance(value, float) and not value.is_integer())):
+        raise ConfigError(f"{where}: {value!r} is not an integer")
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -87,6 +92,14 @@ def _section(value, where: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{where} must be an object")
     return value
+
+
+def _positive(value, where: str) -> float:
+    """value as a positive, finite float, or a ConfigError naming where."""
+    x = _number(float, value, where)
+    if not (x > 0 and math.isfinite(x)):
+        raise ConfigError(f"{where}: {x!r} must be positive and finite")
+    return x
 
 
 def _list(value, where: str) -> list:
@@ -235,13 +248,11 @@ def _cmd_solve(rc: RunConfig, out: Path) -> None:
 
 
 def _cmd_sweep_r(rc: RunConfig, out: Path) -> None:
-    r_values = [_number(float, R, "R_values")
+    # every rung checked before the first solve
+    r_values = [_positive(R, "R_values")
                 for R in _list(rc.extras.get("R_values", []), "R_values")]
     if not r_values:
         raise ConfigError("R_values list is required for sweep_r")
-    for R in r_values:  # every rung, before the first solve
-        if not (R > 0 and math.isfinite(R)):
-            raise ConfigError(f"R_values: R = {R!r} must be positive and finite")
     rows = []
     for R in r_values:
         state, report = solve(dataclasses.replace(rc.solver, R=R))
@@ -256,6 +267,8 @@ def _cmd_sweep_r(rc: RunConfig, out: Path) -> None:
 
 def _cmd_pentagon_table(rc: RunConfig, out: Path) -> None:
     order = _number(int, rc.extras.get("table_order", 8), "table_order")
+    if order < 1:
+        raise ConfigError(f"table_order: {order!r} must be at least 1")
     rows = []
     for side in (1, -1):
         for k in (1, 2):
@@ -278,7 +291,7 @@ def _cmd_pentagon_table(rc: RunConfig, out: Path) -> None:
 def _cmd_saddle_check(rc: RunConfig, out: Path) -> None:
     sd = _section(rc.extras.get("saddle", {}), "saddle")
     gamma = _charge(sd.get("gamma", [1, 0]), "saddle.gamma")
-    r_values = [_number(float, r, "saddle.R_values")
+    r_values = [_positive(r, "saddle.R_values")
                 for r in _list(sd.get("R_values", [4.0, 16.0, 64.0]), "saddle.R_values")]
     cfg = rc.solver
     z0 = saddle_point(cfg.Z.of(gamma, cfg.a))
@@ -295,7 +308,7 @@ def _cmd_deform_check(rc: RunConfig, out: Path) -> None:
     dd = _section(rc.extras.get("deform", {}), "deform")
     gamma = _charge(dd.get("gamma", [0, 1]), "deform.gamma")
     cfg = rc.solver
-    R = _number(float, dd.get("R", cfg.R), "deform.R")
+    R = _positive(dd.get("R", cfg.R), "deform.R")
     r, _ = admissible_pair(cfg.Z, cfg.spectrum, cfg.a, split_phase=cfg.split_phase)
     ell = bps_ray(cfg.Z, gamma, cfg.a)
     angle = ell.angle_to(r)
@@ -324,7 +337,7 @@ def _cmd_deform_check(rc: RunConfig, out: Path) -> None:
     dens = np.array([h(z) for z in grid_r.points()])
     rows = []
     for label, zeta in (("in_sector", mid), ("outside", outside)):
-        lhs = integrate_ray(grid_r, dens, zeta, side="off")
+        lhs, _ = integrate_ray(grid_r, dens, zeta)  # off r: both limits agree
         rhs, crossed = deform_to_bps_ray(zeta, r, grid_e, h)
         if crossed:
             rhs += sweep_sign(r, ell) * 4j * math.pi * h(zeta)
@@ -342,9 +355,7 @@ def _cmd_smoothness(rc: RunConfig, out: Path) -> None:
     if not orders or not all(type(o) is int and o in (1, 2, 3) for o in orders):
         raise ConfigError(f"smoothness.orders: {orders!r} is not a non-empty list of "
                           "the integers 1, 2 or 3")
-    step = _number(float, sm.get("step", 1e-2), "smoothness.step")
-    if not (step > 0 and math.isfinite(step)):
-        raise ConfigError(f"smoothness.step: {step!r} must be positive and finite")
+    step = _positive(sm.get("step", 1e-2), "smoothness.step")
     try:  # the probe divides by step**order, extreme at the highest order
         normal = step ** max(orders) >= sys.float_info.min
     except OverflowError:
@@ -420,9 +431,7 @@ def _scalar_problem(section: dict) -> ScalarBVProblem:
 def _cmd_scalar_bvp(rc: RunConfig, out: Path) -> None:
     section = rc.scalar
     problem = _scalar_problem(section)
-    half_width = _number(float, section.get("half_width", 7.0), "scalar.half_width")
-    if not (math.isfinite(half_width) and half_width > 0):
-        raise ConfigError("scalar.half_width must be positive and finite")
+    half_width = _positive(section.get("half_width", 7.0), "scalar.half_width")
     M = _number(int, section.get("M", 512), "scalar.M")
     if M < 16:
         raise ConfigError("scalar.M must be >= 16")

@@ -2,18 +2,22 @@
 
 Rays through the origin are parametrized as zeta' = e^(s + i phase), which
 turns the measure dzeta'/zeta' into ds and places the peak of the
-exponential integrands at s = 0.  Off-ray values are plain trapezoid sums.
-On the opposite ray, zeta = -e^{s*} u, the kernel at the node e^{s_j} u is
-the real tanh((s_j - s*)/2), the kernel c_cross of rh_solver's node operator
-between its two rays, and it acts on the real and imaginary parts of the
-densities; every other off-ray point takes the complex kernel.  On the ray,
-band_limited_limits serves rh_solver's densities, which decay at both grid
-ends: the principal value of their sinc interpolant is spectral, and at the
-nodes it is the alternating-point rule.  Scalar densities may keep
-constant tails, where sinc interpolation is first order, so the scalar
-solution and the saddle comparison use integrate_ray's singularity
-subtraction: the closed-form principal value of the coth kernel plus the
-half-residue term of the chosen side.
+exponential integrands at s = 0.  A Cauchy integral over a ray has two
+boundary values on the ray, the Plemelj pair (plus, minus), and one value
+off it.  integrate_ray returns that pair at every point, the one value
+twice off the ray, and band_limited_limits returns it at points on the
+ray.  Off-ray values are plain trapezoid sums.  On the opposite
+ray, zeta = -e^{s*} u, the kernel at the node e^{s_j} u is the real
+tanh((s_j - s*)/2), the kernel c_cross of rh_solver's node operator between
+its two rays, and it acts on the real and imaginary parts of the
+densities; every other off-ray point takes the complex kernel.  On the
+ray, band_limited_limits serves rh_solver's densities, which decay at both
+grid ends: the principal value of their sinc interpolant is spectral, and
+at the nodes it is the alternating-point rule.  Scalar densities may keep
+constant tails, where sinc interpolation is first order, so integrate_ray,
+which the scalar solution and the saddle comparison use, takes singularity
+subtraction there: the closed-form principal value of the coth kernel plus
+or minus the half-residue term.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularKernelError
 from .spectrum_rays import EPS_ANGLE, RayDirection, _wrap
 
 
@@ -128,32 +131,30 @@ def band_limited_limits(grid: RayGrid, values: np.ndarray, zeta: np.ndarray):
     return pv + half_jump, pv - half_jump
 
 
-def integrate_ray(grid: RayGrid, values: np.ndarray, zeta, side: str = "off"):
+def integrate_ray(grid: RayGrid, values: np.ndarray, zeta):
     """Trapezoid integral of K(zeta, .) times the sampled density, at one
-    point or at a 1-D array of points.
+    point or at a 1-D array of points, as the pair (plus, minus).
 
     values holds one density (shape (M,)) or a stack of K densities (shape
-    (K, M)) on the grid; the result has the shape of zeta, with a leading
-    axis of length K for a stack.  The geometry of the points (kernel rows,
-    log radii, closed forms, derivative stencils, interpolation weights) is
-    formed once per call and applied to each density in turn, so row k of a
-    stacked result equals the call with values[k] bit for bit.
+    (K, M)) on the grid; each element of the pair has the shape of zeta,
+    with a leading axis of length K for a stack.  The geometry of the points
+    (kernel rows, log radii, closed forms, derivative stencils,
+    interpolation weights) is formed once per call and applied to each
+    density in turn, so row k of a stacked result equals the call with
+    values[k] bit for bit.
 
-    side="off" requires every zeta away from the covered ray.  A point on
-    the opposite ray (on_opposite_ray: within the angular margin of
-    -direction.unit(), at any radius) takes the real kernel
-    w_j tanh((s_j - s*)/2), s* = log |zeta|, on the real and imaginary parts
-    of the density, one dot product per point; every other point takes the
-    complex kernel w_j (zeta_j + zeta)/(zeta_j - zeta).  The choice is made
-    per point, so a point's value does not depend on the batch.
-    side="plus"/"minus"/"both" evaluates boundary values on the covered
-    ray: the principal value via subtraction of the density h* at the pole
-    (the node value when the pole sits on a node, with the removable limit
-    2 h'(s) there from a derivative stencil; the interpolated density
-    otherwise), plus the half-residue +/- 2 pi i h*; "plus" is the limit
-    from the counterclockwise side of the oriented ray.  The principal
-    value and h* are computed once: "both" returns the pair (plus, minus),
-    and "plus"/"minus" return one element of that pair.
+    The rule is chosen per point, so a point's value does not depend on the
+    batch.  On the covered ray (on_covered_ray) the pair is the two boundary
+    values, "plus" the limit from the counterclockwise side of the oriented
+    ray (_covered_ray_limits).  Everywhere else the integral has one value,
+    which both elements hold: on the opposite ray (on_opposite_ray: within
+    the angular margin of -direction.unit(), at any radius) from the real
+    kernel w_j tanh((s_j - s*)/2), s* = log |zeta|, on the real and
+    imaginary parts of the density, one dot product per point; at every
+    other point from the complex kernel w_j (zeta_j + zeta)/(zeta_j - zeta).
+    On the ray beyond the grid coverage the kernel pole sits where the
+    density is already at tail level, so that sum is regular; a node lies
+    on the covered ray (|s| <= L), so no point reaching it is a node.
     """
     h = np.asarray(values, dtype=complex)
     if h.ndim not in (1, 2) or h.shape[-1] != grid.count:
@@ -163,26 +164,26 @@ def integrate_ray(grid: RayGrid, values: np.ndarray, zeta, side: str = "off"):
     if z.ndim > 1:
         raise ValueError("evaluation points must be a point or a 1-D array")
     zs = np.atleast_1d(z)
-    if side == "off":
-        if np.any(on_covered_ray(grid, zs)):
-            raise SingularKernelError(
-                "evaluation point lies on the covered part of the integration "
-                "ray; use side='plus' or side='minus'"
-            )
-        # on the ray beyond the grid coverage the kernel pole sits where the
-        # density is already at tail level; the sum below is regular.  A node
-        # lies on the covered ray (|s| <= L), so no point here is a node
-        out = np.empty((len(rows), len(zs)), dtype=complex)
-        opposite = on_opposite_ray(grid, zs)
-        if opposite.any():
-            out[:, opposite] = _opposite_ray_sums(grid, rows, zs[opposite])
-        if not opposite.all():
-            out[:, ~opposite] = _off_ray_sums(grid, rows, zs[~opposite])
-        return _shaped(out, h, z)
-    if side not in ("plus", "minus", "both"):
-        raise ValueError("side must be 'off', 'plus', 'minus' or 'both'")
-    if not np.all(on_covered_ray(grid, zs)):
-        raise SingularKernelError("boundary value requested off the covered ray")
+    out = np.empty((2, len(rows), len(zs)), dtype=complex)  # (plus, minus)
+    covered = on_covered_ray(grid, zs)
+    opposite = on_opposite_ray(grid, zs)
+    generic = ~(covered | opposite)
+    if covered.any():
+        out[:, :, covered] = _covered_ray_limits(grid, rows, zs[covered])
+    if opposite.any():
+        out[:, :, opposite] = _opposite_ray_sums(grid, rows, zs[opposite])
+    if generic.any():
+        out[:, :, generic] = _off_ray_sums(grid, rows, zs[generic])
+    return _shaped(out[0], h, z), _shaped(out[1], h, z)
+
+
+def _covered_ray_limits(grid: RayGrid, rows: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """(plus, minus), shape (2, K, P), at points on the covered ray: the
+    principal value via subtraction of the density h* at the pole (the node
+    value when the pole sits on a node, with the removable limit 2 h'(s)
+    there from a derivative stencil; the interpolated density otherwise),
+    plus or minus the half-residue 2 pi i h*.  The principal value and h*
+    are formed once for both limits."""
     L, step = grid.half_width, grid.step
     s_star = np.log(np.abs(zs))
     i = np.rint((s_star + L) / step).astype(int)
@@ -203,8 +204,8 @@ def integrate_ray(grid: RayGrid, values: np.ndarray, zeta, side: str = "off"):
         stencils[np.arange(len(j)), j + off] += c / (12.0 * step)
     closed = pv_coth_closed_form(L, s_pole, step)
     idx, lagrange = _lagrange_weights(grid, s_star)
-    plus, minus = [], []
-    for hk in rows:
+    out = np.empty((2, len(rows), len(zs)), dtype=complex)
+    for k, hk in enumerate(rows):
         interpolated = sum(hk[idx[:, a]] * wa for a, wa in enumerate(lagrange))
         h_star = np.where(node, hk[i], interpolated)
         terms = hk - h_star[:, None]
@@ -213,10 +214,9 @@ def integrate_ray(grid: RayGrid, values: np.ndarray, zeta, side: str = "off"):
         pv[node] += node_weights * np.sum(stencils * hk, axis=1)
         pv += h_star * closed
         half_jump = 2.0j * math.pi * h_star
-        plus.append(pv + half_jump)
-        minus.append(pv - half_jump)
-    limits = _shaped(plus, h, z), _shaped(minus, h, z)
-    return limits if side == "both" else limits[side == "minus"]
+        out[0, k] = pv + half_jump
+        out[1, k] = pv - half_jump
+    return out
 
 
 def _off_ray_sums(grid: RayGrid, rows: np.ndarray, zs: np.ndarray) -> np.ndarray:
@@ -251,10 +251,10 @@ def _opposite_ray_sums(grid: RayGrid, rows: np.ndarray, zs: np.ndarray) -> np.nd
     return out
 
 
-def _shaped(out, h: np.ndarray, z: np.ndarray):
-    """The per-density results (a (K, P) array or a list of K rows) in the
-    shapes of the density and the points."""
-    res = out[0] if h.ndim == 1 else np.stack(out)
+def _shaped(out: np.ndarray, h: np.ndarray, z: np.ndarray):
+    """The (K, P) per-density results in the shapes of the density and the
+    points."""
+    res = out[0] if h.ndim == 1 else out
     if z.ndim:
         return res
     return complex(res[0]) if h.ndim == 1 else res[:, 0]
@@ -304,11 +304,15 @@ def deform_to_bps_ray(zeta: complex, from_dir: RayDirection, to_grid: RayGrid,
 
     Returns the integral along the target grid's ray and whether the kernel
     pole at zeta was crossed, in which case the caller owes the residue
-    term sweep_sign * 4 pi i * h(zeta).
+    term sweep_sign * 4 pi i * h(zeta).  A zeta on the target ray is not
+    crossed: the integral there is the boundary value from the side the
+    sweep comes from, the clockwise ("minus") one for a counterclockwise
+    sweep.
     """
     to_dir = to_grid.direction
     if to_dir.angle_to(from_dir) > math.pi - EPS_ANGLE:
         raise ValueError("rays are anti-parallel; the swept sector is ambiguous")
     h = np.array([h_analytic(z) for z in to_grid.points()], dtype=complex)
-    integral = integrate_ray(to_grid, h, zeta, side="off")
+    plus, minus = integrate_ray(to_grid, h, zeta)
+    integral = minus if sweep_sign(from_dir, to_dir) > 0 else plus
     return integral, in_swept_sector(zeta, from_dir, to_dir)

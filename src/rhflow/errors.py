@@ -21,10 +21,6 @@ class NoAdmissibleRayError(RHFlowError):
     """No direction separates the active rays into two strict half-planes."""
 
 
-class SingularKernelError(RHFlowError):
-    """Cauchy kernel evaluated at coincident source and target."""
-
-
 class DivergenceError(RHFlowError):
     """Iteration produced non-finite values."""
 

@@ -59,12 +59,13 @@ Picard step.  At the midpoints of the rays the limits are Toeplitz products
 too, at half-integer offsets: midpoint_limits takes both limits on both rays
 from three kept kernel spectra (coth, sinc and tanh) in one FFT and one
 inverse FFT, which is all check_jump needs, so verify builds no dense kernel.
-evaluate_theta serves arbitrary points and passes both basis targets of a
-side as one (2, M) stack: on a ray to contour_quadrature.band_limited_limits,
-whose node rule is c_same's (so it returns the stored values there) and
-whose midpoint rule is midpoint_limits', else integrate_ray, whose kernel on
-the opposite ray is c_cross's real tanh and elsewhere the complex Cauchy
-kernel.
+evaluate_theta serves arbitrary points and returns the Plemelj pair
+(Theta+, Theta-), the same value twice off the contour.  It passes both
+basis targets of a side as one (2, M) stack: on a ray to
+contour_quadrature.band_limited_limits, whose node rule is c_same's (so its
+"minus" element is the stored values there) and whose midpoint rule is
+midpoint_limits', else integrate_ray, whose kernel on the opposite ray is
+c_cross's real tanh and elsewhere the complex Cauchy kernel.
 """
 
 from __future__ import annotations
@@ -566,18 +567,15 @@ def verify(state: ThetaState) -> dict:
     }
 
 
-def evaluate_theta(state: ThetaState, zeta, side: str = "minus") -> tuple:
+def evaluate_theta(state: ThetaState, zeta) -> tuple:
     """Theta at one point or at a 1-D array of points via the integral
-    representation; returns the pair (Theta_1, Theta_2) of complex numbers
-    or of arrays.
+    representation, as the pair ((Theta_1+, Theta_2+), (Theta_1-, Theta_2-))
+    of complex numbers or of arrays.
 
-    On a contour ray, side "plus"/"minus" selects the boundary value by
+    On a contour ray the two elements are the boundary values by
     band_limited_limits ("minus", the clockwise side, is the stored one);
-    "both" returns ((Theta_1+, Theta_2+), (Theta_1-, Theta_2-)) from one
-    quadrature pass, whose elements the single sides are.
+    off the contour both hold Theta there.
     """
-    if side not in ("plus", "minus", "both"):
-        raise ValueError("side must be 'plus', 'minus' or 'both'")
     problem = state.problem
     dens = state.densities
     z = np.asarray(zeta, dtype=complex)
@@ -590,20 +588,19 @@ def evaluate_theta(state: ThetaState, zeta, side: str = "minus") -> tuple:
         if on.any():
             acc[:, :, on] += band_limited_limits(grid, rows, zs[on])
         if not on.all():
-            acc[:, :, ~on] += integrate_ray(grid, rows, zs[~on], side="off")
+            acc[:, :, ~on] += integrate_ray(grid, rows, zs[~on])
     out = np.array(state.cfg.theta)[:, None] - acc / FOUR_PI
-    pairs = [(th[0], th[1]) if z.ndim else (complex(th[0, 0]), complex(th[1, 0]))
-             for th in out]
-    return tuple(pairs) if side == "both" else pairs[0 if side == "plus" else 1]
+    return tuple((th[0], th[1]) if z.ndim else (complex(th[0, 0]), complex(th[1, 0]))
+                 for th in out)
 
 
-def evaluate_Y(state: ThetaState, g: Charge, zeta: complex,
-               side: str = "minus") -> complex:
+def evaluate_Y(state: ThetaState, g: Charge, zeta: complex) -> complex:
     """Solution function for one charge: the semiflat exponential with the
-    corrected angles at zeta."""
+    corrected angles at zeta, from the clockwise (stored) side on a contour
+    ray."""
     if zeta == 0:
         raise ValueError("use asymptotic_theta for the limits at 0 and infinity")
-    th1, th2 = evaluate_theta(state, zeta, side=side)
+    th1, th2 = evaluate_theta(state, zeta)[1]
     thg = g.c1 * th1 + g.c2 * th2
     cfg = state.cfg
     return complex(np.exp(_static_exponents(cfg.R, cfg.Z.of(g, cfg.a), zeta) + 1j * thg))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charge_lattice import Charge, extend
-from .contour_quadrature import build_ray_grid, integrate_ray, on_covered_ray
+from .contour_quadrature import build_ray_grid, integrate_ray
 from .spectrum_rays import CentralCharge, bps_ray
 
 
@@ -104,13 +104,10 @@ def compare(zeta: complex, gamma_p: Charge, Z: CentralCharge, a: complex,
         # pi R (Z/zeta' + zeta' conj Z) + peak <= 0, with 0 at the saddle
         dens = np.exp(math.pi * R * zg / pts + 1j * th_gp
                       + math.pi * R * pts * zg.conjugate() + peak)
-        if on_covered_ray(grid, zeta):
-            # on the ray compare against the principal value, the symmetric
-            # counterpart of the interior estimate
-            plus, minus = integrate_ray(grid, dens, zeta, side="both")
-            numeric = 0.5 * (plus + minus)
-        else:
-            numeric = integrate_ray(grid, dens, zeta, side="off")
+        # on the ray the mean of the two limits is the principal value, the
+        # symmetric counterpart of the interior estimate; off it, the integral
+        plus, minus = integrate_ray(grid, dens, zeta)
+        numeric = 0.5 * (plus + minus)
         lead = _scaled_leading(zeta, zg, R, th)
         rel = abs(numeric - lead) / abs(lead) if lead != 0 else math.inf
         scale = math.exp(-peak)

@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .contour_quadrature import RayGrid, integrate_ray, on_covered_ray
+from .contour_quadrature import RayGrid, integrate_ray
 from .errors import AsymmetricJumpError, ConfigError, NonzeroIndexError
 from .spectrum_rays import RayDirection, _wrap
 
@@ -174,30 +174,22 @@ class ContinuousSolution:
     endpoint_log: complex                    # removed constant c
     y_at_infinity: complex
 
-    def __call__(self, zeta, side: str | None = None):
-        """Exp of the kernel transform, normalised to one at infinity, at one
-        point or at a 1-D array of points.  side ("plus"/"minus") picks the
-        D+/D- boundary value at points on the covered contour, and "both"
-        returns the pair (plus, minus) from one quadrature pass; without a
-        side every point must lie off the contour."""
+    def __call__(self, zeta) -> tuple:
+        """(Y+, Y-): exp of the kernel transform, normalised to one at
+        infinity, at one point or at a 1-D array of points.  On the covered
+        contour these are the D+ and D- boundary values, from one quadrature
+        pass; off it both hold the one value there."""
         z = np.asarray(zeta, dtype=complex)
         zs = np.atleast_1d(z)
         acc = np.zeros((2, len(zs)), dtype=complex)  # D+ and D- values
         for half, (grid, dens) in enumerate(zip(self.grids, self.log_density)):
             orient = 1.0 if half == 0 else -1.0
-            on = on_covered_ray(grid, zs) & (side is not None)
-            if on.any():
-                limits = integrate_ray(grid, dens, zs[on], side="both")
-                # the line is traversed inward along the negative half, so the
-                # geometric D+ side flips there relative to the outward ray
-                acc[:, on] += orient * np.stack(limits[::-1] if half else limits)
-            if not on.all():
-                acc[:, ~on] += orient * integrate_ray(grid, dens, zs[~on], side="off")
-        rows = acc if side == "both" else acc[1 if side == "minus" else 0]
-        out = np.exp(rows / (4j * math.pi)) / self.y_at_infinity
-        if side == "both":
-            return (out[0], out[1]) if z.ndim else (complex(out[0, 0]), complex(out[1, 0]))
-        return out if z.ndim else complex(out[0])
+            limits = integrate_ray(grid, dens, zs)
+            # the line is traversed inward along the negative half, so the
+            # geometric D+ side flips there relative to the outward ray
+            acc += orient * np.stack(limits[::-1] if half else limits)
+        out = np.exp(acc / (4j * math.pi)) / self.y_at_infinity
+        return (out[0], out[1]) if z.ndim else (complex(out[0, 0]), complex(out[1, 0]))
 
 
 def contour_nodes(half_width: float, M: int) -> np.ndarray:
@@ -277,19 +269,19 @@ class ScalarSolution:
     def x_plus(self, zeta):
         """Solution on D+ and its boundary, at one point or at a 1-D array of
         points; carries the zero factors."""
-        return self._plus(zeta, self.continuous(zeta, "plus"))
+        return self._plus(zeta, self.continuous(zeta)[0])
 
     @point_or_array
     def x_minus(self, zeta):
         """Solution on D- and its boundary, at one point or at a 1-D array of
         points."""
-        return self._minus(zeta, self.continuous(zeta, "minus"))
+        return self._minus(zeta, self.continuous(zeta)[1])
 
     def boundary_values(self, zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """X+ and X- at a 1-D array of points on the covered contour, from
         one quadrature pass; equal to x_plus and x_minus bit for bit."""
         zs = np.atleast_1d(np.asarray(zeta, dtype=complex))
-        y_plus, y_minus = self.continuous(zs, "both")
+        y_plus, y_minus = self.continuous(zs)
         return self._plus(zs, y_plus), self._minus(zs, y_minus)
 
     def side_values(self, zeta_plus: np.ndarray,
@@ -297,8 +289,8 @@ class ScalarSolution:
         """X+ at points of D+ and X- at points of D-, all off the contour,
         from one quadrature pass; equal to x_plus and x_minus bit for bit."""
         zp, zm = (np.atleast_1d(np.asarray(z, dtype=complex)) for z in (zeta_plus, zeta_minus))
-        y = self.continuous(np.concatenate([zp, zm]))
-        return self._plus(zp, y[:len(zp)]), self._minus(zm, y[len(zp):])
+        y_plus, y_minus = self.continuous(np.concatenate([zp, zm]))
+        return self._plus(zp, y_plus[:len(zp)]), self._minus(zm, y_minus[len(zp):])
 
     def boundary_residual(self, samples: np.ndarray) -> float:
         """sup over contour coordinates of |X+ - G X-| / (|X+| + |X-|)."""

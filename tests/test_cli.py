@@ -280,17 +280,27 @@ def test_exit_code_1_when_a_scalar_grid_or_base_point_is_invalid(tmp_path, capsy
     ("sweep_r", {"R_values": [1.0, -1]}, "R_values"),
     ("sweep_r", {"R_values": [1.0, 0.0]}, "R_values"),
     ("sweep_r", {"R_values": [2.0, float("inf")]}, "R_values"),
+    ("saddle_check", {"saddle": {"R_values": [0.0]}}, "saddle.R_values"),
+    ("saddle_check", {"saddle": {"R_values": [4.0, -1.0]}}, "saddle.R_values"),
+    ("saddle_check", {"saddle": {"R_values": [float("nan")]}}, "saddle.R_values"),
+    ("deform_check", {"deform": {"R": -1.0}}, "deform.R"),
+    ("deform_check", {"deform": {"R": 0.0}}, "deform.R"),
+    ("deform_check", {"deform": {"R": float("inf")}}, "deform.R"),
 ], ids=["step_0", "step_negative", "step_1e300", "step_nan", "step_inf", "step_cubed_subnormal",
         "orders_empty", "orders_2.5", "orders_1_4", "orders_bool", "R_negative", "R_0",
-        "R_inf"])
+        "R_inf", "saddle_R_0", "saddle_R_negative", "saddle_R_nan", "deform_R_negative",
+        "deform_R_0", "deform_R_inf"])
 def test_exit_code_1_when_a_probe_or_ladder_key_is_invalid_before_any_solve(
         tmp_path, capsys, monkeypatch, command, extras, where):
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before the section was checked")
 
-    # sweep_r solves through cli_driver's name, smoothness_probe through rh_solver's
-    monkeypatch.setattr("rhflow.cli_driver.solve", no_solve)
-    monkeypatch.setattr("rhflow.rh_solver.solve", no_solve)
+    # sweep_r solves through cli_driver's name, smoothness_probe through
+    # rh_solver's; saddle_check and deform_check integrate on the grids of
+    # cli_driver's compare and build_ray_grid
+    for name in ("rhflow.cli_driver.solve", "rhflow.rh_solver.solve",
+                 "rhflow.cli_driver.compare", "rhflow.cli_driver.build_ray_grid"):
+        monkeypatch.setattr(name, no_solve)
     # json writes and reads NaN and Infinity
     cfg = write_cfg(tmp_path, dict(json.loads(json.dumps(PENTAGON)), **extras))
     out = tmp_path / "o"
@@ -370,6 +380,53 @@ def test_exit_code_1_when_spectrum_entry_is_malformed(tmp_path, capsys):
     cfg = write_cfg(tmp_path, doc)
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert "problem.spectrum.entries" in capsys.readouterr().err
+
+
+NOT_INTEGERS = {
+    "M_fraction": ("solve", ("problem", "M"), 128.7, "problem.M"),
+    "max_iter_fraction": ("solve", ("problem", "max_iter"), 30.9, "problem.max_iter"),
+    "max_iter_bool": ("solve", ("problem", "max_iter"), True, "problem.max_iter"),
+    "charge_fraction": ("solve", ("problem", "spectrum", "entries", 0, 0), [1.5, 0],
+                        "problem.spectrum.entries"),
+    "multiplicity_bool": ("solve", ("problem", "spectrum", "entries", 0, 1), True,
+                          "problem.spectrum.entries"),
+    "saddle_gamma": ("saddle_check", ("saddle", "gamma"), [1.5, 0], "saddle.gamma"),
+    "deform_gamma": ("deform_check", ("deform", "gamma"), [0, True], "deform.gamma"),
+    "table_order_fraction": ("pentagon_table", ("table_order",), 8.5, "table_order"),
+    "table_order_bool": ("pentagon_table", ("table_order",), True, "table_order"),
+    "table_order_0": ("pentagon_table", ("table_order",), 0, "table_order"),
+    "table_order_negative": ("pentagon_table", ("table_order",), -2, "table_order"),
+    "scalar_M": ("scalar_bvp", ("scalar", "M"), 512.5, "scalar.M"),
+    "scalar_samples": ("scalar_bvp", ("scalar", "samples"), 200.5, "scalar.samples"),
+    "zero_order": ("scalar_bvp", ("scalar", "zeros", 0, 1), 2.5, "scalar.zeros"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_INTEGERS))
+def test_exit_code_1_when_an_integer_field_is_not_an_integer(tmp_path, capsys, name):
+    # int() would truncate a fractional number and take a boolean as 0 or 1
+    command, path, value, where = NOT_INTEGERS[name]
+    doc = dict(json.loads(json.dumps(PENTAGON)), saddle={}, deform={},
+               scalar={"jump": {"kind": "manufactured", "eta0": 0.25},
+                       "zeros": [[[0.8, 0.0], 2]]})
+    section = doc
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    cfg = write_cfg(tmp_path, doc)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    diag = json.loads(capsys.readouterr().err)
+    assert diag["error"] == "ConfigError"
+    assert diag["message"].startswith(where)
+
+
+def test_integral_floats_are_taken_as_integers():
+    doc = json.loads(json.dumps(PENTAGON))
+    doc["problem"].update(M=128.0, max_iter=30.0)
+    doc["problem"]["spectrum"]["entries"][0] = [[1.0, 0.0], 1.0]
+    cfg = load_config(json.dumps(doc), "solve").solver
+    assert (cfg.M, cfg.max_iter) == (128, 30)
+    assert type(cfg.M) is int and type(cfg.max_iter) is int
 
 
 def test_exit_code_1_when_max_iter_overflows_int(tmp_path, capsys):

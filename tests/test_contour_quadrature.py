@@ -11,7 +11,6 @@ from rhflow.contour_quadrature import (band_limited_limits, build_ray_grid,
                                        on_covered_ray, on_opposite_ray,
                                        pv_coth_closed_form,
                                        sweep_sign)
-from rhflow.errors import SingularKernelError
 from rhflow.rh_solver import SolverConfig, init_state
 from rhflow.scalar_bvp import solve_continuous
 from rhflow.spectrum_rays import CentralCharge, RayDirection, bps_ray, semiflat
@@ -55,23 +54,15 @@ def test_on_covered_ray():
 def test_zero_density_integrates_to_zero():
     g = grid_on(0.0, 2 * math.pi)
     h = np.zeros(g.count)
-    assert integrate_ray(g, h, 2.0j, side="off") == 0
-    assert integrate_ray(g, h, 1.0, side="plus") == 0
-    assert integrate_ray(g, h, 1.0, side="minus") == 0
-
-
-def test_off_side_on_ray_rejected():
-    g = grid_on(0.0, 2 * math.pi)
-    with pytest.raises(SingularKernelError):
-        integrate_ray(g, np.ones(g.count), 1.3, side="off")
+    assert integrate_ray(g, h, 2.0j) == (0, 0)
+    assert integrate_ray(g, h, 1.0) == (0, 0)
 
 
 def test_plemelj_jump_is_exact():
     g = grid_on(0.0, 2 * math.pi)
     h = np.exp(-2 * math.pi * np.cosh(g.nodes)) * np.exp(0.3j * g.nodes)
     zeta = math.exp(g.nodes[g.count // 2 + 3])
-    plus = integrate_ray(g, h, zeta, side="plus")
-    minus = integrate_ray(g, h, zeta, side="minus")
+    plus, minus = integrate_ray(g, h, zeta)
     i = g.count // 2 + 3
     assert plus - minus == pytest.approx(4j * math.pi * h[i], rel=1e-12)
 
@@ -83,7 +74,7 @@ def test_quadrature_self_convergence():
     for M in (128, 256):
         g = grid_on(0.0, decay, M=M)
         h = np.exp(-decay * np.cosh(g.nodes)) * np.exp(0.7j * np.sinh(g.nodes))
-        vals[M] = integrate_ray(g, h, 0.4 + 1.1j, side="off")
+        vals[M] = integrate_ray(g, h, 0.4 + 1.1j)[0]
     assert abs(vals[128] - vals[256]) / abs(vals[256]) < 1e-10
 
 
@@ -98,7 +89,7 @@ def test_pv_against_offset_grid_oracle():
 
     i = g.count // 2 + 6
     si = g.nodes[i]
-    plus = integrate_ray(g, dens(g.nodes), math.exp(si), side="plus")
+    plus, _ = integrate_ray(g, dens(g.nodes), math.exp(si))
     pv = plus - 2j * math.pi * dens(np.array([si]))[0]
 
     M2 = 8192
@@ -154,8 +145,8 @@ class TestDeformation:
 
     def test_residue_applies_inside_sector(self):
         zeta = cmath.exp(1j * (self.ell.phase + self.r.phase) / 2)  # mid-sector
-        i_r = integrate_ray(self.grid_r, np.array([self.h(z) for z in self.grid_r.points()]),
-                            zeta, side="off")
+        i_r, _ = integrate_ray(self.grid_r, np.array([self.h(z) for z in self.grid_r.points()]),
+                               zeta)
         i_ell, crossed = deform_to_bps_ray(zeta, self.r, self.grid_ell, self.h)
         assert crossed
         term = sweep_sign(self.r, self.ell) * 4j * math.pi * self.h(zeta)
@@ -163,20 +154,41 @@ class TestDeformation:
 
     def test_no_residue_outside_sector(self):
         zeta = 0.8 * cmath.exp(1j * (self.r.phase - 0.4))
-        i_r = integrate_ray(self.grid_r, np.array([self.h(z) for z in self.grid_r.points()]),
-                            zeta, side="off")
+        i_r, _ = integrate_ray(self.grid_r, np.array([self.h(z) for z in self.grid_r.points()]),
+                               zeta)
         i_ell, crossed = deform_to_bps_ray(zeta, self.r, self.grid_ell, self.h)
         assert not crossed
         assert i_r == pytest.approx(i_ell, rel=1e-8)
 
     def test_same_ray_is_identity(self):
         zeta = 0.5 * cmath.exp(1j * (self.r.phase + 1.0))
-        i_direct = integrate_ray(self.grid_ell,
-                                 np.array([self.h(z) for z in self.grid_ell.points()]),
-                                 zeta, side="off")
+        i_direct, _ = integrate_ray(self.grid_ell,
+                                    np.array([self.h(z) for z in self.grid_ell.points()]),
+                                    zeta)
         i_ell, crossed = deform_to_bps_ray(zeta, self.ell, self.grid_ell, self.h)
         assert not crossed
         assert i_ell == i_direct
+
+    def test_a_point_on_the_target_ray_takes_the_limit_from_the_swept_side(self):
+        # the pole on the target ray is not crossed: the integral along a
+        # source ray on either side of it is the limit from that side
+        zeta = 1.3 * self.ell.unit()
+        other = RayDirection(2 * self.ell.phase - self.r.phase)  # r mirrored in ell
+        decay = 2 * math.pi * self.R * abs(self.Z.of(self.gamma, 0.0)) * math.cos(
+            self.ell.angle_to(self.r))
+        limits = []
+        for source in (self.r, other):
+            grid = build_ray_grid(source, decay, 256, 40.0)
+            i_source, _ = integrate_ray(grid, np.array([self.h(z) for z in grid.points()]),
+                                        zeta)
+            i_ell, crossed = deform_to_bps_ray(zeta, source, self.grid_ell, self.h)
+            assert not crossed
+            assert i_source == pytest.approx(i_ell, rel=1e-8)
+            limits.append(i_ell)
+        # the two sources see the two limits, 4 pi i h(zeta) apart
+        assert sweep_sign(self.r, self.ell) == -sweep_sign(other, self.ell)
+        jump = sweep_sign(self.r, self.ell) * (limits[1] - limits[0])
+        assert jump == pytest.approx(4j * math.pi * self.h(zeta), rel=1e-8)
 
     def test_antiparallel_rejected(self):
         with pytest.raises(ValueError, match="anti-parallel"):
@@ -199,46 +211,35 @@ def _scalar_half():
 
 
 @pytest.mark.parametrize("half", [_rh_half, _scalar_half], ids=["rh", "scalar"])
-def test_every_node_is_rejected_off_the_ray(half):
-    # integrate_ray's off-ray sum divides by (node - zeta); the on-ray test
-    # must reject every node, so no point reaching the sum is a node
+def test_every_node_takes_the_covered_ray_rule(half):
+    # the off-ray sum divides by (node - zeta), so every node, the end nodes
+    # included, must take the boundary rule: a finite pair whose difference
+    # is Plemelj's 4 pi i h_j
     g, h = half()
-    for z in g.points():
-        with pytest.raises(SingularKernelError, match="covered part"):
-            integrate_ray(g, h, z, side="off")
-    with pytest.raises(SingularKernelError, match="covered part"):
-        integrate_ray(g, h, g.points(), side="off")
+    plus, minus = integrate_ray(g, h, g.points())
+    assert np.all(np.isfinite(plus)) and np.all(np.isfinite(minus))
+    scale = np.max(np.abs(plus)) + np.max(np.abs(h))
+    assert np.max(np.abs(plus - minus - 4j * math.pi * h)) <= 1e-14 * scale
 
 
-@pytest.mark.parametrize("half", [_rh_half, _scalar_half], ids=["rh", "scalar"])
-def test_array_evaluation_matches_single_points_bit_for_bit(half):
-    g, h = half()
+def _batch_points(g):
+    """Points on the covered ray at nodes and between them, and off it."""
     u = g.direction.unit()
     on_nodes = np.exp(g.nodes[[1, 5, g.count // 2, g.count - 2]]) * u
     between = np.exp(0.5 * (g.nodes[[1, 40, 77]] + g.nodes[[2, 41, 78]])) * u
     off = np.array([0.4 + 1.1j, -2.0 + 0.3j, 0.05j, 30.0 * u * 1j,
                     math.exp(g.half_width + 1.0) * u])
-    cases = [("off", off)] + [(side, np.concatenate([on_nodes, between]))
-                              for side in ("plus", "minus")]
-    for side, pts in cases:
-        batched = integrate_ray(g, h, pts, side=side)
-        single = np.array([integrate_ray(g, h, complex(z), side=side) for z in pts])
-        assert batched.shape == pts.shape
-        assert np.array_equal(batched, single), side
+    return np.concatenate([on_nodes, off[:2], between, off[2:]])
 
 
-def test_array_with_one_bad_point_raises_like_the_single_point():
-    g, h = _rh_half()
-    u = g.direction.unit()
-    good = np.array([0.4 + 1.1j, -2.0 + 0.3j])
-    on_ray = 1.3 * u
-    for side, bad, fine in (("off", on_ray, good),
-                            ("plus", 0.4 + 1.1j, np.array([0.7 * u, 1.9 * u]))):
-        with pytest.raises(SingularKernelError) as single:
-            integrate_ray(g, h, bad, side=side)
-        with pytest.raises(SingularKernelError) as batched:
-            integrate_ray(g, h, np.concatenate([fine[:1], [bad], fine[1:]]), side=side)
-        assert str(batched.value) == str(single.value)
+@pytest.mark.parametrize("half", [_rh_half, _scalar_half], ids=["rh", "scalar"])
+def test_array_evaluation_matches_single_points_bit_for_bit(half):
+    g, h = half()
+    pts = _batch_points(g)
+    batched = np.array(integrate_ray(g, h, pts))
+    single = np.array([integrate_ray(g, h, complex(z)) for z in pts]).T
+    assert batched.shape == (2, len(pts))
+    assert np.array_equal(batched, single)
 
 
 @pytest.mark.parametrize("half", [_rh_half, _scalar_half], ids=["rh", "scalar"])
@@ -246,22 +247,16 @@ def test_stacked_densities_match_single_densities_bit_for_bit(half):
     g, h = half()
     stack = np.stack([h, (0.3 - 1.1j) * h[::-1], h.conj()])
     strided = np.ascontiguousarray(stack.T).T  # rows as evaluate_theta passes them
-    u = g.direction.unit()
-    on_nodes = np.exp(g.nodes[[1, 5, g.count // 2, g.count - 2]]) * u
-    between = np.exp(0.5 * (g.nodes[[1, 40, 77]] + g.nodes[[2, 41, 78]])) * u
-    off = np.array([0.4 + 1.1j, -2.0 + 0.3j, 0.05j, 30.0 * u * 1j,
-                    math.exp(g.half_width + 1.0) * u])
-    cases = [("off", off)] + [(side, np.concatenate([on_nodes, between]))
-                              for side in ("plus", "minus")]
-    for side, pts in cases:
-        single = np.array([integrate_ray(g, row, pts, side=side) for row in stack])
-        for values in (stack, strided):
-            batched = integrate_ray(g, values, pts, side=side)
-            assert batched.shape == (3, len(pts))
-            assert np.array_equal(batched, single), side
-        one_point = integrate_ray(g, stack, complex(pts[1]), side=side)
-        assert one_point.shape == (3,)
-        assert np.array_equal(one_point, single[:, 1]), side
+    pts = _batch_points(g)
+    single = np.array([integrate_ray(g, row, pts) for row in stack]).swapaxes(0, 1)
+    for values in (stack, strided):
+        batched = np.array(integrate_ray(g, values, pts))
+        assert batched.shape == (2, 3, len(pts))
+        assert np.array_equal(batched, single)
+    for k in (1, 5):  # on the ray and off it
+        one_point = np.array(integrate_ray(g, stack, complex(pts[k])))
+        assert one_point.shape == (2, 3)
+        assert np.array_equal(one_point, single[:, :, k])
 
 
 def _dense_off_ray(g, values, zeta):
@@ -288,9 +283,9 @@ def test_opposite_ray_matches_the_complex_kernel(half):
     pts = _opposite_points(g)
     assert np.all(on_opposite_ray(g, pts))
     for values in (h, np.stack([h, (0.3 - 1.1j) * h[::-1]])):
-        got = np.atleast_2d(integrate_ray(g, values, pts))
         want, scale = _dense_off_ray(g, values, pts)
-        assert np.max(np.abs(got - want) / scale) <= 1e-15
+        for got in integrate_ray(g, values, pts):
+            assert np.max(np.abs(np.atleast_2d(got) - want) / scale) <= 1e-15
 
 
 @pytest.mark.parametrize("half", [_rh_half, _scalar_half], ids=["rh", "scalar"])
@@ -300,12 +295,21 @@ def test_opposite_and_generic_points_in_one_batch_match_single_points_bit_for_bi
     opposite = _opposite_points(g)
     generic = np.array([0.4 + 1.1j, -2.0 + 0.3j, 30.0 * u * 1j,
                         math.exp(g.half_width + 1.0) * u])
-    pts = np.concatenate([opposite[:4], generic[:2], opposite[4:], generic[2:]])
+    c = g.count // 2
+    covered = np.exp(np.array([g.nodes[c - 5], 0.5 * (g.nodes[c + 7] + g.nodes[c + 8])])) * u
+    pts = np.concatenate([opposite[:4], covered[:1], generic[:2], opposite[4:],
+                          covered[1:], generic[2:]])
+    on = on_covered_ray(g, pts)
+    assert on.sum() == 2
     stack = np.stack([h, (0.3 - 1.1j) * h[::-1]])
     for values in (h, stack):
-        batched = integrate_ray(g, values, pts)
-        single = np.stack([integrate_ray(g, values, complex(z)) for z in pts], axis=-1)
-        assert np.array_equal(batched, single)
+        plus, minus = integrate_ray(g, values, pts)
+        for batched, single in ((plus, [integrate_ray(g, values, complex(z))[0] for z in pts]),
+                                (minus, [integrate_ray(g, values, complex(z))[1] for z in pts])):
+            assert np.array_equal(batched, np.stack(single, axis=-1))
+        # one value off the covered ray, two limits on it
+        assert np.array_equal(plus[..., ~on], minus[..., ~on])
+        assert np.all(plus[..., on] != minus[..., on])
 
 
 @pytest.mark.parametrize("half", [_rh_half, _scalar_half], ids=["rh", "scalar"])
@@ -314,11 +318,11 @@ def test_a_point_just_off_the_opposite_ray_keeps_the_complex_kernel(half):
     on = _opposite_points(g)[[2, 5]]
     near = on * cmath.exp(1e-6j)
     assert not np.any(on_opposite_ray(g, near))
-    got = integrate_ray(g, h, near)
+    got, _ = integrate_ray(g, h, near)
     want, scale = _dense_off_ray(g, h, near)
     assert np.max(np.abs(got - want[0]) / scale[0]) <= 1e-15
     # the rotation is resolved, not snapped onto the opposite ray
-    assert np.min(np.abs(got - integrate_ray(g, h, on)) / scale[0]) > 1e-10
+    assert np.min(np.abs(got - integrate_ray(g, h, on)[0]) / scale[0]) > 1e-10
 
 
 def test_stacked_densities_on_a_different_grid_are_rejected():
@@ -326,22 +330,6 @@ def test_stacked_densities_on_a_different_grid_are_rejected():
     for bad in (np.stack([h[:-1], h[:-1]]), h[None, None, :]):
         with pytest.raises(ValueError, match="different grid"):
             integrate_ray(g, bad, 0.4 + 1.1j)
-
-
-@pytest.mark.parametrize("half", [_rh_half, _scalar_half], ids=["rh", "scalar"])
-def test_both_limits_come_from_one_pass_bit_for_bit(half):
-    # pv +/- 2 pi i h*: the single sides are the elements of the pair
-    g, h = half()
-    u = g.direction.unit()
-    pts = np.exp(np.concatenate([g.nodes[[1, 5, g.count // 2]],
-                                 0.5 * (g.nodes[[1, 40]] + g.nodes[[2, 41]])])) * u
-    for values in (h, np.stack([h, h.conj()])):
-        for zeta in (pts, complex(pts[3])):
-            plus, minus = integrate_ray(g, values, zeta, side="both")
-            assert np.array_equal(plus, integrate_ray(g, values, zeta, side="plus"))
-            assert np.array_equal(minus, integrate_ray(g, values, zeta, side="minus"))
-    with pytest.raises(ValueError, match="side"):
-        integrate_ray(g, h, pts, side="left")
 
 
 def test_band_limited_limits_are_one_rule_at_nodes_and_midpoints():

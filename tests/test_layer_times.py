@@ -63,6 +63,18 @@ def test_scalar_cases_are_summarized_by_their_own_layers():
     assert case["boundary_values"]["tree"]["min"] == 2.0
 
 
+def test_prepared_sides_hold_compiled_bytecode(tmp_path):
+    # a run under PYTHONDONTWRITEBYTECODE=1 loads these instead of compiling
+    # the source, so its peak RSS does not read the source's size
+    sides = layer_times.make_sides(tmp_path, "HEAD")
+    assert sorted(sides) == ["base", "tree"]
+    for side in sides.values():
+        sources = [p for part in ("src", "bench") for p in (side / part).rglob("*.py")]
+        assert any(p.name == "rh_solver.py" for p in sources)
+        for source in sources:
+            assert Path(importlib.util.cache_from_source(str(source))).is_file(), source
+
+
 def test_fixed_ops_run_through_the_benchmarks_own_op_runner():
     # a fresh interpreter, as the tool runs it: bench/run.py re-imports rhflow
     proc = subprocess.run([sys.executable, str(ROOT / "tools" / "layer_times.py"),

@@ -275,7 +275,7 @@ def test_stored_nodes_are_minus_side_values():
     for kw in (dict(R=8.0, M=128), dict(R=1.0, M=128), dict(R=0.3, M=64)):
         state, _ = solve(pentagon_cfg(**kw))
         for side, values in ((+1, state.values), (-1, state.values[::-1].conj())):
-            th = evaluate_theta(state, state.problem.grids[side].points(), side="minus")
+            th = evaluate_theta(state, state.problem.grids[side].points())[1]
             for k in (0, 1):
                 err = np.max(np.abs(th[k] - values[:, k]))
                 assert err <= 1e-12, (kw, side, k)
@@ -287,7 +287,7 @@ def test_end_nodes_count_as_on_the_ray():
     state, _ = solve(pentagon_cfg(R=8.0, M=128))
     for side in (+1, -1):
         grid = state.problem.grids[side]
-        evaluate_theta(state, grid.points(), side="both")
+        evaluate_theta(state, grid.points())
         assert np.all(on_covered_ray(grid, grid.points()[[0, -1]]))
 
 
@@ -506,11 +506,12 @@ def test_evaluate_theta_on_an_array_matches_single_points_bit_for_bit():
     g = state.problem.grids[+1]
     on_r = np.exp(np.array([g.nodes[9], 0.5 * (g.nodes[30] + g.nodes[31])])) * g.direction.unit()
     pts = np.concatenate([[0.4 + 1.1j, -2.0 + 0.3j], on_r, -on_r])
-    for side in ("plus", "minus"):
-        batched = evaluate_theta(state, pts, side=side)
-        single = [evaluate_theta(state, complex(z), side=side) for z in pts]
+    batched = evaluate_theta(state, pts)
+    single = [evaluate_theta(state, complex(z)) for z in pts]
+    for limit in (0, 1):  # plus, minus
         for k in (0, 1):
-            assert np.array_equal(batched[k], np.array([t[k] for t in single])), side
+            assert np.array_equal(batched[limit][k],
+                                  np.array([t[limit][k] for t in single])), limit
 
 
 def test_verify_calls_no_evaluate_theta(monkeypatch):
@@ -669,7 +670,7 @@ def exact_jump_residual(state) -> float:
     worst = 0.0
     for side in (+1, -1):
         mids = ray_midpoints(state, side)
-        plus, minus = evaluate_theta(state, mids, side="both")
+        plus, minus = evaluate_theta(state, mids)
         y_plus = basis_Y(state, mids, np.stack(plus, axis=1))
         predicted, _ = ks_product(state, side, basis_Y(state, mids, np.stack(minus, axis=1)))
         worst = max(worst, float(np.max(np.abs(predicted - y_plus) / np.abs(y_plus))))
@@ -696,7 +697,7 @@ def test_midpoint_limits_match_the_dense_limits(M):
     assert limits.shape == (2, 2, 2, M - 1)
     pick = np.arange(0, M - 1, 1 if M < 2048 else 7)
     for ray, side in enumerate((+1, -1)):
-        dense = np.array(evaluate_theta(state, ray_midpoints(state, side)[pick], side="both"))
+        dense = np.array(evaluate_theta(state, ray_midpoints(state, side)[pick]))
         assert np.max(np.abs(limits[:, ray][..., pick] - dense)) <= 1e-14
         # the two limits differ: the midpoints see the jump
         assert np.max(np.abs(dense[0] - dense[1])) > 1e-3
@@ -739,19 +740,18 @@ def test_prepared_keeps_no_square_array():
     assert sizes and max(sizes) < M * M
 
 
-def test_evaluate_theta_both_sides_match_the_single_sides_bit_for_bit():
+def test_evaluate_theta_pair_is_one_value_off_the_contour():
+    # the two limits differ at the midpoints of r and coincide, bit for bit,
+    # off the contour, in a batch and at a single point
     state, _ = solve(pentagon_cfg(R=1.0))
     g = state.problem.grids[+1]
     mids = np.exp(0.5 * (g.nodes[[3, 40, 77]] + g.nodes[[4, 41, 78]])) * g.direction.unit()
-    pts = np.concatenate([mids, [0.4 + 1.1j, -2.0 + 0.3j]])
-    for zeta in (pts, complex(pts[1]), complex(pts[4])):
-        plus, minus = evaluate_theta(state, zeta, side="both")
-        for side, pair in (("plus", plus), ("minus", minus)):
-            single = evaluate_theta(state, zeta, side=side)
-            assert all(np.array_equal(a, b) for a, b in zip(pair, single)), side
-    for bad in ("left", "auto"):
-        with pytest.raises(ValueError, match="side"):
-            evaluate_theta(state, pts, side=bad)
+    plus, minus = evaluate_theta(state, np.concatenate([mids, [0.4 + 1.1j, -2.0 + 0.3j]]))
+    for k in (0, 1):
+        assert np.all(plus[k][:3] != minus[k][:3])
+        assert np.array_equal(plus[k][3:], minus[k][3:])
+    plus, minus = evaluate_theta(state, -2.0 + 0.3j)
+    assert plus == minus
 
 
 # ---------------- one ray iterated, the other by the reality involution ----------------
@@ -886,7 +886,7 @@ def test_reality_rays_are_theta_at_their_points(kw):
     assert np.allclose(phases[:, 1] - phases[:, 0], math.pi)
     assert min(abs(math.remainder(p - r, math.pi)) for p in phases.ravel()) >= 0.15
     pts = np.exp(state.problem.grids[+1].nodes) * np.exp(1j * phases[..., None])
-    want = np.stack(evaluate_theta(state, pts.ravel()))
+    want = np.stack(evaluate_theta(state, pts.ravel())[1])
     got = np.moveaxis(values, 2, 0).reshape(2, -1)
     assert np.max(np.abs(got - want)) <= 1e-14
     assert np.max(np.abs(values - np.array(state.cfg.theta)[:, None])) > 1e-3

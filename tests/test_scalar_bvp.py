@@ -109,7 +109,8 @@ def test_manufactured_limits_recover_eta():
 def test_trivial_jump_gives_unit_solution():
     sol = solve_continuous(lambda t: 1.0 + 0j, 0.0, half_width=5.0, M=128)
     for z in (0.5j, -0.7j, 2.0 + 1.0j):
-        assert sol(z) == pytest.approx(1.0, abs=1e-12)
+        yp, ym = sol(z)
+        assert yp == ym == pytest.approx(1.0, abs=1e-12)
 
 
 def test_continuous_boundary_ratio():
@@ -117,8 +118,7 @@ def test_continuous_boundary_ratio():
     G1 = lambda t: np.exp(bump(t))
     sol = solve_continuous(G1, 0.0, half_width=7.0, M=512)
     for t in (0.3, 1.7, -0.9, -4.0, 12.0):
-        yp = sol(p.contour_point(t), side="plus")
-        ym = sol(p.contour_point(t), side="minus")
+        yp, ym = sol(p.contour_point(t))
         assert yp / ym == pytest.approx(G1(t), rel=1e-8)
 
 
@@ -142,8 +142,7 @@ def test_opposite_constant_tails_are_handled():
     G1 = lambda t: np.exp(0.3 * np.tanh(np.log(np.abs(t))) + 0j)
     sol = solve_continuous(G1, 0.0, half_width=16.0, M=1024)
     for t in (0.5, 2.0, -1.3):
-        yp = sol(p.contour_point(t), side="plus")
-        ym = sol(p.contour_point(t), side="minus")
+        yp, ym = sol(p.contour_point(t))
         assert yp / ym == pytest.approx(G1(t), rel=1e-6)
 
 
@@ -342,9 +341,6 @@ def test_one_pass_boundary_values_equal_x_plus_and_x_minus_bit_for_bit():
     xp, xm = sol.boundary_values(zs)
     assert np.array_equal(xp, sol.x_plus(zs))
     assert np.array_equal(xm, sol.x_minus(zs))
-    yp, ym = sol.continuous(zs, "both")
-    assert np.array_equal(yp, sol.continuous(zs, "plus"))
-    assert np.array_equal(ym, sol.continuous(zs, "minus"))
 
 
 def test_one_pass_side_values_equal_x_plus_and_x_minus_bit_for_bit():
@@ -413,18 +409,21 @@ def test_uniqueness_grid_is_set_by_the_tails_not_the_step(eta0, zeros):
 
 
 def test_solution_skips_empty_point_sets(monkeypatch):
-    import rhflow.scalar_bvp as sb
+    # one integrate_ray call per half of the line, each rule applied only
+    # to the points that take it
+    import rhflow.contour_quadrature as cq
     sol = solve_scalar_bvp(manufactured(0.25), M=128)
     calls = []
-    original = sb.integrate_ray
+    for name in ("_covered_ray_limits", "_opposite_ray_sums", "_off_ray_sums"):
+        original = getattr(cq, name)
 
-    def counting(*args, **kwargs):
-        calls.append(kwargs.get("side"))
-        return original(*args, **kwargs)
+        def counting(grid, rows, zs, _name=name, _original=original):
+            calls.append((_name, len(zs)))
+            return _original(grid, rows, zs)
 
-    monkeypatch.setattr(sb, "integrate_ray", counting)
+        monkeypatch.setattr(cq, name, counting)
     sol.x_plus(np.array([0.5j, 1.0 + 2.0j]))          # off the contour only
-    assert calls == ["off", "off"]
+    assert calls == [("_off_ray_sums", 2)] * 2
     calls.clear()
     sol.boundary_values(np.array([0.5, 2.0]))            # on the positive half only
-    assert calls == ["both", "off"]
+    assert calls == [("_covered_ray_limits", 2), ("_opposite_ray_sums", 2)]

@@ -169,7 +169,7 @@ def test_off_node_limits_match_a_fine_reference(R):
     s = np.random.default_rng(14).uniform(nodes[M // 4], nodes[3 * M // 4], 12)
     for side in (+1, -1):
         zeta = np.exp(s) * state.problem.rays[side].unit()
-        plus, minus = evaluate_theta(state, zeta, side="both")
+        plus, minus = evaluate_theta(state, zeta)
         integrals, h = _reference(state, side, s)
         for sign, got in ((+1, plus[1]), (-1, minus[1])):
             want = THETA[1] - (integrals + sign * 2j * math.pi * h) / (4.0 * math.pi)

@@ -34,7 +34,7 @@ ORIENTATIONS = {
 def theta_at(spectrum: Spectrum, Z: CentralCharge, a: float) -> tuple:
     cfg = SolverConfig(R=0.5, a=a, theta=(0.7, 1.3), spectrum=spectrum, Z=Z,
                        M=256, max_iter=100)
-    return evaluate_theta(solve(cfg)[0], ZETA)
+    return evaluate_theta(solve(cfg)[0], ZETA)[1]
 
 
 def gap(Z: CentralCharge, a_pentagon: float) -> float:

@@ -32,7 +32,11 @@ minimum of all its samples, with the number of rounds the tree won (round
 i of each side is a pair).
 
 Both sides run from fresh directories: a `git archive` of the base and a
-copy of the working tree's files (tracked or untracked, not ignored).
+copy of the working tree's files (tracked or untracked, not ignored), each
+with its `src` and `bench` compiled to bytecode before any run.  A run
+under PYTHONDONTWRITEBYTECODE=1 would otherwise compile every module
+afresh, and the compiler's freed memory stays in its peak RSS, which then
+reads the size of the source rather than what the run keeps.
 
 End to end: for each `--workload`, `bench/run.py --trace 0` runs from both
 for BENCHMARK.json's `run_seconds`, PAIRS pairs at seeds 41, 42, ..., the
@@ -50,6 +54,7 @@ largest gate residual and the peak RSS after them.
 from __future__ import annotations
 
 import argparse
+import compileall
 import dataclasses
 import io
 import json
@@ -286,6 +291,31 @@ def end_to_end(sides: dict[str, Path], workload: str) -> dict:
             "fixed_ops": {"seed": seeds[0], "ops": count, **fixed}}
 
 
+def make_sides(tmp: Path, sha: str) -> dict[str, Path]:
+    """The base (a git archive of sha) and the tree (a copy of the working
+    tree's tracked and untracked, not ignored files) under tmp, each with
+    its src and bench compiled to bytecode."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", sha],
+                             capture_output=True, check=True).stdout
+    # the tree runs from a copy too: run from the checkout, the same code
+    # read 0.1-0.2 MiB more peak RSS than from a fresh directory
+    files = subprocess.run(["git", "-C", str(ROOT), "ls-files", "-z", "--cached", "--others",
+                            "--exclude-standard"], capture_output=True, text=True,
+                           check=True).stdout.split("\0")
+    sides = {"base": tmp / "base", "tree": tmp / "tree"}
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(sides["base"], filter="data")
+    for name in files:
+        if (ROOT / name).is_file():  # not deleted in the working tree
+            (sides["tree"] / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, sides["tree"] / name)
+    for side in sides.values():
+        for part in ("src", "bench"):
+            if not compileall.compile_dir(side / part, quiet=1):
+                raise RuntimeError(f"cannot compile {side / part}")
+    return sides
+
+
 def environment() -> dict:
     import numpy as np
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -313,21 +343,8 @@ def main(argv=None) -> int:
         parser.error("--out is required")
     sha = subprocess.run(["git", "-C", str(ROOT), "rev-parse", args.base],
                          capture_output=True, text=True, check=True).stdout.strip()
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", sha],
-                             capture_output=True, check=True).stdout
-    # the tree runs from a copy too: run from the checkout, the same code
-    # read 0.1-0.2 MiB more peak RSS than from a fresh directory
-    files = subprocess.run(["git", "-C", str(ROOT), "ls-files", "-z", "--cached", "--others",
-                            "--exclude-standard"], capture_output=True, text=True,
-                           check=True).stdout.split("\0")
     with tempfile.TemporaryDirectory(prefix="layer-times-") as tmp:
-        sides = {"base": Path(tmp) / "base", "tree": Path(tmp) / "tree"}
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(sides["base"], filter="data")
-        for name in files:
-            if (ROOT / name).is_file():  # not deleted in the working tree
-                (sides["tree"] / name).parent.mkdir(parents=True, exist_ok=True)
-                shutil.copy2(ROOT / name, sides["tree"] / name)
+        sides = make_sides(Path(tmp), sha)
         record = {"base": sha, "tree": "working tree", "environment": environment(),
                   "cases": "pentagon, support constant 0.9, Z = (1, i), a = 0, "
                            "theta = (0.7, 1.3), tol 1e-12, max_iter 100",
