@@ -305,8 +305,8 @@ def deform_to_bps_ray(zeta: complex, from_dir: RayDirection, to_grid: RayGrid,
     Returns the integral along the target grid's ray and whether the kernel
     pole at zeta was crossed, in which case the caller owes the residue
     term sweep_sign * 4 pi i * h(zeta).  A zeta on the target ray is not
-    crossed: the integral there is the boundary value from the side the
-    sweep comes from, the clockwise ("minus") one for a counterclockwise
+    crossed: the integral there is the limit from the side outside the
+    swept sector, the counterclockwise ("plus") one for a counterclockwise
     sweep.
     """
     to_dir = to_grid.direction
@@ -314,5 +314,5 @@ def deform_to_bps_ray(zeta: complex, from_dir: RayDirection, to_grid: RayGrid,
         raise ValueError("rays are anti-parallel; the swept sector is ambiguous")
     h = np.array([h_analytic(z) for z in to_grid.points()], dtype=complex)
     plus, minus = integrate_ray(to_grid, h, zeta)
-    integral = minus if sweep_sign(from_dir, to_dir) > 0 else plus
+    integral = plus if sweep_sign(from_dir, to_dir) > 0 else minus
     return integral, in_swept_sector(zeta, from_dir, to_dir)
