@@ -12,18 +12,17 @@ import math
 
 import numpy as np
 
-from rhflow.scalar_bvp import (ScalarBVProblem, point_or_array, regularizing_factor,
-                               solve_scalar_bvp, verify_uniqueness, zero_factor)
+from rhflow.scalar_bvp import (ScalarBVProblem, regularizing_factor, solve_scalar_bvp,
+                               verify_uniqueness, zero_factor)
 
 ETA0 = 0.25
 ZEROS = ((0.8, 2),)
 probe = ScalarBVProblem(0.0, lambda t: 1.0, (1, 1, 1, 1), zeros=ZEROS, zeta0=1.5j)
 
 
-@point_or_array
 def G(t):
-    """The jump at one contour coordinate or at an array of them: a smooth
-    bump, the double zero and the branch factor."""
+    """The jump at a 1-D array of contour coordinates: a smooth bump, the
+    double zero and the branch factor."""
     with np.errstate(divide="ignore"):  # t = 0: the bump is 0 there
         s = np.log(np.abs(t))
     zeta = probe.contour_point(t)
@@ -31,8 +30,8 @@ def G(t):
             / regularizing_factor(probe, ETA0, zeta))
 
 
-eps = 1e-9
-p = ScalarBVProblem(0.0, G, (G(-eps), G(eps), 1.0, cmath.exp(2j * math.pi * ETA0)),
+g0m, g0p = G(np.array([-1e-9, 1e-9])).tolist()  # the one-sided limits at 0
+p = ScalarBVProblem(0.0, G, (g0m, g0p, 1.0, cmath.exp(2j * math.pi * ETA0)),
                     zeros=ZEROS, zeta0=1.5j)
 sol = solve_scalar_bvp(p)
 print(f"branch exponent eta0 = {sol.eta0:.9f}, index = {sol.kappa}")
@@ -44,10 +43,9 @@ print(f"boundary residual over {len(ts)} contour samples: "
       f"{sol.boundary_residual(ts):.3e}")
 
 print("\nbehavior at the double zero on the contour:")
-for j in range(4):
-    z = 0.8 + j * 1e-3
-    print(f"  X+({z:.4f}) = {abs(sol.x_plus(z)):.6e}"
-          f"    X-({z:.4f}) = {abs(sol.x_minus(z)):.6e}")
+zs = 0.8 + 1e-3 * np.arange(4)
+for z, xp, xm in zip(zs, *sol(zs)):
+    print(f"  X+({z:.4f}) = {abs(xp):.6e}    X-({z:.4f}) = {abs(xm):.6e}")
 print("X+ vanishes quadratically, X- stays away from zero.")
 
 dev = verify_uniqueness(p, 0.7j)

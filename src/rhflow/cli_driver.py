@@ -27,8 +27,8 @@ from .contour_quadrature import (build_ray_grid, deform_to_bps_ray, in_swept_sec
 from .errors import ConfigError, NoAdmissibleRayError, RHFlowError
 from .rh_solver import SolverConfig, smoothness_probe, solve, verify
 from .saddle_asymptotics import compare, saddle_point
-from .scalar_bvp import (ScalarBVProblem, point_or_array, regularizing_factor,
-                         solve_scalar_bvp, verify_uniqueness, zero_factor)
+from .scalar_bvp import (ScalarBVProblem, regularizing_factor, solve_scalar_bvp,
+                         verify_uniqueness, zero_factor)
 from .spectrum_rays import (EPS_ANGLE, CentralCharge, admissible_pair, bps_ray,
                             semiflat)
 from .stokes_series import pentagon_coeff
@@ -50,10 +50,12 @@ def fmt_column(values: np.ndarray) -> list[str]:
 
 def _number(kind, value, where: str):
     """kind(value), with a wrongly typed value reported as a ConfigError.
-    For kind int a boolean or a fractional number is one too, where int()
-    would truncate it; an integral float such as 128.0 is taken."""
-    if kind is int and (isinstance(value, bool) or
-                        (isinstance(value, float) and not value.is_integer())):
+    A JSON boolean is one for every kind, where kind() would take it as 0
+    or 1; for kind int a fractional number is one too, where int() would
+    truncate it, while an integral float such as 128.0 is taken."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{where}: {value!r} is not a number")
+    if kind is int and isinstance(value, float) and not value.is_integer():
         raise ConfigError(f"{where}: {value!r} is not an integer")
     try:
         return kind(value)
@@ -293,6 +295,8 @@ def _cmd_saddle_check(rc: RunConfig, out: Path) -> None:
     gamma = _charge(sd.get("gamma", [1, 0]), "saddle.gamma")
     r_values = [_positive(r, "saddle.R_values")
                 for r in _list(sd.get("R_values", [4.0, 16.0, 64.0]), "saddle.R_values")]
+    if not r_values:
+        raise ConfigError("saddle.R_values must not be empty")
     cfg = rc.solver
     z0 = saddle_point(cfg.Z.of(gamma, cfg.a))
     factor = _complex(sd.get("zeta_factor", [2.0, 0.0]), "saddle.zeta_factor")
@@ -394,7 +398,6 @@ def _scalar_problem(section: dict) -> ScalarBVProblem:
         probe = ScalarBVProblem(phase, lambda t: 1.0, (1, 1, 1, 1),
                                 zeros=zeros, zeta0=zeta0)
 
-        @point_or_array
         def G(t):
             with np.errstate(divide="ignore"):  # t = 0: the bump is 0 there
                 s = np.log(np.abs(t))
@@ -402,8 +405,8 @@ def _scalar_problem(section: dict) -> ScalarBVProblem:
             return (np.exp(amp * np.exp(-0.5 * s * s)) * zero_factor(probe, zeta)
                     / regularizing_factor(probe, eta0, zeta))
 
-        eps = 1e-9
-        limits = (G(-eps), G(eps), 1.0 + 0j, cmath.exp(2j * math.pi * eta0))
+        g0m, g0p = G(np.array([-1e-9, 1e-9])).tolist()
+        limits = (g0m, g0p, 1.0 + 0j, cmath.exp(2j * math.pi * eta0))
         return ScalarBVProblem(phase, G, limits, zeros=zeros, zeta0=zeta0)
     if kind == "sampled":
         ts = [_number(float, t, "scalar.jump.t")
@@ -417,7 +420,6 @@ def _scalar_problem(section: dict) -> ScalarBVProblem:
         ts_a = np.array(ts)[order]
         vals_a = np.array(vals)[order]
 
-        @point_or_array
         def G(t):
             return np.interp(t, ts_a, vals_a)
 

@@ -41,13 +41,13 @@ its limits at 0 and infinity (state.limits), so verify repeats neither.
 
 The densities use the split of the semiflat exponential
 X_g = exp(pi R (Z_g / zeta + zeta conj Z_g) + i c_g . Theta): the theta-free
-problem stores the first exponent of every side's charges at the nodes of
-its own ray (side +1's for the Picard step, both for truncation_guard's one
-exp per side), and _SideMap.log runs the side's factor chain, compiled once
-into a plan of in-place ufunc steps: one exp per node and active charge,
-then one log1p over the whole stack.  A Picard step forms side +1's density
-only, in its solve's scratch (ThetaState), so it allocates only the new
-values.
+problem stores the first exponent of side +1's charges at the nodes of r
+(for the Picard step and for truncation_guard's one exp, which the mirror
+makes enough for -r too), and _SideMap.log runs the side's factor chain,
+compiled once into a plan of in-place ufunc steps: one exp per node and
+active charge, then one log1p over the whole stack.  A Picard step forms
+side +1's density only, in its solve's scratch (ThetaState), so it
+allocates only the new values.
 
 At the nodes the ray integrals are two Toeplitz kernels times the weights:
 c_same, the coth kernel of a ray on itself by the alternating-point rule
@@ -231,8 +231,8 @@ class _SideMap:
 class _ThetaFree:
     """Everything of a problem that theta does not enter: the contour rays
     and their classification, the side maps, the grids, each side's
-    theta-free exponents at its own ray's nodes (side +1's for the Picard
-    step, both for truncation_guard) and at its midpoints (check_jump's),
+    theta-free exponents at its midpoints (check_jump's) and side +1's at
+    the nodes of r (the Picard step's and truncation_guard's),
     truncation_guard's charge order, the node operator's spectra and
     weights, and midpoint_limits' and reality_rays' spectra.  Built once
     per (R, a, spectrum, Z, M, target_tail, split_phase) by theta_free_problem and shared by every
@@ -270,20 +270,16 @@ class _ThetaFree:
             {side: build_ray_grid(self.rays[side], decay, M, target_tail)
              for side in (+1, -1)})
 
-        # the theta-free exponents pi R (Z_g / zeta + zeta conj Z_g) of each
-        # side's active charges at the nodes of its own ray, one row per
-        # charge in its side map's order: side +1's for every Picard step,
-        # both for truncation_guard
-        self.static = MappingProxyType(
-            {side: _static_exponents(R, self.maps[side].central[:, None],
-                                     self.grids[side].points())
-             for side in (+1, -1)})
+        # the theta-free exponents pi R (Z_g / zeta + zeta conj Z_g) of side
+        # +1's active charges at the nodes of r, one row per charge in its
+        # side map's order, for every Picard step and for truncation_guard
+        self.static = _static_exponents(R, self.maps[+1].central[:, None],
+                                        self.grids[+1].points())
 
-        # truncation_guard's order: each side's rows in spectrum order
+        # truncation_guard's order: side +1's rows in spectrum order
         rank = {g: i for i, (g, _) in enumerate(spectrum.active())}
-        self.guard_rows = MappingProxyType(
-            {side: tuple(sorted(range(len(m.charges)), key=lambda i: rank[m.charges[i][0]]))
-             for side, m in self.maps.items()})
+        charges = self.maps[+1].charges
+        self.guard_rows = tuple(sorted(range(len(charges)), key=lambda i: rank[charges[i][0]]))
 
         # check_jump's: each side's theta-free exponents at the M - 1
         # midpoints e^{(s_i + s_{i+1})/2} of its own ray
@@ -333,7 +329,7 @@ class _ThetaFree:
         num, den = e + rho, e - rho
         self.reality_spectra = _circulant_fft(np.stack([num / den, den / num], axis=1))
 
-        for arr in (*self.static.values(), *self.mid_static.values(), self.spectra,
+        for arr in (self.static, *self.mid_static.values(), self.spectra,
                     self.mid_spectra, self.reality_spectra,
                     *(x for m in self.maps.values() for x in (m.central, m.coords, *m.icoords)),
                     *(x for g in self.grids.values() for x in (g.nodes, g.weights))):
@@ -344,7 +340,7 @@ class _ThetaFree:
         values of Theta on r (shape (M, 2)): side +1's by its side map, side
         -1's, on -r, as the involution image -conj(h_{+1}[::-1])."""
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # see log
-            h = self.maps[+1].log(self.static[+1], ray)
+            h = self.maps[+1].log(self.static, ray)
         return {+1: h, -1: -h[::-1].conj()}
 
     def node_transforms(self, h: np.ndarray,
@@ -477,7 +473,7 @@ def iterate_once(state: ThetaState) -> ThetaState:
     left to verify and the limits.  It works in the state's scratch, which
     the new state shares; its values are a fresh array."""
     problem, work = state.problem, state._scratch
-    h = problem.maps[+1].log(problem.static[+1], state.values, work.log)
+    h = problem.maps[+1].log(problem.static, state.values, work.log)
     stored = np.multiply(2j * math.pi, h.T, out=work.rows)
     np.subtract(problem.node_transforms(h, work.fft).T, stored, out=stored)  # the clockwise limit
     stored /= FOUR_PI
@@ -611,21 +607,24 @@ def truncation_guard(state: ThetaState) -> None:
     the nodes of its own jump ray: the log series of the jump map across
     that ray (stokes_series) converges only for |Y_g| < 1, and solutions are
     kept inside that domain, where the exact log the solver iterates is its
-    sum.  One exp over each side's (charges, M) stack; the charge named is
-    the first failing one in spectrum order, side +1 first."""
+    sum.  The check runs on r alone: -r's values are r's image under the
+    reality involution zeta -> -1/conj zeta, which sends node j of r to node
+    M - 1 - j of -r and side +1's charges g to side -1's -g, with |Y_{-g}|
+    there equal to |Y_g| at node j of r.  One exp over side +1's
+    (charges, M) stack; the charge named is the first failing one in
+    spectrum order."""
     problem = state.problem
-    for side, ray in ((+1, state.values), (-1, state.values[::-1].conj())):
-        side_map = problem.maps[side]
-        mags = np.abs(side_map.exponentials(problem.static[side], ray))
-        if mags.max(initial=0.0) < 1.0:  # a NaN goes on to the loop, which passes it
-            continue
-        for i in problem.guard_rows[side]:
-            if np.any(mags[i] >= 1.0):
-                g = side_map.charges[i][0]
-                raise TruncationUnsafeError(
-                    f"|Y| = {mags[i].max():.3g} >= 1 for charge ({g.c1},{g.c2}) "
-                    "on its jump ray; the log series of its jump map does not converge"
-                )
+    side_map = problem.maps[+1]
+    mags = np.abs(side_map.exponentials(problem.static, state.values))
+    if mags.max(initial=0.0) < 1.0:  # a NaN goes on to the loop, which passes it
+        return
+    for i in problem.guard_rows:
+        if np.any(mags[i] >= 1.0):
+            g = side_map.charges[i][0]
+            raise TruncationUnsafeError(
+                f"|Y| = {mags[i].max():.3g} >= 1 for charge ({g.c1},{g.c2}) "
+                "on its jump ray; the log series of its jump map does not converge"
+            )
 
 
 def check_jump(state: ThetaState) -> float:

@@ -14,18 +14,19 @@ left.  Endpoint limits are data: G(0 -/+ 0) along the orientation, and the
 "limits at infinity" are the carriers of the jump ratio there (the sampler
 itself may drift like |t|^{Re eta_0}).
 
-The jump G and every function of a point here (branch and zero factors,
-the regularized jump, the solution) take one point or a 1-D array of
-points and return a complex number or an array.  A point is evaluated as
-an array of one (point_or_array), so it gets the value it has inside any
-array bit for bit, and a solve samples its jump in one call.
+The jump G is a function of a 1-D array of contour coordinates, and the
+branch and zero factors are functions of a 1-D array of points.  A solve
+samples G and the zero factor once, at the nodes contour_nodes(half_width,
+M), and hands solve_continuous the regularized jump G1 at those nodes.  A
+solution is called at one point or a 1-D array of points and returns the
+pair (X+, X-) from one quadrature pass; a point is evaluated as an array of
+one, so it gets the value it has inside any array bit for bit.
 """
 
 from __future__ import annotations
 
 import cmath
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -39,24 +40,10 @@ from .spectrum_rays import RayDirection, _wrap
 TWO_PI = 2.0 * math.pi
 
 
-def point_or_array(fn: Callable) -> Callable:
-    """fn, written for a 1-D array of points as its last argument, made to
-    take one point as well: the point is evaluated as an array of one and
-    returned as a complex number.  numpy's scalar arithmetic rounds
-    differently from its array loops, so this is what gives a point the
-    value it has inside an array, bit for bit."""
-    @functools.wraps(fn)
-    def wrapper(*args):
-        *head, x = args
-        out = fn(*head, np.atleast_1d(x))
-        return out if np.ndim(x) else complex(out[0])
-    return wrapper
-
-
 @dataclass(frozen=True)
 class ScalarBVProblem:
     line_phase: float
-    G: Callable  # contour coordinate t (a point or a 1-D array) -> G(t)
+    G: Callable  # 1-D array of contour coordinates t -> G(t)
     limits: tuple[complex, complex, complex, complex]  # G(0-0), G(0+0), G(inf-0), G(inf+0)
     zeros: tuple[tuple[complex, int], ...] = ()
     zeta0: complex = 1.5j
@@ -117,8 +104,7 @@ def _nonzero(zeta: np.ndarray, name: str) -> np.ndarray:
     return z
 
 
-@point_or_array
-def omega_plus(p: ScalarBVProblem, eta0: complex, zeta):
+def omega_plus(p: ScalarBVProblem, eta0: complex, zeta: np.ndarray) -> np.ndarray:
     """zeta^{eta_0} with the cut along the mid-ray of D-, analytic on D+."""
     z = _nonzero(zeta, "omega+")
     # the argument relative to the line, wrapped to (-pi, pi] without
@@ -130,38 +116,24 @@ def omega_plus(p: ScalarBVProblem, eta0: complex, zeta):
     return np.exp(eta0 * (np.log(np.abs(z)) + 1j * (p.line_phase + rel)))
 
 
-@point_or_array
-def omega_minus(p: ScalarBVProblem, eta0: complex, zeta):
+def omega_minus(p: ScalarBVProblem, eta0: complex, zeta: np.ndarray) -> np.ndarray:
     """(zeta / (zeta - zeta0))^{eta_0} with the cut on the [0, zeta0] segment,
     analytic on D-."""
     z = _nonzero(zeta, "omega-")
     return np.exp(eta0 * np.log(z / (z - p.zeta0)))
 
 
-@point_or_array
-def regularizing_factor(p: ScalarBVProblem, eta0: complex, zeta):
+def regularizing_factor(p: ScalarBVProblem, eta0: complex, zeta: np.ndarray) -> np.ndarray:
     """omega- / omega+ = (zeta - zeta0)^{-eta_0} with the cut running from
     zeta0 through 0 into D-; multiplying G by it cancels both endpoint jumps."""
     return omega_minus(p, eta0, zeta) / omega_plus(p, eta0, zeta)
 
 
-@point_or_array
-def zero_factor(p: ScalarBVProblem, zeta):
+def zero_factor(p: ScalarBVProblem, zeta: np.ndarray) -> np.ndarray:
     out = np.ones(len(zeta), dtype=complex)
     for alpha, m in p.zeros:
         out *= (zeta - alpha) ** m
     return out
-
-
-def regularize(p: ScalarBVProblem, eta0: complex) -> Callable:
-    """Sampler of the continuous jump: the zero factors divided out, the
-    branch factor multiplied in.  Equal one-sided limits at 0 and at
-    infinity are the contract; they coincide across the two ends as well."""
-    @point_or_array
-    def G1(t):
-        zeta = p.contour_point(t)
-        return regularizing_factor(p, eta0, zeta) * p.G(t) / zero_factor(p, zeta)
-    return G1
 
 
 @dataclass(frozen=True)
@@ -193,19 +165,18 @@ class ContinuousSolution:
 
 
 def contour_nodes(half_width: float, M: int) -> np.ndarray:
-    """The 2M contour coordinates at which solve_continuous samples its jump,
-    in contour order (t from -inf to +inf): +-e^s at M equally spaced s on
+    """The 2M contour coordinates at which a solve samples its jump, in
+    contour order (t from -inf to +inf): +-e^s at M equally spaced s on
     [-half_width, half_width]."""
     t = np.exp(np.linspace(-half_width, half_width, M))
     return np.concatenate([-t[::-1], t])
 
 
-def solve_continuous(G1: Callable | np.ndarray, line_phase: float, half_width: float = 7.0,
+def solve_continuous(G1: np.ndarray, line_phase: float, half_width: float = 7.0,
                      M: int = 512, winding_tol: float = 0.25) -> ContinuousSolution:
     """Cauchy-transform solution of the continuous problem.
 
-    G1 is the jump as a function of the contour coordinate, sampled here in
-    one call, or its values at contour_nodes(half_width, M) already.  log G1
+    G1 holds the jump's values at contour_nodes(half_width, M).  log G1
     is tracked continuously along the oriented contour; a nonzero total
     winding is a nonzero-index configuration and is rejected.  The common
     endpoint value of log G1 is removed before the transform (it re-enters
@@ -216,10 +187,8 @@ def solve_continuous(G1: Callable | np.ndarray, line_phase: float, half_width: f
     neg = RayGrid.uniform(RayDirection(line_phase + math.pi), half_width, M)
     w = pos.weights
 
-    # G1 on both halves in contour order (a constant G1 may return one value)
-    t = contour_nodes(half_width, M)
-    ordered = np.broadcast_to(np.asarray(G1(t) if callable(G1) else G1, dtype=complex),
-                              t.shape)
+    # G1 on both halves in contour order
+    ordered = np.asarray(G1, dtype=complex)
     if np.any(ordered == 0):
         raise ConfigError("continuous jump function vanishes on the contour")
 
@@ -258,44 +227,25 @@ class ScalarSolution:
     kappa: int
     continuous: ContinuousSolution
 
-    def _plus(self, zeta: np.ndarray, y: np.ndarray) -> np.ndarray:
-        c = cmath.exp(self.continuous.endpoint_log)
-        return c * zero_factor(self.problem, zeta) * omega_plus(self.problem, self.eta0, zeta) * y
-
-    def _minus(self, zeta: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return omega_minus(self.problem, self.eta0, zeta) * y
-
-    @point_or_array
-    def x_plus(self, zeta):
-        """Solution on D+ and its boundary, at one point or at a 1-D array of
-        points; carries the zero factors."""
-        return self._plus(zeta, self.continuous(zeta)[0])
-
-    @point_or_array
-    def x_minus(self, zeta):
-        """Solution on D- and its boundary, at one point or at a 1-D array of
-        points."""
-        return self._minus(zeta, self.continuous(zeta)[1])
-
-    def boundary_values(self, zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """X+ and X- at a 1-D array of points on the covered contour, from
-        one quadrature pass; equal to x_plus and x_minus bit for bit."""
-        zs = np.atleast_1d(np.asarray(zeta, dtype=complex))
+    def __call__(self, zeta) -> tuple:
+        """(X+, X-) at one point or at a 1-D array of points, from one
+        quadrature pass: on the covered contour the boundary values from D+
+        and from D-; off it the D+ and the D- expressions at the point, of
+        which the one for the point's side is the solution there.  X+
+        carries the zero factors."""
+        z = np.asarray(zeta, dtype=complex)
+        zs = np.atleast_1d(z)
         y_plus, y_minus = self.continuous(zs)
-        return self._plus(zs, y_plus), self._minus(zs, y_minus)
-
-    def side_values(self, zeta_plus: np.ndarray,
-                    zeta_minus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """X+ at points of D+ and X- at points of D-, all off the contour,
-        from one quadrature pass; equal to x_plus and x_minus bit for bit."""
-        zp, zm = (np.atleast_1d(np.asarray(z, dtype=complex)) for z in (zeta_plus, zeta_minus))
-        y_plus, y_minus = self.continuous(np.concatenate([zp, zm]))
-        return self._plus(zp, y_plus[:len(zp)]), self._minus(zm, y_minus[len(zp):])
+        p = self.problem
+        c = cmath.exp(self.continuous.endpoint_log)
+        xp = c * zero_factor(p, zs) * omega_plus(p, self.eta0, zs) * y_plus
+        xm = omega_minus(p, self.eta0, zs) * y_minus
+        return (xp, xm) if z.ndim else (complex(xp[0]), complex(xm[0]))
 
     def boundary_residual(self, samples: np.ndarray) -> float:
         """sup over contour coordinates of |X+ - G X-| / (|X+| + |X-|)."""
         ts = np.asarray(samples, dtype=float)
-        xp, xm = self.boundary_values(self.problem.contour_point(ts))
+        xp, xm = self(self.problem.contour_point(ts))
         g = self.problem.G(ts)
         return float(np.max(np.abs(xp - g * xm) / (np.abs(xp) + np.abs(xm)), initial=0.0))
 
@@ -309,12 +259,30 @@ def _exponents(p: ScalarBVProblem) -> tuple[complex, int]:
     return eta0, index(eta0, etainf)
 
 
+def _solve_sampled(problems: list[ScalarBVProblem], half_width: float,
+                   M: int) -> list[ScalarSolution]:
+    """Each problem solved on the nodes contour_nodes(half_width, M).  The
+    problems differ at most in their base point, which only the branch
+    factor depends on: G and the zero factor are sampled once, and each
+    problem's regularized jump G1 (the zero factors divided out, the branch
+    factor multiplied in) is formed from those samples."""
+    exponents = [_exponents(q) for q in problems]
+    p = problems[0]
+    t = contour_nodes(half_width, M)
+    zeta = p.contour_point(t)
+    g, zf = p.G(t), zero_factor(p, zeta)
+    out = []
+    for q, (eta0, kappa) in zip(problems, exponents):
+        G1 = regularizing_factor(q, eta0, zeta) * g / zf
+        cont = solve_continuous(G1, q.line_phase, half_width=half_width, M=M)
+        out.append(ScalarSolution(q, eta0, kappa, cont))
+    return out
+
+
 def solve_scalar_bvp(p: ScalarBVProblem, half_width: float = 7.0,
                      M: int = 512) -> ScalarSolution:
     """Full pipeline: exponents, index, regularization, Cauchy transform."""
-    eta0, kappa = _exponents(p)
-    cont = solve_continuous(regularize(p, eta0), p.line_phase, half_width=half_width, M=M)
-    return ScalarSolution(p, eta0, kappa, cont)
+    return _solve_sampled([p], half_width, M)[0]
 
 
 def verify_uniqueness(p: ScalarBVProblem, zeta0_alt: complex,
@@ -328,27 +296,21 @@ def verify_uniqueness(p: ScalarBVProblem, zeta0_alt: complex,
     where the trapezoid sums converge geometrically in the step, so the
     tails, not the step, set the deviation, and the step can be coarse.
 
-    Both solves share one node set, and only the branch factor depends on
-    the base point: G and the zero factor are sampled once, and each
-    solution is evaluated once at all the samples.
+    Both solves share one node set (_solve_sampled), and each solution is
+    evaluated once at all 8 samples: X+ is taken at the 4 in D+ and X- at
+    the 4 in D-.
     """
     if zeta0_alt == p.zeta0:
         return 0.0
-    t = contour_nodes(half_width, M)
-    zeta = p.contour_point(t)
-    g, zf = p.G(t), zero_factor(p, zeta)
     e_up = cmath.exp(1j * (p.line_phase + 0.5 * math.pi))
     e_dn = cmath.exp(1j * (p.line_phase - 0.5 * math.pi))
-    up = np.array([0.3 * e_up, 1.7 * e_up, 0.9 * e_up * cmath.exp(0.7j),
-                   2.5 * e_up * cmath.exp(-0.5j)])
-    dn = np.array([0.4 * e_dn, 2.1 * e_dn, 1.1 * e_dn * cmath.exp(0.6j),
-                   0.7 * e_dn * cmath.exp(-0.8j)])
+    samples = np.array([0.3 * e_up, 1.7 * e_up, 0.9 * e_up * cmath.exp(0.7j),
+                        2.5 * e_up * cmath.exp(-0.5j),
+                        0.4 * e_dn, 2.1 * e_dn, 1.1 * e_dn * cmath.exp(0.6j),
+                        0.7 * e_dn * cmath.exp(-0.8j)])
     values = []
-    for q in (p, dataclasses.replace(p, zeta0=zeta0_alt)):
-        eta0, kappa = _exponents(q)
-        # regularize's expression on the shared samples, so bit for bit its G1
-        G1 = regularizing_factor(q, eta0, zeta) * g / zf
-        cont = solve_continuous(G1, q.line_phase, half_width=half_width, M=M)
-        values.append(np.concatenate(ScalarSolution(q, eta0, kappa, cont).side_values(up, dn)))
+    for sol in _solve_sampled([p, dataclasses.replace(p, zeta0=zeta0_alt)], half_width, M):
+        xp, xm = sol(samples)
+        values.append(np.concatenate([xp[:4], xm[4:]]))
     ratios = values[0] / values[1]
     return float(np.max(np.abs(ratios - ratios[0]) / np.abs(ratios[0])))

@@ -192,10 +192,10 @@ def test_criterion_7_scalar_bvp_quarter_exponent():
     at_zero, at_inf = [], []
     for expo in (3, 4, 5, 6):
         xi = 10.0 ** (-expo)
-        at_zero.append(abs(sol.x_plus(1j * xi)) * xi ** eta)
-        at_zero.append(abs(sol.x_minus(-1j * xi)) * xi ** eta)
-        at_inf.append(abs(sol.x_plus(1j / xi)) * xi ** eta)
-        at_inf.append(abs(sol.x_minus(-1j / xi)) * xi ** eta)
+        at_zero.append(abs(sol(1j * xi)[0]) * xi ** eta)
+        at_zero.append(abs(sol(-1j * xi)[1]) * xi ** eta)
+        at_inf.append(abs(sol(1j / xi)[0]) * xi ** eta)
+        at_inf.append(abs(sol(-1j / xi)[1]) * xi ** eta)
     bounded = (max(at_zero) <= max(2.0 * max(at_zero[:2]), 1e-12)
                and max(at_inf) <= max(2.0 * max(at_inf[:2]), 1e-12))
     dev = verify_uniqueness(p, 0.7j)
@@ -208,7 +208,7 @@ def test_criterion_8_zero_of_order_two():
     p = manufactured(0.25, zeros=((0.8, 2),))
     sol = solve_scalar_bvp(p)
     alpha, delta = 0.8, 1e-7
-    xs = [sol.x_plus(alpha + j * delta) for j in range(4)]
+    xs = [sol(alpha + j * delta)[0] for j in range(4)]
     scale = abs(xs[3] / (3 * delta) ** 2)
     dd0 = abs(xs[0]) / scale
     dd1 = abs(xs[1] - xs[0]) / delta / scale

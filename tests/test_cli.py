@@ -213,13 +213,25 @@ def test_exit_code_1_when_Z_lacks_z2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key, value", [("R", "abc"), ("max_iter", "eight"),
-                                        ("split_phase", [1, 2])])
+                                        ("split_phase", [1, 2]),
+                                        # float() and complex() take a boolean as 0 or 1
+                                        ("R", True), ("tol", True), ("a", [True, 0]),
+                                        ("theta", [True, 1.3])])
 def test_exit_code_1_when_a_number_is_wrongly_typed(tmp_path, capsys, key, value):
     doc = json.loads(json.dumps(PENTAGON))
     doc["problem"][key] = value
     cfg = write_cfg(tmp_path, doc)
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert f"problem.{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eta0", [True, [True, 0.0]], ids=["number", "pair"])
+def test_exit_code_1_when_scalar_eta0_is_a_boolean(tmp_path, capsys, eta0):
+    cfg = write_cfg(tmp_path, {"scalar": {"jump": {"kind": "manufactured", "eta0": eta0}}})
+    assert main(["scalar_bvp", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    diag = json.loads(capsys.readouterr().err)
+    assert diag["error"] == "ConfigError"
+    assert diag["message"].startswith("scalar.jump.eta0")
 
 
 @pytest.mark.parametrize("command,extras,where", [
@@ -286,10 +298,11 @@ def test_exit_code_1_when_a_scalar_grid_or_base_point_is_invalid(tmp_path, capsy
     ("deform_check", {"deform": {"R": -1.0}}, "deform.R"),
     ("deform_check", {"deform": {"R": 0.0}}, "deform.R"),
     ("deform_check", {"deform": {"R": float("inf")}}, "deform.R"),
+    ("saddle_check", {"saddle": {"R_values": []}}, "saddle.R_values"),
 ], ids=["step_0", "step_negative", "step_1e300", "step_nan", "step_inf", "step_cubed_subnormal",
         "orders_empty", "orders_2.5", "orders_1_4", "orders_bool", "R_negative", "R_0",
         "R_inf", "saddle_R_0", "saddle_R_negative", "saddle_R_nan", "deform_R_negative",
-        "deform_R_0", "deform_R_inf"])
+        "deform_R_0", "deform_R_inf", "saddle_R_empty"])
 def test_exit_code_1_when_a_probe_or_ladder_key_is_invalid_before_any_solve(
         tmp_path, capsys, monkeypatch, command, extras, where):
     def no_solve(*args, **kwargs):

@@ -12,7 +12,7 @@ from rhflow.contour_quadrature import (band_limited_limits, build_ray_grid,
                                        pv_coth_closed_form,
                                        sweep_sign)
 from rhflow.rh_solver import SolverConfig, init_state
-from rhflow.scalar_bvp import solve_continuous
+from rhflow.scalar_bvp import contour_nodes, solve_continuous
 from rhflow.spectrum_rays import CentralCharge, RayDirection, bps_ray, semiflat
 
 
@@ -210,7 +210,8 @@ def _rh_half():
 
 
 def _scalar_half():
-    sol = solve_continuous(lambda t: np.exp(0.2 * np.exp(-np.log(np.abs(t)) ** 2) + 0j),
+    t = contour_nodes(7.0, 256)
+    sol = solve_continuous(np.exp(0.2 * np.exp(-np.log(np.abs(t)) ** 2) + 0j),
                            0.3, half_width=7.0, M=256)
     return sol.grids[1], sol.log_density[1]
 

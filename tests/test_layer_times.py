@@ -54,13 +54,13 @@ def test_layer_rounds_are_paired_and_counted_per_layer():
 def test_scalar_cases_are_summarized_by_their_own_layers():
     # a scalar case has no iteration count and times SCALAR_LAYERS only
     def round_(bv):
-        return {"scalar eta0=0.1,zeros=0": {"solve_scalar_bvp": [0.5], "boundary_values": [bv],
+        return {"scalar eta0=0.1,zeros=0": {"solve_scalar_bvp": [0.5], "boundary pair": [bv],
                                             "verify_uniqueness": [3.0]}}
     rounds = {"base": [round_(4.0), round_(4.2)], "tree": [round_(2.0), round_(4.5)]}
     case = layer_times.layer_summary(rounds)["scalar eta0=0.1,zeros=0"]
     assert list(case) == list(layer_times.SCALAR_LAYERS)
-    assert case["boundary_values"]["tree_wins"] == "1 of 2"
-    assert case["boundary_values"]["tree"]["min"] == 2.0
+    assert case["boundary pair"]["tree_wins"] == "1 of 2"
+    assert case["boundary pair"]["tree"]["min"] == 2.0
 
 
 def test_prepared_sides_hold_compiled_bytecode(tmp_path):

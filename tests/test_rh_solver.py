@@ -830,8 +830,9 @@ def test_a_change_of_a_field_the_problem_reads_builds_a_new_problem(change):
 def test_every_cached_array_is_read_only():
     shared = init_state(pentagon_cfg(M=64)).problem
     arrays = list(_arrays(shared))
-    # both sides' exponents at the nodes and midpoints, spectra, the side
-    # maps' values and coordinates, the grids' nodes and weights
+    # side +1's exponents at the nodes, both sides' at the midpoints,
+    # spectra, the side maps' values and coordinates, the grids' nodes and
+    # weights
     assert len(arrays) >= 12
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
@@ -842,12 +843,13 @@ def test_every_cached_array_is_read_only():
 
 
 def test_theta_free_problem_holds_no_more_bytes_than_before_the_one_pass_guard():
-    # each side's guard exponents are the side's own stack (side +1's the
-    # Picard step's), not a second copy: the distinct arrays of a pentagon
-    # problem at M = 512 held 286,816 bytes with a copy per charge
+    # the guard reads the Picard step's own stack of side +1's exponents at
+    # r's nodes and keeps none for -r: the distinct arrays of a pentagon
+    # problem at M = 512 held 286,816 bytes with a copy per charge and
+    # 262,432 with a stack per side
     shared = init_state(pentagon_cfg(M=512)).problem
     distinct = {id(arr): arr for arr in _arrays(shared)}
-    assert sum(arr.nbytes for arr in distinct.values()) <= 286_816
+    assert sum(arr.nbytes for arr in distinct.values()) <= 237_856
 
 
 def test_warm_solve_is_bit_identical_to_a_cold_one():

@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 from rhflow.errors import AsymmetricJumpError, ConfigError, NonzeroIndexError
-from rhflow.scalar_bvp import (ScalarBVProblem, index, jump_exponents,
-                               omega_minus, omega_plus, point_or_array, regularize,
-                               regularizing_factor, solve_continuous,
-                               solve_scalar_bvp, verify_uniqueness, zero_factor)
+from rhflow.scalar_bvp import (ScalarBVProblem, contour_nodes, index, jump_exponents,
+                               omega_minus, omega_plus, regularizing_factor,
+                               solve_continuous, solve_scalar_bvp, verify_uniqueness,
+                               zero_factor)
 
 
-@point_or_array
 def bump(t):
-    """Smooth density on the contour, decaying at 0 and infinity."""
+    """Smooth density on the contour (a 1-D array of coordinates t),
+    decaying at 0 and infinity."""
     with np.errstate(divide="ignore"):
         s = np.log(np.abs(t))
     return np.where(t > 0, (0.3 + 0.1j) * np.exp(-0.5 * s * s),
@@ -28,18 +28,13 @@ def manufactured(eta0: complex, zeta0: complex = 1.5j, phase: float = 0.0,
     probe = ScalarBVProblem(phase, bump, (1, 1, 1, 1), zeros=tuple(zeros),
                             zeta0=zeta0)
 
-    @point_or_array
     def G(t):
         zeta = probe.contour_point(t)
         val = np.exp(bump(t)) / regularizing_factor(probe, eta0, zeta)
         return val * zero_factor(probe, zeta)
 
-    eps = 1e-9
-    limits = (G(-eps) / cmath.exp(bump(-eps)) * cmath.exp(bump(-eps)),
-              G(eps),
-              1.0 + 0j,
-              cmath.exp(2j * math.pi * eta0))
-    return ScalarBVProblem(phase, G, (G(-eps), G(eps), limits[2], limits[3]),
+    g0m, g0p = G(np.array([-1e-9, 1e-9])).tolist()
+    return ScalarBVProblem(phase, G, (g0m, g0p, 1.0 + 0j, cmath.exp(2j * math.pi * eta0)),
                            zeros=tuple(zeros), zeta0=zeta0)
 
 
@@ -83,18 +78,20 @@ def test_index_values():
 def test_omega_plus_branch_continuity_on_contour():
     p = ScalarBVProblem(0.0, lambda t: 1.0, (1, 1, 1, 1))
     # positive axis: arg 0; negative axis: arg pi (continued through D+)
-    assert omega_plus(p, 0.25, 2.0) == pytest.approx(2.0 ** 0.25)
-    assert omega_plus(p, 0.25, -2.0) == pytest.approx(
-        2.0 ** 0.25 * cmath.exp(0.25j * math.pi))
+    positive, negative = omega_plus(p, 0.25, np.array([2.0, -2.0]))
+    assert positive == pytest.approx(2.0 ** 0.25)
+    assert negative == pytest.approx(2.0 ** 0.25 * cmath.exp(0.25j * math.pi))
 
 
 def test_regularizing_factor_cancels_the_jump():
     eta0 = 0.25
     p = manufactured(eta0)
-    G1 = regularize(p, eta0)
-    assert abs(G1(-1e-9) - G1(1e-9)) < 1e-8
+    t = np.array([-1e-9, 1e-9, 1e6])
+    zeta = p.contour_point(t)
+    G1 = regularizing_factor(p, eta0, zeta) * p.G(t) / zero_factor(p, zeta)
+    assert abs(G1[0] - G1[1]) < 1e-8
     # far along the line the regularized jump settles to 1 (bump decayed)
-    assert G1(1e6) == pytest.approx(cmath.exp(bump(1e6)), rel=1e-5)
+    assert G1[2] == pytest.approx(np.exp(bump(t[2:]))[0], rel=1e-5)
 
 
 def test_manufactured_limits_recover_eta():
@@ -107,7 +104,7 @@ def test_manufactured_limits_recover_eta():
 # ---------------- continuous solve ----------------
 
 def test_trivial_jump_gives_unit_solution():
-    sol = solve_continuous(lambda t: 1.0 + 0j, 0.0, half_width=5.0, M=128)
+    sol = solve_continuous(np.ones(2 * 128, dtype=complex), 0.0, half_width=5.0, M=128)
     for z in (0.5j, -0.7j, 2.0 + 1.0j):
         yp, ym = sol(z)
         assert yp == ym == pytest.approx(1.0, abs=1e-12)
@@ -116,23 +113,23 @@ def test_trivial_jump_gives_unit_solution():
 def test_continuous_boundary_ratio():
     p = ScalarBVProblem(0.0, lambda t: 1.0, (1, 1, 1, 1))
     G1 = lambda t: np.exp(bump(t))
-    sol = solve_continuous(G1, 0.0, half_width=7.0, M=512)
-    for t in (0.3, 1.7, -0.9, -4.0, 12.0):
-        yp, ym = sol(p.contour_point(t))
-        assert yp / ym == pytest.approx(G1(t), rel=1e-8)
+    sol = solve_continuous(G1(contour_nodes(7.0, 512)), 0.0, half_width=7.0, M=512)
+    ts = np.array([0.3, 1.7, -0.9, -4.0, 12.0])
+    yp, ym = sol(p.contour_point(ts))
+    assert yp / ym == pytest.approx(G1(ts), rel=1e-8)
 
 
 def test_winding_jump_rejected():
     # arg of G1 advances by 2 pi along the contour
     G1 = lambda t: np.exp(2j * np.arctan(np.sign(t) * np.log(np.abs(t))))
     with pytest.raises(NonzeroIndexError):
-        solve_continuous(G1, 0.0, half_width=7.0, M=256)
+        solve_continuous(G1(contour_nodes(7.0, 256)), 0.0, half_width=7.0, M=256)
 
 
 def test_discontinuous_regularized_jump_rejected():
     G1 = lambda t: np.exp(np.where(t > 0, 0.4, 0.0) + 0j)  # gap across 0 and infinity
     with pytest.raises(NonzeroIndexError, match="continuous"):
-        solve_continuous(G1, 0.0, half_width=7.0, M=256)
+        solve_continuous(G1(contour_nodes(7.0, 256)), 0.0, half_width=7.0, M=256)
 
 
 def test_opposite_constant_tails_are_handled():
@@ -140,10 +137,10 @@ def test_opposite_constant_tails_are_handled():
     # reach: the paired halves cancel the non-decaying parts
     p = ScalarBVProblem(0.0, lambda t: 1.0, (1, 1, 1, 1))
     G1 = lambda t: np.exp(0.3 * np.tanh(np.log(np.abs(t))) + 0j)
-    sol = solve_continuous(G1, 0.0, half_width=16.0, M=1024)
-    for t in (0.5, 2.0, -1.3):
-        yp, ym = sol(p.contour_point(t))
-        assert yp / ym == pytest.approx(G1(t), rel=1e-6)
+    sol = solve_continuous(G1(contour_nodes(16.0, 1024)), 0.0, half_width=16.0, M=1024)
+    ts = np.array([0.5, 2.0, -1.3])
+    yp, ym = sol(p.contour_point(ts))
+    assert yp / ym == pytest.approx(G1(ts), rel=1e-6)
 
 
 # ---------------- full pipeline ----------------
@@ -172,15 +169,15 @@ class TestQuarterExponent:
         vals = []
         for expo in range(3, 7):
             xi = 10.0 ** (-expo)
-            vals.append(abs(self.sol.x_plus(xi * 1j)) * xi ** eta)
-            vals.append(abs(self.sol.x_minus(-xi * 1j)) * xi ** eta)
+            vals.append(abs(self.sol(xi * 1j)[0]) * xi ** eta)
+            vals.append(abs(self.sol(-xi * 1j)[1]) * xi ** eta)
         assert max(vals) < 10 * max(vals[:2]) + 1.0
 
     def test_singular_end_matches_eta_sign(self):
         # eta_0 > 0: the solutions vanish at 0 like |zeta|^{1/4} and blow up
         # at infinity accordingly
-        small = abs(self.sol.x_plus(1e-6j))
-        smaller = abs(self.sol.x_plus(1e-8j))
+        small = abs(self.sol(1e-6j)[0])
+        smaller = abs(self.sol(1e-8j)[0])
         assert smaller < small < 1.0
 
     def test_uniqueness_in_zeta0(self):
@@ -209,7 +206,7 @@ def test_divided_differences_detect_order_two():
     p = manufactured(0.25, zeros=((0.8, 2),))
     sol = solve_scalar_bvp(p)
     alpha, delta = 0.8, 1e-7
-    xs = [sol.x_plus(alpha + j * delta) for j in range(4)]
+    xs = [sol(alpha + j * delta)[0] for j in range(4)]
     smooth_scale = abs(xs[3] / (3 * delta) ** 2)   # local curvature scale
     dd0 = abs(xs[0])
     dd1 = abs(xs[1] - xs[0]) / delta
@@ -222,7 +219,7 @@ def test_divided_differences_detect_order_two():
 def test_zero_factor_on_x_plus_only():
     p = manufactured(0.25, zeros=((0.8, 2),))
     sol = solve_scalar_bvp(p)
-    assert abs(sol.x_minus(0.8 - 0.5j)) > 1e-6  # X- keeps no zero
+    assert abs(sol(0.8 - 0.5j)[1]) > 1e-6  # X- keeps no zero
 
 
 def test_rescaled_problem_shifts_only_the_constant():
@@ -235,17 +232,17 @@ def test_rescaled_problem_shifts_only_the_constant():
     sol = solve_scalar_bvp(p)
     sol2 = solve_scalar_bvp(p2)
     z = 0.9j
-    ratio = sol2.x_plus(z) / sol.x_plus(z)
+    ratio = sol2(z)[0] / sol(z)[0]
     assert ratio == pytest.approx(scale, rel=1e-8)
     # X- is untouched by the constant
-    assert sol2.x_minus(-0.9j) == pytest.approx(sol.x_minus(-0.9j), rel=1e-8)
+    assert sol2(-0.9j)[1] == pytest.approx(sol(-0.9j)[1], rel=1e-8)
 
 
 def test_continuous_jump_full_pipeline():
     # no branch exponent at all: the classical continuous route, omega = 1
     probe = ScalarBVProblem(0.0, lambda t: 1.0, (1, 1, 1, 1))
     G = lambda t: np.exp(bump(t))
-    lim = (G(-1e-12), G(1e-12), 1.0 + 0j, 1.0 + 0j)
+    lim = (*G(np.array([-1e-12, 1e-12])).tolist(), 1.0 + 0j, 1.0 + 0j)
     p = ScalarBVProblem(0.0, G, lim)
     sol = solve_scalar_bvp(p)
     assert sol.eta0 == pytest.approx(0.0, abs=1e-9)
@@ -266,16 +263,22 @@ def test_zero_off_contour_rejected():
                         zeros=((0.5 + 0.5j, 1),)).validate()
 
 
-def test_x_plus_and_x_minus_on_arrays_match_single_points_bit_for_bit():
+def test_a_points_pair_equals_its_pair_inside_an_array_bit_for_bit():
+    # on the contour (at the double zero's neighbour too) and off it on both
+    # sides; one call gives both elements of every point's pair
     p = manufactured(0.25, zeros=((0.8 + 0j, 2),))
     sol = solve_scalar_bvp(p, M=256)
-    pts = np.concatenate([p.contour_point(np.array([0.3, 1.7, -0.9, -4.0, 12.0])),
-                          [0.9j, -1.1j + 0.2, 2.0 - 0.5j]])
-    for f in (sol.x_plus, sol.x_minus):
-        assert np.array_equal(f(pts), np.array([f(complex(z)) for z in pts]))
+    pts = np.concatenate([p.contour_point(np.array([0.3, 1.7, -0.9, -4.0, 12.0, 0.81])),
+                          [0.9j, 0.9j * cmath.exp(0.7j), 2.5 + 0.1j,
+                           -1.1j + 0.2, 2.0 - 0.5j, 1.1 * cmath.exp(-0.9j)]])
+    xp, xm = sol(pts)
+    singles = [sol(z) for z in pts.tolist()]
+    assert all(type(a) is complex and type(b) is complex for a, b in singles)
+    assert np.array_equal(xp, np.array([a for a, _ in singles]))
+    assert np.array_equal(xm, np.array([b for _, b in singles]))
 
 
-# ---------------- the point-or-array contract ----------------
+# ---------------- the elementwise contract ----------------
 
 def _contract_points():
     ts = np.array([0.3, 1.7, -0.9, -4.0, 12.0, 1e-5, -3e4])
@@ -303,54 +306,42 @@ def _manufactured_cli_jump():
                                   "G1", "omega_plus", "omega_minus",
                                   "regularizing_factor", "zero_factor"])
 def test_point_and_array_give_the_same_value_bit_for_bit(name):
+    # every function of a 1-D array gives a point, as an array of one, the
+    # value it has inside any array: the solution evaluates a point as an
+    # array of one, the CLI takes G's two limits at 0 from one array, and a
+    # solve forms G1 on all its nodes at once
     eta0 = 0.25 - 0.05j
     p = manufactured(eta0, phase=0.3, zeros=((0.8 * cmath.exp(0.3j), 2),))
     ts, zs = _contract_points()
+
+    def G1(t):  # the regularized jump, as a solve forms it from its samples
+        zeta = p.contour_point(t)
+        return regularizing_factor(p, eta0, zeta) * p.G(t) / zero_factor(p, zeta)
+
     of_t = {"G-manufactured": p.G, "G-cli-manufactured": _manufactured_cli_jump().G,
-            "G-cli-sampled": _sampled_jump().G, "G1": regularize(p, eta0)}
+            "G-cli-sampled": _sampled_jump().G, "G1": G1}
     of_zeta = {"omega_plus": lambda z: omega_plus(p, eta0, z),
                "omega_minus": lambda z: omega_minus(p, eta0, z),
                "regularizing_factor": lambda z: regularizing_factor(p, eta0, z),
                "zero_factor": lambda z: zero_factor(p, z)}
     f, pts = (of_t[name], ts) if name in of_t else (of_zeta[name], zs)
     batch = f(pts)
-    singles = [f(x) for x in pts.tolist()]
-    assert all(type(v) is complex for v in singles)
     assert batch.shape == pts.shape
-    assert np.array_equal(batch, np.array(singles))
+    assert np.array_equal(batch, np.array([f(pts[i:i + 1])[0] for i in range(len(pts))]))
 
 
-def test_solve_continuous_samples_the_jump_in_one_call():
+def test_solve_scalar_bvp_samples_the_jump_once_on_all_nodes():
     p = manufactured(0.25)
-    G1 = regularize(p, 0.25)
     calls = []
 
     def counting(t):
-        calls.append(np.shape(t))
-        return G1(t)
+        calls.append(t.copy())
+        return p.G(t)
 
     M = 256
-    solve_continuous(counting, 0.0, half_width=7.0, M=M)
-    assert calls == [(2 * M,)]
-
-
-def test_one_pass_boundary_values_equal_x_plus_and_x_minus_bit_for_bit():
-    p = manufactured(0.25, zeros=((0.8, 2),))
-    sol = solve_scalar_bvp(p, M=256)
-    zs = p.contour_point(np.array([0.3, 1.7, -0.9, -4.0, 12.0, 0.81]))
-    xp, xm = sol.boundary_values(zs)
-    assert np.array_equal(xp, sol.x_plus(zs))
-    assert np.array_equal(xm, sol.x_minus(zs))
-
-
-def test_one_pass_side_values_equal_x_plus_and_x_minus_bit_for_bit():
-    p = manufactured(0.25, zeros=((0.8, 2),))
-    sol = solve_scalar_bvp(p, M=256)
-    up = np.array([0.3j, 1.7j, 0.9j * cmath.exp(0.7j), 2.5 + 0.1j])
-    dn = np.array([-0.4j, -2.1j, 1.1 * cmath.exp(-0.9j), -0.7 - 0.2j])
-    xp, xm = sol.side_values(up, dn)
-    assert np.array_equal(xp, sol.x_plus(up))
-    assert np.array_equal(xm, sol.x_minus(dn))
+    solve_scalar_bvp(dataclasses.replace(p, G=counting), half_width=7.0, M=M)
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], contour_nodes(7.0, M))
 
 
 # ---------------- the uniqueness check ----------------
@@ -366,8 +357,8 @@ def _cli_manufactured(eta0, zeros):
 
 
 def _uniqueness_by_two_solves(p, zeta0_alt, half_width, M):
-    """verify_uniqueness as two full solves, each solution evaluated by
-    x_plus and x_minus at the check's off-contour samples."""
+    """verify_uniqueness as two full solves, each solution evaluated on
+    its own at the check's D+ samples for X+ and at its D- samples for X-."""
     sol_a = solve_scalar_bvp(p, half_width, M)
     sol_b = solve_scalar_bvp(dataclasses.replace(p, zeta0=zeta0_alt), half_width, M)
     e_up, e_dn = 1j, -1j  # the normals of the line at phase 0
@@ -375,8 +366,7 @@ def _uniqueness_by_two_solves(p, zeta0_alt, half_width, M):
                    2.5 * e_up * cmath.exp(-0.5j)])
     dn = np.array([0.4 * e_dn, 2.1 * e_dn, 1.1 * e_dn * cmath.exp(0.6j),
                    0.7 * e_dn * cmath.exp(-0.8j)])
-    ratios = np.concatenate([sol_a.x_plus(up) / sol_b.x_plus(up),
-                             sol_a.x_minus(dn) / sol_b.x_minus(dn)])
+    ratios = np.concatenate([sol_a(up)[0] / sol_b(up)[0], sol_a(dn)[1] / sol_b(dn)[1]])
     return float(np.max(np.abs(ratios - ratios[0]) / np.abs(ratios[0])))
 
 
@@ -422,8 +412,8 @@ def test_solution_skips_empty_point_sets(monkeypatch):
             return _original(grid, rows, zs)
 
         monkeypatch.setattr(cq, name, counting)
-    sol.x_plus(np.array([0.5j, 1.0 + 2.0j]))          # off the contour only
+    sol(np.array([0.5j, 1.0 + 2.0j]))          # off the contour only
     assert calls == [("_off_ray_sums", 2)] * 2
     calls.clear()
-    sol.boundary_values(np.array([0.5, 2.0]))            # on the positive half only
+    sol(np.array([0.5, 2.0]))                  # on the positive half only
     assert calls == [("_covered_ray_limits", 2), ("_opposite_ray_sums", 2)]

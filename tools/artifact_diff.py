@@ -30,8 +30,9 @@ M = 64 with ball_epsilon 1e-10 (every iterate leaves the ball), `sweep_r`
 over R in {4, 0.3} at max_iter 5, `smoothness` in every probe direction at
 orders 1 to 3 and once where a converged stencil solve fails the |Y| < 1
 guard, a few `deform_check`, `saddle_check` and manufactured-jump
-`scalar_bvp` configs, and one `scalar_bvp` with a sampled jump.  Outputs go
-to `--work` (kept) or to a temporary directory (removed).
+`scalar_bvp` configs (one with a complex exponent), and one `scalar_bvp`
+with a sampled jump.  Outputs go to `--work` (kept) or to a temporary
+directory (removed).
 """
 
 from __future__ import annotations
@@ -136,6 +137,11 @@ def pinned_ops() -> list[dict]:
             {"scalar": {"jump": {"kind": "manufactured", "eta0": eta0},
                         "zeros": zeros, "line_phase": phase, "zeta0": [0.0, 1.5],
                         "zeta0_alt": [0.0, 0.7], "samples": 100}})
+    # a complex exponent: the branch factors' complex powers, with a double
+    # zero and the uniqueness check's second base point
+    add("scalar-complex-eta0", "scalar_bvp",
+        {"scalar": {"jump": {"kind": "manufactured", "eta0": [0.1, 0.05]},
+                    "zeros": [[[0.8, 0.0], 2]], "zeta0_alt": [0.0, 0.7], "samples": 100}})
     # a sampled jump: samples of a continuous jump, linear between them
     ts = [math.exp(k / 8) for k in range(-64, 65)]
     ts = [-t for t in reversed(ts)] + ts

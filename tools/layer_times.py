@@ -21,9 +21,11 @@ by `cli_driver._write` into a fresh directory per call (`report.json` and
 of theta-free problems, cold and warm time the same call.
 For the scalar manufactured jump of the scalar-bvp workload at each
 (eta0, zeros) of SCALAR_CASES, at M = 512: `solve_scalar_bvp`, the
-one-pass `boundary_values` at 200 samples on the line (seed 41's draw of
-`rhflow scalar_bvp`, both halves) and `verify_uniqueness` with the
-alternative base point 0.7i, at its own default grid.
+one-pass (X+, X-) pair at 200 samples on the line (seed 41's draw of
+`rhflow scalar_bvp`, both halves) by the solution's call, or on a base
+that predates it by the method that returned the pair there, and
+`verify_uniqueness` with the alternative base point 0.7i, at its own
+default grid.
 Each side runs in a fresh interpreter with one BLAS thread; the sides
 alternate for LAYER_ROUNDS short rounds (about a second each), so a slow
 spell of a shared host lands on both.  Each layer is reported in ms per
@@ -77,7 +79,7 @@ CASES = ((4.0, 128), (1.0, 128), (0.3, 128), (0.15, 128),
 LAYERS = ("init_state cold", "init_state warm", "iterate_once", "truncation_guard", "solve",
           "check_jump", "check_reality", "verify", "format", "write")
 SCALAR_CASES = ((0.1, ()), (0.25, ((0.8, 2),)))  # eta0, (zero on the line, order)
-SCALAR_LAYERS = ("solve_scalar_bvp", "boundary_values", "verify_uniqueness")
+SCALAR_LAYERS = ("solve_scalar_bvp", "boundary pair", "verify_uniqueness")
 LAYER_ROUNDS = 12  # alternating rounds of layer times
 OP_ROUNDS = 3      # alternating rounds of fixed-op runs
 PAIRS = 10         # alternating end-to-end pairs per workload
@@ -182,7 +184,7 @@ def time_scalar_layers() -> dict:
         at = np.array([t0 for t0, _ in zeros], dtype=float)  # as rhflow scalar_bvp drops
         zeta = p.contour_point(ts[np.all(np.abs(ts[:, None] - at) > 1e-2, axis=1)])
         fns = {"solve_scalar_bvp": lambda: sb.solve_scalar_bvp(p, M=512),
-               "boundary_values": lambda: sol.boundary_values(zeta),
+               "boundary pair": lambda: getattr(sol, "boundary_values", sol)(zeta),
                "verify_uniqueness": lambda: sb.verify_uniqueness(p, 0.7j)}
         out[f"scalar eta0={eta0:g},zeros={len(zeros)}"] = {
             name: _per_call(fns[name], 5) for name in SCALAR_LAYERS}
