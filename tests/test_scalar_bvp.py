@@ -263,7 +263,7 @@ def test_zero_off_contour_rejected():
                         zeros=((0.5 + 0.5j, 1),)).validate()
 
 
-def test_a_points_pair_equals_its_pair_inside_an_array_bit_for_bit():
+def test_x_plus_and_x_minus_on_arrays_match_single_points_bit_for_bit():
     # on the contour (at the double zero's neighbour too) and off it on both
     # sides; one call gives both elements of every point's pair
     p = manufactured(0.25, zeros=((0.8 + 0j, 2),))
@@ -276,6 +276,34 @@ def test_a_points_pair_equals_its_pair_inside_an_array_bit_for_bit():
     assert all(type(a) is complex and type(b) is complex for a, b in singles)
     assert np.array_equal(xp, np.array([a for a, _ in singles]))
     assert np.array_equal(xm, np.array([b for _, b in singles]))
+
+
+def test_one_pass_boundary_values_equal_x_plus_and_x_minus_bit_for_bit():
+    # the boundary values X+ and X- of points on the contour come out of one
+    # pass the same whether the array holds only them or mixes them with
+    # points off the contour
+    p = manufactured(0.25, zeros=((0.8, 2),))
+    sol = solve_scalar_bvp(p, M=256)
+    zs = p.contour_point(np.array([0.3, 1.7, -0.9, -4.0, 12.0, 0.81]))
+    xp, xm = sol(zs)
+    mixed = np.concatenate([[0.9j, -1.1j + 0.2], zs[::-1], [2.0 - 0.5j]])
+    mp, mm = sol(mixed)
+    assert np.array_equal(xp, mp[2:-1][::-1])
+    assert np.array_equal(xm, mm[2:-1][::-1])
+
+
+def test_one_pass_side_values_equal_x_plus_and_x_minus_bit_for_bit():
+    # one pass over points of D+ and D- together gives each side's points
+    # the pair they get from a pass over that side alone
+    p = manufactured(0.25, zeros=((0.8, 2),))
+    sol = solve_scalar_bvp(p, M=256)
+    up = np.array([0.3j, 1.7j, 0.9j * cmath.exp(0.7j), 2.5 + 0.1j])
+    dn = np.array([-0.4j, -2.1j, 1.1 * cmath.exp(-0.9j), -0.7 - 0.2j])
+    xp, xm = sol(np.concatenate([up, dn]))
+    up_p, up_m = sol(up)
+    dn_p, dn_m = sol(dn)
+    assert np.array_equal(xp, np.concatenate([up_p, dn_p]))
+    assert np.array_equal(xm, np.concatenate([up_m, dn_m]))
 
 
 # ---------------- the elementwise contract ----------------
