@@ -25,7 +25,7 @@ from .charge_lattice import Charge, Spectrum, require_support
 from .contour_quadrature import (build_ray_grid, deform_to_bps_ray, in_swept_sector,
                                  integrate_ray, sweep_sign)
 from .errors import ConfigError, NoAdmissibleRayError, RHFlowError
-from .rh_solver import SolverConfig, smoothness_probe, solve, verify
+from .rh_solver import SolverConfig, smoothness_probe, solve, solve_stencils, verify
 from .saddle_asymptotics import compare, saddle_point
 from .scalar_bvp import (ScalarBVProblem, regularizing_factor, solve_scalar_bvp,
                          verify_uniqueness, zero_factor)
@@ -368,7 +368,8 @@ def _cmd_smoothness(rc: RunConfig, out: Path) -> None:
         raise ConfigError(f"smoothness.step: {step!r}**{max(orders)} is not a positive "
                           "normal float")
     rows = []
-    solutions: dict = {}  # stencil points shared by the orders
+    # every order's stencil points, solved as one batch
+    solutions = solve_stencils(rc.solver, direction, orders, step, {})
     for order in orders:
         probe = smoothness_probe(rc.solver, direction, order, step,
                                  solutions=solutions)

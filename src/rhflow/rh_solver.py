@@ -28,9 +28,9 @@ node set, since both rays share one node set by construction.
 A state is r's node values, its configuration and its theta-free problem
 (_ThetaFree: rays, side maps, grids, exponents and kernel spectra), which
 theta_free_problem builds once per R, a, spectrum, Z, M, target_tail and
-split_phase and keeps for the session (32 at most), so the solves of an R
-ladder or of a theta or a stencil share it.  It is shared, so it is
-read-only: its arrays refuse writes.
+split_phase and keeps for the session (up to CACHE_BYTES of their arrays),
+so the solves of an R ladder or of a theta or a stencil share it.  It is
+shared, so it is read-only: its arrays refuse writes.
 
 iterate_once is the bare map; solve applies it, keeps the iteration record
 and returns it with the converged state; verify returns the residuals of the
@@ -39,6 +39,19 @@ solution where |Y_g| < 1 on the jump rays, the domain in which the side maps'
 log series (stokes_series) converge; a state runs it at most once and keeps
 its limits at 0 and infinity (state.limits), so verify repeats neither.
 
+solve is the one-member case of solve_batch, which steps solves (members)
+that share M and side +1's charge order in lockstep on one member stack
+(_Stack): their previous iterates and theta as (2, K, M) rows, their
+theta-free exponents side by side for one _SideMap.log over the K M points,
+and one (2, K, 2M) FFT and inverse FFT per step, each step one call of
+iterate_once on the stack.  Each member leaves the stack at the step where
+its own solve stops, with that solve's state and report or error; members
+that converge at one step take truncation_guard and their densities in one
+stacked pass.  Every operation is elementwise or per FFT row, so a member's
+numbers are those of its solve bit for bit.  smoothness_probe and rhflow
+smoothness solve their stencil points as one batch (solve_stencils);
+sweep_r solves one rung at a time.
+
 The densities use the split of the semiflat exponential
 X_g = exp(pi R (Z_g / zeta + zeta conj Z_g) + i c_g . Theta): the theta-free
 problem stores the first exponent of side +1's charges at the nodes of r
@@ -46,19 +59,19 @@ problem stores the first exponent of side +1's charges at the nodes of r
 makes enough for -r too), and _SideMap.log runs the side's factor chain,
 compiled once into a plan of in-place ufunc steps: one exp per node and
 active charge, then one log1p over the whole stack.  A Picard step forms
-side +1's density only, in its solve's scratch (ThetaState), so it
-allocates only the new values.
+side +1's density only, in its stack's work arrays, so it allocates
+nothing.
 
 At the nodes the ray integrals are two Toeplitz kernels times the weights:
 c_same, the coth kernel of a ray on itself by the alternating-point rule
 (spectrally accurate for these decaying densities), and c_cross, the tanh
 kernel between the rays.  The theta-free problem keeps their FFTs on
-circulants of length 2M (_circulant_fft, as it does reality_rays'), and
-node_transforms applies them on r in one FFT, product and inverse FFT per
-Picard step.  At the midpoints of the rays the limits are Toeplitz products
-too, at half-integer offsets: midpoint_limits takes both limits on both rays
-from three kept kernel spectra (coth, sinc and tanh) in one FFT and one
-inverse FFT, which is all check_jump needs, so verify builds no dense kernel.
+circulants of length 2M (_circulant_fft, as it does reality_rays'), and a
+Picard step applies them on r in one FFT, product and inverse FFT.  At the
+midpoints of the rays the limits are Toeplitz products too, at half-integer
+offsets: midpoint_limits takes both limits on both rays from three kept
+kernel spectra (coth, sinc and tanh) in one FFT and one inverse FFT, which
+is all check_jump needs, so verify builds no dense kernel.
 evaluate_theta serves arbitrary points and returns the Plemelj pair
 (Theta+, Theta-), the same value twice off the contour.  It passes both
 basis targets of a side as one (2, M) stack: on a ray to
@@ -71,6 +84,7 @@ c_cross's real tanh and elsewhere the complex Cauchy kernel.
 from __future__ import annotations
 
 import cmath
+import collections
 import dataclasses
 import functools
 import math
@@ -84,7 +98,7 @@ from .charge_lattice import (Charge, GAMMA1, GAMMA2, Spectrum, extend, pairing,
                              require_support)
 from .contour_quadrature import (band_limited_limits, build_ray_grid, integrate_ray,
                                  on_covered_ray)
-from .errors import (ConfigError, DivergenceError, NonContractionError,
+from .errors import (ConfigError, DivergenceError, NonContractionError, RHFlowError,
                      TruncationUnsafeError)
 from .spectrum_rays import CentralCharge, RayDirection, admissible_pair
 from .stokes_series import ordered_side_charges, refinement_sign
@@ -93,6 +107,7 @@ from .stokes_series import ordered_side_charges, refinement_sign
 from .stokes_series import stokes_log_coeffs  # noqa: F401
 
 FOUR_PI = 4.0 * math.pi
+TWO_PI_I = 2j * math.pi
 LN2 = math.log(2.0)
 
 
@@ -329,47 +344,64 @@ class _ThetaFree:
         num, den = e + rho, e - rho
         self.reality_spectra = _circulant_fft(np.stack([num / den, den / num], axis=1))
 
-        for arr in (self.static, *self.mid_static.values(), self.spectra,
-                    self.mid_spectra, self.reality_spectra,
-                    *(x for m in self.maps.values() for x in (m.central, m.coords, *m.icoords)),
-                    *(x for g in self.grids.values() for x in (g.nodes, g.weights))):
+        arrays = {id(arr): arr for arr in (
+            self.static, *self.mid_static.values(), self.spectra, self.mid_spectra,
+            self.reality_spectra,
+            *(x for m in self.maps.values() for x in (m.central, m.coords, *m.icoords)),
+            *(x for g in self.grids.values() for x in (g.nodes, g.weights)))}
+        for arr in arrays.values():
             arr.flags.writeable = False
-
-    def densities(self, ray: np.ndarray) -> dict[int, np.ndarray]:
-        """Combined density per side and target, shape (M, 2), from the node
-        values of Theta on r (shape (M, 2)): side +1's by its side map, side
-        -1's, on -r, as the involution image -conj(h_{+1}[::-1])."""
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # see log
-            h = self.maps[+1].log(self.static, ray)
-        return {+1: h, -1: -h[::-1].conj()}
-
-    def node_transforms(self, h: np.ndarray,
-                        pair: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        """Principal value, at the r nodes, of the integral over both rays of
-        the two sides' densities, given side +1's h (shape (M, 2)):
-        c_same h + c_cross h_{-1}, with h_{-1} = -conj(h[::-1]) on -r.  One
-        FFT of the weighted (2, M) stack of h's targets, one product with
-        each spectrum (the second of conj(H)) and one inverse FFT, in place
-        in pair, two (2, 2M) arrays; returns a (M, 2) view of the first."""
-        M = self.M
-        work, other = pair
-        weighted = np.multiply(h.T, self.weights, out=other[:, :M])
-        np.fft.fft(weighted, n=2 * M, out=work)  # zero-padded
-        np.conjugate(work, out=other)
-        other *= self.spectra[1]
-        work *= self.spectra[0]
-        work += other
-        # unscaled inverse: spectra carry the 1/2M
-        return np.fft.ifft(work, norm="forward", out=work)[:, :M].T
+        # what theta_free_problem's cache counts against its budget
+        self.nbytes = sum(arr.nbytes for arr in arrays.values())
 
 
-@functools.lru_cache(maxsize=32)
+# theta_free_problem keeps problems up to this many bytes of their arrays
+# (_ThetaFree.nbytes): 35 pentagon problems at M = 512, 8 at M = 2048
+CACHE_BYTES = 8 * 2**20
+
+CacheInfo = collections.namedtuple("CacheInfo", "hits misses maxbytes currbytes")
+
+
+class _BytesLRU:
+    """A least-recently-used cache of a function's results keyed by its
+    positional arguments, bounded by the bytes of the results it keeps
+    (their nbytes) at CACHE_BYTES: the newest result is always kept, and the
+    oldest go first.  cache_info and cache_clear as functools.lru_cache's."""
+
+    def __init__(self, build):
+        functools.update_wrapper(self, build)
+        self._build = build
+        self.cache_clear()
+
+    def __call__(self, *args):
+        kept = self._kept
+        result = kept.get(args)
+        if result is not None:
+            self._hits += 1
+            kept.move_to_end(args)
+            return result
+        self._misses += 1
+        result = kept[args] = self._build(*args)
+        self._bytes += result.nbytes
+        while self._bytes > CACHE_BYTES and len(kept) > 1:
+            self._bytes -= kept.popitem(last=False)[1].nbytes
+        return result
+
+    def cache_info(self) -> CacheInfo:
+        return CacheInfo(self._hits, self._misses, CACHE_BYTES, self._bytes)
+
+    def cache_clear(self) -> None:
+        self._kept: collections.OrderedDict = collections.OrderedDict()
+        self._hits = self._misses = self._bytes = 0
+
+
+@_BytesLRU
 def theta_free_problem(R: float, a: complex, spectrum: Spectrum, Z: CentralCharge,
                        M: int, target_tail: float,
                        split_phase: float | None) -> _ThetaFree:
     """The shared theta-free problem of these fields, built on first use
-    and kept for the session (at most 32); fields that compare equal share
-    one problem."""
+    and kept for the session (up to CACHE_BYTES of problems); fields that
+    compare equal share one problem."""
     return _ThetaFree(R, a, spectrum, Z, M, target_tail, split_phase)
 
 
@@ -390,27 +422,102 @@ def _odd(k: np.ndarray) -> np.ndarray:
     return np.concatenate([-k[::-1], [0.0], k])
 
 
-class _Scratch:
-    """One solve's work arrays: side +1's log buffers at the r nodes,
-    node_transforms' (2, 2M) pair, (2, M) complex and real rows for the
-    Picard step and solve's norms, and theta as a column.  No state keeps
-    any of them: every state gets fresh values."""
+class _Stack:
+    """K Picard iterates on r stepped in lockstep, one per member (solve):
+    members share M and side +1's charge order, so one _SideMap.log runs over
+    their K M points with each member's theta-free exponents side by side,
+    and one (2, K, 2M) FFT and inverse FFT apply their node operators.  It
+    holds the members' configurations and problems, the previous iterate and
+    theta as (2, K, M) rows (target, member, node) and the step's work
+    arrays; values is the newest iterate, shape (K, M, 2), a view of rows."""
 
-    __slots__ = ("log", "fft", "rows", "mags", "theta")
+    def __init__(self, cfgs: list[SolverConfig], problems: list[_ThetaFree],
+                 rows: np.ndarray | None = None):
+        K, M = len(cfgs), problems[0].M
+        self.cfgs, self.problems = cfgs, problems
+        self.map = problems[0].maps[+1]
+        if K == 1:  # the problem's own arrays, broadcast over the one member
+            self.static, weights, spectra = problems[0].static, problems[0].weights, \
+                problems[0].spectra
+        else:
+            self.static = np.concatenate([p.static for p in problems], axis=1)
+            weights = np.stack([p.weights for p in problems])
+            spectra = np.stack([p.spectra for p in problems], axis=1)  # (2, K, 2M)
+        self.weights, (self.same, self.cross) = weights, spectra
+        self.log = self.map.buffers(K * M)
+        self.padded = np.zeros((2, K, 2 * M), dtype=complex)  # FFT input, zero-padded
+        self.fft = (np.empty_like(self.padded), np.empty_like(self.padded))
+        self.rows = np.empty((2, K, M), dtype=complex)
+        self.values = self.rows.transpose(1, 2, 0)
+        # the previous iterate (rows, else init_state's zeroth iterate,
+        # theta) and theta, against which one subtraction takes both of
+        # solve's distances
+        self.ref = np.empty((2, 2, K, M), dtype=complex)
+        self.ref[...] = np.array([cfg.theta for cfg in cfgs]).T[:, :, None]
+        self.prev, self.theta = self.ref
+        if rows is not None:
+            self.prev[...] = rows
+        self.diff = np.empty_like(self.ref)
+        self.mags = np.empty(self.ref.shape)
+        # views for the step: the log's Theta, shape (K M, 2), and its
+        # density rows, the FFT input and the node transforms
+        self._log_theta = self.prev.reshape(2, -1).T
+        self._h = self.log[2].reshape(2, K, M)
+        self._head = self.padded[..., :M]
+        self._transforms = self.fft[0][..., :M]
 
-    def __init__(self, problem: _ThetaFree, theta: tuple[float, float]):
-        M = problem.M
-        self.log = problem.maps[+1].buffers(M)
-        self.fft = (np.empty((2, 2 * M), dtype=complex), np.empty((2, 2 * M), dtype=complex))
-        self.rows = np.empty((2, M), dtype=complex)
-        self.mags = np.empty((2, M))
-        self.theta = np.array(theta)[:, None]
+    def select(self, keep: list[int]) -> _Stack:
+        """A stack of the members keep, at their previous iterate."""
+        return _Stack([self.cfgs[k] for k in keep], [self.problems[k] for k in keep],
+                      self.prev[:, keep])
 
-    def sup_distance(self, rows: np.ndarray, other: np.ndarray) -> float:
-        """max |rows - other| over r's node values as (2, M) rows (values.T);
-        other is such rows or theta as a column."""
-        np.subtract(rows, other, out=self.rows)
-        return float(np.abs(self.rows, out=self.mags).max())
+    def _log(self) -> np.ndarray:
+        """Side +1's density at every member's previous iterate, as (2, K, M)
+        rows of the log buffers, by one _SideMap.log."""
+        self.map.log(self.static, self._log_theta, self.log)
+        return self._h
+
+    def step(self) -> None:
+        """One application of the integral-equation map to every member's
+        previous iterate, into rows: side +1's density h by _log, and
+        c_same h + c_cross h_{-1} with h_{-1} = -conj(h[::-1]) on -r by one
+        FFT of the weighted densities, one product with each member's
+        spectra (the second of conj(H)) and one inverse FFT."""
+        h = self._log()
+        work, other = self.fft
+        np.multiply(h, self.weights, out=self._head)
+        np.fft.fft(self.padded, out=work)
+        np.conjugate(work, out=other)
+        other *= self.cross
+        work *= self.same
+        work += other
+        # unscaled inverse: spectra carry the 1/2M
+        np.fft.ifft(work, norm="forward", out=work)
+        stored = np.multiply(TWO_PI_I, h, out=self.rows)
+        np.subtract(self._transforms, stored, out=stored)  # the clockwise limit
+        stored /= FOUR_PI
+        np.subtract(self.theta, stored, out=stored)
+
+    def advance(self) -> np.ndarray:
+        """max |new - previous| and max |new - theta| per member, shape
+        (2, K), from one subtraction; the new iterate becomes the previous."""
+        np.subtract(self.rows, self.ref, out=self.diff)
+        distances = np.abs(self.diff, out=self.mags).max(axis=(1, 3))
+        np.copyto(self.prev, self.rows)
+        return distances
+
+    def densities(self, members: list[int]) -> list[dict[int, np.ndarray]]:
+        """The combined density per side and target, shape (M, 2), of each
+        of members at its previous iterate (after advance, the newest), from
+        one _log over the stack: side +1's by its side map, side -1's, on
+        -r, as the involution image -conj(h_{+1}[::-1]).  Fresh arrays."""
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # see log
+            h = self._log()
+        return [{+1: hk, -1: -hk[::-1].conj()} for hk in (h[:, k].copy().T for k in members)]
+
+    def state(self, k: int) -> ThetaState:
+        """Member k's newest iterate as a state of its own values."""
+        return ThetaState(self.rows[:, k].copy().T, self.cfgs[k], self.problems[k])
 
 
 @dataclass
@@ -425,10 +532,10 @@ class ThetaState:
     first use and kept, and truncation_guard passes at most once, so values
     must not change in place.
 
-    A state also carries its solve's work arrays (_scratch, not a field):
-    iterate_once passes them on to the state it makes, and any other state,
-    a dataclasses.replace copy too, makes its own on first use.  States that
-    share them must not be iterated concurrently.
+    A state stepped by iterate_once carries a one-member _Stack (_scratch,
+    not a field) and passes it on to the state it makes; any other state, a
+    dataclasses.replace copy too, makes its own on first use.  States that
+    share one must not be iterated concurrently.
     """
 
     values: np.ndarray
@@ -436,12 +543,12 @@ class ThetaState:
     problem: _ThetaFree = field(repr=False, compare=False)
 
     @functools.cached_property
-    def _scratch(self) -> _Scratch:
-        return _Scratch(self.problem, self.cfg.theta)
+    def _scratch(self) -> _Stack:
+        return _Stack([self.cfg], [self.problem])
 
     @functools.cached_property
     def densities(self) -> dict[int, np.ndarray]:
-        return self.problem.densities(self.values)
+        return _Stack([self.cfg], [self.problem], self.values.T[:, None]).densities([0])[0]
 
     @functools.cached_property
     def limits(self) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
@@ -456,9 +563,18 @@ class ThetaState:
             self._guarded = True
 
 
+def _stacked(states: tuple[ThetaState, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The theta-free exponents of side +1's charges at r's nodes and the
+    node values of states that share M and side +1's charge order, side by
+    side: shapes (n, K M) and (K M, 2)."""
+    if len(states) == 1:
+        return states[0].problem.static, states[0].values
+    return (np.concatenate([st.problem.static for st in states], axis=1),
+            np.concatenate([st.values.T for st in states], axis=1).T)
+
+
 def init_state(cfg: SolverConfig) -> ThetaState:
-    """Zeroth iterate: Theta identically equal to the reference angles; its
-    scratch, made on first use, serves the solve."""
+    """Zeroth iterate: Theta identically equal to the reference angles."""
     cfg.validate()
     problem = theta_free_problem(cfg.R, cfg.a, cfg.spectrum, cfg.Z, cfg.M,
                                  cfg.target_tail, cfg.split_phase)
@@ -467,24 +583,29 @@ def init_state(cfg: SolverConfig) -> ThetaState:
     return ThetaState(values, cfg, problem)
 
 
-def iterate_once(state: ThetaState) -> ThetaState:
+def iterate_once(state):
     """One application of the integral-equation map to the node values of r.
-    It forms side +1's density only; the state's densities (both sides) are
-    left to verify and the limits.  It works in the state's scratch, which
-    the new state shares; its values are a fresh array."""
-    problem, work = state.problem, state._scratch
-    h = problem.maps[+1].log(problem.static, state.values, work.log)
-    stored = np.multiply(2j * math.pi, h.T, out=work.rows)
-    np.subtract(problem.node_transforms(h, work.fft).T, stored, out=stored)  # the clockwise limit
-    stored /= FOUR_PI
-    new = ThetaState(np.subtract(work.theta, stored).T, state.cfg, problem)
-    new._scratch = work
+
+    Given a ThetaState, it returns the next one, with fresh values, stepped
+    in the state's one-member stack, which the new state carries on.  Given
+    a _Stack (solve_batch's members), it steps every member in place and
+    returns the stack, its values the new iterates.  It forms side +1's
+    density only; a state's densities (both sides) are left to verify and
+    the limits."""
+    if isinstance(state, _Stack):
+        state.step()
+        return state
+    stack = state._scratch
+    stack.prev[:, 0] = state.values.T
+    stack.step()
+    new = stack.state(0)
+    new._scratch = stack
     return new
 
 
 def solve(cfg: SolverConfig) -> tuple[ThetaState, dict]:
     """Iterate to the fixed point and assemble the run report (residuals
-    are verify's).
+    are verify's): solve_batch's one-member case.
 
     At least two iterations always run so that a contraction ratio is
     observed; convergence requires the final ratio below one.  A step
@@ -492,56 +613,136 @@ def solve(cfg: SolverConfig) -> tuple[ThetaState, dict]:
     recorded in ball_exits, not fatal.  The converged state must pass
     truncation_guard; verify does not run it again on that state.
     """
-    state = init_state(cfg)
-    work = state._scratch
-    deltas: list[float] = []
-    ball_exits: list[int] = []
+    (result,) = solve_batch([cfg])
+    if isinstance(result, RHFlowError):
+        raise result
+    return result
+
+
+def solve_batch(cfgs: list[SolverConfig]) -> list:
+    """Solve each configuration as solve does, and return, in their order,
+    solve's (state, report) for each or the RHFlowError solve raises for it.
+
+    Members that share M and side +1's charge order step in lockstep on one
+    _Stack, each step one call of iterate_once; a member leaves the stack
+    at the step where its own solve stops, with that solve's values,
+    report or error.  Members that converge at one step are guarded
+    (truncation_guard) and take their densities in one stacked pass each.
+    """
+    results: list = [None] * len(cfgs)
+    groups: dict = {}
+    for i, cfg in enumerate(cfgs):
+        try:
+            st = init_state(cfg)
+        except RHFlowError as exc:
+            results[i] = exc
+            continue
+        key = (st.problem.M, tuple(st.problem.maps[+1].charges))
+        groups.setdefault(key, []).append((i, st))
+    for members in groups.values():  # each at init_state's zeroth iterate, theta
+        _solve_members([i for i, _ in members],
+                       _Stack([st.cfg for _, st in members], [st.problem for _, st in members]),
+                       results)
+    return results
+
+
+def _solve_members(index: list[int], stack: _Stack, results: list) -> None:
+    """Step stack until every member (results[index[k]] for member k) stops."""
+    records = [([], []) for _ in index]  # deltas, ball_exits
+    step = 0
     # exp overflows, and log1p(-1) diverges, only for an iterate far
     # outside |Y| < 1; the delta check turns it into a DivergenceError
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for step in range(1, cfg.max_iter + 1):
-            new = iterate_once(state)
-            # the previous iterate is finite, so a NaN or inf in this one
-            # makes the delta non-finite
-            delta = work.sup_distance(new.values.T, state.values.T)
-            if not math.isfinite(delta):
-                raise DivergenceError(
-                    f"non-finite iterate at step {step}; R = {cfg.R:g} is too "
-                    "small for this spectrum"
-                )
-            deltas.append(delta)
-            if work.sup_distance(new.values.T, work.theta) > cfg.ball_epsilon:
-                ball_exits.append(step)
-            state = new
-            if step >= 2 and deltas[-1] < cfg.tol:
-                break
-    del work, state._scratch  # the converged state keeps no work arrays
-    ratios = [d2 / d1 if d1 > 0 else 0.0 for d1, d2 in zip(deltas, deltas[1:])]
-    if not deltas[-1] < cfg.tol:
-        bad = max(ratios[1:] or ratios or [math.inf])
-        raise NonContractionError(
-            f"no convergence in {cfg.max_iter} iterations "
-            f"(last delta {deltas[-1]:.3e}, worst ratio {bad:.3g}); "
-            f"R = {cfg.R:g} is too small for this spectrum"
-        )
-    state.guard()
-    theta0, thetainf = state.limits
-    report = {
-        "config": {
-            "R": cfg.R, "a": [cfg.a.real, cfg.a.imag], "theta": list(cfg.theta),
-            "M": cfg.M, "target_tail": cfg.target_tail,
-            "tol": cfg.tol, "max_iter": cfg.max_iter,
-            "ball_epsilon": cfg.ball_epsilon,
-            "contour_phase": state.problem.r.phase,
-        },
-        "iterations": len(deltas),
-        "deltas": deltas,
-        "ratios": ratios,
-        "ball_exits": ball_exits,
-        "theta0": [[t.real, t.imag] for t in theta0],
-        "thetainf": [[t.real, t.imag] for t in thetainf],
-    }
-    return state, report
+        while index:
+            step += 1
+            stack = iterate_once(stack)
+            keep, converged = [], []
+            for k, (cfg, (record, exits), delta, ball) in enumerate(
+                    zip(stack.cfgs, records, *stack.advance().tolist())):
+                # the previous iterate is finite, so a NaN or inf in this
+                # one makes the delta non-finite
+                if not math.isfinite(delta):
+                    results[index[k]] = DivergenceError(
+                        f"non-finite iterate at step {step}; R = {cfg.R:g} is too "
+                        "small for this spectrum")
+                    continue
+                record.append(delta)
+                if ball > cfg.ball_epsilon:
+                    exits.append(step)
+                if step >= 2 and delta < cfg.tol:
+                    converged.append(k)
+                elif step == cfg.max_iter:
+                    results[index[k]] = _non_contraction(cfg, record)
+                else:
+                    keep.append(k)
+            if converged:
+                _converged(stack, converged, [records[k] for k in converged],
+                           [index[k] for k in converged], results)
+            if len(keep) < len(index):
+                index = [index[k] for k in keep]
+                records = [records[k] for k in keep]
+                if keep:
+                    stack = stack.select(keep)
+
+
+def _ratios(deltas: list[float]) -> list[float]:
+    return [d2 / d1 if d1 > 0 else 0.0 for d1, d2 in zip(deltas, deltas[1:])]
+
+
+def _non_contraction(cfg: SolverConfig, deltas: list[float]) -> NonContractionError:
+    ratios = _ratios(deltas)
+    bad = max(ratios[1:] or ratios or [math.inf])
+    return NonContractionError(
+        f"no convergence in {cfg.max_iter} iterations "
+        f"(last delta {deltas[-1]:.3e}, worst ratio {bad:.3g}); "
+        f"R = {cfg.R:g} is too small for this spectrum")
+
+
+def _converged(stack: _Stack, members: list[int], records: list, index: list[int],
+               results: list) -> None:
+    """Guard the newest iterates of the stack's members that converged at
+    this step and take their densities, each in one stacked pass, then
+    their limits and reports, into results[index[j]] for members[j].  When
+    the stacked guard fails, each state is guarded alone, so that each
+    failing one gets its own error."""
+    states = [stack.state(k) for k in members]
+    try:
+        truncation_guard(*states)
+    except TruncationUnsafeError:
+        pass
+    else:
+        for st in states:
+            st._guarded = True
+    passed = []
+    for k, st, record, i in zip(members, states, records, index):
+        try:
+            st.guard()
+        except TruncationUnsafeError as exc:
+            results[i] = exc
+        else:
+            passed.append((k, st, record, i))
+    if not passed:
+        return
+    for (_, st, _, _), dens in zip(passed, stack.densities([k for k, *_ in passed])):
+        st.densities = dens
+    for _, st, (deltas, ball_exits), i in passed:
+        cfg = st.cfg
+        theta0, thetainf = st.limits
+        results[i] = st, {
+            "config": {
+                "R": cfg.R, "a": [cfg.a.real, cfg.a.imag], "theta": list(cfg.theta),
+                "M": cfg.M, "target_tail": cfg.target_tail,
+                "tol": cfg.tol, "max_iter": cfg.max_iter,
+                "ball_epsilon": cfg.ball_epsilon,
+                "contour_phase": st.problem.r.phase,
+            },
+            "iterations": len(deltas),
+            "deltas": deltas,
+            "ratios": _ratios(deltas),
+            "ball_exits": ball_exits,
+            "theta0": [[t.real, t.imag] for t in theta0],
+            "thetainf": [[t.real, t.imag] for t in thetainf],
+        }
 
 
 def verify(state: ThetaState) -> dict:
@@ -602,7 +803,7 @@ def evaluate_Y(state: ThetaState, g: Charge, zeta: complex) -> complex:
     return complex(np.exp(_static_exponents(cfg.R, cfg.Z.of(g, cfg.a), zeta) + 1j * thg))
 
 
-def truncation_guard(state: ThetaState) -> None:
+def truncation_guard(*states: ThetaState) -> None:
     """Raise TruncationUnsafeError where an active charge has |Y_g| >= 1 at
     the nodes of its own jump ray: the log series of the jump map across
     that ray (stokes_series) converges only for |Y_g| < 1, and solutions are
@@ -611,20 +812,23 @@ def truncation_guard(state: ThetaState) -> None:
     reality involution zeta -> -1/conj zeta, which sends node j of r to node
     M - 1 - j of -r and side +1's charges g to side -1's -g, with |Y_{-g}|
     there equal to |Y_g| at node j of r.  One exp over side +1's
-    (charges, M) stack; the charge named is the first failing one in
-    spectrum order."""
-    problem = state.problem
-    side_map = problem.maps[+1]
-    mags = np.abs(side_map.exponentials(problem.static, state.values))
+    (charges, K M) stack of the states (which share M and side +1's charge
+    order, as solve_batch's members do); the first failing state raises,
+    naming its first failing charge in spectrum order."""
+    side_map = states[0].problem.maps[+1]
+    M = states[0].problem.M
+    mags = np.abs(side_map.exponentials(*_stacked(states)))
     if mags.max(initial=0.0) < 1.0:  # a NaN goes on to the loop, which passes it
         return
-    for i in problem.guard_rows:
-        if np.any(mags[i] >= 1.0):
-            g = side_map.charges[i][0]
-            raise TruncationUnsafeError(
-                f"|Y| = {mags[i].max():.3g} >= 1 for charge ({g.c1},{g.c2}) "
-                "on its jump ray; the log series of its jump map does not converge"
-            )
+    for k, st in enumerate(states):
+        rows = mags[:, k * M:(k + 1) * M]
+        for i in st.problem.guard_rows:
+            if np.any(rows[i] >= 1.0):
+                g = side_map.charges[i][0]
+                raise TruncationUnsafeError(
+                    f"|Y| = {rows[i].max():.3g} >= 1 for charge ({g.c1},{g.c2}) "
+                    "on its jump ray; the log series of its jump map does not converge"
+                )
 
 
 def check_jump(state: ThetaState) -> float:
@@ -759,7 +963,7 @@ def asymptotic_theta(state: ThetaState
     theta = state.cfg.theta
     at0, atinf = [], []
     for k in (0, 1):
-        acc = np.sum(w * dens[+1][:, k]) + np.sum(w * dens[-1][:, k])
+        acc = np.add.reduce(w * dens[+1][:, k]) + np.add.reduce(w * dens[-1][:, k])
         at0.append(theta[k] - acc / FOUR_PI)
         atinf.append(theta[k] + acc / FOUR_PI)
     return (at0[0], at0[1]), (atinf[0], atinf[1])
@@ -779,6 +983,50 @@ _STENCILS = {
 }
 
 
+def _stencils(cfg: SolverConfig, direction: str, order: int, grid_step: float) -> list:
+    """The order's central differences at steps h = grid_step and h/2, as
+    (h, [(shifted configuration, coefficient) per point])."""
+    if direction not in _DIRECTIONS:
+        raise ConfigError(f"unknown probe direction {direction!r}")
+    if order not in _STENCILS:
+        raise ConfigError("probe order must be 1, 2 or 3")
+    shift = _DIRECTIONS[direction]
+    return [(h, [(shift(cfg, mult * h), coeff) for mult, coeff in _STENCILS[order]])
+            for h in (grid_step, 0.5 * grid_step)]
+
+
+def _solve_points(points: list[SolverConfig], solutions: dict) -> list[tuple]:
+    """Each configuration's (node values, zeta -> 0 limit) from solutions,
+    where the ones it lacks are added first, solved as one solve_batch; the
+    error of the first of them that fails is raised instead."""
+    found = [solutions.get(p) for p in points]
+    pending = list(dict.fromkeys(p for p, f in zip(points, found) if f is None))
+    if not pending:
+        return found
+    results = solve_batch(pending)
+    for shifted, result in zip(pending, results):
+        if not isinstance(result, RHFlowError):
+            st, _ = result
+            solutions[shifted] = (st.values, np.array(st.limits[0]))
+    for result in results:
+        if isinstance(result, RHFlowError):
+            raise result
+    return [f or solutions[p] for p, f in zip(points, found)]
+
+
+def solve_stencils(cfg: SolverConfig, direction: str, orders, grid_step: float,
+                   solutions: dict) -> dict:
+    """Solve the stencil points of smoothness_probe for every order of
+    orders that solutions lacks as one solve_batch (its members grouped by
+    side +1's charge order), and return solutions with each added.  The
+    error raised is that of the first failing point in the order in which
+    the probes would take them: order by order, step h before h/2."""
+    _solve_points([shifted for order in orders
+                   for _, stencil in _stencils(cfg, direction, order, grid_step)
+                   for shifted, _ in stencil], solutions)
+    return solutions
+
+
 def smoothness_probe(cfg: SolverConfig, direction: str, order: int,
                      grid_step: float,
                      solutions: dict | None = None) -> dict:
@@ -791,35 +1039,26 @@ def smoothness_probe(cfg: SolverConfig, direction: str, order: int,
     verified: nothing of verify's residuals enters the probe.
 
     solutions maps each solved (shifted) configuration to its node values
-    and zeta -> 0 limit; pass one dict to several probes to solve each
-    stencil point once across them.  A fresh dict is used by default.
+    and zeta -> 0 limit; the points it lacks are solved as one batch.  Pass
+    one dict to several probes, or fill it first by solve_stencils for all
+    their orders, to solve each stencil point once across them.  A fresh
+    dict is used by default.
     """
-    if direction not in _DIRECTIONS:
-        raise ConfigError(f"unknown probe direction {direction!r}")
-    if order not in _STENCILS:
-        raise ConfigError("probe order must be 1, 2 or 3")
-    shift = _DIRECTIONS[direction]
+    stencils = _stencils(cfg, direction, order, grid_step)
     if solutions is None:
         solutions = {}
+    solved = iter(_solve_points([shifted for _, stencil in stencils
+                                 for shifted, _ in stencil], solutions))
 
-    def solved(offset: float):
-        shifted = shift(cfg, offset)
-        if shifted not in solutions:
-            st, _ = solve(shifted)
-            solutions[shifted] = (st.values, np.array(st.limits[0]))
-        return solutions[shifted]
-
-    def estimate(h: float):
+    def estimate(h: float, stencil: list):
         nodes = np.zeros((cfg.M, 2), dtype=complex)
         t0 = np.zeros(2, dtype=complex)
-        for mult, coeff in _STENCILS[order]:
-            v, t = solved(mult * h)
+        for (_, coeff), (v, t) in zip(stencil, solved):
             nodes += coeff * v
             t0 += coeff * t
         return nodes / h ** order, t0 / h ** order
 
-    nodes_h, t0_h = estimate(grid_step)
-    nodes_h2, t0_h2 = estimate(0.5 * grid_step)
+    (nodes_h, t0_h), (nodes_h2, t0_h2) = (estimate(*step) for step in stencils)
     floor = 1e-5  # angles are order-one; differences below this are noise
     denom = max(float(np.max(np.abs(nodes_h2))), floor)
     rel_change = float(np.max(np.abs(nodes_h - nodes_h2))) / denom

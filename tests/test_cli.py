@@ -308,11 +308,12 @@ def test_exit_code_1_when_a_probe_or_ladder_key_is_invalid_before_any_solve(
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before the section was checked")
 
-    # sweep_r solves through cli_driver's name, smoothness_probe through
-    # rh_solver's; saddle_check and deform_check integrate on the grids of
-    # cli_driver's compare and build_ray_grid
+    # sweep_r solves through cli_driver's name, smoothness's stencils
+    # through rh_solver's solve_batch; saddle_check and deform_check
+    # integrate on the grids of cli_driver's compare and build_ray_grid
     for name in ("rhflow.cli_driver.solve", "rhflow.rh_solver.solve",
-                 "rhflow.cli_driver.compare", "rhflow.cli_driver.build_ray_grid"):
+                 "rhflow.rh_solver.solve_batch", "rhflow.cli_driver.compare",
+                 "rhflow.cli_driver.build_ray_grid"):
         monkeypatch.setattr(name, no_solve)
     # json writes and reads NaN and Infinity
     cfg = write_cfg(tmp_path, dict(json.loads(json.dumps(PENTAGON)), **extras))
@@ -546,23 +547,53 @@ def test_smoothness_command(tmp_path):
 
 def test_smoothness_orders_share_stencil_solves(tmp_path, monkeypatch):
     # orders 1 and 2 at steps h and h/2 need offsets {0, +-h, +-h/2}: five
-    # distinct solves, not the 4 + 5 of two separate probes
+    # distinct solves, not the 4 + 5 of two separate probes, as one batch
     import rhflow.rh_solver as rh_solver
     calls = []
-    real_solve = rh_solver.solve
+    real_solve_batch = rh_solver.solve_batch
 
-    def counting(cfg):
-        calls.append(cfg)
-        return real_solve(cfg)
+    def counting(cfgs):
+        calls.append(list(cfgs))
+        return real_solve_batch(cfgs)
 
-    monkeypatch.setattr(rh_solver, "solve", counting)
+    monkeypatch.setattr(rh_solver, "solve_batch", counting)
     doc = json.loads(json.dumps(PENTAGON))
     doc["problem"]["M"] = 64
     doc["smoothness"] = {"direction": "theta1", "orders": [1, 2], "step": 0.01}
     cfg = write_cfg(tmp_path, doc)
     assert main(["smoothness", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
-    assert len(calls) == 5
-    assert len(set(calls)) == 5
+    assert len(calls) == 1 and len(calls[0]) == 5
+    assert len(set(calls[0])) == 5
+
+
+def test_smoothness_steps_and_builds_its_members_through_the_traced_names(
+        tmp_path, monkeypatch):
+    # the benchmark tracer wraps rh_solver's iterate_once and init_state;
+    # every Picard step of every stencil member must go through them
+    import rhflow.rh_solver as rh_solver
+    built, stepped = [], []
+    real_init, real_iterate = rh_solver.init_state, rh_solver.iterate_once
+
+    def init_state(cfg):
+        built.append(cfg)
+        return real_init(cfg)
+
+    def iterate_once(stack):
+        stepped.append(len(stack.values))  # the members stepped by this call
+        return real_iterate(stack)
+
+    monkeypatch.setattr(rh_solver, "init_state", init_state)
+    monkeypatch.setattr(rh_solver, "iterate_once", iterate_once)
+    doc = json.loads(json.dumps(PENTAGON))
+    doc["problem"].update(M=64, R=0.3)
+    doc["smoothness"] = {"direction": "theta1", "orders": [1, 2], "step": 0.01}
+    cfg = write_cfg(tmp_path, doc)
+    assert main(["smoothness", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    monkeypatch.undo()
+    assert len(built) == len(set(built)) == 5
+    iterations = [rh_solver.solve(member)[1]["iterations"] for member in built]
+    assert sum(stepped) == sum(iterations)
+    assert len(stepped) == max(iterations)
 
 
 def test_scalar_bvp_command(tmp_path):

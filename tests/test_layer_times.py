@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("layer_times", ROOT / "tools" / "layer_times.py")
@@ -61,6 +62,54 @@ def test_scalar_cases_are_summarized_by_their_own_layers():
     assert list(case) == list(layer_times.SCALAR_LAYERS)
     assert case["boundary pair"]["tree_wins"] == "1 of 2"
     assert case["boundary pair"]["tree"]["min"] == 2.0
+
+
+def test_smoothness_cases_are_summarized_by_their_one_layer():
+    def round_(ms):
+        return {"smoothness theta1,R=4,M=128": {"smoothness": list(ms)}}
+    rounds = {"base": [round_([2.0, 2.2]), round_([2.1])], "tree": [round_([1.5]), round_([2.3])]}
+    case = layer_times.layer_summary(rounds)["smoothness theta1,R=4,M=128"]
+    assert list(case) == ["smoothness"]
+    assert case["smoothness"]["tree_wins"] == "1 of 2"
+    assert case["smoothness"]["tree"]["min"] == 1.5
+
+
+def test_each_node_count_times_in_an_interpreter_of_its_own():
+    # one child per node count of CASES and one for the scalar cases; the
+    # smoothness cases run with the M = 128 cases
+    assert layer_times.layer_groups() == ["128", "512", "2048", "scalar"]
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "layer_times.py"),
+                           "--layers-of", str(ROOT / "src"), "2048"],
+                          capture_output=True, text=True, check=True,
+                          env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
+    got = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert list(got) == ["R=1,M=2048"]
+    assert list(got["R=1,M=2048"]) == ["iterations", *layer_times.LAYERS]
+
+
+@pytest.mark.parametrize("direction", layer_times.SMOOTHNESS_CASES)
+def test_smoothness_layer_formats_what_the_command_writes(tmp_path, direction):
+    # the sweep-probe op with its file write stubbed: the texts of its
+    # smoothness.csv, and nothing written
+    from rhflow import cli_driver, rh_solver
+    write = cli_driver._write
+    texts = layer_times.smoothness_call(rh_solver, direction, tmp_path)()
+    assert cli_driver._write is write and not list(tmp_path.iterdir())
+    doc = {"problem": {"R": 4.0, "theta": [0.7, 1.3], "M": 128, "max_iter": 100,
+                       "spectrum": {"entries": [[[1, 0], 1], [[-1, 0], 1], [[0, 1], 1],
+                                                [[0, -1], 1], [[1, 1], 1], [[-1, -1], 1]],
+                                    "support_constant": 0.9},
+                       "Z": {"z1": [[1.0, 0.0]], "z2": [[0.0, 1.0]]}},
+           "smoothness": {"direction": direction, "orders": [1, 2], "step": 0.01}}
+    if direction == "a_re":
+        doc["problem"].update(a=[0.1, 0.0], Z={"z1": [[1.0, 0.0], [0.5, 0.0]],
+                                                "z2": [[0.0, 1.0]]})
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    assert cli_driver.main(["smoothness", "--config", str(tmp_path / "cfg.json"),
+                            "--out", str(tmp_path / "main")]) == 0
+    assert list(texts) == ["smoothness.csv"]
+    assert "".join(texts["smoothness.csv"]).encode() == (
+        tmp_path / "main" / "smoothness.csv").read_bytes()
 
 
 def test_prepared_sides_hold_compiled_bytecode(tmp_path):

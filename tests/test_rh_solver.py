@@ -14,7 +14,7 @@ from rhflow.rh_solver import (REALITY_OFFSETS, SolverConfig, _SideMap, _ThetaFre
                               _circulant_fft, asymptotic_theta, check_jump, check_reality,
                               evaluate_Y, evaluate_theta, init_state, iterate_once,
                               midpoint_limits, reality_rays, smoothness_probe, solve,
-                              truncation_guard, verify)
+                              solve_batch, truncation_guard, verify)
 from rhflow.spectrum_rays import CentralCharge, alternative_split_phases, semiflat
 from rhflow.stokes_series import ordered_side_charges
 
@@ -97,16 +97,17 @@ def test_pentagon_first_step_is_small():
 def test_solve_computes_densities_once_per_state(monkeypatch):
     # a Picard step forms side +1's density only; both sides' densities are
     # built once, for the converged state's limits
+    import rhflow.rh_solver as rh
     calls = []
-    original = _ThetaFree.densities
+    original = rh._Stack.densities
 
-    def counting(self, values):
-        calls.append(1)
-        return original(self, values)
+    def counting(self, members):
+        calls.extend(members)
+        return original(self, members)
 
-    monkeypatch.setattr(_ThetaFree, "densities", counting)
+    monkeypatch.setattr(rh._Stack, "densities", counting)
     solve(pentagon_cfg())
-    assert len(calls) == 1
+    assert calls == [0]
 
 
 @pytest.mark.parametrize("omega", [1, 2])
@@ -394,9 +395,9 @@ def test_solve_guards_each_converged_state_once(monkeypatch):
     guarded = []
     original = rh.truncation_guard
 
-    def counting(state):
-        guarded.append(state.cfg)
-        return original(state)
+    def counting(*states):
+        guarded.extend(state.cfg for state in states)
+        return original(*states)
 
     monkeypatch.setattr(rh, "truncation_guard", counting)
     solutions = {}
@@ -646,7 +647,7 @@ def test_densities_match_one_exp_per_charge(kw):
     ray = state.values
     pushed = ray + 0.3j * np.random.default_rng(7).standard_normal(ray.shape)
     for values in (ray, pushed):
-        got = prep.densities(values)
+        got = dataclasses.replace(state, values=values).densities
         y = basis_Y(state, prep.grids[+1].points(), values)
         _, want = ks_product(state, +1, y)
         assert got[+1].shape == got[-1].shape == (cfg.M, 2)
@@ -852,6 +853,36 @@ def test_theta_free_problem_holds_no_more_bytes_than_before_the_one_pass_guard()
     assert sum(arr.nbytes for arr in distinct.values()) <= 237_856
 
 
+def test_the_problem_cache_is_bounded_by_the_bytes_of_its_problems():
+    # pentagon problems at M = 2048 hold 950,560 bytes each: eight fit in
+    # CACHE_BYTES, and the least recently used go first
+    import rhflow.rh_solver as rh
+
+    def problem(R, M=2048):
+        return rh.theta_free_problem(R, 0.0, pentagon_spectrum(), Z, M, 40.0, None)
+
+    rh.theta_free_problem.cache_clear()
+    Rs = [1.0 + 0.125 * i for i in range(10)]
+    built = [problem(R) for R in Rs[:8]]
+    assert problem(Rs[0]) is built[0]  # a hit, now the most recent
+    built += [problem(R) for R in Rs[8:]]
+    info = rh.theta_free_problem.cache_info()
+    size = built[0].nbytes
+    assert rh.CACHE_BYTES // size == 8
+    assert (info.hits, info.misses, info.currbytes) == (1, 10, 8 * size)
+    assert info.currbytes <= info.maxbytes == rh.CACHE_BYTES
+    # Rs[1] and Rs[2] were the least recently used: built again on a miss
+    assert problem(Rs[0]) is built[0] and problem(Rs[9]) is built[9]
+    assert problem(Rs[1]) is not built[1]
+    assert rh.theta_free_problem.cache_info().misses == 11
+    # a benchmark working set (14 problems at M <= 512) is never evicted
+    rh.theta_free_problem.cache_clear()
+    kept = [problem(R, M) for R in Rs[:7] for M in (128, 512)]
+    assert [problem(R, M) for R in Rs[:7] for M in (128, 512)] == kept
+    assert rh.theta_free_problem.cache_info()[:2] == (14, 14)
+    rh.theta_free_problem.cache_clear()
+
+
 def test_warm_solve_is_bit_identical_to_a_cold_one():
     import rhflow.rh_solver as rh
     cfg = pentagon_cfg(R=0.3, M=64)
@@ -933,7 +964,8 @@ def test_iterates_sharing_a_scratch_keep_their_values():
     assert b._scratch is work and c._scratch is work
     assert a.values.tobytes() == a_values.tobytes()
     assert b.values.tobytes() == b_values.tobytes()
-    buffers = [*work.log[:3], *work.fft, work.rows, work.mags, work.theta]
+    buffers = [*work.log[:3], work.padded, *work.fft, work.rows, work.ref, work.diff,
+               work.mags]
     for st in (a, b, c):
         assert not any(np.shares_memory(st.values, buf) for buf in buffers)
 
@@ -962,3 +994,122 @@ def test_two_solves_interleaved_on_one_problem_give_their_own_values():
         assert st.values.tobytes() == solved.values.tobytes()
     # the converged state solve returns keeps no work arrays
     assert "_scratch" not in vars(alone[0][0])
+
+
+# ---------------- members solved in lockstep on one stack ----------------
+
+def assert_batch_matches_solve(cfgs):
+    """Each member's solve_batch result equals its own solve bit for bit:
+    values, densities, limits and every report field, or the same error
+    type and message."""
+    from rhflow.errors import RHFlowError
+    results = solve_batch(cfgs)
+    assert len(results) == len(cfgs)
+    outcomes = []
+    for cfg, got in zip(cfgs, results):
+        try:
+            want_state, want_report = solve(cfg)
+        except RHFlowError as exc:
+            assert type(got) is type(exc) and str(got) == str(exc)
+            outcomes.append(type(exc).__name__)
+            continue
+        state, report = got
+        assert state.cfg is cfg
+        assert state.values.tobytes() == want_state.values.tobytes()
+        for side in (+1, -1):
+            assert state.densities[side].tobytes() == want_state.densities[side].tobytes()
+        assert state.limits == want_state.limits
+        assert report == want_report
+        assert "_scratch" not in vars(state)
+        outcomes.append(report["iterations"])
+    return outcomes
+
+
+def random_thetas(seed):
+    return [tuple(t) for t in np.random.default_rng(seed).uniform(0, 2 * math.pi, (16, 2))]
+
+
+def test_batch_of_random_thetas_matches_each_solve():
+    outcomes = assert_batch_matches_solve(
+        [pentagon_cfg(R=0.3, theta=theta) for theta in random_thetas(3)])
+    assert min(outcomes) == 19 and max(outcomes) == 23
+
+
+def test_batch_at_small_R_matches_each_solve_as_members_leave_at_their_own_step():
+    # members stop at steps 30 to 85 and three do not converge in 100: the
+    # stack shrinks as each leaves with its own record or error
+    outcomes = assert_batch_matches_solve(
+        [pentagon_cfg(R=0.15, theta=theta, max_iter=100) for theta in random_thetas(3)])
+    steps = [n for n in outcomes if isinstance(n, int)]
+    assert outcomes.count("NonContractionError") == 3
+    assert min(steps) == 30 and max(steps) == 85 and len(set(steps)) > 8
+
+
+@pytest.mark.parametrize("direction", ["a_re", "a_im"])
+def test_batch_of_an_a_stencil_matches_each_solve(direction):
+    # the members have different theta-free problems on one stack
+    base = SolverConfig(R=4.0, a=0.1, theta=(0.7, 1.3), spectrum=pentagon_spectrum(),
+                        Z=Z_LINEAR, M=128)
+    shift = 0.01 if direction == "a_re" else 0.01j
+    cfgs = [dataclasses.replace(base, a=base.a + m * shift) for m in (1, -1, 0.5, -0.5, 0)]
+    states = [init_state(cfg) for cfg in cfgs]
+    assert len({id(st.problem) for st in states}) == 5
+    assert_batch_matches_solve(cfgs)
+
+
+def test_batch_member_failing_the_guard_gets_its_own_error():
+    # the second member converges at R = 0.09 with |Y_(0,1)| >= 1 on its
+    # jump ray; the others, at R = 0.3 on another problem, converge
+    cfgs = [pentagon_cfg(R=0.3, M=64, max_iter=200),
+            pentagon_cfg(R=0.09, theta=(3.0, 3.0), M=64, max_iter=200),
+            pentagon_cfg(R=0.3, theta=(0.2, -0.4), M=64, max_iter=200)]
+    outcomes = assert_batch_matches_solve(cfgs)
+    assert outcomes[1] == "TruncationUnsafeError"
+    assert all(isinstance(n, int) for n in outcomes[::2])
+
+
+def test_batch_groups_members_by_M_and_keeps_their_order():
+    # members of another M step on a stack of their own; an invalid one
+    # gets its ConfigError and the rest are solved
+    cfgs = [pentagon_cfg(M=64), pentagon_cfg(R=1.0), pentagon_cfg(M=127),
+            pentagon_cfg(M=64, theta=(0.2, -0.4))]
+    outcomes = assert_batch_matches_solve(cfgs)
+    assert outcomes[2] == "ConfigError"
+
+
+def test_batch_steps_every_member_through_iterate_once(monkeypatch):
+    import rhflow.rh_solver as rh
+    stacks = []
+    original = rh.iterate_once
+
+    def counting(stack):
+        stacks.append(len(stack.values))
+        return original(stack)
+
+    monkeypatch.setattr(rh, "iterate_once", counting)
+    cfgs = [pentagon_cfg(R=0.15, theta=theta, max_iter=100) for theta in random_thetas(3)[3:9]]
+    results = solve_batch(cfgs)
+    # one call per lockstep step, over the members still on the stack
+    assert len(stacks) == max(report["iterations"] for _, report in results)
+    assert sum(stacks) == sum(report["iterations"] for _, report in results)
+
+
+def test_a_poisoned_member_diverges_alone(monkeypatch):
+    import rhflow.rh_solver as rh
+    original = rh.iterate_once
+
+    def poisoned(stack):
+        new = original(stack)
+        if len(new.values) == 3:
+            new.values[1, 0] = np.nan  # the second member, at step 1 only
+        return new
+
+    monkeypatch.setattr(rh, "iterate_once", poisoned)
+    cfgs = [pentagon_cfg(), pentagon_cfg(theta=(0.2, -0.4)), pentagon_cfg(theta=(1.0, 2.0))]
+    results = solve_batch(cfgs)
+    assert isinstance(results[1], DivergenceError)
+    assert str(results[1]) == ("non-finite iterate at step 1; R = 4 is too small for "
+                               "this spectrum")
+    monkeypatch.setattr(rh, "iterate_once", original)
+    for cfg, result in zip(cfgs[::2], results[::2]):
+        assert result[0].values.tobytes() == solve(cfg)[0].values.tobytes()

@@ -7,10 +7,10 @@ archive` of the base ref (default HEAD) and on the working tree's `src`,
 each side in a fresh interpreter with one BLAS thread (threaded BLAS splits
 products differently by matrix size, on any commit).  The tree side runs
 each op a second time right after the first, into a second output tree:
-no op solves more than the 32 theta-free problems that
-rh_solver.theta_free_problem keeps, so every solve of the repeat finds its
-problem built, and the repeats must give the same bytes and exit codes as
-the first runs, with no cache miss.  Prints
+no op solves more theta-free problems than rh_solver.theta_free_problem
+keeps (its CACHE_BYTES), so every solve of the repeat finds its problem
+built, and the repeats must give the same bytes and exit codes as the
+first runs, with no cache miss.  Prints
 each op's exit codes, the `diff -r` of the two output trees, for each
 residual field how many of its values rose over the base and the largest
 rise with its op, when the trees differ the largest absolute difference of
@@ -28,8 +28,10 @@ R = 1 with complex a and a split_phase, at R = 0.3 with max_iter 3 (no
 convergence: the error carries the last delta and the worst ratio) and at
 M = 64 with ball_epsilon 1e-10 (every iterate leaves the ball), `sweep_r`
 over R in {4, 0.3} at max_iter 5, `smoothness` in every probe direction at
-orders 1 to 3 and once where a converged stencil solve fails the |Y| < 1
-guard, a few `deform_check`, `saddle_check` and manufactured-jump
+orders 1 to 3, at the sweep-probe stencils with R = 0.15 (members of one
+batch converge at different steps, and with max_iter 78 some do not, the
+first of them not the first member) and once where a converged stencil
+solve fails the |Y| < 1 guard, a few `deform_check`, `saddle_check` and manufactured-jump
 `scalar_bvp` configs (one with a complex exponent), and one `scalar_bvp`
 with a sampled jump.  Outputs go to `--work` (kept) or to a temporary
 directory (removed).
@@ -117,6 +119,21 @@ def pinned_ops() -> list[dict]:
         add(f"smoothness-{direction}-{''.join(map(str, orders))}", "smoothness",
             {"problem": z_of_a,
              "smoothness": {"direction": direction, "orders": orders, "step": 0.01}})
+    # the sweep-probe stencils (M = 128, orders [1, 2]) at R = 0.15, where
+    # the members of one batch converge at different steps (theta1: 86 and
+    # 85, a_re: 78 and 79), and with max_iter 78, where the a_re members at
+    # -h, -h/2 and 0 do not converge while those at +h and +h/2 do: the
+    # error is the one of the first failing member, -h
+    sweep_probe = {"theta1": dict(PENTAGON, R=0.15, max_iter=100),
+                   "a_re": dict(PENTAGON, R=0.15, max_iter=100, a=[0.1, 0.0],
+                                Z={"z1": [[1.0, 0.0], [0.5, 0.0]], "z2": [[0.0, 1.0]]})}
+    for direction, problem in sweep_probe.items():
+        add(f"smoothness-{direction}-R0.15", "smoothness",
+            {"problem": problem,
+             "smoothness": {"direction": direction, "orders": [1, 2], "step": 0.01}})
+    add("smoothness-a_re-R0.15-members-fail", "smoothness",
+        {"problem": dict(sweep_probe["a_re"], max_iter=78),
+         "smoothness": {"direction": "a_re", "orders": [1, 2], "step": 0.01}})
     # converges, then |Y| >= 1 on a jump ray: TruncationUnsafeError, exit 2
     add("smoothness-truncation-unsafe", "smoothness",
         {"problem": dict(PENTAGON, R=0.09, theta=[3.0, 3.0], M=64, max_iter=200),

@@ -26,9 +26,18 @@ one-pass (X+, X-) pair at 200 samples on the line (seed 41's draw of
 that predates it by the method that returned the pair there, and
 `verify_uniqueness` with the alternative base point 0.7i, at its own
 default grid.
-Each side runs in a fresh interpreter with one BLAS thread; the sides
-alternate for LAYER_ROUNDS short rounds (about a second each), so a slow
-spell of a shared host lands on both.  Each layer is reported in ms per
+For each probe direction of SMOOTHNESS_CASES (theta1 and a_re), the
+"smoothness" layer is the sweep-probe workload's `smoothness` op at R = 4,
+M = 128, orders [1, 2], step 0.01: `cli_driver._cmd_smoothness` with its
+`_write` stubbed, so every stencil solve and both probes run through each
+side's own `smoothness_probe`, with no file system.
+Each side runs with one BLAS thread; the sides alternate for LAYER_ROUNDS
+short rounds (about a second each), so a slow spell of a shared host lands
+on both.  In a round each node count of CASES, with the smoothness cases at
+M = 128, and the scalar cases run in a fresh interpreter of their own, so
+that no case's times depend on what the cases before it left in the
+allocator (a cold `init_state` at M = 512 read 0.1 ms slower after the
+M = 128 cases in one interpreter).  Each layer is reported in ms per
 call, per side, as the median and quartiles of its round medians and the
 minimum of all its samples, with the number of rounds the tree won (round
 i of each side is a pair).
@@ -78,6 +87,7 @@ CASES = ((4.0, 128), (1.0, 128), (0.3, 128), (0.15, 128),
          (1.0, 512), (0.3, 512), (1.0, 2048))
 LAYERS = ("init_state cold", "init_state warm", "iterate_once", "truncation_guard", "solve",
           "check_jump", "check_reality", "verify", "format", "write")
+SMOOTHNESS_CASES = ("theta1", "a_re")  # probe directions of the sweep-probe workload
 SCALAR_CASES = ((0.1, ()), (0.25, ((0.8, 2),)))  # eta0, (zero on the line, order)
 SCALAR_LAYERS = ("solve_scalar_bvp", "boundary pair", "verify_uniqueness")
 LAYER_ROUNDS = 12  # alternating rounds of layer times
@@ -137,8 +147,9 @@ def layer_calls(rh, R: float, M: int, tmp: Path) -> tuple[int, dict]:
             cli._write(out / name, *parts)
         return out
 
-    # a step past the solved state: on a side with a per-solve scratch, the
-    # state carries the scratch of the step that made it, as in solve's loop
+    # a step past the solved state: on a side with a scratch (a per-solve
+    # one, or a one-member stack), the state carries the scratch of the
+    # step that made it
     carried = rh.iterate_once(dataclasses.replace(state))
     return report["iterations"], {
         "init_state cold": lambda: (clear(), rh.init_state(cfg)),
@@ -153,18 +164,56 @@ def layer_calls(rh, R: float, M: int, tmp: Path) -> tuple[int, dict]:
         "write": write}
 
 
-def time_layers(src: str) -> dict:
-    """Samples per case and layer, with rhflow imported from src."""
+def smoothness_call(rh, direction: str, tmp: Path):
+    """The sweep-probe workload's `smoothness` op for direction: pentagon,
+    theta = (0.7, 1.3), R = 4, M = 128, max_iter 100, orders [1, 2], step
+    0.01, for a_re on z1 = 1 + a/2 at a = 0.1.  The call runs
+    `cli_driver._cmd_smoothness` with its `_write` stubbed to keep the texts
+    and returns them per file name: every stencil solve and both probes
+    through each side's own `smoothness_probe`, with no file system."""
+    from rhflow import cli_driver as cli
+    from rhflow.charge_lattice import pentagon_spectrum
+    from rhflow.spectrum_rays import CentralCharge
+    Z, a = ((CentralCharge((1.0, 0.5), (1j,)), 0.1) if direction.startswith("a_")
+            else (CentralCharge.constant(1.0, 1j), 0.0))
+    cfg = rh.SolverConfig(R=4.0, a=a, theta=(0.7, 1.3), spectrum=pentagon_spectrum(0.9),
+                          Z=Z, M=128, max_iter=100)
+    rc = cli.RunConfig("smoothness", cfg, None, {"smoothness": {
+        "direction": direction, "orders": [1, 2], "step": 0.01}})
+
+    def smoothness() -> dict:
+        texts = {}
+        saved = cli._write
+        cli._write = lambda path, *parts: texts.__setitem__(path.name, parts)
+        try:
+            cli._cmd_smoothness(rc, tmp)
+        finally:
+            cli._write = saved
+        return texts
+    return smoothness
+
+
+def time_layers(src: str, group: str) -> dict:
+    """Samples per case and layer of one group, with rhflow imported from
+    src: the CASES at M = group and, at M = 128, the SMOOTHNESS_CASES, or
+    the SCALAR_CASES for group "scalar"."""
     sys.path.insert(0, src)
+    if group == "scalar":
+        return time_scalar_layers()
     from rhflow import rh_solver as rh
     out = {}
     with tempfile.TemporaryDirectory(prefix="layer-times-write-") as tmp:
         for R, M in CASES:
+            if M != int(group):
+                continue
             iterations, fns = layer_calls(rh, R, M, Path(tmp))
             out[f"R={R:g},M={M}"] = {"iterations": iterations,
                                      **{name: _per_call(fns[name], SAMPLES.get(name, 5))
                                         for name in LAYERS}}
-    out.update(time_scalar_layers())
+        if int(group) == 128:
+            for direction in SMOOTHNESS_CASES:
+                fn = smoothness_call(rh, direction, Path(tmp))
+                out[f"smoothness {direction},R=4,M=128"] = {"smoothness": _per_call(fn, 5)}
     return out
 
 
@@ -259,12 +308,23 @@ def layer_summary(rounds: dict[str, list[dict]]) -> dict:
 
 
 def layers(sides: dict[str, Path]) -> dict:
+    """LAYER_ROUNDS alternating rounds; a round of a side runs each group of
+    layer_groups() in a fresh interpreter, so that no case's times depend
+    on the allocations of cases with another M before it."""
     rounds: dict = {side: [] for side in sides}
     for i in range(LAYER_ROUNDS):
         for side in (list(sides) if i % 2 == 0 else list(sides)[::-1]):
-            rounds[side].append(_last_line(_child([__file__, "--layers-of",
-                                                   str(sides[side] / "src")])))
+            times = {}
+            for group in layer_groups():
+                times.update(_last_line(_child([__file__, "--layers-of",
+                                                str(sides[side] / "src"), group])))
+            rounds[side].append(times)
     return {"rounds": LAYER_ROUNDS, "ms_per_call": layer_summary(rounds)}
+
+
+def layer_groups() -> list[str]:
+    """The node counts of CASES, and "scalar"."""
+    return [str(M) for M in sorted({M for _, M in CASES})] + ["scalar"]
 
 
 def end_to_end(sides: dict[str, Path], workload: str) -> dict:
@@ -331,11 +391,11 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="JSON record to write")
     parser.add_argument("--base", default="HEAD", help="git ref to compare against")
     parser.add_argument("--workload", action="extend", nargs="+", default=[])
-    parser.add_argument("--layers-of", help=argparse.SUPPRESS)
+    parser.add_argument("--layers-of", nargs=2, help=argparse.SUPPRESS)
     parser.add_argument("--ops-of", nargs=4, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.layers_of:
-        print(json.dumps(time_layers(args.layers_of)))
+        print(json.dumps(time_layers(*args.layers_of)))
         return 0
     if args.ops_of:
         root, workload, seed, count = args.ops_of
