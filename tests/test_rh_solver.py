@@ -400,10 +400,20 @@ def test_solve_guards_each_converged_state_once(monkeypatch):
         return original(*states)
 
     monkeypatch.setattr(rh, "truncation_guard", counting)
+    limited = []
+    original_limits = rh.asymptotic_theta
+
+    def limits(state):
+        limited.append(state.cfg)
+        return original_limits(state)
+
+    monkeypatch.setattr(rh, "asymptotic_theta", limits)
     solutions = {}
     smoothness_probe(pentagon_cfg(M=64), "theta1", 1, 1e-2, solutions=solutions)
     assert len(guarded) == len(solutions) == 4
     assert set(guarded) == set(solutions)
+    # and each member takes its limits once
+    assert sorted(map(id, guarded)) == sorted(map(id, limited))
 
 
 def test_solve_and_verify_guard_and_take_the_limits_once_per_state(monkeypatch):
