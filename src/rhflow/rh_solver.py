@@ -457,8 +457,10 @@ class _Stack:
         self.prev, self.theta = self.ref
         if rows is not None:
             self.prev[...] = rows
-        self.diff = np.empty_like(self.ref)
-        self.mags = np.empty(self.ref.shape)
+        # advance's differences and their moduli, in the FFT pair, which the
+        # step leaves free: fewer fresh pages per solve at large M
+        self.diff = self.fft[1].reshape(self.ref.shape)
+        self.mags = self.fft[0].view(float).reshape(-1)[:self.ref.size].reshape(self.ref.shape)
         # views for the step: the log's Theta, shape (K M, 2), and its
         # density rows, the FFT input and the node transforms
         self._log_theta = self.prev.reshape(2, -1).T
