@@ -432,13 +432,13 @@ class _Stack:
     arrays; values is the newest iterate, shape (K, M, 2), a view of rows."""
 
     def __init__(self, cfgs: list[SolverConfig], problems: list[_ThetaFree],
-                 rows: np.ndarray | None = None):
+                 prev: np.ndarray | None = None):
         K, M = len(cfgs), problems[0].M
         self.cfgs, self.problems = cfgs, problems
         self.map = problems[0].maps[+1]
         if K == 1:  # the problem's own arrays, broadcast over the one member
-            self.static, weights, spectra = problems[0].static, problems[0].weights, \
-                problems[0].spectra
+            p = problems[0]
+            self.static, weights, spectra = p.static, p.weights, p.spectra
         else:
             self.static = np.concatenate([p.static for p in problems], axis=1)
             weights = np.stack([p.weights for p in problems])
@@ -449,14 +449,14 @@ class _Stack:
         self.fft = (np.empty_like(self.padded), np.empty_like(self.padded))
         self.rows = np.empty((2, K, M), dtype=complex)
         self.values = self.rows.transpose(1, 2, 0)
-        # the previous iterate (rows, else init_state's zeroth iterate,
+        # the previous iterate (prev, else init_state's zeroth iterate,
         # theta) and theta, against which one subtraction takes both of
         # solve's distances
         self.ref = np.empty((2, 2, K, M), dtype=complex)
         self.ref[...] = np.array([cfg.theta for cfg in cfgs]).T[:, :, None]
         self.prev, self.theta = self.ref
-        if rows is not None:
-            self.prev[...] = rows
+        if prev is not None:
+            self.prev[...] = prev
         # advance's differences and their moduli, in the FFT pair, which the
         # step leaves free: fewer fresh pages per solve at large M
         self.diff = self.fft[1].reshape(self.ref.shape)
