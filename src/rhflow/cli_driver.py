@@ -25,7 +25,8 @@ from .charge_lattice import Charge, Spectrum, require_support
 from .contour_quadrature import (build_ray_grid, deform_to_bps_ray, in_swept_sector,
                                  integrate_ray, sweep_sign)
 from .errors import ConfigError, NoAdmissibleRayError, RHFlowError
-from .rh_solver import SolverConfig, smoothness_probe, solve, solve_stencils, verify
+from .rh_solver import (SolverConfig, smoothness_probe, solve, solve_batch, solve_stencils,
+                        verify, verify_batch)
 from .saddle_asymptotics import compare, saddle_point
 from .scalar_bvp import (ScalarBVProblem, regularizing_factor, solve_scalar_bvp,
                          verify_uniqueness, zero_factor)
@@ -255,10 +256,15 @@ def _cmd_sweep_r(rc: RunConfig, out: Path) -> None:
                 for R in _list(rc.extras.get("R_values", []), "R_values")]
     if not r_values:
         raise ConfigError("R_values list is required for sweep_r")
+    # the rungs as one batch, then checked as one stack; the first rung
+    # that fails, in ladder order, raises
+    results = solve_batch([dataclasses.replace(rc.solver, R=R) for R in r_values])
+    for result in results:
+        if isinstance(result, RHFlowError):
+            raise result
     rows = []
-    for R in r_values:
-        state, report = solve(dataclasses.replace(rc.solver, R=R))
-        residuals = verify(state)
+    for R, (_, report), residuals in zip(r_values, results,
+                                         verify_batch([state for state, _ in results])):
         ratio = max(report["ratios"]) if report["ratios"] else 0.0
         rows.append([fmt(R), str(report["iterations"]), fmt(report["deltas"][-1]),
                      fmt(ratio), fmt(residuals["jump"]), fmt(residuals["reality"])])

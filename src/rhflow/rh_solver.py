@@ -38,6 +38,11 @@ defining conditions on that state.  solve keeps one check, truncation_guard, whi
 solution where |Y_g| < 1 on the jump rays, the domain in which the side maps'
 log series (stokes_series) converge; a state runs it at most once and keeps
 its limits at 0 and infinity (state.limits), so verify repeats neither.
+verify is the one-member case of verify_batch, which checks states that
+share M and both side maps' charge order as one stack (_Checks): one
+forward FFT of their densities serves both check_jump's midpoint_limits and
+check_reality's reality_rays, then one inverse FFT per check and one
+_SideMap.log per side over all their midpoints.
 
 solve is the one-member case of solve_batch, which steps solves (members)
 that share M and side +1's charge order in lockstep on one member stack
@@ -49,8 +54,9 @@ its own solve stops, with that solve's state and report or error; members
 that converge at one step take truncation_guard and their densities in one
 stacked pass.  Every operation is elementwise or per FFT row, so a member's
 numbers are those of its solve bit for bit.  smoothness_probe and rhflow
-smoothness solve their stencil points as one batch (solve_stencils);
-sweep_r solves one rung at a time.
+smoothness solve their stencil points as one batch (solve_stencils), and
+rhflow sweep_r solves its R ladder as one batch, whose rungs differ only in
+their theta-free problems, and checks them by verify_batch.
 
 The densities use the split of the semiflat exponential
 X_g = exp(pi R (Z_g / zeta + zeta conj Z_g) + i c_g . Theta): the theta-free
@@ -148,6 +154,12 @@ class SolverConfig:
             raise ConfigError("a must be finite")
         if not all(map(cmath.isfinite, self.Z.z1 + self.Z.z2)):
             raise ConfigError("Z coefficients must be finite")
+
+    @functools.cached_property
+    def _shifted(self) -> dict:
+        """_stencils' points about this configuration by (direction,
+        offset), each built on first use."""
+        return {}
 
 
 def _static_exponents(R: float, zg: complex | np.ndarray,
@@ -436,11 +448,10 @@ class _Stack:
         K, M = len(cfgs), problems[0].M
         self.cfgs, self.problems = cfgs, problems
         self.map = problems[0].maps[+1]
+        self.static = _side_by_side([p.static for p in problems])
         if K == 1:  # the problem's own arrays, broadcast over the one member
-            p = problems[0]
-            self.static, weights, spectra = p.static, p.weights, p.spectra
+            weights, spectra = problems[0].weights, problems[0].spectra
         else:
-            self.static = np.concatenate([p.static for p in problems], axis=1)
             weights = np.stack([p.weights for p in problems])
             spectra = np.stack([p.spectra for p in problems], axis=1)  # (2, K, 2M)
         self.weights, (self.same, self.cross) = weights, spectra
@@ -473,19 +484,15 @@ class _Stack:
         return _Stack([self.cfgs[k] for k in keep], [self.problems[k] for k in keep],
                       self.prev[:, keep])
 
-    def _log(self) -> np.ndarray:
-        """Side +1's density at every member's previous iterate, as (2, K, M)
-        rows of the log buffers, by one _SideMap.log."""
-        self.map.log(self.static, self._log_theta, self.log)
-        return self._h
-
     def step(self) -> None:
         """One application of the integral-equation map to every member's
-        previous iterate, into rows: side +1's density h by _log, and
-        c_same h + c_cross h_{-1} with h_{-1} = -conj(h[::-1]) on -r by one
-        FFT of the weighted densities, one product with each member's
-        spectra (the second of conj(H)) and one inverse FFT."""
-        h = self._log()
+        previous iterate, into rows: side +1's density h by one
+        _SideMap.log over the stack, and c_same h + c_cross h_{-1} with
+        h_{-1} = -conj(h[::-1]) on -r by one FFT of the weighted densities,
+        one product with each member's spectra (the second of conj(H)) and
+        one inverse FFT."""
+        self.map.log(self.static, self._log_theta, self.log)
+        h = self._h
         work, other = self.fft
         np.multiply(h, self.weights, out=self._head)
         np.fft.fft(self.padded, out=work)
@@ -509,13 +516,13 @@ class _Stack:
         return distances
 
     def densities(self, members: list[int]) -> list[dict[int, np.ndarray]]:
-        """The combined density per side and target, shape (M, 2), of each
-        of members at its previous iterate (after advance, the newest), from
-        one _log over the stack: side +1's by its side map, side -1's, on
-        -r, as the involution image -conj(h_{+1}[::-1]).  Fresh arrays."""
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # see log
-            h = self._log()
-        return [{+1: hk, -1: -hk[::-1].conj()} for hk in (h[:, k].copy().T for k in members)]
+        """_densities of members (ascending) at their previous iterate
+        (after advance, the newest), from one _SideMap.log over their own
+        points only."""
+        if len(members) == len(self.cfgs):  # all of them, in the step's log buffers
+            return _densities(self.map, self.static, self.prev, self.log)
+        return _densities(self.map, _side_by_side([self.problems[k].static for k in members]),
+                          self.prev[:, members])
 
     def state(self, k: int) -> ThetaState:
         """Member k's newest iterate as a state of its own values."""
@@ -550,7 +557,7 @@ class ThetaState:
 
     @functools.cached_property
     def densities(self) -> dict[int, np.ndarray]:
-        return _Stack([self.cfg], [self.problem], self.values.T[:, None]).densities([0])[0]
+        return _densities(self.problem.maps[+1], self.problem.static, self.values.T[:, None])[0]
 
     @functools.cached_property
     def limits(self) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
@@ -565,14 +572,32 @@ class ThetaState:
             self._guarded = True
 
 
-def _stacked(states: tuple[ThetaState, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The theta-free exponents of side +1's charges at r's nodes and the
-    node values of states that share M and side +1's charge order, side by
-    side: shapes (n, K M) and (K M, 2)."""
-    if len(states) == 1:
-        return states[0].problem.static, states[0].values
-    return (np.concatenate([st.problem.static for st in states], axis=1),
-            np.concatenate([st.values.T for st in states], axis=1).T)
+def _side_by_side(arrays: list[np.ndarray]) -> np.ndarray:
+    """Per-member (n, P) arrays as one (n, K P) array, member by member; one
+    member's own array."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=1)
+
+
+def _member_axis(arrays: list[np.ndarray], axis: int) -> np.ndarray:
+    """Per-member arrays stacked along a new member axis at axis; one
+    member's own array, viewed with that axis."""
+    if len(arrays) == 1:
+        return arrays[0][(slice(None),) * axis + (None,)]
+    return np.stack(arrays, axis)
+
+
+def _densities(side_map: _SideMap, static: np.ndarray, rows: np.ndarray,
+               buffers: tuple | None = None) -> list[dict[int, np.ndarray]]:
+    """The combined density per side and target, shape (M, 2), of each of K
+    members from their theta-free exponents of side +1's charges side by
+    side (shape (n, K M)) and their node values as (2, K, M) rows (target,
+    member, node), by one _SideMap.log over the K M points (in buffers, fresh
+    by default): side +1's by its side map, side -1's, on -r, as the
+    involution image -conj(h_{+1}[::-1]).  Fresh arrays."""
+    K, M = rows.shape[1:]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # see log
+        h = side_map.log(static, rows.reshape(2, -1).T, buffers).T.reshape(2, K, M)
+    return [{+1: hk, -1: -hk[::-1].conj()} for hk in (h[:, k].copy().T for k in range(K))]
 
 
 def init_state(cfg: SolverConfig) -> ThetaState:
@@ -755,15 +780,47 @@ def verify(state: ThetaState) -> dict:
     With -r mirrored from r, the last three read rounding only: the reality
     check compares Theta on two pairs of opposite off-contour rays, by FFT
     from both sides' densities, so it shows a side -1 density that is not
-    the involution image of side +1's, but both rays share one node set."""
-    cfg = state.cfg
-    theta0, thetainf = state.limits
-    return {
-        "jump": check_jump(state),
-        "reality": check_reality(state),
-        "asymptotic_real": max(abs((theta0[k] - cfg.theta[k]).real) for k in (0, 1)),
-        "asymptotic_conj": max(abs(theta0[k] - thetainf[k].conjugate()) for k in (0, 1)),
-    }
+    the involution image of side +1's, but both rays share one node set.
+
+    verify_batch's one-member case: both checks take their limits from one
+    forward FFT of the state's weighted and unweighted densities (_Checks)."""
+    (residuals,) = verify_batch([state])
+    return residuals
+
+
+def verify_batch(states: list[ThetaState]) -> list[dict]:
+    """verify's residuals of each state, in their order.  Every state is
+    guarded first, in order, so the first that fails truncation_guard
+    raises.  States that share M and both side maps' charge order are
+    checked as one _Checks stack: one forward FFT of their densities
+    serves both checks, then one inverse FFT per check and one
+    _SideMap.log per side over their K (M - 1) midpoints.  Every operation
+    is elementwise or per FFT row, so each state's residuals are those of
+    its verify alone bit for bit."""
+    for st in states:
+        st.guard()
+    groups: dict = {}
+    for i, st in enumerate(states):
+        maps = st.problem.maps
+        # one stack per M and charge orders; verify's lone state needs no key
+        key = len(states) > 1 and (st.problem.M, tuple(maps[+1].charges),
+                                   tuple(maps[-1].charges))
+        groups.setdefault(key, []).append(i)
+    results: list = [None] * len(states)
+    for index in groups.values():
+        checks = _Checks([states[i] for i in index])
+        for i, jump, reality in zip(index, check_jump(checks).tolist(),
+                                    check_reality(checks).tolist()):
+            theta = states[i].cfg.theta
+            theta0, thetainf = states[i].limits
+            results[i] = {
+                "jump": jump,
+                "reality": reality,
+                "asymptotic_real": max(abs((theta0[k] - theta[k]).real) for k in (0, 1)),
+                "asymptotic_conj": max(abs(theta0[k] - thetainf[k].conjugate())
+                                       for k in (0, 1)),
+            }
+    return results
 
 
 def evaluate_theta(state: ThetaState, zeta) -> tuple:
@@ -819,7 +876,9 @@ def truncation_guard(*states: ThetaState) -> None:
     naming its first failing charge in spectrum order."""
     side_map = states[0].problem.maps[+1]
     M = states[0].problem.M
-    mags = np.abs(side_map.exponentials(*_stacked(states)))
+    values = states[0].values if len(states) == 1 else np.concatenate([st.values for st in states])
+    mags = np.abs(side_map.exponentials(_side_by_side([st.problem.static for st in states]),
+                                        values))
     if mags.max(initial=0.0) < 1.0:  # a NaN goes on to the loop, which passes it
         return
     for k, st in enumerate(states):
@@ -833,7 +892,102 @@ def truncation_guard(*states: ThetaState) -> None:
                 )
 
 
-def check_jump(state: ThetaState) -> float:
+class _Checks:
+    """K states checked in one stacked pass: they share M and both side
+    maps' charge order.  It holds their weights, midpoint_limits' and
+    reality_rays' kernel spectra and check_jump's midpoint exponents per
+    side, stacked along a member axis (views of one member's own arrays),
+    and, on first use, transforms: one forward FFT of both sides' weighted
+    and unweighted densities, which both checks read."""
+
+    def __init__(self, states: list[ThetaState]):
+        problems = [st.problem for st in states]
+        self.states, self.M = states, problems[0].M
+        self.maps = problems[0].maps
+        self.weights = _member_axis([p.weights for p in problems], 0)  # (K, M)
+        # (kernel, K, 2M) and (pair, kernel, K, 2M)
+        self.mid_spectra = _member_axis([p.mid_spectra for p in problems], 1)
+        self.reality_spectra = _member_axis([p.reality_spectra for p in problems], 2)
+        self.mid_static = {side: _side_by_side([p.mid_static[side] for p in problems])
+                           for side in (+1, -1)}
+        # theta per target and member, shape (2, K, 1)
+        self.theta = np.array([st.cfg.theta for st in states]).T[:, :, None]
+
+    @functools.cached_property
+    def transforms(self) -> np.ndarray:
+        """The FFTs of the (weighted, unweighted) x side x target x member
+        stack of the states' densities, zero-padded to 2M: shape
+        (2, 2, 2, K, 2M).  Read-only: both checks take it."""
+        M = self.M
+        work = np.zeros((2, 2, 2, len(self.states), 2 * M), dtype=complex)
+        for k, st in enumerate(self.states):
+            for i, side in enumerate((+1, -1)):
+                work[1, i, :, k, :M] = st.densities[side].T
+        np.multiply(work[1, ..., :M], self.weights, out=work[0, ..., :M])
+        np.fft.fft(work, out=work)
+        work.flags.writeable = False
+        return work
+
+    def midpoint_limits(self) -> np.ndarray:
+        """midpoint_limits of every member, shape (2, 2, 2, K, M - 1)
+        (limit, ray, target, member, midpoint)."""
+        weighted, unweighted = self.transforms
+        coth, sinc, tanh = self.mid_spectra
+        pv = coth * weighted
+        pv += tanh * weighted[::-1]
+        limits = np.empty_like(self.transforms)
+        # density first: numpy's complex product may fuse a multiply-add, so
+        # a * b and b * a can differ in the last bit
+        half_jump = np.multiply(unweighted, sinc, out=limits[1])
+        np.add(pv, half_jump, out=limits[0])
+        np.subtract(pv, half_jump, out=half_jump)
+        # unscaled inverse: the spectra carry the 1/2M
+        sums = np.fft.ifft(limits, norm="forward", out=limits)[..., :self.M - 1]
+        sums /= -FOUR_PI
+        sums += self.theta
+        return sums
+
+    def reality_rays(self) -> np.ndarray:
+        """reality_rays' Theta of every member, shape (2, 2, 2, K, M) (pair,
+        ray, target, member, node)."""
+        plus, minus = self.transforms[0]
+        # sums[pair, ray, target]: side +1's transform under the ray's kernel,
+        # plus side -1's under the other one
+        kernels = self.reality_spectra[:, :, None]
+        sums = np.multiply(plus, kernels)
+        term = np.empty_like(sums[:, 0])
+        for ray in (0, 1):
+            sums[:, ray] += np.multiply(minus, kernels[:, 1 - ray], out=term)
+        values = np.fft.ifft(sums, out=sums)[..., :self.M]
+        values /= FOUR_PI
+        np.subtract(self.theta, values, out=values)
+        return values
+
+    def jump(self) -> np.ndarray:
+        """check_jump's residual of every member, shape (K,)."""
+        for st in self.states:
+            st.guard()
+        plus, minus = self.midpoint_limits()
+        K = len(self.states)
+        residuals = []
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # see log
+            for ray, s in enumerate((+1, -1)):
+                log = self.maps[s].log(self.mid_static[s], minus[ray].reshape(2, -1).T)
+                diff = (minus[ray] - plus[ray]).reshape(2, -1).T
+                # (K (M - 1), 2), member by member
+                res = np.abs(np.expm1(1j * diff + log))
+                residuals.append(res.reshape(K, -1).max(axis=1))
+        return np.maximum(*residuals)
+
+    def reality(self) -> np.ndarray:
+        """check_reality's residual of every member, shape (K,)."""
+        values = self.reality_rays().transpose(3, 0, 1, 2, 4)  # member first
+        direct, mirrored = values[:, :, 0], values[:, :, 1, ..., ::-1]
+        return np.abs(mirrored.conj() - direct).reshape(len(self.states), -1).max(
+            axis=1, initial=0.0)
+
+
+def check_jump(state) -> float:
     """Sup relative residual of the multiplicative jump on both rays.
 
     The counterclockwise boundary values must equal the side's jump map
@@ -847,16 +1001,13 @@ def check_jump(state: ThetaState) -> float:
     |S Y- - Y+| / |Y+| = |exp(i (Theta- - Theta+) + h(Y-)) - 1|, taken by
     expm1 and never through Y+- themselves.  A non-finite residual is
     returned as such.
+
+    Given a ThetaState, it returns its residual; given a _Checks stack
+    (verify_batch's), the residual of every member, shape (K,).
     """
-    problem = state.problem
-    state.guard()
-    plus, minus = midpoint_limits(state)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # see _SideMap.log
-        logs = [problem.maps[s].log(problem.mid_static[s], minus[ray].T)
-                for ray, s in enumerate((+1, -1))]
-    residuals = [np.abs(np.expm1(1j * (minus[ray] - plus[ray]).T + logs[ray]))
-                 for ray in (0, 1)]
-    return float(np.max(residuals))
+    if isinstance(state, _Checks):
+        return state.jump()
+    return float(_Checks([state]).jump()[0])
 
 
 def midpoint_limits(state: ThetaState) -> np.ndarray:
@@ -871,30 +1022,11 @@ def midpoint_limits(state: ThetaState) -> np.ndarray:
     jump +- 2 pi i times the unweighted density under sinc(j - i - 1/2); the
     other ray adds its weighted density under tanh((j - i - 1/2) step/2).
     -r's midpoints take the same kernels with the sides swapped.  One FFT of
-    the (weighted, unweighted) x side x target stack of state.densities,
-    one product with each kept spectrum and one inverse FFT.
+    the (weighted, unweighted) x side x target stack of state.densities
+    (_Checks.transforms, which reality_rays shares), one product with each
+    kept spectrum and one inverse FFT.
     """
-    problem = state.problem
-    M = problem.M
-    # in place from here on: from M = 512 on, a (2, 2, 2, 2M) temporary is
-    # large enough to be freshly mapped and page-faulted on every call
-    work = np.zeros((2, 2, 2, 2 * M), dtype=complex)  # (weighted, unweighted), zero-padded
-    for side, i in ((+1, 0), (-1, 1)):
-        work[1, i, :, :M] = state.densities[side].T
-    np.multiply(work[1, ..., :M], problem.weights, out=work[0, ..., :M])
-    np.fft.fft(work, out=work)
-    weighted, half_jump = work
-    coth, sinc, tanh = problem.mid_spectra
-    pv = coth * weighted
-    pv += tanh * weighted[::-1]
-    half_jump *= sinc
-    np.add(pv, half_jump, out=work[0])
-    np.subtract(pv, half_jump, out=work[1])
-    # unscaled inverse: the spectra carry the 1/2M
-    sums = np.fft.ifft(work, norm="forward", out=work)[..., :M - 1]
-    sums /= -FOUR_PI
-    sums += np.array(state.cfg.theta)[:, None]
-    return sums
+    return _Checks([state]).midpoint_limits()[..., 0, :]
 
 
 # check_reality's sample rays: each at this angle from r, paired with its
@@ -913,31 +1045,16 @@ def reality_rays(state: ThetaState) -> tuple[np.ndarray, np.ndarray]:
     is kappa(j - i) = (e^{(j - i) step} + rho)/(e^{(j - i) step} - rho) with
     rho = e^{i alpha}, and that of node j of -r is 1/kappa(j - i) (rho -> -rho);
     the opposite ray swaps the two.  The trapezoid sums are Toeplitz
-    products, taken by FFT on circulants of length 2M: one FFT of both sides'
-    weighted densities (state.densities, side -1's as stored), one product
-    with each of the theta-free problem's kernel spectra and one inverse FFT.
+    products, taken by FFT on circulants of length 2M: the FFT of both sides'
+    weighted densities (state.densities, side -1's as stored) that
+    midpoint_limits takes too (_Checks.transforms), one product with each
+    of the theta-free problem's kernel spectra and one inverse FFT.
     """
-    problem = state.problem
-    M = problem.M
-    # in place, as in midpoint_limits
-    work = np.zeros((2, 2, 2 * M), dtype=complex)  # (side, target), zero-padded
-    for i, side in enumerate((+1, -1)):
-        np.multiply(state.densities[side].T, problem.weights, out=work[i, :, :M])
-    plus, minus = np.fft.fft(work, out=work)
-    # sums[pair, ray, target]: side +1's transform under the ray's kernel,
-    # plus side -1's under the other one
-    kernels = problem.reality_spectra[:, :, None]
-    sums = np.multiply(plus, kernels)
-    term = np.empty_like(sums[:, 0])
-    for ray in (0, 1):
-        sums[:, ray] += np.multiply(minus, kernels[:, 1 - ray], out=term)
-    values = np.fft.ifft(sums, out=sums)[..., :M]
-    values /= FOUR_PI
-    np.subtract(np.array(state.cfg.theta)[:, None], values, out=values)
-    return problem.r.phase + np.add.outer(REALITY_OFFSETS, [0.0, math.pi]), values
+    values = _Checks([state]).reality_rays()[..., 0, :]
+    return state.problem.r.phase + np.add.outer(REALITY_OFFSETS, [0.0, math.pi]), values
 
 
-def check_reality(state: ThetaState) -> float:
+def check_reality(state) -> float:
     """Sup of |conj(Theta_k(-1/conj zeta)) - Theta_k(zeta)| over the node
     radii of reality_rays' first ray of each pair; the involution maps its
     point i to point M - 1 - i of the opposite ray.
@@ -945,10 +1062,11 @@ def check_reality(state: ThetaState) -> float:
     It reads both sides' densities, so a side -1 density that is not the
     involution image of side +1's shows; an asymmetric node set cannot,
     since both contour rays share one by construction.  On a solved state
-    it reads rounding (see verify)."""
-    _, values = reality_rays(state)
-    direct, mirrored = values[:, 0], values[:, 1, :, ::-1]
-    return float(np.max(np.abs(mirrored.conj() - direct), initial=0.0))
+    it reads rounding (see verify).  Given a _Checks stack, as check_jump,
+    the residual of every member."""
+    if isinstance(state, _Checks):
+        return state.reality()
+    return float(_Checks([state]).reality()[0])
 
 
 def asymptotic_theta(state: ThetaState
@@ -987,13 +1105,22 @@ _STENCILS = {
 
 def _stencils(cfg: SolverConfig, direction: str, order: int, grid_step: float) -> list:
     """The order's central differences at steps h = grid_step and h/2, as
-    (h, [(shifted configuration, coefficient) per point])."""
+    (h, [(shifted configuration, coefficient) per point]).  Each shifted
+    configuration is built once per configuration, direction and offset
+    (cfg._shifted), so the probes of several orders, and solve_stencils
+    before them, share it."""
     if direction not in _DIRECTIONS:
         raise ConfigError(f"unknown probe direction {direction!r}")
     if order not in _STENCILS:
         raise ConfigError("probe order must be 1, 2 or 3")
-    shift = _DIRECTIONS[direction]
-    return [(h, [(shift(cfg, mult * h), coeff) for mult, coeff in _STENCILS[order]])
+    shift, points = _DIRECTIONS[direction], cfg._shifted
+
+    def point(offset: float) -> SolverConfig:
+        key = direction, offset
+        if key not in points:
+            points[key] = shift(cfg, offset)
+        return points[key]
+    return [(h, [(point(mult * h), coeff) for mult, coeff in _STENCILS[order]])
             for h in (grid_step, 0.5 * grid_step)]
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -308,12 +309,12 @@ def test_exit_code_1_when_a_probe_or_ladder_key_is_invalid_before_any_solve(
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before the section was checked")
 
-    # sweep_r solves through cli_driver's name, smoothness's stencils
-    # through rh_solver's solve_batch; saddle_check and deform_check
+    # sweep_r solves its ladder through cli_driver's solve_batch, smoothness
+    # its stencils through rh_solver's; saddle_check and deform_check
     # integrate on the grids of cli_driver's compare and build_ray_grid
     for name in ("rhflow.cli_driver.solve", "rhflow.rh_solver.solve",
-                 "rhflow.rh_solver.solve_batch", "rhflow.cli_driver.compare",
-                 "rhflow.cli_driver.build_ray_grid"):
+                 "rhflow.cli_driver.solve_batch", "rhflow.rh_solver.solve_batch",
+                 "rhflow.cli_driver.compare", "rhflow.cli_driver.build_ray_grid"):
         monkeypatch.setattr(name, no_solve)
     # json writes and reads NaN and Infinity
     cfg = write_cfg(tmp_path, dict(json.loads(json.dumps(PENTAGON)), **extras))
@@ -472,6 +473,137 @@ def test_sweep_r_monotone_ratios(tmp_path):
     assert all(b < a for a, b in zip(ratios, ratios[1:]))
 
 
+def reference_sweep(doc) -> tuple[int, str | dict]:
+    """rhflow sweep_r as a loop of per-rung solve and verify: exit code 0
+    and sweep.csv's text, or 2 and the first failing rung's error.json."""
+    from rhflow import rh_solver
+    from rhflow.errors import RHFlowError
+    cfg = load_config(json.dumps(doc), "sweep_r").solver
+    rows = ["R,iterations,final_delta,contraction_ratio,jump_residual,reality_residual\n"]
+    for R in doc["R_values"]:
+        try:
+            state, report = rh_solver.solve(dataclasses.replace(cfg, R=R))
+        except RHFlowError as exc:
+            return 2, {"command": "sweep_r", "error": type(exc).__name__, "message": str(exc)}
+        residuals = rh_solver.verify(state)
+        ratio = max(report["ratios"]) if report["ratios"] else 0.0
+        rows.append(",".join([fmt(R), str(report["iterations"]), fmt(report["deltas"][-1]),
+                              fmt(ratio), fmt(residuals["jump"]),
+                              fmt(residuals["reality"])]) + "\n")
+    return 0, "".join(rows)
+
+
+def sweep(tmp_path, doc) -> tuple[int, str | dict]:
+    """rhflow sweep_r's exit code and sweep.csv's text or error.json."""
+    out = tmp_path / "out"
+    code = main(["sweep_r", "--config", str(write_cfg(tmp_path, doc)), "--out", str(out)])
+    if code:
+        return code, json.loads((out / "error.json").read_text())
+    return code, (out / "sweep.csv").read_text()
+
+
+GENERIC_PROBLEM = {"spectrum": {"entries": [[[1, 0], 1], [[-1, 0], 1], [[0, 1], 1],
+                                            [[0, -1], 1]]},
+                   "Z": {"z1": [[1.3, 0.2]], "z2": [[-0.25, 1.1]]}}
+
+
+@pytest.mark.parametrize("problem, ladder", [
+    ({"M": 128, "max_iter": 100}, [0.15, 0.5, 4.0]),
+    ({"M": 512, "max_iter": 100}, [0.3, 1.0, 2.0, 8.0]),
+    (dict(GENERIC_PROBLEM, max_iter=100), [0.3, 0.5, 1.0, 2.0, 4.0]),
+    ({"a": [0.1, 0.05], "theta": [0.2, 2.3], "max_iter": 100,
+      "Z": {"z1": [[1.0, 0.0], [0.5, 0.0]], "z2": [[0.0, 1.0]]}}, [0.3, 1.0, 4.0]),
+    ({"M": 64, "max_iter": 100}, [0.5, 4.0, 0.5, 0.3, 4.0]),
+], ids=["pentagon_M128", "pentagon_M512", "generic_two_pair", "complex_a", "duplicate_rungs"])
+def test_sweep_r_ladder_matches_a_loop_of_solve_and_verify(tmp_path, problem, ladder):
+    # the rungs solved as one batch and checked as one stack give the bytes
+    # of one solve and one verify per rung
+    doc = json.loads(json.dumps(PENTAGON))
+    doc["problem"].update(problem)
+    doc["R_values"] = ladder
+    code, text = sweep(tmp_path, doc)
+    assert code == 0
+    assert (code, text) == reference_sweep(doc)
+    assert len(text.splitlines()) == len(ladder) + 1
+
+
+@pytest.mark.parametrize("problem, ladder, error", [
+    # the first rung fails; the second converges
+    ({"max_iter": 5}, [0.3, 4.0], "NonContractionError"),
+    # at theta = (3, 3), max_iter 40: R = 0.09 converges at step 39 and then
+    # fails the |Y| < 1 guard, R = 0.03 stops unconverged at step 40 and
+    # R = 4 converges; ladder order, not step order, picks the error
+    ({"theta": [3.0, 3.0], "M": 64, "max_iter": 40}, [0.09, 0.03, 4.0],
+     "TruncationUnsafeError"),
+    ({"theta": [3.0, 3.0], "M": 64, "max_iter": 40}, [4.0, 0.03, 0.09],
+     "NonContractionError"),
+], ids=["first_rung", "truncation_before_non_contraction",
+        "non_contraction_before_truncation"])
+def test_sweep_r_raises_the_loops_first_error(tmp_path, capsys, problem, ladder, error):
+    doc = json.loads(json.dumps(PENTAGON))
+    doc["problem"].update(problem)
+    doc["R_values"] = ladder
+    got = sweep(tmp_path, doc)
+    assert got == reference_sweep(doc)
+    assert got[0] == 2 and got[1]["error"] == error
+    assert json.loads(capsys.readouterr().err) == got[1]
+
+
+def test_sweep_r_raises_a_non_finite_rungs_error_first(tmp_path, monkeypatch):
+    # no configuration reaches a non-finite iterate, so every step of the
+    # R = 0.5 rung is made to return a NaN; the later R = 0.3 rung stops
+    # unconverged at max_iter 5
+    from rhflow import rh_solver
+    original = rh_solver.iterate_once
+
+    def poisoned(stack):
+        new = original(stack)
+        for k, cfg in enumerate(stack.cfgs):
+            if cfg.R == 0.5:
+                new.values[k, 0, 0] = np.nan
+        return new
+
+    monkeypatch.setattr(rh_solver, "iterate_once", poisoned)
+    doc = json.loads(json.dumps(PENTAGON))
+    doc["problem"]["max_iter"] = 5
+    doc["R_values"] = [4.0, 0.5, 0.3]
+    got = sweep(tmp_path, doc)
+    assert got == reference_sweep(doc)
+    assert got[1]["error"] == "DivergenceError"
+    assert got[1]["message"].startswith("non-finite iterate at step 1; R = 0.5")
+
+
+def test_sweep_r_solves_and_checks_through_the_traced_names(tmp_path, monkeypatch):
+    # the benchmark tracer wraps these rh_solver globals; the stacked
+    # solve and checks must still call them, once per member or stack
+    from rhflow import rh_solver
+    calls = {name: [] for name in ("init_state", "iterate_once", "check_jump",
+                                   "check_reality", "asymptotic_theta")}
+    for name, seen in calls.items():
+        original = getattr(rh_solver, name)
+
+        def traced(arg, _seen=seen, _original=original):
+            _seen.append(arg)
+            return _original(arg)
+
+        monkeypatch.setattr(rh_solver, name, traced)
+    doc = json.loads(json.dumps(PENTAGON))
+    doc["problem"].update(M=64, max_iter=100)
+    doc["R_values"] = [0.3, 1.0, 4.0]
+    out = tmp_path / "out"
+    assert main(["sweep_r", "--config", str(write_cfg(tmp_path, doc)), "--out", str(out)]) == 0
+    monkeypatch.undo()
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert [cfg.R for cfg in calls["init_state"]] == doc["R_values"]
+    assert [st.cfg.R for st in calls["asymptotic_theta"]] == [4.0, 1.0, 0.3]  # as they converge
+    # one step call per lockstep step: as many as the slowest rung takes
+    assert len(calls["iterate_once"]) == max(int(row.split(",")[1]) for row in rows)
+    # one stacked check of the three rungs each
+    for name in ("check_jump", "check_reality"):
+        (checks,) = calls[name]
+        assert [st.cfg.R for st in checks.states] == doc["R_values"]
+
+
 def test_pentagon_table_rows(tmp_path):
     doc = {"table_order": 6}
     cfg = write_cfg(tmp_path, doc)
@@ -564,6 +696,26 @@ def test_smoothness_orders_share_stencil_solves(tmp_path, monkeypatch):
     assert main(["smoothness", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     assert len(calls) == 1 and len(calls[0]) == 5
     assert len(set(calls[0])) == 5
+
+
+def test_smoothness_builds_each_stencil_point_once(tmp_path, monkeypatch):
+    # orders 1 and 2 at steps h and h/2 share their five points: each is
+    # shifted from the configuration once, for the batch and both probes
+    import rhflow.rh_solver as rh_solver
+    shifted = []
+    shift = rh_solver._DIRECTIONS["theta1"]
+
+    def counting(cfg, h):
+        shifted.append(h)
+        return shift(cfg, h)
+
+    monkeypatch.setitem(rh_solver._DIRECTIONS, "theta1", counting)
+    doc = json.loads(json.dumps(PENTAGON))
+    doc["problem"]["M"] = 64
+    doc["smoothness"] = {"direction": "theta1", "orders": [1, 2], "step": 0.01}
+    out = tmp_path / "o"
+    assert main(["smoothness", "--config", str(write_cfg(tmp_path, doc)), "--out", str(out)]) == 0
+    assert sorted(shifted) == [-0.01, -0.005, 0.0, 0.005, 0.01]
 
 
 def test_smoothness_steps_and_builds_its_members_through_the_traced_names(

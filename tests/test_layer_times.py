@@ -112,6 +112,40 @@ def test_smoothness_layer_formats_what_the_command_writes(tmp_path, direction):
         tmp_path / "main" / "smoothness.csv").read_bytes()
 
 
+def test_sweep_layer_formats_what_the_command_writes(tmp_path):
+    # a sweep-probe ladder with its file write stubbed: the texts of its
+    # sweep.csv, and nothing written; each call on a fresh configuration
+    from rhflow import cli_driver, rh_solver
+    write = cli_driver._write
+    call = layer_times.sweep_call(rh_solver, tmp_path)
+    texts = call()
+    assert cli_driver._write is write and not list(tmp_path.iterdir())
+    assert call() == texts
+    doc = {"problem": {"R": 0.15, "theta": [0.7, 1.3], "M": 128, "max_iter": 100,
+                       "spectrum": {"entries": [[[1, 0], 1], [[-1, 0], 1], [[0, 1], 1],
+                                                [[0, -1], 1], [[1, 1], 1], [[-1, -1], 1]],
+                                    "support_constant": 0.9},
+                       "Z": {"z1": [[1.0, 0.0]], "z2": [[0.0, 1.0]]}},
+           "R_values": list(layer_times.SWEEP_LADDER)}
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    assert cli_driver.main(["sweep_r", "--config", str(tmp_path / "cfg.json"),
+                            "--out", str(tmp_path / "main")]) == 0
+    assert list(texts) == ["sweep.csv"]
+    text = "".join(texts["sweep.csv"])
+    assert text.encode() == (tmp_path / "main" / "sweep.csv").read_bytes()
+    assert len(text.splitlines()) == len(layer_times.SWEEP_LADDER) + 1
+
+
+def test_sweep_case_is_summarized_by_its_one_layer():
+    def round_(ms):
+        return {"sweep_r R=0.15,0.5,4,M=128": {"sweep_r": list(ms)}}
+    rounds = {"base": [round_([7.2, 7.4]), round_([7.3])], "tree": [round_([6.5]), round_([7.5])]}
+    case = layer_times.layer_summary(rounds)["sweep_r R=0.15,0.5,4,M=128"]
+    assert list(case) == ["sweep_r"]
+    assert case["sweep_r"]["tree_wins"] == "1 of 2"
+    assert case["sweep_r"]["tree"]["min"] == 6.5
+
+
 def test_prepared_sides_hold_compiled_bytecode(tmp_path):
     # a run under PYTHONDONTWRITEBYTECODE=1 loads these instead of compiling
     # the source, so its peak RSS does not read the source's size

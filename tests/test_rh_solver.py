@@ -1123,3 +1123,79 @@ def test_a_poisoned_member_diverges_alone(monkeypatch):
     monkeypatch.setattr(rh, "iterate_once", original)
     for cfg, result in zip(cfgs[::2], results[::2]):
         assert result[0].values.tobytes() == solve(cfg)[0].values.tobytes()
+
+
+def test_finishing_members_take_densities_from_their_own_points_only(monkeypatch):
+    # a ladder's high-R rung leaves at step 2 while the others still run:
+    # its densities come from one log over its own M points, and they are
+    # those of its solve alone
+    import rhflow.rh_solver as rh
+    passes = []
+    original_densities, original_log = rh._Stack.densities, rh._SideMap.log
+
+    def densities(self, members):
+        passes.append((len(members), []))
+        return original_densities(self, members)
+
+    def log(self, static, theta, buffers=None):
+        if passes:
+            passes[-1][1].append(len(theta))
+        return original_log(self, static, theta, buffers)
+
+    monkeypatch.setattr(rh._Stack, "densities", densities)
+    monkeypatch.setattr(rh._SideMap, "log", log)
+    cfgs = [pentagon_cfg(R=R, max_iter=100) for R in (0.15, 0.5, 4.0, 4.0)]
+    results = solve_batch(cfgs)
+    monkeypatch.undo()
+    # R = 4 twice at step 2, then R = 0.5, then R = 0.15 alone
+    assert [finishing for finishing, _ in passes] == [2, 1, 1]
+    for finishing, points in passes:
+        assert points[:1] == [finishing * 128]
+    for cfg, (state, _) in zip(cfgs, results):
+        alone, _ = solve(cfg)
+        for side in (+1, -1):
+            assert state.densities[side].tobytes() == alone.densities[side].tobytes()
+
+
+def test_verify_batch_matches_each_verify_bit_for_bit(monkeypatch):
+    # members of different R, a and M (two stacks, one per M) in one call,
+    # against each state's own verify; the results keep the states' order
+    import rhflow.rh_solver as rh
+    Za = CentralCharge((1.0, 0.5), (1j,))
+    cfgs = [pentagon_cfg(R=0.3, M=64, max_iter=100), pentagon_cfg(R=4.0, M=128),
+            pentagon_cfg(R=1.0, M=64, a=0.1 + 0.05j, Z=Za, theta=(0.2, 2.3)),
+            pentagon_cfg(R=0.15, M=128, max_iter=100), pentagon_cfg(R=4.0, M=64, a=-0.1, Z=Za)]
+    states = [solve(cfg)[0] for cfg in cfgs]
+    stacks = []
+    original = rh.check_jump
+
+    def counting(checks):
+        stacks.append([st.cfg.M for st in checks.states])
+        return original(checks)
+
+    monkeypatch.setattr(rh, "check_jump", counting)
+    batch = rh.verify_batch(states)
+    monkeypatch.undo()
+    assert sorted(stacks) == [[64, 64, 64], [128, 128]]
+    for state, residuals in zip(states, batch):
+        alone = verify(dataclasses.replace(state))  # fresh densities, limits and guard
+        assert residuals == alone
+        assert residuals == verify(state)
+        assert isinstance(residuals["jump"], float)
+        assert isinstance(check_jump(state), float) and isinstance(check_reality(state), float)
+        for key, value in residuals.items():
+            assert np.float64(value).tobytes() == np.float64(alone[key]).tobytes(), key
+
+
+def test_a_nan_member_of_a_batch_verify_keeps_its_nan_to_itself():
+    import rhflow.rh_solver as rh
+    states = [solve(pentagon_cfg(R=R, theta=theta))[0]
+              for R, theta in ((1.0, (0.7, 1.3)), (4.0, (0.2, -0.4)), (1.0, (1.0, 2.0)))]
+    values = states[1].values.copy()
+    values[40, 1] = np.nan
+    states[1] = dataclasses.replace(states[1], values=values)
+    batch = rh.verify_batch(states)
+    assert math.isnan(batch[1]["jump"])
+    for k in (0, 2):
+        assert not math.isnan(batch[k]["jump"])
+        assert batch[k] == verify(states[k])

@@ -27,7 +27,10 @@ Omega = 2, {+-(gamma1 + gamma2)} and {+-gamma1, +-2 gamma1} at R = 0.1, at
 R = 1 with complex a and a split_phase, at R = 0.3 with max_iter 3 (no
 convergence: the error carries the last delta and the worst ratio) and at
 M = 64 with ball_epsilon 1e-10 (every iterate leaves the ball), `sweep_r`
-over R in {4, 0.3} at max_iter 5, `smoothness` in every probe direction at
+over R in {4, 0.3} and {0.3, 4} at max_iter 5 (a failing rung after and
+before one that converges), over {0.09, 4} at theta = (3, 3) (the first
+rung fails the |Y| < 1 guard), over a ladder with repeated rungs and over
+five rungs of the generic two-pair spectrum at M = 512, `smoothness` in every probe direction at
 orders 1 to 3, at the sweep-probe stencils with R = 0.15 (members of one
 batch converge at different steps, and with max_iter 78 some do not, the
 first of them not the first member) and once where a converged stencil
@@ -110,6 +113,22 @@ def pinned_ops() -> list[dict]:
         {"problem": dict(PENTAGON, M=64, ball_epsilon=1e-10)})
     add("sweep_r-no-convergence", "sweep_r",
         {"problem": dict(PENTAGON, max_iter=5), "R_values": [4.0, 0.3]})
+    # a ladder's rungs are one batch: the first rung fails while the later
+    # one converges, a rung that fails the |Y| < 1 guard comes before one
+    # that converges, rungs repeat, and a generic spectrum at M = 512
+    add("sweep_r-first-rung-fails", "sweep_r",
+        {"problem": dict(PENTAGON, max_iter=5), "R_values": [0.3, 4.0]})
+    add("sweep_r-truncation-unsafe-first", "sweep_r",
+        {"problem": dict(PENTAGON, R=0.09, theta=[3.0, 3.0], M=64, max_iter=200),
+         "R_values": [0.09, 4.0]})
+    add("sweep_r-duplicate-rungs", "sweep_r",
+        {"problem": dict(PENTAGON, max_iter=100), "R_values": [0.5, 4.0, 0.5, 4.0, 0.5]})
+    add("sweep_r-generic-M512", "sweep_r",
+        {"problem": dict(PENTAGON, M=512, max_iter=100,
+                         spectrum={"entries": [[[1, 0], 1], [[-1, 0], 1], [[0, 1], 1],
+                                               [[0, -1], 1]]},
+                         Z={"z1": [[1.3, 0.2]], "z2": [[-0.25, 1.1]]}),
+         "R_values": [0.3, 0.5, 1.0, 2.0, 4.0]})
     # every probe direction and order; a_im needs a central charge that
     # depends on a (z1 = 1 + a/2 at a = 0.1)
     z_of_a = dict(PENTAGON, a=[0.1, 0.0], M=64,

@@ -30,17 +30,21 @@ For each probe direction of SMOOTHNESS_CASES (theta1 and a_re), the
 "smoothness" layer is the sweep-probe workload's `smoothness` op at R = 4,
 M = 128, orders [1, 2], step 0.01: `cli_driver._cmd_smoothness` with its
 `_write` stubbed, so every stencil solve and both probes run through each
-side's own `smoothness_probe`, with no file system.
+side's own `smoothness_probe`, with no file system.  The "sweep_r" layer is
+a sweep-probe `sweep_r` op over the rungs of SWEEP_LADDER (pentagon,
+M = 128, max_iter 100) through `cli_driver._cmd_sweep_r` with its `_write`
+stubbed.  Both command layers take a fresh copy of their configuration
+per call, as every CLI op parses its own.
 Each side runs with one BLAS thread; the sides alternate for LAYER_ROUNDS
 short rounds (about a second each), so a slow spell of a shared host lands
-on both.  In a round each node count of CASES, with the smoothness cases at
-M = 128, and the scalar cases run in a fresh interpreter of their own, so
-that no case's times depend on what the cases before it left in the
-allocator (a cold `init_state` at M = 512 read 0.1 ms slower after the
-M = 128 cases in one interpreter).  Each layer is reported in ms per
-call, per side, as the median and quartiles of its round medians and the
-minimum of all its samples, with the number of rounds the tree won (round
-i of each side is a pair).
+on both.  In a round each node count of CASES, with the smoothness and
+sweep_r cases at M = 128, and the scalar cases run in a fresh interpreter
+of their own, so that no case's times depend on what the cases before it
+left in the allocator (a cold `init_state` at M = 512 read 0.1 ms slower
+after the M = 128 cases in one interpreter).  Each layer is reported in ms
+per call, per side, as the median and quartiles of its round medians and
+the minimum of all its samples, with the number of rounds the tree won
+(round i of each side is a pair).
 
 Both sides run from fresh directories: a `git archive` of the base and a
 copy of the working tree's files (tracked or untracked, not ignored), each
@@ -88,6 +92,7 @@ CASES = ((4.0, 128), (1.0, 128), (0.3, 128), (0.15, 128),
 LAYERS = ("init_state cold", "init_state warm", "iterate_once", "truncation_guard", "solve",
           "check_jump", "check_reality", "verify", "format", "write")
 SMOOTHNESS_CASES = ("theta1", "a_re")  # probe directions of the sweep-probe workload
+SWEEP_LADDER = (0.15, 0.5, 4.0)  # a sweep-probe ladder: one rung per rung class
 SCALAR_CASES = ((0.1, ()), (0.25, ((0.8, 2),)))  # eta0, (zero on the line, order)
 SCALAR_LAYERS = ("solve_scalar_bvp", "boundary pair", "verify_uniqueness")
 LAYER_ROUNDS = 12  # alternating rounds of layer times
@@ -164,39 +169,58 @@ def layer_calls(rh, R: float, M: int, tmp: Path) -> tuple[int, dict]:
         "write": write}
 
 
+def _command_call(command: str, cfg, extras: dict, tmp: Path):
+    """A call of cli_driver's runner of command on a fresh copy of cfg (as
+    each CLI op parses its own) with extras, its `_write` stubbed to keep
+    the texts, which it returns per file name: no file system."""
+    from rhflow import cli_driver as cli
+
+    def call() -> dict:
+        texts = {}
+        saved = cli._write
+        cli._write = lambda path, *parts: texts.__setitem__(path.name, parts)
+        try:
+            cli._RUNNERS[command](cli.RunConfig(command, dataclasses.replace(cfg), None, extras),
+                                  tmp)
+        finally:
+            cli._write = saved
+        return texts
+    return call
+
+
 def smoothness_call(rh, direction: str, tmp: Path):
     """The sweep-probe workload's `smoothness` op for direction: pentagon,
     theta = (0.7, 1.3), R = 4, M = 128, max_iter 100, orders [1, 2], step
-    0.01, for a_re on z1 = 1 + a/2 at a = 0.1.  The call runs
-    `cli_driver._cmd_smoothness` with its `_write` stubbed to keep the texts
-    and returns them per file name: every stencil solve and both probes
-    through each side's own `smoothness_probe`, with no file system."""
-    from rhflow import cli_driver as cli
+    0.01, for a_re on z1 = 1 + a/2 at a = 0.1, by
+    `cli_driver._cmd_smoothness` (_command_call): every stencil solve and
+    both probes through each side's own `smoothness_probe`."""
     from rhflow.charge_lattice import pentagon_spectrum
     from rhflow.spectrum_rays import CentralCharge
     Z, a = ((CentralCharge((1.0, 0.5), (1j,)), 0.1) if direction.startswith("a_")
             else (CentralCharge.constant(1.0, 1j), 0.0))
     cfg = rh.SolverConfig(R=4.0, a=a, theta=(0.7, 1.3), spectrum=pentagon_spectrum(0.9),
                           Z=Z, M=128, max_iter=100)
-    rc = cli.RunConfig("smoothness", cfg, None, {"smoothness": {
-        "direction": direction, "orders": [1, 2], "step": 0.01}})
+    return _command_call("smoothness", cfg, {"smoothness": {
+        "direction": direction, "orders": [1, 2], "step": 0.01}}, tmp)
 
-    def smoothness() -> dict:
-        texts = {}
-        saved = cli._write
-        cli._write = lambda path, *parts: texts.__setitem__(path.name, parts)
-        try:
-            cli._cmd_smoothness(rc, tmp)
-        finally:
-            cli._write = saved
-        return texts
-    return smoothness
+
+def sweep_call(rh, tmp: Path):
+    """A sweep-probe workload's `sweep_r` op: the pentagon at theta =
+    (0.7, 1.3), M = 128, max_iter 100 over the rungs SWEEP_LADDER, by
+    `cli_driver._cmd_sweep_r` (_command_call): every rung's solve and
+    checks through each side's own code."""
+    from rhflow.charge_lattice import pentagon_spectrum
+    from rhflow.spectrum_rays import CentralCharge
+    cfg = rh.SolverConfig(R=SWEEP_LADDER[0], a=0.0, theta=(0.7, 1.3),
+                          spectrum=pentagon_spectrum(0.9), Z=CentralCharge.constant(1.0, 1j),
+                          M=128, max_iter=100)
+    return _command_call("sweep_r", cfg, {"R_values": list(SWEEP_LADDER)}, tmp)
 
 
 def time_layers(src: str, group: str) -> dict:
     """Samples per case and layer of one group, with rhflow imported from
-    src: the CASES at M = group and, at M = 128, the SMOOTHNESS_CASES, or
-    the SCALAR_CASES for group "scalar"."""
+    src: the CASES at M = group and, at M = 128, the SMOOTHNESS_CASES and
+    the SWEEP_LADDER, or the SCALAR_CASES for group "scalar"."""
     sys.path.insert(0, src)
     if group == "scalar":
         return time_scalar_layers()
@@ -214,6 +238,9 @@ def time_layers(src: str, group: str) -> dict:
             for direction in SMOOTHNESS_CASES:
                 fn = smoothness_call(rh, direction, Path(tmp))
                 out[f"smoothness {direction},R=4,M=128"] = {"smoothness": _per_call(fn, 5)}
+            ladder = ",".join(f"{R:g}" for R in SWEEP_LADDER)
+            out[f"sweep_r R={ladder},M=128"] = {
+                "sweep_r": _per_call(sweep_call(rh, Path(tmp)), 5)}
     return out
 
 
