@@ -25,8 +25,8 @@ from .charge_lattice import Charge, Spectrum, require_support
 from .contour_quadrature import (build_ray_grid, deform_to_bps_ray, in_swept_sector,
                                  integrate_ray, sweep_sign)
 from .errors import ConfigError, NoAdmissibleRayError, RHFlowError
-from .rh_solver import (SolverConfig, smoothness_probe, solve, solve_batch, solve_stencils,
-                        verify, verify_batch)
+from .rh_solver import (SolverConfig, smoothness_probe, solve, solve_batch, verify,
+                        verify_batch)
 from .saddle_asymptotics import compare, saddle_point
 from .scalar_bvp import (ScalarBVProblem, regularizing_factor, solve_scalar_bvp,
                          verify_uniqueness, zero_factor)
@@ -373,14 +373,9 @@ def _cmd_smoothness(rc: RunConfig, out: Path) -> None:
     if not normal:
         raise ConfigError(f"smoothness.step: {step!r}**{max(orders)} is not a positive "
                           "normal float")
-    rows = []
-    # every order's stencil points, solved as one batch
-    solutions = solve_stencils(rc.solver, direction, orders, step, {})
-    for order in orders:
-        probe = smoothness_probe(rc.solver, direction, order, step,
-                                 solutions=solutions)
-        rows.append([direction, str(order), fmt(step), fmt(probe["sup"]),
-                     fmt(probe["rel_change"])])
+    rows = [[direction, str(probe["order"]), fmt(step), fmt(probe["sup"]),
+             fmt(probe["rel_change"])]
+            for probe in smoothness_probe(rc.solver, direction, orders, step)]
     _write_csv(out / "smoothness.csv",
                ["direction", "order", "step", "sup_derivative", "rel_change"], rows)
 

@@ -53,10 +53,11 @@ iterate_once on the stack.  Each member leaves the stack at the step where
 its own solve stops, with that solve's state and report or error; members
 that converge at one step take truncation_guard and their densities in one
 stacked pass.  Every operation is elementwise or per FFT row, so a member's
-numbers are those of its solve bit for bit.  smoothness_probe and rhflow
-smoothness solve their stencil points as one batch (solve_stencils), and
-rhflow sweep_r solves its R ladder as one batch, whose rungs differ only in
-their theta-free problems, and checks them by verify_batch.
+numbers are those of its solve bit for bit.  smoothness_probe solves the
+distinct stencil points of all its orders as one batch (rhflow smoothness
+calls it once), and rhflow sweep_r solves its R ladder as one batch, whose
+rungs differ only in their theta-free problems, and checks them by
+verify_batch.  Given a state, iterate_once steps a fresh one-member stack.
 
 The densities use the split of the semiflat exponential
 X_g = exp(pi R (Z_g / zeta + zeta conj Z_g) + i c_g . Theta): the theta-free
@@ -154,12 +155,6 @@ class SolverConfig:
             raise ConfigError("a must be finite")
         if not all(map(cmath.isfinite, self.Z.z1 + self.Z.z2)):
             raise ConfigError("Z coefficients must be finite")
-
-    @functools.cached_property
-    def _shifted(self) -> dict:
-        """_stencils' points about this configuration by (direction,
-        offset), each built on first use."""
-        return {}
 
 
 def _static_exponents(R: float, zg: complex | np.ndarray,
@@ -540,20 +535,11 @@ class ThetaState:
     The combined densities and the limits at 0 and infinity are computed on
     first use and kept, and truncation_guard passes at most once, so values
     must not change in place.
-
-    A state stepped by iterate_once carries a one-member _Stack (_scratch,
-    not a field) and passes it on to the state it makes; any other state, a
-    dataclasses.replace copy too, makes its own on first use.  States that
-    share one must not be iterated concurrently.
     """
 
     values: np.ndarray
     cfg: SolverConfig = field(repr=False, compare=False)
     problem: _ThetaFree = field(repr=False, compare=False)
-
-    @functools.cached_property
-    def _scratch(self) -> _Stack:
-        return _Stack([self.cfg], [self.problem])
 
     @functools.cached_property
     def densities(self) -> dict[int, np.ndarray]:
@@ -613,21 +599,17 @@ def init_state(cfg: SolverConfig) -> ThetaState:
 def iterate_once(state):
     """One application of the integral-equation map to the node values of r.
 
-    Given a ThetaState, it returns the next one, with fresh values, stepped
-    in the state's one-member stack, which the new state carries on.  Given
-    a _Stack (solve_batch's members), it steps every member in place and
-    returns the stack, its values the new iterates.  It forms side +1's
-    density only; a state's densities (both sides) are left to verify and
-    the limits."""
+    Given a _Stack (solve_batch's members), it steps every member in place
+    and returns the stack, its values the new iterates.  Given a ThetaState,
+    it steps a fresh one-member stack at the state's values and returns the
+    next state.  It forms side +1's density only; a state's densities (both
+    sides) are left to verify and the limits."""
     if isinstance(state, _Stack):
         state.step()
         return state
-    stack = state._scratch
-    stack.prev[:, 0] = state.values.T
+    stack = _Stack([state.cfg], [state.problem], state.values.T[:, None])
     stack.step()
-    new = stack.state(0)
-    new._scratch = stack
-    return new
+    return stack.state(0)
 
 
 def solve(cfg: SolverConfig) -> tuple[ThetaState, dict]:
@@ -802,9 +784,7 @@ def verify_batch(states: list[ThetaState]) -> list[dict]:
     groups: dict = {}
     for i, st in enumerate(states):
         maps = st.problem.maps
-        # one stack per M and charge orders; verify's lone state needs no key
-        key = len(states) > 1 and (st.problem.M, tuple(maps[+1].charges),
-                                   tuple(maps[-1].charges))
+        key = st.problem.M, tuple(maps[+1].charges), tuple(maps[-1].charges)
         groups.setdefault(key, []).append(i)
     results: list = [None] * len(states)
     for index in groups.values():
@@ -965,8 +945,6 @@ class _Checks:
 
     def jump(self) -> np.ndarray:
         """check_jump's residual of every member, shape (K,)."""
-        for st in self.states:
-            st.guard()
         plus, minus = self.midpoint_limits()
         K = len(self.states)
         residuals = []
@@ -1002,11 +980,13 @@ def check_jump(state) -> float:
     expm1 and never through Y+- themselves.  A non-finite residual is
     returned as such.
 
-    Given a ThetaState, it returns its residual; given a _Checks stack
-    (verify_batch's), the residual of every member, shape (K,).
+    Given a ThetaState, it guards it (state.guard) and returns its residual;
+    given a _Checks stack (verify_batch's, whose states are guarded), the
+    residual of every member, shape (K,).
     """
     if isinstance(state, _Checks):
         return state.jump()
+    state.guard()
     return float(_Checks([state]).jump()[0])
 
 
@@ -1103,102 +1083,59 @@ _STENCILS = {
 }
 
 
-def _stencils(cfg: SolverConfig, direction: str, order: int, grid_step: float) -> list:
-    """The order's central differences at steps h = grid_step and h/2, as
-    (h, [(shifted configuration, coefficient) per point]).  Each shifted
-    configuration is built once per configuration, direction and offset
-    (cfg._shifted), so the probes of several orders, and solve_stencils
-    before them, share it."""
+def smoothness_probe(cfg: SolverConfig, direction: str, orders: list[int],
+                     grid_step: float) -> list[dict]:
+    """Central finite differences of the converged solution in one
+    parameter, one probe per order of orders, in their order.
+
+    Each probe takes its order's stencil at steps h = grid_step and h/2 and
+    reports both estimates (node arrays and the zeta -> 0 limit) together
+    with the relative change under step halving; a stable value stands in
+    for the smoothness of the exact solution.  The direction and every
+    order are checked before anything is built.  Each distinct offset of
+    every stencil is built once and all of them are solved as one
+    solve_batch; the error raised is that of the first failing point in
+    probe order (order by order, h before h/2).  The points are solved, not
+    verified: nothing of verify's residuals enters a probe.
+    """
     if direction not in _DIRECTIONS:
         raise ConfigError(f"unknown probe direction {direction!r}")
-    if order not in _STENCILS:
+    if any(order not in _STENCILS for order in orders):
         raise ConfigError("probe order must be 1, 2 or 3")
-    shift, points = _DIRECTIONS[direction], cfg._shifted
-
-    def point(offset: float) -> SolverConfig:
-        key = direction, offset
-        if key not in points:
-            points[key] = shift(cfg, offset)
-        return points[key]
-    return [(h, [(point(mult * h), coeff) for mult, coeff in _STENCILS[order]])
-            for h in (grid_step, 0.5 * grid_step)]
-
-
-def _solve_points(points: list[SolverConfig], solutions: dict) -> list[tuple]:
-    """Each configuration's (node values, zeta -> 0 limit) from solutions,
-    where the ones it lacks are added first, solved as one solve_batch; the
-    error of the first of them that fails is raised instead."""
-    found = [solutions.get(p) for p in points]
-    pending = list(dict.fromkeys(p for p, f in zip(points, found) if f is None))
-    if not pending:
-        return found
-    results = solve_batch(pending)
-    for shifted, result in zip(pending, results):
-        if not isinstance(result, RHFlowError):
-            st, _ = result
-            solutions[shifted] = (st.values, np.array(st.limits[0]))
+    steps = grid_step, 0.5 * grid_step
+    offsets = dict.fromkeys(mult * h for order in orders for h in steps
+                            for mult, _ in _STENCILS[order])
+    shift = _DIRECTIONS[direction]
+    results = solve_batch([shift(cfg, offset) for offset in offsets])
     for result in results:
         if isinstance(result, RHFlowError):
             raise result
-    return [f or solutions[p] for p, f in zip(points, found)]
+    solved = {offset: (st.values, np.array(st.limits[0]))
+              for offset, (st, _) in zip(offsets, results)}
 
-
-def solve_stencils(cfg: SolverConfig, direction: str, orders, grid_step: float,
-                   solutions: dict) -> dict:
-    """Solve the stencil points of smoothness_probe for every order of
-    orders that solutions lacks as one solve_batch (its members grouped by
-    side +1's charge order), and return solutions with each added.  The
-    error raised is that of the first failing point in the order in which
-    the probes would take them: order by order, step h before h/2."""
-    _solve_points([shifted for order in orders
-                   for _, stencil in _stencils(cfg, direction, order, grid_step)
-                   for shifted, _ in stencil], solutions)
-    return solutions
-
-
-def smoothness_probe(cfg: SolverConfig, direction: str, order: int,
-                     grid_step: float,
-                     solutions: dict | None = None) -> dict:
-    """Central finite differences of the converged solution in one parameter.
-
-    Solves at the stencil points for steps h and h/2 and reports both
-    estimates (node arrays and the zeta -> 0 limit) together with the
-    relative change under step halving; a stable value stands in for the
-    smoothness of the exact solution.  The stencil points are solved, not
-    verified: nothing of verify's residuals enters the probe.
-
-    solutions maps each solved (shifted) configuration to its node values
-    and zeta -> 0 limit; the points it lacks are solved as one batch.  Pass
-    one dict to several probes, or fill it first by solve_stencils for all
-    their orders, to solve each stencil point once across them.  A fresh
-    dict is used by default.
-    """
-    stencils = _stencils(cfg, direction, order, grid_step)
-    if solutions is None:
-        solutions = {}
-    solved = iter(_solve_points([shifted for _, stencil in stencils
-                                 for shifted, _ in stencil], solutions))
-
-    def estimate(h: float, stencil: list):
+    def estimate(order: int, h: float):
         nodes = np.zeros((cfg.M, 2), dtype=complex)
         t0 = np.zeros(2, dtype=complex)
-        for (_, coeff), (v, t) in zip(stencil, solved):
+        for mult, coeff in _STENCILS[order]:
+            v, t = solved[mult * h]
             nodes += coeff * v
             t0 += coeff * t
         return nodes / h ** order, t0 / h ** order
 
-    (nodes_h, t0_h), (nodes_h2, t0_h2) = (estimate(*step) for step in stencils)
     floor = 1e-5  # angles are order-one; differences below this are noise
-    denom = max(float(np.max(np.abs(nodes_h2))), floor)
-    rel_change = float(np.max(np.abs(nodes_h - nodes_h2))) / denom
-    return {
-        "direction": direction,
-        "order": order,
-        "step": grid_step,
-        "nodes": nodes_h,
-        "nodes_halved": nodes_h2,
-        "theta0": t0_h,
-        "theta0_halved": t0_h2,
-        "rel_change": rel_change,
-        "sup": float(np.max(np.abs(nodes_h))),
-    }
+    probes = []
+    for order in orders:
+        (nodes_h, t0_h), (nodes_h2, t0_h2) = (estimate(order, h) for h in steps)
+        denom = max(float(np.max(np.abs(nodes_h2))), floor)
+        probes.append({
+            "direction": direction,
+            "order": order,
+            "step": grid_step,
+            "nodes": nodes_h,
+            "nodes_halved": nodes_h2,
+            "theta0": t0_h,
+            "theta0_halved": t0_h2,
+            "rel_change": float(np.max(np.abs(nodes_h - nodes_h2))) / denom,
+            "sup": float(np.max(np.abs(nodes_h))),
+        })
+    return probes

@@ -222,9 +222,8 @@ def test_criterion_9_smoothness_probe():
     cfg = pentagon_cfg()
     changes = {}
     for direction in ("theta1", "a_re"):
-        for order in (1, 2):
-            out = smoothness_probe(cfg, direction, order, 1e-2)
-            changes[(direction, order)] = out["rel_change"]
+        for out in smoothness_probe(cfg, direction, [1, 2], 1e-2):
+            changes[(direction, out["order"])] = out["rel_change"]
     ok = all(v < 1e-4 for v in changes.values())
     detail = ", ".join(f"{d}/order{o}: {v:.1e}" for (d, o), v in changes.items())
     assert report(9, ok, detail)

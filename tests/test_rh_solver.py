@@ -351,7 +351,7 @@ def test_solution_independent_of_admissible_ray_choice():
 
 def test_smoothness_probe_theta_direction():
     cfg = pentagon_cfg(M=64)
-    out = smoothness_probe(cfg, "theta1", 1, 1e-2)
+    (out,) = smoothness_probe(cfg, "theta1", [1], 1e-2)
     assert out["rel_change"] < 1e-4
     # the identity part of dTheta1/dtheta1 dominates
     assert abs(out["nodes"][cfg.M // 2, 0] - 1.0) < 1e-3
@@ -359,7 +359,7 @@ def test_smoothness_probe_theta_direction():
 
 def test_smoothness_probe_second_order():
     cfg = pentagon_cfg(M=64)
-    out = smoothness_probe(cfg, "theta1", 2, 1e-2)
+    (out,) = smoothness_probe(cfg, "theta1", [2], 1e-2)
     assert out["rel_change"] < 1e-4
 
 
@@ -368,10 +368,10 @@ def test_smoothness_probe_a_dependence():
     Za = CentralCharge((1.0, 0.5), (1j,))
     cfg = SolverConfig(R=4.0, a=0.1, theta=(0.7, 1.3), spectrum=pentagon_spectrum(),
                        Z=Za, M=64)
-    out1 = smoothness_probe(cfg, "a_re", 1, 2e-2)
+    (out1,) = smoothness_probe(cfg, "a_re", [1], 2e-2)
     assert out1["rel_change"] < 1e-4
     assert out1["sup"] > 0
-    out3 = smoothness_probe(cfg, "a_re", 3, 5e-2)
+    (out3,) = smoothness_probe(cfg, "a_re", [3], 5e-2)
     assert math.isfinite(out3["sup"])
 
 
@@ -386,7 +386,7 @@ def test_smoothness_probe_verifies_nothing(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(rh, name, counting)
-    smoothness_probe(pentagon_cfg(M=64), "theta1", 2, 1e-2)
+    smoothness_probe(pentagon_cfg(M=64), "theta1", [2], 1e-2)
     assert calls == []
 
 
@@ -408,10 +408,10 @@ def test_solve_guards_each_converged_state_once(monkeypatch):
         return original_limits(state)
 
     monkeypatch.setattr(rh, "asymptotic_theta", limits)
-    solutions = {}
-    smoothness_probe(pentagon_cfg(M=64), "theta1", 1, 1e-2, solutions=solutions)
-    assert len(guarded) == len(solutions) == 4
-    assert set(guarded) == set(solutions)
+    smoothness_probe(pentagon_cfg(M=64), "theta1", [1], 1e-2)
+    # the four points +-h, +-h/2, each guarded once
+    assert sorted(cfg.theta[0] - 0.7 for cfg in guarded) == pytest.approx(
+        [-0.01, -0.005, 0.005, 0.01], abs=1e-15)
     # and each member takes its limits once
     assert sorted(map(id, guarded)) == sorted(map(id, limited))
 
@@ -446,12 +446,56 @@ def test_smoothness_probe_refuses_a_converged_state_with_large_Y():
     # jump ray; the probe verifies nothing and must still fail
     cfg = pentagon_cfg(R=0.09, theta=(3.0, 3.0), M=64, max_iter=200)
     with pytest.raises(TruncationUnsafeError, match=r"for charge \(0,1\) on its jump ray"):
-        smoothness_probe(cfg, "theta1", 1, 1e-2)
+        smoothness_probe(cfg, "theta1", [1], 1e-2)
 
 
 def test_smoothness_probe_rejects_unknown_direction():
     with pytest.raises(ConfigError):
-        smoothness_probe(pentagon_cfg(M=64), "b", 1, 1e-2)
+        smoothness_probe(pentagon_cfg(M=64), "b", [1], 1e-2)
+
+
+@pytest.mark.parametrize("direction, orders", [("theta1", [1, 4]), ("b", [1])])
+def test_smoothness_probe_checks_its_arguments_before_any_solve(monkeypatch, direction,
+                                                                orders):
+    import rhflow.rh_solver as rh
+    built = []
+    monkeypatch.setattr(rh, "solve_batch", built.append)
+    with pytest.raises(ConfigError):
+        smoothness_probe(pentagon_cfg(M=64), direction, orders, 1e-2)
+    assert built == []
+
+
+def test_smoothness_probe_solves_every_order_as_one_batch_of_distinct_points(monkeypatch):
+    # orders 1, 2 and 3 at steps h and h/2 need the offsets {0, +-h/2, +-h,
+    # +-2h}: seven points, each built once and solved in one batch, and
+    # each probe equals its one-order call bit for bit
+    import rhflow.rh_solver as rh
+    cfg, h = pentagon_cfg(M=64), 1e-2
+    alone = [smoothness_probe(cfg, "theta1", [order], h)[0] for order in (1, 2, 3)]
+    batches, shifted = [], []
+    solve_batch, shift = rh.solve_batch, rh._DIRECTIONS["theta1"]
+
+    def counting_batch(cfgs):
+        batches.append(cfgs)
+        return solve_batch(cfgs)
+
+    def counting_shift(cfg, offset):
+        shifted.append(offset)
+        return shift(cfg, offset)
+
+    monkeypatch.setattr(rh, "solve_batch", counting_batch)
+    monkeypatch.setitem(rh._DIRECTIONS, "theta1", counting_shift)
+    probes = smoothness_probe(cfg, "theta1", [1, 2, 3], h)
+    assert sorted(shifted) == [-2 * h, -h, -h / 2, 0.0, h / 2, h, 2 * h]
+    assert len(batches) == 1 and len(batches[0]) == 7
+    assert [p["order"] for p in probes] == [1, 2, 3]
+    for got, want in zip(probes, alone):
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            if isinstance(value, np.ndarray):
+                assert got[key].tobytes() == value.tobytes()
+            else:
+                assert got[key] == value
 
 
 def test_generic_two_pair_spectrum():
@@ -961,7 +1005,7 @@ def test_circulant_fft_applies_any_toeplitz_kernel():
         assert _circulant_fft(k).tobytes() == spectrum.tobytes()
 
 
-# ---------------- a Picard step in place on a per-solve scratch ----------------
+# ---------------- Picard steps from states ----------------
 
 def test_iterates_sharing_a_scratch_keep_their_values():
     a = init_state(pentagon_cfg(R=0.3))
@@ -970,25 +1014,9 @@ def test_iterates_sharing_a_scratch_keep_their_values():
     b_values = b.values.copy()
     c = iterate_once(b)
     iterate_once(c)
-    work = a._scratch
-    assert b._scratch is work and c._scratch is work
     assert a.values.tobytes() == a_values.tobytes()
     assert b.values.tobytes() == b_values.tobytes()
-    buffers = [*work.log[:3], work.padded, *work.fft, work.rows, work.ref, work.diff,
-               work.mags]
-    for st in (a, b, c):
-        assert not any(np.shares_memory(st.values, buf) for buf in buffers)
-
-
-def test_a_step_on_the_shared_scratch_equals_one_on_a_fresh_scratch():
-    st = init_state(pentagon_cfg(R=0.15, max_iter=100))
-    for _ in range(4):
-        copy = dataclasses.replace(st)  # a fresh scratch on first use
-        fresh = iterate_once(copy)
-        assert fresh._scratch is copy._scratch is not st._scratch
-        nxt = iterate_once(st)
-        assert nxt.values.tobytes() == fresh.values.tobytes()
-        st = nxt
+    assert not any(np.shares_memory(x.values, y.values) for x, y in ((a, b), (b, c), (a, c)))
 
 
 def test_two_solves_interleaved_on_one_problem_give_their_own_values():
@@ -996,14 +1024,11 @@ def test_two_solves_interleaved_on_one_problem_give_their_own_values():
     alone = [solve(cfg) for cfg in cfgs]
     states = [init_state(cfg) for cfg in cfgs]
     assert states[0].problem is states[1].problem
-    assert states[0]._scratch is not states[1]._scratch
     counts = [report["iterations"] for _, report in alone]
     for step in range(max(counts)):
         states = [iterate_once(st) if step < n else st for st, n in zip(states, counts)]
     for st, (solved, _) in zip(states, alone):
         assert st.values.tobytes() == solved.values.tobytes()
-    # the converged state solve returns keeps no work arrays
-    assert "_scratch" not in vars(alone[0][0])
 
 
 # ---------------- members solved in lockstep on one stack ----------------
@@ -1030,7 +1055,6 @@ def assert_batch_matches_solve(cfgs):
             assert state.densities[side].tobytes() == want_state.densities[side].tobytes()
         assert state.limits == want_state.limits
         assert report == want_report
-        assert "_scratch" not in vars(state)
         outcomes.append(report["iterations"])
     return outcomes
 

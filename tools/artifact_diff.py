@@ -31,7 +31,8 @@ over R in {4, 0.3} and {0.3, 4} at max_iter 5 (a failing rung after and
 before one that converges), over {0.09, 4} at theta = (3, 3) (the first
 rung fails the |Y| < 1 guard), over a ladder with repeated rungs and over
 five rungs of the generic two-pair spectrum at M = 512, `smoothness` in every probe direction at
-orders 1 to 3, at the sweep-probe stencils with R = 0.15 (members of one
+orders 1 to 3, at orders [3, 1] (`smoothness-theta1-31`: points shared by
+orders given out of order), at the sweep-probe stencils with R = 0.15 (members of one
 batch converge at different steps, and with max_iter 78 some do not, the
 first of them not the first member) and once where a converged stencil
 solve fails the |Y| < 1 guard, a few `deform_check`, `saddle_check` and manufactured-jump
@@ -129,11 +130,12 @@ def pinned_ops() -> list[dict]:
                                                [[0, -1], 1]]},
                          Z={"z1": [[1.3, 0.2]], "z2": [[-0.25, 1.1]]}),
          "R_values": [0.3, 0.5, 1.0, 2.0, 4.0]})
-    # every probe direction and order; a_im needs a central charge that
+    # every probe direction and order, and orders given out of order whose
+    # points are shared (theta1-31); a_im needs a central charge that
     # depends on a (z1 = 1 + a/2 at a = 0.1)
     z_of_a = dict(PENTAGON, a=[0.1, 0.0], M=64,
                   Z={"z1": [[1.0, 0.0], [0.5, 0.0]], "z2": [[0.0, 1.0]]})
-    for direction, orders in (("theta1", [3]), ("theta2", [1, 2, 3]),
+    for direction, orders in (("theta1", [3]), ("theta1", [3, 1]), ("theta2", [1, 2, 3]),
                               ("a_re", [3]), ("a_im", [1, 2, 3])):
         add(f"smoothness-{direction}-{''.join(map(str, orders))}", "smoothness",
             {"problem": z_of_a,

@@ -8,9 +8,8 @@ Layers: for the pentagon (support constant 0.9, Z = (1, i), a = 0,
 theta = (0.7, 1.3), tol 1e-12, max_iter 100) at each (R, M) of CASES, the
 time of `init_state(cfg)` cold (rh_solver's cache of theta-free problems
 cleared first) and warm (the problem cached), of the steady-state
-`iterate_once` that `solve` runs: a step from a state one step past the
-solved state, which carries that step's scratch (where the side has one),
-of `truncation_guard` on the solved state, of `solve(cfg)`, and of
+`iterate_once` that `solve` runs: a step of a kept one-member `_Stack` at
+the solved state's values, of `truncation_guard` on the solved state, of `solve(cfg)`, and of
 `check_jump`, `check_reality` and `verify` on the solved state (guard
 passed, limits kept).  "format" is `cli_driver._cmd_solve` with its
 `solve` and `verify` stubbed to return that state, a copy of its report
@@ -120,7 +119,7 @@ def _per_call(fn, count: int) -> list[float]:
 def layer_calls(rh, R: float, M: int, tmp: Path) -> tuple[int, dict]:
     """The pentagon case at (R, M), solved and verified with rh (rhflow's
     rh_solver module): its iteration count, and a call per LAYERS name.
-    "iterate_once" returns the new state, "format" the texts per file name
+    "iterate_once" returns the stepped stack, "format" the texts per file name
     and "write" the new directory under tmp that it makes per call."""
     from rhflow import cli_driver as cli
     from rhflow.charge_lattice import pentagon_spectrum
@@ -152,14 +151,13 @@ def layer_calls(rh, R: float, M: int, tmp: Path) -> tuple[int, dict]:
             cli._write(out / name, *parts)
         return out
 
-    # a step past the solved state: on a side with a scratch (a per-solve
-    # one, or a one-member stack), the state carries the scratch of the
-    # step that made it
-    carried = rh.iterate_once(dataclasses.replace(state))
+    # a one-member stack at the solved state's values, kept, so that the
+    # layer times one map and not the stack's allocation
+    stack = rh._Stack([cfg], [state.problem], state.values.T[:, None])
     return report["iterations"], {
         "init_state cold": lambda: (clear(), rh.init_state(cfg)),
         "init_state warm": lambda: rh.init_state(cfg),
-        "iterate_once": lambda: rh.iterate_once(carried),
+        "iterate_once": lambda: rh.iterate_once(stack),
         "truncation_guard": lambda: rh.truncation_guard(state),
         "solve": lambda: rh.solve(cfg),
         "check_jump": lambda: rh.check_jump(state),
