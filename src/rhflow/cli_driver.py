@@ -407,7 +407,8 @@ def _scalar_problem(section: dict) -> ScalarBVProblem:
             return (np.exp(amp * np.exp(-0.5 * s * s)) * zero_factor(probe, zeta)
                     / regularizing_factor(probe, eta0, zeta))
 
-        g0m, g0p = G(np.array([-1e-9, 1e-9])).tolist()
+        # where G is its limit to rounding (an eta_0 off by e drifts log G1 by e log|t|)
+        g0m, g0p = G(np.array([-1e-300, 1e-300])).tolist()
         limits = (g0m, g0p, 1.0 + 0j, cmath.exp(2j * math.pi * eta0))
         return ScalarBVProblem(phase, G, limits, zeros=zeros, zeta0=zeta0)
     if kind == "sampled":

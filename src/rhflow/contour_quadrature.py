@@ -5,19 +5,15 @@ turns the measure dzeta'/zeta' into ds and places the peak of the
 exponential integrands at s = 0.  A Cauchy integral over a ray has two
 boundary values on the ray, the Plemelj pair (plus, minus), and one value
 off it.  integrate_ray returns that pair at every point, the one value
-twice off the ray, and band_limited_limits returns it at points on the
-ray.  Off-ray values are plain trapezoid sums.  On the opposite
-ray, zeta = -e^{s*} u, the kernel at the node e^{s_j} u is the real
-tanh((s_j - s*)/2), the kernel c_cross of rh_solver's node operator between
-its two rays, and it acts on the real and imaginary parts of the
-densities; every other off-ray point takes the complex kernel.  On the
-ray, band_limited_limits serves rh_solver's densities, which decay at both
-grid ends: the principal value of their sinc interpolant is spectral, and
-at the nodes it is the alternating-point rule.  Scalar densities may keep
-constant tails, where sinc interpolation is first order, so integrate_ray,
-which the scalar solution and the saddle comparison use, takes singularity
-subtraction there: the closed-form principal value of the coth kernel plus
-or minus the half-residue term.
+twice off the ray.  On the covered ray it takes band_limited_limits: the
+principal value of the density's sinc interpolant, spectral for densities
+that decay at both grid ends (rh_solver's, and scalar_bvp's once it has
+taken out their constant tails), which at the nodes is the
+alternating-point rule.  Off-ray values are plain trapezoid sums.  On the
+opposite ray, zeta = -e^{s*} u, the kernel at the node e^{s_j} u is the
+real tanh((s_j - s*)/2), the kernel c_cross of rh_solver's node operator
+between its two rays, and it acts on the real and imaginary parts of the
+densities; every other off-ray point takes the complex kernel.
 """
 
 from __future__ import annotations
@@ -93,42 +89,58 @@ def on_opposite_ray(grid: RayGrid, zeta) -> np.ndarray:
     return np.abs(np.angle(-z * np.conj(grid.direction.unit()))) <= EPS_ANGLE
 
 
-def pv_coth_closed_form(L: float, s, step: float):
-    """PV integral of coth((t - s)/2) over [-L, L], at one pole s or at an
-    array of poles.
-
-    The pole is clipped half a step inside the grid so endpoint nodes,
-    whose densities are at tail level anyway, stay finite.
-    """
-    sc = np.clip(s, -L + 0.5 * step, L - 0.5 * step)
-    return 2.0 * (np.log(np.sinh(0.5 * (L - sc))) - np.log(np.sinh(0.5 * (L + sc))))
-
-
 def band_limited_limits(grid: RayGrid, values: np.ndarray, zeta: np.ndarray):
     """Boundary values (plus, minus) = PV +/- 2 pi i h*, each (K, P), of the
     integral of K(zeta, .) times a (K, M) stack of densities at P points on
     the covered ray ("plus" from the counterclockwise side), for the sinc
     interpolant h*(s) = sum_j h_j sinc((s - s_j)/step) (Stenger 1993).  PV is
-    the trapezoid sum times 1 - cos(pi (s_j - s)/step), 0 at a coincident
-    node (a point within rounding of a node is at it): the alternating-point
+    the trapezoid sum times 1 - cos(pi (s_j - s)/step): the alternating-point
     rule at the nodes (Sidi & Israeli 1988), the trapezoid sum at midpoints.
+    A point within rounding of a node is at it, where h* is the node value.
     """
+    M = grid.count
     x = (np.log(np.abs(zeta)) + grid.half_width) / grid.step  # in steps from s_0
     n = np.rint(x)
-    d = np.where(np.abs(x - n) <= 4 * np.spacing(float(grid.count)), 0.0, x - n)
-    offset = np.arange(grid.count) - (n + d)[:, None]  # (s_j - s) / step
-    # cos and sin of pi (s_j - s)/step are (-1)^(j + n) times those of -pi d:
-    # P cosines and sines, not P x M, and exact at the nodes
-    alt, sign = (-1.0) ** np.arange(grid.count), (-1.0) ** n  # (-1)^j, (-1)^n
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kernel = grid.weights / np.tanh(0.5 * grid.step * offset)
-        kernel *= 1.0 - alt * (sign * np.cos(math.pi * d))[:, None]
-        sinc = alt * (sign * np.sin(math.pi * d) / -math.pi)[:, None] / offset
-    kernel[offset == 0], sinc[offset == 0] = 0.0, 1.0
-    h = np.asarray(values, dtype=complex)[:, None, :]  # row by row: batch-free
-    pv = np.sum(kernel * h, axis=2)
-    half_jump = 2j * math.pi * np.sum(sinc * h, axis=2)
-    return pv + half_jump, pv - half_jump
+    d = np.where(np.abs(x - n) <= 4 * np.spacing(float(M)), 0.0, x - n)
+    node = np.flatnonzero(d == 0)
+    hit = n[node].astype(int)
+    # coth((s_j - s)/2) = coth(a - b), a = (j - n) step/2, b = d step/2, is
+    # -T_b + (1 - T_b^2)/(T_a - T_b), T = tanh: a Cauchy matrix from 2M - 1
+    # values T_a; |b| <= step/4, so T_a - T_b does not cancel.  One block for
+    # both kernels: as two (P, M) arrays malloc mapped them afresh every call
+    t_all = np.tanh(0.5 * grid.step * np.arange(1 - M, M))
+    t_b = np.tanh(0.5 * grid.step * d)
+    kernels = np.empty((2, len(zeta), M))  # 1/(T_a - T_b) and step/(s_j - s)
+    cauchy, inverse = kernels
+    t_a = np.lib.stride_tricks.sliding_window_view(t_all, M)[(M - 1 - n).astype(int)]
+    np.subtract(t_a, t_b[:, None], out=cauchy)
+    np.subtract(np.arange(M), (n + d)[:, None], out=inverse)
+    with np.errstate(divide="ignore"):
+        np.divide(1.0, kernels, out=kernels)
+    kernels[:, node, hit] = 0.0
+    # cos, sin of pi (s_j - s)/step are (-1)^(j + n) those of -pi d: with alt = (-1)^j,
+    # PV = coth (w h) - cos_n coth (alt w h) and 2 pi i h* = i sin_n (1/offset) (alt h)
+    cos_n, sin_n = (-1.0) ** n * np.cos(math.pi * d), -2.0 * (-1.0) ** n * np.sin(math.pi * d)
+    alt = (-1.0) ** np.arange(M)
+    out = np.empty((2, len(values), len(zeta)), dtype=complex)
+    for k, hk in enumerate(np.asarray(values, dtype=complex)):  # row by row: batch-free
+        wh = grid.weights * hk
+        awh = alt * wh
+        pv = ((1.0 - t_b * t_b) * (_real_dot(cauchy, wh) - cos_n * _real_dot(cauchy, awh))
+              - t_b * (wh.sum() - cos_n * awh.sum()))
+        half_jump = 1j * sin_n * _real_dot(inverse, alt * hk)
+        half_jump[node] = 2j * math.pi * hk[hit]  # the delta at a node
+        out[:, k] = pv + half_jump, pv - half_jump
+    return out[0], out[1]
+
+
+def _real_dot(kernel: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """(P,) products of a real (P, M) kernel with a complex density, row by
+    row (contiguous parts: a strided one makes vecdot several times slower)."""
+    out = np.empty(len(kernel), dtype=complex)
+    out.real = np.vecdot(kernel, np.ascontiguousarray(h.real))
+    out.imag = np.vecdot(kernel, np.ascontiguousarray(h.imag))
+    return out
 
 
 def integrate_ray(grid: RayGrid, values: np.ndarray, zeta):
@@ -137,16 +149,15 @@ def integrate_ray(grid: RayGrid, values: np.ndarray, zeta):
 
     values holds one density (shape (M,)) or a stack of K densities (shape
     (K, M)) on the grid; each element of the pair has the shape of zeta,
-    with a leading axis of length K for a stack.  The geometry of the points
-    (kernel rows, log radii, closed forms, derivative stencils,
-    interpolation weights) is formed once per call and applied to each
-    density in turn, so row k of a stacked result equals the call with
-    values[k] bit for bit.
+    with a leading axis of length K for a stack.  The kernel rows of the
+    points are formed once per call and applied to each density in turn,
+    so row k of a stacked result equals the call with values[k] bit for bit.
 
     The rule is chosen per point, so a point's value does not depend on the
     batch.  On the covered ray (on_covered_ray) the pair is the two boundary
-    values, "plus" the limit from the counterclockwise side of the oriented
-    ray (_covered_ray_limits).  Everywhere else the integral has one value,
+    values of band_limited_limits, "plus" the limit from the
+    counterclockwise side of the oriented ray: spectral where the density
+    decays at both grid ends.  Everywhere else the integral has one value,
     which both elements hold: on the opposite ray (on_opposite_ray: within
     the angular margin of -direction.unit(), at any radius) from the real
     kernel w_j tanh((s_j - s*)/2), s* = log |zeta|, on the real and
@@ -169,54 +180,12 @@ def integrate_ray(grid: RayGrid, values: np.ndarray, zeta):
     opposite = on_opposite_ray(grid, zs)
     generic = ~(covered | opposite)
     if covered.any():
-        out[:, :, covered] = _covered_ray_limits(grid, rows, zs[covered])
+        out[:, :, covered] = band_limited_limits(grid, rows, zs[covered])
     if opposite.any():
         out[:, :, opposite] = _opposite_ray_sums(grid, rows, zs[opposite])
     if generic.any():
         out[:, :, generic] = _off_ray_sums(grid, rows, zs[generic])
     return _shaped(out[0], h, z), _shaped(out[1], h, z)
-
-
-def _covered_ray_limits(grid: RayGrid, rows: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    """(plus, minus), shape (2, K, P), at points on the covered ray: the
-    principal value via subtraction of the density h* at the pole (the node
-    value when the pole sits on a node, with the removable limit 2 h'(s)
-    there from a derivative stencil; the interpolated density otherwise),
-    plus or minus the half-residue 2 pi i h*.  The principal value and h*
-    are formed once for both limits."""
-    L, step = grid.half_width, grid.step
-    s_star = np.log(np.abs(zs))
-    i = np.rint((s_star + L) / step).astype(int)
-    node = np.abs(grid.nodes[i] - s_star) < 1e-9 * step
-    s_pole = np.where(node, grid.nodes[i], s_star)
-    wcoth = np.subtract(grid.nodes, s_pole[:, None])  # in place from here on
-    wcoth *= 0.5
-    np.tanh(wcoth, out=wcoth)
-    with np.errstate(divide="ignore"):
-        np.divide(1.0, wcoth, out=wcoth)
-    wcoth[node, i[node]] = 0.0
-    wcoth *= grid.weights
-    node_weights = grid.weights[i[node]] * 2.0
-    # fourth-order derivative stencils at the pole nodes (shifted near the edges)
-    j = np.clip(i[node], 2, grid.count - 3)
-    stencils = np.zeros((len(j), grid.count))
-    for off, c in ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0)):
-        stencils[np.arange(len(j)), j + off] += c / (12.0 * step)
-    closed = pv_coth_closed_form(L, s_pole, step)
-    idx, lagrange = _lagrange_weights(grid, s_star)
-    out = np.empty((2, len(rows), len(zs)), dtype=complex)
-    for k, hk in enumerate(rows):
-        interpolated = sum(hk[idx[:, a]] * wa for a, wa in enumerate(lagrange))
-        h_star = np.where(node, hk[i], interpolated)
-        terms = hk - h_star[:, None]
-        terms *= wcoth
-        pv = terms.sum(axis=1)
-        pv[node] += node_weights * np.sum(stencils * hk, axis=1)
-        pv += h_star * closed
-        half_jump = 2.0j * math.pi * h_star
-        out[0, k] = pv + half_jump
-        out[1, k] = pv - half_jump
-    return out
 
 
 def _off_ray_sums(grid: RayGrid, rows: np.ndarray, zs: np.ndarray) -> np.ndarray:
@@ -243,12 +212,7 @@ def _opposite_ray_sums(grid: RayGrid, rows: np.ndarray, zs: np.ndarray) -> np.nd
         half_s = 0.5 * np.log(np.abs(zs))
     kernel = np.subtract(0.5 * grid.nodes, half_s[:, None])
     np.tanh(kernel, out=kernel)
-    out = np.empty((len(rows), len(zs)), dtype=complex)
-    for k, hk in enumerate(rows):
-        weighted = grid.weights * hk
-        out[k].real = np.vecdot(kernel, weighted.real)
-        out[k].imag = np.vecdot(kernel, weighted.imag)
-    return out
+    return np.array([_real_dot(kernel, grid.weights * hk) for hk in rows])
 
 
 def _shaped(out: np.ndarray, h: np.ndarray, z: np.ndarray):
@@ -258,26 +222,6 @@ def _shaped(out: np.ndarray, h: np.ndarray, z: np.ndarray):
     if z.ndim:
         return res
     return complex(res[0]) if h.ndim == 1 else res[:, 0]
-
-
-def _lagrange_weights(grid: RayGrid, s: np.ndarray) -> tuple[np.ndarray, list]:
-    """Stencil node indices (shape (P, 6)) and weights (six arrays of length
-    P) of six-point Lagrange interpolation on the uniform grid at each of
-    the points s."""
-    j0 = np.clip(np.floor((s + grid.half_width) / grid.step).astype(int) - 2,
-                 0, grid.count - 6)
-    idx = j0[:, None] + np.arange(6)
-    xs = grid.nodes[idx]
-    weights = []
-    for a in range(6):
-        num, den = np.ones(len(s)), np.ones(len(s))
-        for b in range(6):
-            if a == b:
-                continue
-            num *= s - xs[:, b]
-            den *= xs[:, a] - xs[:, b]
-        weights.append(num / den)
-    return idx, weights
 
 
 def sweep_sign(from_dir: RayDirection, to_dir: RayDirection) -> int:

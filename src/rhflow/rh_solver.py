@@ -81,11 +81,11 @@ kernel spectra (coth, sinc and tanh) in one FFT and one inverse FFT, which
 is all check_jump needs, so verify builds no dense kernel.
 evaluate_theta serves arbitrary points and returns the Plemelj pair
 (Theta+, Theta-), the same value twice off the contour.  It passes both
-basis targets of a side as one (2, M) stack: on a ray to
-contour_quadrature.band_limited_limits, whose node rule is c_same's (so its
-"minus" element is the stored values there) and whose midpoint rule is
-midpoint_limits', else integrate_ray, whose kernel on the opposite ray is
-c_cross's real tanh and elsewhere the complex Cauchy kernel.
+basis targets of a side as one (2, M) stack to
+contour_quadrature.integrate_ray: on the side's ray its band-limited rule
+is c_same's at the nodes (so its "minus" element is the stored values
+there) and midpoint_limits' at the midpoints; on the opposite ray its
+kernel is c_cross's real tanh, elsewhere the complex Cauchy kernel.
 """
 
 from __future__ import annotations
@@ -103,8 +103,7 @@ import numpy as np
 
 from .charge_lattice import (Charge, GAMMA1, GAMMA2, Spectrum, extend, pairing,
                              require_support)
-from .contour_quadrature import (band_limited_limits, build_ray_grid, integrate_ray,
-                                 on_covered_ray)
+from .contour_quadrature import build_ray_grid, integrate_ray
 from .errors import (ConfigError, DivergenceError, NonContractionError, RHFlowError,
                      TruncationUnsafeError)
 from .spectrum_rays import CentralCharge, RayDirection, admissible_pair
@@ -288,9 +287,9 @@ class _ThetaFree:
                 decay = min(decay, 2.0 * math.pi * R * abs(zg) * math.cos(ang))
         if not math.isfinite(decay):  # empty spectrum: any width will do
             decay = 2.0 * math.pi * R * min(abs(z) for z in basis if z != 0)
+        grid = build_ray_grid(self.r, decay, M, target_tail)
         self.grids = MappingProxyType(
-            {side: build_ray_grid(self.rays[side], decay, M, target_tail)
-             for side in (+1, -1)})
+            {+1: grid, -1: dataclasses.replace(grid, direction=self.rays[-1])})
 
         # the theta-free exponents pi R (Z_g / zeta + zeta conj Z_g) of side
         # +1's active charges at the nodes of r, one row per charge in its
@@ -363,7 +362,7 @@ class _ThetaFree:
 
 
 # theta_free_problem keeps problems up to this many bytes of their arrays
-# (_ThetaFree.nbytes): 35 pentagon problems at M = 512, 8 at M = 2048
+# (_ThetaFree.nbytes): 36 pentagon problems at M = 512, 9 at M = 2048
 CACHE_BYTES = 8 * 2**20
 
 CacheInfo = collections.namedtuple("CacheInfo", "hits misses maxbytes currbytes")
@@ -809,22 +808,16 @@ def evaluate_theta(state: ThetaState, zeta) -> tuple:
     of complex numbers or of arrays.
 
     On a contour ray the two elements are the boundary values by
-    band_limited_limits ("minus", the clockwise side, is the stored one);
-    off the contour both hold Theta there.
+    integrate_ray's band-limited rule ("minus", the clockwise side, is the
+    stored one); off the contour both hold Theta there.
     """
     problem = state.problem
     dens = state.densities
     z = np.asarray(zeta, dtype=complex)
     zs = np.atleast_1d(z)
     acc = np.zeros((2, 2, len(zs)), dtype=complex)  # (plus, minus) x targets
-    for s in (+1, -1):
-        grid = problem.grids[s]
-        on = on_covered_ray(grid, zs)
-        rows = dens[s].T  # one density row per basis target
-        if on.any():
-            acc[:, :, on] += band_limited_limits(grid, rows, zs[on])
-        if not on.all():
-            acc[:, :, ~on] += integrate_ray(grid, rows, zs[~on])
+    for s in (+1, -1):  # one density row per basis target
+        acc += integrate_ray(problem.grids[s], dens[s].T, zs)
     out = np.array(state.cfg.theta)[:, None] - acc / FOUR_PI
     return tuple((th[0], th[1]) if z.ndim else (complex(th[0, 0]), complex(th[1, 0]))
                  for th in out)

@@ -79,12 +79,9 @@ class SaddleReport:
 
 def compare(zeta: complex, gamma_p: Charge, Z: CentralCharge, a: complex,
             theta: tuple[float, float], R_list, M: int = 256,
-            target_tail: float = 40.0, theta_at_saddle=None) -> list[SaddleReport]:
-    """Quadrature along the charge's own ray versus the leading estimate,
-    one report per R.
-
-    theta_at_saddle overrides the constant-angle value e^{i theta_gp}; the
-    solver passes the converged boundary value there.
+            target_tail: float = 40.0) -> list[SaddleReport]:
+    """Quadrature along the charge's own ray versus the leading estimate at
+    the constant angle theta_gp, one report per R.
 
     Both sides carry the factor e^{-2 pi R |Z|}, which leaves the double
     range near 2 pi R |Z| = 745: numeric and leading may underflow to 0 at
@@ -94,7 +91,6 @@ def compare(zeta: complex, gamma_p: Charge, Z: CentralCharge, a: complex,
     zg = Z.of(gamma_p, a)
     ray = bps_ray(Z, gamma_p, a)
     th_gp = extend(gamma_p, theta[0], theta[1])
-    th = theta_at_saddle if theta_at_saddle is not None else th_gp
     reports = []
     for R in R_list:
         peak = 2.0 * math.pi * R * abs(zg)
@@ -108,7 +104,7 @@ def compare(zeta: complex, gamma_p: Charge, Z: CentralCharge, a: complex,
         # symmetric counterpart of the interior estimate; off it, the integral
         plus, minus = integrate_ray(grid, dens, zeta)
         numeric = 0.5 * (plus + minus)
-        lead = _scaled_leading(zeta, zg, R, th)
+        lead = _scaled_leading(zeta, zg, R, th_gp)
         rel = abs(numeric - lead) / abs(lead) if lead != 0 else math.inf
         scale = math.exp(-peak)
         reports.append(SaddleReport(R, gamma_p, zeta, numeric * scale,

@@ -6,7 +6,8 @@ and integer-order zeros at points of the contour.  The solution is assembled
 as  X+ = const * prod (zeta - alpha_j)^{m_j} * omega+ * Y+,  X- = omega- * Y-
 where omega+/omega- absorb the branch behavior at 0 and infinity and Y
 solves the regularized continuous problem by a Cauchy transform with the
-symmetric kernel.
+symmetric kernel: the constant tails of its log density in closed form,
+the decaying rest by the spectral band-limited rule on the line.
 
 The contour is parametrized by the signed coordinate t, zeta = t e^{i phase},
 oriented from -infinity through 0 to +infinity; D+ is the half-plane on its
@@ -35,9 +36,11 @@ import numpy as np
 
 from .contour_quadrature import RayGrid, integrate_ray
 from .errors import AsymmetricJumpError, ConfigError, NonzeroIndexError
-from .spectrum_rays import RayDirection, _wrap
+from .spectrum_rays import EPS_ANGLE, RayDirection, _wrap
 
 TWO_PI = 2.0 * math.pi
+EXPONENT_TOL = 1e-9  # how far eta_0 + eta_inf may miss an integer
+WINDING_TOL = 0.25   # turns of log G1 along the contour taken for index zero
 
 
 @dataclass(frozen=True)
@@ -66,7 +69,7 @@ class ScalarBVProblem:
                 raise ConfigError(f"zero at {alpha} is off the contour")
 
 
-def jump_exponents(p: ScalarBVProblem, tol: float = 1e-9) -> tuple[complex, complex]:
+def jump_exponents(p: ScalarBVProblem) -> tuple[complex, complex]:
     """eta_0 and eta_inf from the declared limits, principal logarithms.
 
     The symmetric-jump condition demands eta_0 = -eta_inf; anything else
@@ -81,7 +84,7 @@ def jump_exponents(p: ScalarBVProblem, tol: float = 1e-9) -> tuple[complex, comp
     # demands eta_0 + eta_inf integer and then picks eta_inf = -eta_0 (the
     # principal branch cannot represent -1/2 when the ratio is -1)
     total = eta0 + etainf_raw
-    if abs(total - round(total.real)) > tol:
+    if abs(total - round(total.real)) > EXPONENT_TOL:
         raise AsymmetricJumpError(
             f"eta_0 = {eta0:.6g} and eta_inf = {etainf_raw:.6g} do not cancel"
         )
@@ -138,19 +141,21 @@ def zero_factor(p: ScalarBVProblem, zeta: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ContinuousSolution:
-    """Cauchy-transform solution of Y+ = G1 Y- with log G1 decaying along
-    the contour after removal of the common endpoint constant."""
+    """Cauchy-transform solution of Y+ = G1 Y-: log G1 - c is the tail
+    -A tanh(log |t|), transformed in closed form, plus a remainder that
+    decays at both ends of both halves, transformed by quadrature."""
 
     grids: tuple[RayGrid, RayGrid]          # positive half, negative half
-    log_density: tuple[np.ndarray, np.ndarray]
+    log_density: tuple[np.ndarray, np.ndarray]  # the remainder on each half
     endpoint_log: complex                    # removed constant c
     y_at_infinity: complex
+    tail_amplitude: complex                  # A
 
     def __call__(self, zeta) -> tuple:
-        """(Y+, Y-): exp of the kernel transform, normalised to one at
-        infinity, at one point or at a 1-D array of points.  On the covered
-        contour these are the D+ and D- boundary values, from one quadrature
-        pass; off it both hold the one value there."""
+        """(Y+, Y-): exp of the kernel transform, normalised by the
+        remainder's limit at infinity, at one point or at a 1-D array of
+        points.  On the line these are the D+ and D- boundary values, from
+        one quadrature pass; off it both hold the one value there."""
         z = np.asarray(zeta, dtype=complex)
         zs = np.atleast_1d(z)
         acc = np.zeros((2, len(zs)), dtype=complex)  # D+ and D- values
@@ -160,6 +165,14 @@ class ContinuousSolution:
             # the line is traversed inward along the negative half, so the
             # geometric D+ side flips there relative to the outward ray
             acc += orient * np.stack(limits[::-1] if half else limits)
+        # the tail against (t' + tau)/(t' - tau) dt'/t' = (2/(t' - tau) - 1/t') dt',
+        # tau = zeta e^{-i line_phase}: 0 against -1/t' (it is even), residues at
+        # tau and +-i for the rest: -A (2 pi i sigma + 4 pi/(tau + i sigma)),
+        # sigma = 1 in D+ and -1 in D-; on the line "plus" takes 1, "minus" -1
+        tau = zs * np.conj(self.grids[0].direction.unit())
+        side = np.where(np.abs(np.sin(np.angle(tau))) <= EPS_ANGLE, 0.0, np.sign(tau.imag))
+        sigma = np.stack([np.where(side < 0, -1.0, 1.0), np.where(side > 0, 1.0, -1.0)])
+        acc -= self.tail_amplitude * (TWO_PI * 1j * sigma + 4.0 * math.pi / (tau + 1j * sigma))
         out = np.exp(acc / (4j * math.pi)) / self.y_at_infinity
         return (out[0], out[1]) if z.ndim else (complex(out[0, 0]), complex(out[1, 0]))
 
@@ -173,18 +186,21 @@ def contour_nodes(half_width: float, M: int) -> np.ndarray:
 
 
 def solve_continuous(G1: np.ndarray, line_phase: float, half_width: float = 7.0,
-                     M: int = 512, winding_tol: float = 0.25) -> ContinuousSolution:
+                     M: int = 512) -> ContinuousSolution:
     """Cauchy-transform solution of the continuous problem.
 
     G1 holds the jump's values at contour_nodes(half_width, M).  log G1
     is tracked continuously along the oriented contour; a nonzero total
     winding is a nonzero-index configuration and is rejected.  The common
-    endpoint value of log G1 is removed before the transform (it re-enters
-    as the assembly constant), and the result is normalized to one at
-    infinity.
+    endpoint value c of log G1 is removed before the transform (it re-enters
+    as the assembly constant).  What is left tends to A at 0 and to -A at
+    infinity, the limits of the tail -A tanh(log |t|), so the quadrature
+    sees only a remainder that decays at both ends of both halves, where the
+    on-line rule is spectral.  The result is normalized by the remainder's
+    limit at infinity.
     """
     pos = RayGrid.uniform(RayDirection(line_phase), half_width, M)
-    neg = RayGrid.uniform(RayDirection(line_phase + math.pi), half_width, M)
+    neg = dataclasses.replace(pos, direction=RayDirection(line_phase + math.pi))
     w = pos.weights
 
     # G1 on both halves in contour order
@@ -196,12 +212,12 @@ def solve_continuous(G1: np.ndarray, line_phase: float, half_width: float = 7.0,
     angles = np.unwrap(np.angle(ordered))
     winding = (angles[-1] - angles[0]) / TWO_PI
     logs = np.log(np.abs(ordered)) + 1j * angles
-    if abs(winding) > winding_tol:
+    if abs(winding) > WINDING_TOL:
         raise NonzeroIndexError(
             f"log of the jump winds by {winding:.3f} turns along the contour"
         )
     # the transform needs log G1 continuous at 0 and at infinity separately;
-    # constant tails of opposite sign are fine, the two halves cancel them
+    # constant tails of opposite sign are fine, the closed-form tail takes them
     d_inf = logs[0] - logs[-1]
     d_zero = logs[M - 1] - logs[M]
     if max(abs(d_inf), abs(d_zero)) > 1e-6:
@@ -210,14 +226,16 @@ def solve_continuous(G1: np.ndarray, line_phase: float, half_width: float = 7.0,
             f"(gaps {abs(d_zero):.2e}, {abs(d_inf):.2e})"
         )
     c = 0.25 * (logs[0] + logs[-1] + logs[M - 1] + logs[M])
+    A = 0.25 * (logs[M - 1] + logs[M] - logs[0] - logs[-1])
     lam = logs - c
-    dens_neg = lam[:M][::-1]
-    dens_pos = lam[M:]
+    tail = -A * np.tanh(pos.nodes)  # at t = +-e^{s_j} on both halves
+    dens_neg = lam[:M][::-1] - tail
+    dens_pos = lam[M:] - tail
 
-    # exact limit of the raw transform at infinity: the kernel tends to -1
-    # on both halves
+    # exact limit of the remainder's transform at infinity: the kernel
+    # tends to -1 on both halves
     y_inf = cmath.exp(-(np.sum(w * dens_pos) - np.sum(w * dens_neg)) / (4j * math.pi))
-    return ContinuousSolution((pos, neg), (dens_pos, dens_neg), c, y_inf)
+    return ContinuousSolution((pos, neg), (dens_pos, dens_neg), c, y_inf, A)
 
 
 @dataclass(frozen=True)
@@ -229,7 +247,7 @@ class ScalarSolution:
 
     def __call__(self, zeta) -> tuple:
         """(X+, X-) at one point or at a 1-D array of points, from one
-        quadrature pass: on the covered contour the boundary values from D+
+        quadrature pass: on the contour the boundary values from D+
         and from D-; off it the D+ and the D- expressions at the point, of
         which the one for the point's side is the solution there.  X+
         carries the zero factors."""
@@ -291,10 +309,12 @@ def verify_uniqueness(p: ScalarBVProblem, zeta0_alt: complex,
     deviation of the solution ratio from a constant over off-contour samples.
 
     The alternative base point leaves the regularized jump with constant
-    tails of opposite sign, which the paired halves cancel only as e^{-L};
-    hence the wider default grid here.  The samples lie off the contour,
-    where the trapezoid sums converge geometrically in the step, so the
-    tails, not the step, set the deviation, and the step can be coarse.
+    tails of opposite sign, which solve_continuous transforms in closed
+    form.  The jump nears them only like e^{-|log |t||}, so the width is
+    set by solve_continuous's continuity check at the grid ends, which the
+    manufactured jumps pass from half-width 14 on; the default 24 keeps a
+    margin.  Off the contour the sums converge geometrically in the step,
+    so the step can be coarse.
 
     Both solves share one node set (_solve_sampled), and each solution is
     evaluated once at all 8 samples: X+ is taken at the 4 in D+ and X- at

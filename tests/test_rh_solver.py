@@ -901,34 +901,37 @@ def test_theta_free_problem_holds_no_more_bytes_than_before_the_one_pass_guard()
     # the guard reads the Picard step's own stack of side +1's exponents at
     # r's nodes and keeps none for -r: the distinct arrays of a pentagon
     # problem at M = 512 held 286,816 bytes with a copy per charge and
-    # 262,432 with a stack per side
+    # 262,432 with a stack per side, and 237,856 with a node set per ray
     shared = init_state(pentagon_cfg(M=512)).problem
+    assert shared.grids[-1].nodes is shared.grids[+1].nodes
     distinct = {id(arr): arr for arr in _arrays(shared)}
-    assert sum(arr.nbytes for arr in distinct.values()) <= 237_856
+    assert sum(arr.nbytes for arr in distinct.values()) <= 229_664
 
 
 def test_the_problem_cache_is_bounded_by_the_bytes_of_its_problems():
-    # pentagon problems at M = 2048 hold 950,560 bytes each: eight fit in
-    # CACHE_BYTES, and the least recently used go first
+    # pentagon problems at M = 2048 hold 917,792 bytes each (both rays share
+    # one node set): nine fit in CACHE_BYTES, and the least recently used go
+    # first
     import rhflow.rh_solver as rh
 
     def problem(R, M=2048):
         return rh.theta_free_problem(R, 0.0, pentagon_spectrum(), Z, M, 40.0, None)
 
     rh.theta_free_problem.cache_clear()
-    Rs = [1.0 + 0.125 * i for i in range(10)]
-    built = [problem(R) for R in Rs[:8]]
+    Rs = [1.0 + 0.125 * i for i in range(11)]
+    built = [problem(R) for R in Rs[:9]]
     assert problem(Rs[0]) is built[0]  # a hit, now the most recent
-    built += [problem(R) for R in Rs[8:]]
+    built += [problem(R) for R in Rs[9:]]
     info = rh.theta_free_problem.cache_info()
     size = built[0].nbytes
-    assert rh.CACHE_BYTES // size == 8
-    assert (info.hits, info.misses, info.currbytes) == (1, 10, 8 * size)
+    assert size == 917_792
+    assert rh.CACHE_BYTES // size == 9
+    assert (info.hits, info.misses, info.currbytes) == (1, 11, 9 * size)
     assert info.currbytes <= info.maxbytes == rh.CACHE_BYTES
     # Rs[1] and Rs[2] were the least recently used: built again on a miss
-    assert problem(Rs[0]) is built[0] and problem(Rs[9]) is built[9]
+    assert problem(Rs[0]) is built[0] and problem(Rs[10]) is built[10]
     assert problem(Rs[1]) is not built[1]
-    assert rh.theta_free_problem.cache_info().misses == 11
+    assert rh.theta_free_problem.cache_info().misses == 12
     # a benchmark working set (14 problems at M <= 512) is never evicted
     rh.theta_free_problem.cache_clear()
     kept = [problem(R, M) for R in Rs[:7] for M in (128, 512)]
