@@ -30,7 +30,7 @@ def G(t):
             / regularizing_factor(probe, ETA0, zeta))
 
 
-g0m, g0p = G(np.array([-1e-9, 1e-9])).tolist()  # the one-sided limits at 0
+g0m, g0p = G(np.array([-1e-300, 1e-300])).tolist()  # the one-sided limits at 0
 p = ScalarBVProblem(0.0, G, (g0m, g0p, 1.0, cmath.exp(2j * math.pi * ETA0)),
                     zeros=ZEROS, zeta0=1.5j)
 sol = solve_scalar_bvp(p)

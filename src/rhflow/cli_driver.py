@@ -143,24 +143,19 @@ def _parse_solver(problem: dict) -> SolverConfig:
     if not (isinstance(theta, list) and len(theta) == 2):
         raise ConfigError("problem.theta must be a pair of angles")
 
-    def number(kind, key, default=None):
-        return _number(kind, problem.get(key, default), f"problem.{key}")
+    def number(kind, key):
+        return _number(kind, problem[key], f"problem.{key}")
 
-    cfg = SolverConfig(
-        R=number(float, "R"),
-        a=_complex(problem.get("a", [0.0, 0.0]), "problem.a"),
-        theta=(_number(float, theta[0], "problem.theta"),
-               _number(float, theta[1], "problem.theta")),
-        spectrum=spectrum,
-        Z=Z,
-        M=number(int, "M", 128),
-        target_tail=number(float, "target_tail", 40.0),
-        tol=number(float, "tol", 1e-12),
-        max_iter=number(int, "max_iter", 30),
-        ball_epsilon=number(float, "ball_epsilon", 0.5),
-        split_phase=(None if problem.get("split_phase") is None
-                     else number(float, "split_phase")),
-    )
+    R = number(float, "R")
+    a = _complex(problem.get("a", [0.0, 0.0]), "problem.a")
+    theta = (_number(float, theta[0], "problem.theta"), _number(float, theta[1], "problem.theta"))
+    # SolverConfig's defaults stand for the keys a config leaves out
+    given = {key: number(kind, key) for key, kind in (
+        ("M", int), ("target_tail", float), ("tol", float), ("max_iter", int),
+        ("ball_epsilon", float)) if key in problem}
+    if problem.get("split_phase") is not None:
+        given["split_phase"] = number(float, "split_phase")
+    cfg = SolverConfig(R=R, a=a, theta=theta, spectrum=spectrum, Z=Z, **given)
     cfg.validate()
     return cfg
 
@@ -389,16 +384,21 @@ def _scalar_problem(section: dict) -> ScalarBVProblem:
             raise ConfigError(f"scalar.zeros: {item!r} is not [[re, im], order]")
         zeros.append((_complex(item[0], "scalar.zeros"),
                       _number(int, item[1], "scalar.zeros")))
-    zeros = tuple(zeros)
     phase = _number(float, section.get("line_phase", 0.0), "scalar.line_phase")
-    zeta0 = _complex(section.get("zeta0", [0.0, 1.5]), "scalar.zeta0")
+    # ScalarBVProblem's default base point stands for a zeta0 left out
+    shape = {"zeros": tuple(zeros)}
+    if "zeta0" in section:
+        shape["zeta0"] = _complex(section["zeta0"], "scalar.zeta0")
     if kind == "manufactured":
         eta0 = _required(jump, "eta0", "scalar.jump")
         eta0 = (_complex(eta0, "scalar.jump.eta0") if isinstance(eta0, list)
                 else _number(complex, eta0, "scalar.jump.eta0"))
+        # the limits' principal log gives Re eta0 in (-1/2, 1/2] only
+        if abs(eta0.real) > 0.5:
+            raise ConfigError(f"scalar.jump.eta0: Re eta0 = {eta0.real!r} is off the "
+                              "branch (-1/2, 1/2] that the solver takes")
         amp = _complex(jump.get("bump", [0.3, 0.1]), "scalar.jump.bump")
-        probe = ScalarBVProblem(phase, lambda t: 1.0, (1, 1, 1, 1),
-                                zeros=zeros, zeta0=zeta0)
+        probe = ScalarBVProblem(phase, lambda t: 1.0, (1, 1, 1, 1), **shape)
 
         def G(t):
             with np.errstate(divide="ignore"):  # t = 0: the bump is 0 there
@@ -410,7 +410,7 @@ def _scalar_problem(section: dict) -> ScalarBVProblem:
         # where G is its limit to rounding (an eta_0 off by e drifts log G1 by e log|t|)
         g0m, g0p = G(np.array([-1e-300, 1e-300])).tolist()
         limits = (g0m, g0p, 1.0 + 0j, cmath.exp(2j * math.pi * eta0))
-        return ScalarBVProblem(phase, G, limits, zeros=zeros, zeta0=zeta0)
+        return ScalarBVProblem(phase, G, limits, **shape)
     if kind == "sampled":
         ts = [_number(float, t, "scalar.jump.t")
               for t in _list(_required(jump, "t", "scalar.jump"), "scalar.jump.t")]
@@ -429,17 +429,21 @@ def _scalar_problem(section: dict) -> ScalarBVProblem:
         limits = tuple(_complex(v, "scalar.limits")
                        for v in _list(_required(section, "limits", "scalar"),
                                       "scalar.limits"))
-        return ScalarBVProblem(phase, G, limits, zeros=zeros, zeta0=zeta0)
+        return ScalarBVProblem(phase, G, limits, **shape)
     raise ConfigError(f"scalar.jump.kind {kind!r} not recognized")
 
 
 def _cmd_scalar_bvp(rc: RunConfig, out: Path) -> None:
     section = rc.scalar
     problem = _scalar_problem(section)
-    half_width = _positive(section.get("half_width", 7.0), "scalar.half_width")
-    M = _number(int, section.get("M", 512), "scalar.M")
-    if M < 16:
-        raise ConfigError("scalar.M must be >= 16")
+    # solve_scalar_bvp's defaults stand for the keys a config leaves out
+    grid = {}
+    if "half_width" in section:
+        grid["half_width"] = _positive(section["half_width"], "scalar.half_width")
+    if "M" in section:
+        grid["M"] = _number(int, section["M"], "scalar.M")
+        if grid["M"] < 16:
+            raise ConfigError("scalar.M must be >= 16")
     n = _number(int, section.get("samples", 200), "scalar.samples")
     if n < 2:
         raise ConfigError("scalar.samples must be >= 2")
@@ -448,7 +452,7 @@ def _cmd_scalar_bvp(rc: RunConfig, out: Path) -> None:
         alt = _complex(alt, "scalar.zeta0_alt")
         if not problem.in_upper(alt):
             raise ConfigError("scalar.zeta0_alt must lie strictly inside D+")
-    sol = solve_scalar_bvp(problem, half_width=half_width, M=M)
+    sol = solve_scalar_bvp(problem, **grid)
     rng = np.random.default_rng(rc.seed)
     ts = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), size=n // 2))
     ts = np.concatenate([ts, -ts])

@@ -34,10 +34,11 @@ shared, so it is read-only: its arrays refuse writes.
 
 iterate_once is the bare map; solve applies it, keeps the iteration record
 and returns it with the converged state; verify returns the residuals of the
-defining conditions on that state.  solve keeps one check, truncation_guard, which keeps the
-solution where |Y_g| < 1 on the jump rays, the domain in which the side maps'
-log series (stokes_series) converge; a state runs it at most once and keeps
-its limits at 0 and infinity (state.limits), so verify repeats neither.
+defining conditions on whatever state it is given.  Only solve accepts or
+refuses: a fixed point must keep |Y_g| < 1 on the jump rays
+(truncation_guard), the domain in which the side maps' log series
+(stokes_series) converge.  A state keeps its densities and its limits at 0
+and infinity (state.limits), so verify after solve forms neither again.
 verify is the one-member case of verify_batch, which checks states that
 share M and both side maps' charge order as one stack (_Checks): one
 forward FFT of their densities serves both check_jump's midpoint_limits and
@@ -51,8 +52,9 @@ theta-free exponents side by side for one _SideMap.log over the K M points,
 and one (2, K, 2M) FFT and inverse FFT per step, each step one call of
 iterate_once on the stack.  Each member leaves the stack at the step where
 its own solve stops, with that solve's state and report or error; members
-that converge at one step take truncation_guard and their densities in one
-stacked pass.  Every operation is elementwise or per FFT row, so a member's
+that converge at one step share one finishing pass (_Stack.finish), whose
+exponentials give their guard outcomes and, through the rest of the factor
+chain, their densities.  Every operation is elementwise or per FFT row, so a member's
 numbers are those of its solve bit for bit.  smoothness_probe solves the
 distinct stencil points of all its orders as one batch (rhflow smoothness
 calls it once), and rhflow sweep_r solves its R ladder as one batch, whose
@@ -241,8 +243,14 @@ class _SideMap:
         log1p(-1) diverges, only far outside |Y| < 1, and a NaN makes
         divisions invalid: the callers silence those warnings.
         """
-        x, one_minus, out, steps = buffers or self.buffers(theta.shape[0])
-        self.exponentials(static, theta, x, one_minus)
+        buffers = buffers or self.buffers(theta.shape[0])
+        self.exponentials(static, theta, *buffers[:2])
+        return self._chain(buffers)
+
+    @staticmethod
+    def _chain(buffers: tuple) -> np.ndarray:
+        """log's factor chain on the exponentials in buffers' x."""
+        *_, out, steps = buffers
         for fn, args in steps:
             fn(*args)
         # (2, P) rows keep each target's density contiguous for the ray sums
@@ -509,14 +517,28 @@ class _Stack:
         np.copyto(self.prev, self.rows)
         return distances
 
-    def densities(self, members: list[int]) -> list[dict[int, np.ndarray]]:
-        """_densities of members (ascending) at their previous iterate
-        (after advance, the newest), from one _SideMap.log over their own
-        points only."""
-        if len(members) == len(self.cfgs):  # all of them, in the step's log buffers
-            return _densities(self.map, self.static, self.prev, self.log)
-        return _densities(self.map, _side_by_side([self.problems[k].static for k in members]),
-                          self.prev[:, members])
+    def finish(self, members: list[int]) -> list:
+        """The finishing pass of members (ascending) at their previous
+        iterate (after advance, the newest): one _SideMap.exponentials over
+        their own points, in the step's log buffers when all of them finish.
+        Per member, truncation_guard's error read off |x|, else its
+        densities from the rest of the factor chain on those buffers."""
+        M = self.problems[0].M
+        if len(members) == len(self.cfgs):
+            static, theta, buffers = self.static, self._log_theta, self.log
+        else:
+            static = _side_by_side([self.problems[k].static for k in members])
+            theta = self.prev[:, members].reshape(2, -1).T
+            buffers = self.map.buffers(len(members) * M)
+        x = self.map.exponentials(static, theta, *buffers[:2])
+        mags = np.abs(x).reshape(len(x), len(members), M)
+        unsafe = (mags >= 1.0).any(axis=(0, 2)).tolist()
+        outcomes = [_unsafe(self.problems[k], mags[:, j]) if bad else None
+                    for j, (k, bad) in enumerate(zip(members, unsafe))]
+        if None in outcomes:
+            h = self.map._chain(buffers).T.reshape(2, len(members), M)
+            outcomes = [out or _with_mirror(h[:, j].copy().T) for j, out in enumerate(outcomes)]
+        return outcomes
 
     def state(self, k: int) -> ThetaState:
         """Member k's newest iterate as a state of its own values."""
@@ -531,9 +553,9 @@ class ThetaState:
 
     Those of -r are their image under the reality involution,
     values[::-1].conj().  Stored values are clockwise-side boundary values.
-    The combined densities and the limits at 0 and infinity are computed on
-    first use and kept, and truncation_guard passes at most once, so values
-    must not change in place.
+    The densities per side and target, shape (M, 2), and the limits at 0
+    and infinity are computed on first use and kept, so values must not
+    change in place.
     """
 
     values: np.ndarray
@@ -542,19 +564,13 @@ class ThetaState:
 
     @functools.cached_property
     def densities(self) -> dict[int, np.ndarray]:
-        return _densities(self.problem.maps[+1], self.problem.static, self.values.T[:, None])[0]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # see log
+            return _with_mirror(self.problem.maps[+1].log(self.problem.static, self.values))
 
     @functools.cached_property
     def limits(self) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
         """(Theta(0), Theta(inf)), each a pair over the basis targets."""
         return asymptotic_theta(self)
-
-    def guard(self) -> None:
-        """Run truncation_guard on this state unless it has passed before;
-        a state that fails it raises on every call."""
-        if not getattr(self, "_guarded", False):
-            truncation_guard(self)
-            self._guarded = True
 
 
 def _side_by_side(arrays: list[np.ndarray]) -> np.ndarray:
@@ -571,18 +587,10 @@ def _member_axis(arrays: list[np.ndarray], axis: int) -> np.ndarray:
     return np.stack(arrays, axis)
 
 
-def _densities(side_map: _SideMap, static: np.ndarray, rows: np.ndarray,
-               buffers: tuple | None = None) -> list[dict[int, np.ndarray]]:
-    """The combined density per side and target, shape (M, 2), of each of K
-    members from their theta-free exponents of side +1's charges side by
-    side (shape (n, K M)) and their node values as (2, K, M) rows (target,
-    member, node), by one _SideMap.log over the K M points (in buffers, fresh
-    by default): side +1's by its side map, side -1's, on -r, as the
-    involution image -conj(h_{+1}[::-1]).  Fresh arrays."""
-    K, M = rows.shape[1:]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # see log
-        h = side_map.log(static, rows.reshape(2, -1).T, buffers).T.reshape(2, K, M)
-    return [{+1: hk, -1: -hk[::-1].conj()} for hk in (h[:, k].copy().T for k in range(K))]
+def _with_mirror(h: np.ndarray) -> dict[int, np.ndarray]:
+    """Both sides' densities from side +1's on r, h: side -1's, on -r, is
+    its involution image -conj(h[::-1])."""
+    return {+1: h, -1: -h[::-1].conj()}
 
 
 def init_state(cfg: SolverConfig) -> ThetaState:
@@ -619,7 +627,7 @@ def solve(cfg: SolverConfig) -> tuple[ThetaState, dict]:
     observed; convergence requires the final ratio below one.  A step
     whose iterate leaves the ball of radius ball_epsilon about theta is
     recorded in ball_exits, not fatal.  The converged state must pass
-    truncation_guard; verify does not run it again on that state.
+    truncation_guard, which only solve runs.
     """
     (result,) = solve_batch([cfg])
     if isinstance(result, RHFlowError):
@@ -634,8 +642,8 @@ def solve_batch(cfgs: list[SolverConfig]) -> list:
     Members that share M and side +1's charge order step in lockstep on one
     _Stack, each step one call of iterate_once; a member leaves the stack
     at the step where its own solve stops, with that solve's values,
-    report or error.  Members that converge at one step are guarded
-    (truncation_guard) and take their densities in one stacked pass each.
+    report or error.  Members that converge at one step share one
+    finishing pass (_Stack.finish) for their guard outcomes and densities.
     """
     results: list = [None] * len(cfgs)
     groups: dict = {}
@@ -708,32 +716,16 @@ def _non_contraction(cfg: SolverConfig, deltas: list[float]) -> NonContractionEr
 
 def _converged(stack: _Stack, members: list[int], records: list, index: list[int],
                results: list) -> None:
-    """Guard the newest iterates of the stack's members that converged at
-    this step and take their densities, each in one stacked pass, then
-    their limits and reports, into results[index[j]] for members[j].  When
-    the stacked guard fails, each state is guarded alone, so that each
-    failing one gets its own error."""
-    states = [stack.state(k) for k in members]
-    try:
-        truncation_guard(*states)
-    except TruncationUnsafeError:
-        pass
-    else:
-        for st in states:
-            st._guarded = True
-    passed = []
-    for k, st, record, i in zip(members, states, records, index):
-        try:
-            st.guard()
-        except TruncationUnsafeError as exc:
-            results[i] = exc
-        else:
-            passed.append((k, st, record, i))
-    if not passed:
-        return
-    for (_, st, _, _), dens in zip(passed, stack.densities([k for k, *_ in passed])):
-        st.densities = dens
-    for _, st, (deltas, ball_exits), i in passed:
+    """Each of the stack's members that converged at this step takes its
+    truncation_guard error, or its densities, limits and report, from their
+    finishing pass, into results[index[j]] for members[j]."""
+    for k, outcome, (deltas, ball_exits), i in zip(members, stack.finish(members),
+                                                   records, index):
+        if isinstance(outcome, TruncationUnsafeError):
+            results[i] = outcome
+            continue
+        st = stack.state(k)
+        st.densities = outcome
         cfg = st.cfg
         theta0, thetainf = st.limits
         results[i] = st, {
@@ -754,32 +746,24 @@ def _converged(stack: _Stack, members: list[int], records: list, index: list[int
 
 
 def verify(state: ThetaState) -> dict:
-    """Residuals of the defining conditions at a solved state, for the
+    """Residuals of the defining conditions at a state, for the
     configuration it was built from: the jump (check_jump), the reality
     involution (check_reality), the real part of Theta(0) - theta
     (asymptotic_real) and |Theta(0) - conj Theta(inf)| (asymptotic_conj).
-    With -r mirrored from r, the last three read rounding only: the reality
-    check compares Theta on two pairs of opposite off-contour rays, by FFT
-    from both sides' densities, so it shows a side -1 density that is not
-    the involution image of side +1's, but both rays share one node set.
-
-    verify_batch's one-member case: both checks take their limits from one
-    forward FFT of the state's weighted and unweighted densities (_Checks)."""
+    With -r mirrored from r, the last three read rounding only (see
+    check_reality).  It measures and never refuses: a state outside
+    |Y| < 1 gets its residuals.  verify_batch's one-member case."""
     (residuals,) = verify_batch([state])
     return residuals
 
 
 def verify_batch(states: list[ThetaState]) -> list[dict]:
-    """verify's residuals of each state, in their order.  Every state is
-    guarded first, in order, so the first that fails truncation_guard
-    raises.  States that share M and both side maps' charge order are
-    checked as one _Checks stack: one forward FFT of their densities
-    serves both checks, then one inverse FFT per check and one
-    _SideMap.log per side over their K (M - 1) midpoints.  Every operation
-    is elementwise or per FFT row, so each state's residuals are those of
-    its verify alone bit for bit."""
-    for st in states:
-        st.guard()
+    """verify's residuals of each state, in their order.  States that
+    share M and both side maps' charge order are checked as one _Checks
+    stack: one forward FFT of their densities serves both checks, then one
+    inverse FFT per check and one _SideMap.log per side over their K (M - 1)
+    midpoints.  Every operation is elementwise or per FFT row, so each
+    state's residuals are those of its verify alone bit for bit."""
     groups: dict = {}
     for i, st in enumerate(states):
         maps = st.problem.maps
@@ -835,7 +819,21 @@ def evaluate_Y(state: ThetaState, g: Charge, zeta: complex) -> complex:
     return complex(np.exp(_static_exponents(cfg.R, cfg.Z.of(g, cfg.a), zeta) + 1j * thg))
 
 
-def truncation_guard(*states: ThetaState) -> None:
+def _unsafe(problem: _ThetaFree, mags: np.ndarray) -> TruncationUnsafeError | None:
+    """truncation_guard's outcome from |x_g| of side +1's charges at the
+    nodes of r, shape (n, M): the error naming the first charge in spectrum
+    order with |x_g| >= 1 at a node, else None (a NaN passes)."""
+    over = (mags >= 1.0).any(axis=1).tolist()
+    for i in problem.guard_rows:
+        if over[i]:
+            g = problem.maps[+1].charges[i][0]
+            return TruncationUnsafeError(
+                f"|Y| = {mags[i].max():.3g} >= 1 for charge ({g.c1},{g.c2}) "
+                "on its jump ray; the log series of its jump map does not converge")
+    return None
+
+
+def truncation_guard(state: ThetaState) -> None:
     """Raise TruncationUnsafeError where an active charge has |Y_g| >= 1 at
     the nodes of its own jump ray: the log series of the jump map across
     that ray (stokes_series) converges only for |Y_g| < 1, and solutions are
@@ -843,26 +841,15 @@ def truncation_guard(*states: ThetaState) -> None:
     sum.  The check runs on r alone: -r's values are r's image under the
     reality involution zeta -> -1/conj zeta, which sends node j of r to node
     M - 1 - j of -r and side +1's charges g to side -1's -g, with |Y_{-g}|
-    there equal to |Y_g| at node j of r.  One exp over side +1's
-    (charges, K M) stack of the states (which share M and side +1's charge
-    order, as solve_batch's members do); the first failing state raises,
-    naming its first failing charge in spectrum order."""
-    side_map = states[0].problem.maps[+1]
-    M = states[0].problem.M
-    values = states[0].values if len(states) == 1 else np.concatenate([st.values for st in states])
-    mags = np.abs(side_map.exponentials(_side_by_side([st.problem.static for st in states]),
-                                        values))
-    if mags.max(initial=0.0) < 1.0:  # a NaN goes on to the loop, which passes it
-        return
-    for k, st in enumerate(states):
-        rows = mags[:, k * M:(k + 1) * M]
-        for i in st.problem.guard_rows:
-            if np.any(rows[i] >= 1.0):
-                g = side_map.charges[i][0]
-                raise TruncationUnsafeError(
-                    f"|Y| = {rows[i].max():.3g} >= 1 for charge ({g.c1},{g.c2}) "
-                    "on its jump ray; the log series of its jump map does not converge"
-                )
+    there equal to |Y_g| at node j of r.  One exp over side +1's (charges,
+    M) stack; the failing charge named is the first in spectrum order.
+    solve's finishing pass (_Stack.finish) reads the same outcome (_unsafe)
+    off its own exponentials."""
+    problem = state.problem
+    error = _unsafe(problem, np.abs(problem.maps[+1].exponentials(problem.static,
+                                                                  state.values)))
+    if error is not None:
+        raise error
 
 
 class _Checks:
@@ -973,13 +960,12 @@ def check_jump(state) -> float:
     expm1 and never through Y+- themselves.  A non-finite residual is
     returned as such.
 
-    Given a ThetaState, it guards it (state.guard) and returns its residual;
-    given a _Checks stack (verify_batch's, whose states are guarded), the
-    residual of every member, shape (K,).
+    Given a ThetaState, its residual; given a _Checks stack (verify_batch's),
+    the residual of every member, shape (K,).  It does not guard: a state
+    outside |Y| < 1 gets its residual.
     """
     if isinstance(state, _Checks):
         return state.jump()
-    state.guard()
     return float(_Checks([state]).jump()[0])
 
 
@@ -1081,15 +1067,16 @@ def smoothness_probe(cfg: SolverConfig, direction: str, orders: list[int],
     """Central finite differences of the converged solution in one
     parameter, one probe per order of orders, in their order.
 
-    Each probe takes its order's stencil at steps h = grid_step and h/2 and
-    reports both estimates (node arrays and the zeta -> 0 limit) together
-    with the relative change under step halving; a stable value stands in
-    for the smoothness of the exact solution.  The direction and every
-    order are checked before anything is built.  Each distinct offset of
-    every stencil is built once and all of them are solved as one
-    solve_batch; the error raised is that of the first failing point in
-    probe order (order by order, h before h/2).  The points are solved, not
-    verified: nothing of verify's residuals enters a probe.
+    Each probe takes its order's stencil of the node values at steps
+    h = grid_step and h/2 and reports the estimate at h ("nodes", with its
+    sup) and the relative change under step halving ("rel_change"); a
+    stable value stands in for the smoothness of the exact solution.  The
+    direction and every order are checked before anything is built.  Each
+    distinct offset of every stencil is built once and all of them are
+    solved as one solve_batch; the error raised is that of the first
+    failing point in probe order (order by order, h before h/2).  The
+    points are solved, not verified: nothing of verify's residuals enters
+    a probe.
     """
     if direction not in _DIRECTIONS:
         raise ConfigError(f"unknown probe direction {direction!r}")
@@ -1103,31 +1090,22 @@ def smoothness_probe(cfg: SolverConfig, direction: str, orders: list[int],
     for result in results:
         if isinstance(result, RHFlowError):
             raise result
-    solved = {offset: (st.values, np.array(st.limits[0]))
-              for offset, (st, _) in zip(offsets, results)}
+    solved = {offset: st.values for offset, (st, _) in zip(offsets, results)}
 
-    def estimate(order: int, h: float):
+    def estimate(order: int, h: float) -> np.ndarray:
         nodes = np.zeros((cfg.M, 2), dtype=complex)
-        t0 = np.zeros(2, dtype=complex)
         for mult, coeff in _STENCILS[order]:
-            v, t = solved[mult * h]
-            nodes += coeff * v
-            t0 += coeff * t
-        return nodes / h ** order, t0 / h ** order
+            nodes += coeff * solved[mult * h]
+        return nodes / h ** order
 
     floor = 1e-5  # angles are order-one; differences below this are noise
     probes = []
     for order in orders:
-        (nodes_h, t0_h), (nodes_h2, t0_h2) = (estimate(order, h) for h in steps)
+        nodes_h, nodes_h2 = (estimate(order, h) for h in steps)
         denom = max(float(np.max(np.abs(nodes_h2))), floor)
         probes.append({
-            "direction": direction,
             "order": order,
-            "step": grid_step,
             "nodes": nodes_h,
-            "nodes_halved": nodes_h2,
-            "theta0": t0_h,
-            "theta0_halved": t0_h2,
             "rel_change": float(np.max(np.abs(nodes_h - nodes_h2))) / denom,
             "sup": float(np.max(np.abs(nodes_h))),
         })

@@ -95,8 +95,9 @@ def jump_exponents(p: ScalarBVProblem) -> tuple[complex, complex]:
 
 def index(eta0: complex, eta_inf: complex) -> int:
     """floor(Re eta_0) + floor(Re eta_inf) + 1; zero for genuine symmetric
-    jumps.  Continuous boundary functions (eta_0 = 0) fall outside this
-    normalization and are handled by the classical index-zero route."""
+    jumps.  Re eta_0 = 0 (a continuous boundary function, or a purely
+    imaginary exponent) falls outside this normalization, where floor(0.0)
+    + floor(-0.0) + 1 reads 1; solves take it by the index-zero route."""
     return math.floor(eta0.real) + math.floor(eta_inf.real) + 1
 
 
@@ -272,8 +273,8 @@ def _exponents(p: ScalarBVProblem) -> tuple[complex, int]:
     """p validated; its exponent eta_0 and its index."""
     p.validate()
     eta0, etainf = jump_exponents(p)
-    if eta0 == 0:
-        return eta0, 0  # continuous boundary function: classical index-zero route
+    if eta0.real == 0:  # a continuous boundary function, or a purely imaginary
+        return eta0, 0  # exponent: bounded at 0, the classical index-zero route
     return eta0, index(eta0, etainf)
 
 

@@ -786,8 +786,15 @@ _DECAYED = [math.exp(-3.0 * math.pi), 0.0]   # G(0-0)/G(0+0) = e^{2 pi i (1.5i)}
      "|eta_0| must be below one"),
     (_sampled([0.0, 0.0], [[1.0, 0.0]] * 4),
      "continuous jump function vanishes on the contour"),
+    # the limits' principal log gives Re eta0 in (-1/2, 1/2] only: off it, a
+    # configured eta0 is refused before the solve, not as a winding (exit 2)
+    *(({"jump": {"kind": "manufactured", "eta0": eta0}},
+       f"scalar.jump.eta0: Re eta0 = {re!r} is off the branch (-1/2, 1/2]")
+      for eta0, re in ((0.51, 0.51), (0.6, 0.6), (-0.7, -0.7), (0.95, 0.95),
+                       ([0.6, 0.1], 0.6))),
 ], ids=["zeta0_below", "zero_order_0", "zero_off_contour", "zero_limit",
-        "eta0_too_large", "vanishing_jump"])
+        "eta0_too_large", "vanishing_jump", "eta0_0.51", "eta0_0.6", "eta0_-0.7",
+        "eta0_0.95", "eta0_0.6+0.1i"])
 def test_exit_code_1_when_the_scalar_problem_is_not_admissible(tmp_path, capsys,
                                                                scalar, message):
     cfg = write_cfg(tmp_path, {"scalar": dict(scalar, samples=20)})
@@ -796,6 +803,16 @@ def test_exit_code_1_when_the_scalar_problem_is_not_admissible(tmp_path, capsys,
     diag = json.loads(capsys.readouterr().err)
     assert diag["error"] == "ConfigError" and message in diag["message"]
     assert json.loads((out / "error.json").read_text()) == diag
+
+
+@pytest.mark.parametrize("eta0", [0.5, -0.5, [0.5, 0.2]])
+def test_a_manufactured_eta0_on_the_branch_edge_solves(tmp_path, eta0):
+    # |Re eta0| = 1/2 is still taken
+    cfg = write_cfg(tmp_path, {"scalar": {"jump": {"kind": "manufactured", "eta0": eta0},
+                                          "samples": 20}})
+    out = tmp_path / "o"
+    assert main(["scalar_bvp", "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads((out / "scalar_report.json").read_text())["kappa"] == 0
 
 
 def test_scalar_bvp_takes_eta0_as_a_pair_or_a_number(tmp_path):

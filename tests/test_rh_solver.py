@@ -99,13 +99,13 @@ def test_solve_computes_densities_once_per_state(monkeypatch):
     # built once, for the converged state's limits
     import rhflow.rh_solver as rh
     calls = []
-    original = rh._Stack.densities
+    original = rh._Stack.finish
 
     def counting(self, members):
         calls.extend(members)
         return original(self, members)
 
-    monkeypatch.setattr(rh._Stack, "densities", counting)
+    monkeypatch.setattr(rh._Stack, "finish", counting)
     solve(pentagon_cfg())
     assert calls == [0]
 
@@ -122,7 +122,7 @@ def test_jump_guard_names_a_charge_with_large_Y(omega):
     values = st.values.copy()
     values[:, 1] -= 100j
     with pytest.raises(TruncationUnsafeError, match=r"for charge \(1,1\) on its jump ray"):
-        check_jump(dataclasses.replace(st, values=values))
+        truncation_guard(dataclasses.replace(st, values=values))
 
 
 def reference_guard_message(state):
@@ -391,15 +391,17 @@ def test_smoothness_probe_verifies_nothing(monkeypatch):
 
 
 def test_solve_guards_each_converged_state_once(monkeypatch):
+    # the guard runs in the finishing pass only, never by truncation_guard
     import rhflow.rh_solver as rh
     guarded = []
-    original = rh.truncation_guard
+    original = rh._Stack.finish
 
-    def counting(*states):
-        guarded.extend(state.cfg for state in states)
-        return original(*states)
+    def counting(self, members):
+        guarded.extend(self.cfgs[k] for k in members)
+        return original(self, members)
 
-    monkeypatch.setattr(rh, "truncation_guard", counting)
+    monkeypatch.setattr(rh._Stack, "finish", counting)
+    monkeypatch.setattr(rh, "truncation_guard", None)
     limited = []
     original_limits = rh.asymptotic_theta
 
@@ -419,26 +421,59 @@ def test_solve_guards_each_converged_state_once(monkeypatch):
 def test_solve_and_verify_guard_and_take_the_limits_once_per_state(monkeypatch):
     import rhflow.rh_solver as rh
     calls = []
-    for name in ("truncation_guard", "asymptotic_theta"):
-        original = getattr(rh, name)
+    for owner, name in ((rh, "truncation_guard"), (rh, "asymptotic_theta"),
+                        (rh._Stack, "finish")):
+        original = getattr(owner, name)
 
         def counting(*args, _name=name, _original=original, **kwargs):
             calls.append(_name)
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(rh, name, counting)
+        monkeypatch.setattr(owner, name, counting)
     state, report = solve(pentagon_cfg(R=1.0))
     residuals = verify(state)
-    assert sorted(calls) == ["asymptotic_theta", "truncation_guard"]
+    # the guard runs in solve's one finishing pass; verify runs none
+    assert sorted(calls) == ["asymptotic_theta", "finish"]
     assert report["theta0"] == [[t.real, t.imag] for t in state.limits[0]]
     assert residuals["asymptotic_conj"] == max(
         abs(a - b.conjugate()) for a, b in zip(*state.limits))
-    # a state that never went through solve is guarded by check_jump, once
-    calls.clear()
-    fresh = dataclasses.replace(state)
-    assert check_jump(fresh) == check_jump(state)
-    check_jump(fresh)
-    assert calls == ["truncation_guard"]
+
+
+def test_verify_measures_a_state_outside_the_guard():
+    # several charges reach |Y| >= 1: solve would refuse such a state, but
+    # verify and check_jump measure it and return its residuals
+    st = init_state(pentagon_cfg(M=64, R=1.0))
+    broken = dataclasses.replace(st, values=st.values + np.array((-5j, -5j)))
+    with pytest.raises(TruncationUnsafeError):
+        truncation_guard(broken)
+    jump = check_jump(broken)
+    residuals = verify(dataclasses.replace(broken))
+    assert isinstance(jump, float) and jump > 0
+    assert residuals["jump"] == jump
+    assert set(residuals) == {"jump", "reality", "asymptotic_real", "asymptotic_conj"}
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["solve", "stencil"])
+def test_a_finishing_group_costs_one_exponentials(monkeypatch, batch):
+    # one exponentials per Picard step, and one for the finishing pass,
+    # which gives both the guard outcome and the densities
+    import rhflow.rh_solver as rh
+    calls = []
+    original = rh._SideMap.exponentials
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(rh._SideMap, "exponentials", counting)
+    cfg = pentagon_cfg()
+    cfgs = ([dataclasses.replace(cfg, theta=(0.7 + h, 1.3)) for h in (0.01, -0.01, 0.005,
+                                                                      -0.005, 0.0)]
+            if batch else [cfg])
+    results = solve_batch(cfgs)
+    iterations = {report["iterations"] for _, report in results}
+    assert len(iterations) == 1  # the members finish at one step
+    assert len(calls) == iterations.pop() + 1
 
 
 def test_smoothness_probe_refuses_a_converged_state_with_large_Y():
@@ -1154,23 +1189,23 @@ def test_a_poisoned_member_diverges_alone(monkeypatch):
 
 def test_finishing_members_take_densities_from_their_own_points_only(monkeypatch):
     # a ladder's high-R rung leaves at step 2 while the others still run:
-    # its densities come from one log over its own M points, and they are
-    # those of its solve alone
+    # its guard and densities come from one exponentials over its own M
+    # points, and they are those of its solve alone
     import rhflow.rh_solver as rh
     passes = []
-    original_densities, original_log = rh._Stack.densities, rh._SideMap.log
+    original_finish, original_exponentials = rh._Stack.finish, rh._SideMap.exponentials
 
-    def densities(self, members):
+    def finish(self, members):
         passes.append((len(members), []))
-        return original_densities(self, members)
+        return original_finish(self, members)
 
-    def log(self, static, theta, buffers=None):
+    def exponentials(self, static, theta, *buffers):
         if passes:
             passes[-1][1].append(len(theta))
-        return original_log(self, static, theta, buffers)
+        return original_exponentials(self, static, theta, *buffers)
 
-    monkeypatch.setattr(rh._Stack, "densities", densities)
-    monkeypatch.setattr(rh._SideMap, "log", log)
+    monkeypatch.setattr(rh._Stack, "finish", finish)
+    monkeypatch.setattr(rh._SideMap, "exponentials", exponentials)
     cfgs = [pentagon_cfg(R=R, max_iter=100) for R in (0.15, 0.5, 4.0, 4.0)]
     results = solve_batch(cfgs)
     monkeypatch.undo()

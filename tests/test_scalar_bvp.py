@@ -33,7 +33,7 @@ def manufactured(eta0: complex, zeta0: complex = 1.5j, phase: float = 0.0,
         val = np.exp(bump(t)) / regularizing_factor(probe, eta0, zeta)
         return val * zero_factor(probe, zeta)
 
-    g0m, g0p = G(np.array([-1e-9, 1e-9])).tolist()
+    g0m, g0p = G(np.array([-1e-300, 1e-300])).tolist()
     return ScalarBVProblem(phase, G, (g0m, g0p, 1.0 + 0j, cmath.exp(2j * math.pi * eta0)),
                            zeros=tuple(zeros), zeta0=zeta0)
 
@@ -250,6 +250,19 @@ def test_continuous_jump_full_pipeline():
     ts = np.concatenate([np.exp(np.linspace(-5, 5, 30)),
                          -np.exp(np.linspace(-5, 5, 30))])
     assert sol.boundary_residual(ts) < 1e-6
+
+
+def test_a_purely_imaginary_eta0_has_index_zero():
+    # G(0-)/G(0+) = 2 with the limits given as positive reals: eta0 is
+    # -0.1103i with a real part of exactly 0.0, where floor(0.0) +
+    # floor(-0.0) + 1 would read an index of 1; the solve is the index-zero one
+    eta0 = cmath.log(2.0) / (2j * math.pi)
+    p = dataclasses.replace(manufactured(eta0), limits=(2.0, 1.0, 1.0, 2.0))
+    sol = solve_scalar_bvp(p)
+    assert sol.eta0.real == 0.0 and sol.eta0.imag == pytest.approx(-0.1103, abs=1e-4)
+    assert sol.kappa == 0
+    ts = np.concatenate([np.exp(np.linspace(-5, 5, 30)), -np.exp(np.linspace(-5, 5, 30))])
+    assert sol.boundary_residual(ts) < 1e-13
 
 
 def test_zeta0_outside_upper_half_rejected():

@@ -10,8 +10,8 @@ time of `init_state(cfg)` cold (rh_solver's cache of theta-free problems
 cleared first) and warm (the problem cached), of the steady-state
 `iterate_once` that `solve` runs: a step of a kept one-member `_Stack` at
 the solved state's values, of `truncation_guard` on the solved state, of `solve(cfg)`, and of
-`check_jump`, `check_reality` and `verify` on the solved state (guard
-passed, limits kept).  "format" is `cli_driver._cmd_solve` with its
+`check_jump`, `check_reality` and `verify` on the solved state (limits
+kept; the verify path runs no guard).  "format" is `cli_driver._cmd_solve` with its
 `solve` and `verify` stubbed to return that state, a copy of its report
 and its residuals, and its `_write` stubbed to keep the texts: the
 artifacts' formatting, with no file system.  "write" writes those texts
