@@ -452,6 +452,10 @@ def _cmd_scalar_bvp(rc: RunConfig, out: Path) -> None:
         alt = _complex(alt, "scalar.zeta0_alt")
         if not problem.in_upper(alt):
             raise ConfigError("scalar.zeta0_alt must lie strictly inside D+")
+        if alt == problem.zeta0:
+            raise ConfigError("scalar.zeta0_alt must differ from scalar.zeta0 "
+                              f"({problem.zeta0}): the check would compare a solution "
+                              "with itself")
     sol = solve_scalar_bvp(problem, **grid)
     rng = np.random.default_rng(rc.seed)
     ts = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), size=n // 2))

@@ -28,9 +28,9 @@ node set, since both rays share one node set by construction.
 A state is r's node values, its configuration and its theta-free problem
 (_ThetaFree: rays, side maps, grids, exponents and kernel spectra), which
 theta_free_problem builds once per R, a, spectrum, Z, M, target_tail and
-split_phase and keeps for the session (up to CACHE_BYTES of their arrays),
-so the solves of an R ladder or of a theta or a stencil share it.  It is
-shared, so it is read-only: its arrays refuse writes.
+split_phase and keeps for the session (session_cache: up to CACHE_BYTES of
+their arrays), so the solves of an R ladder or of a theta or a stencil share
+it.  It is shared, so it is read-only: its arrays refuse writes.
 
 iterate_once is the bare map; solve applies it, keeps the iteration record
 and returns it with the converged state; verify returns the residuals of the
@@ -93,7 +93,6 @@ kernel is c_cross's real tanh, elsewhere the complex Cauchy kernel.
 from __future__ import annotations
 
 import cmath
-import collections
 import dataclasses
 import functools
 import math
@@ -108,6 +107,8 @@ from .charge_lattice import (Charge, GAMMA1, GAMMA2, Spectrum, extend, pairing,
 from .contour_quadrature import build_ray_grid, integrate_ray
 from .errors import (ConfigError, DivergenceError, NonContractionError, RHFlowError,
                      TruncationUnsafeError)
+# CACHE_BYTES is the bound of theta_free_problem's cache, kept readable here
+from .session_cache import CACHE_BYTES, BytesLRU  # noqa: F401
 from .spectrum_rays import CentralCharge, RayDirection, admissible_pair
 from .stokes_series import ordered_side_charges, refinement_sign
 # not called by the solver: the benchmark tracer (bench/tracer.py) still
@@ -369,47 +370,7 @@ class _ThetaFree:
         self.nbytes = sum(arr.nbytes for arr in arrays.values())
 
 
-# theta_free_problem keeps problems up to this many bytes of their arrays
-# (_ThetaFree.nbytes): 36 pentagon problems at M = 512, 9 at M = 2048
-CACHE_BYTES = 8 * 2**20
-
-CacheInfo = collections.namedtuple("CacheInfo", "hits misses maxbytes currbytes")
-
-
-class _BytesLRU:
-    """A least-recently-used cache of a function's results keyed by its
-    positional arguments, bounded by the bytes of the results it keeps
-    (their nbytes) at CACHE_BYTES: the newest result is always kept, and the
-    oldest go first.  cache_info and cache_clear as functools.lru_cache's."""
-
-    def __init__(self, build):
-        functools.update_wrapper(self, build)
-        self._build = build
-        self.cache_clear()
-
-    def __call__(self, *args):
-        kept = self._kept
-        result = kept.get(args)
-        if result is not None:
-            self._hits += 1
-            kept.move_to_end(args)
-            return result
-        self._misses += 1
-        result = kept[args] = self._build(*args)
-        self._bytes += result.nbytes
-        while self._bytes > CACHE_BYTES and len(kept) > 1:
-            self._bytes -= kept.popitem(last=False)[1].nbytes
-        return result
-
-    def cache_info(self) -> CacheInfo:
-        return CacheInfo(self._hits, self._misses, CACHE_BYTES, self._bytes)
-
-    def cache_clear(self) -> None:
-        self._kept: collections.OrderedDict = collections.OrderedDict()
-        self._hits = self._misses = self._bytes = 0
-
-
-@_BytesLRU
+@BytesLRU
 def theta_free_problem(R: float, a: complex, spectrum: Spectrum, Z: CentralCharge,
                        M: int, target_tail: float,
                        split_phase: float | None) -> _ThetaFree:

@@ -85,8 +85,9 @@ def _files(root: Path) -> dict[str, bytes]:
 
 
 def test_each_op_run_again_finds_its_problems_cached_and_writes_the_same_bytes(tmp_path):
-    # a solve, a sweep over two R and a smoothness probe whose stencil points
-    # share one theta-free problem, each run twice in one interpreter
+    # a solve, a sweep over two R, a smoothness probe whose stencil points
+    # share one theta-free problem and a scalar solve with its uniqueness
+    # check, each run twice in one interpreter
     pentagon = artifact_diff.PENTAGON
     ops = [{"name": "solve", "command": "solve", "seed": 0,
             "doc": {"problem": dict(pentagon, R=0.3, M=64)}},
@@ -94,7 +95,10 @@ def test_each_op_run_again_finds_its_problems_cached_and_writes_the_same_bytes(t
             "doc": {"problem": dict(pentagon, M=64), "R_values": [4.0, 1.0]}},
            {"name": "smoothness", "command": "smoothness", "seed": 0,
             "doc": {"problem": dict(pentagon, M=64),
-                    "smoothness": {"direction": "theta1", "orders": [1, 2]}}}]
+                    "smoothness": {"direction": "theta1", "orders": [1, 2]}}},
+           {"name": "scalar", "command": "scalar_bvp", "seed": 0,
+            "doc": {"scalar": {"jump": {"kind": "manufactured", "eta0": 0.25},
+                               "zeta0_alt": [0.0, 0.7], "M": 128, "samples": 20}}}]
     ops_file = tmp_path / "ops.json"
     ops_file.write_text(json.dumps(ops))
     out, again = tmp_path / "out", tmp_path / "again"
@@ -104,9 +108,9 @@ def test_each_op_run_again_finds_its_problems_cached_and_writes_the_same_bytes(t
                    env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
     codes = json.loads(Path(f"{out}.codes.json").read_text())
     repeat = json.loads(Path(f"{again}.codes.json").read_text())
-    assert codes == repeat["codes"] == {"solve": 0, "sweep": 0, "smoothness": 0}
-    assert repeat["cache_misses"] == 0
+    assert codes == repeat["codes"] == {"solve": 0, "sweep": 0, "smoothness": 0, "scalar": 0}
+    assert repeat["cache_misses"] == {"theta_free": 0, "eta0_free": 0}
     first = _files(out)
-    assert sorted(first) == ["smoothness/smoothness.csv", "solve/nodes.csv",
-                             "solve/report.json", "sweep/sweep.csv"]
+    assert sorted(first) == ["scalar/scalar_report.json", "smoothness/smoothness.csv",
+                             "solve/nodes.csv", "solve/report.json", "sweep/sweep.csv"]
     assert _files(again) == first

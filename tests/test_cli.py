@@ -261,8 +261,10 @@ def test_exit_code_1_when_a_command_section_is_wrongly_typed(tmp_path, capsys,
     ("samples", -4), ("samples", 0), ("samples", 1), ("M", 3), ("M", 0),
     ("half_width", -1.0), ("half_width", 0.0), ("half_width", float("inf")),
     ("zeta0_alt", [0.0, -0.7]), ("zeta0_alt", [0.0, 0.0]), ("zeta0_alt", [0.5, 0.0]),
+    ("zeta0_alt", [0.0, 1.5]),
 ], ids=["samples_negative", "samples_0", "samples_1", "M_3", "M_0", "half_width_negative",
-        "half_width_0", "half_width_inf", "alt_below", "alt_at_0", "alt_on_line"])
+        "half_width_0", "half_width_inf", "alt_below", "alt_at_0", "alt_on_line",
+        "alt_at_zeta0"])
 def test_exit_code_1_when_a_scalar_grid_or_base_point_is_invalid(tmp_path, capsys,
                                                                  monkeypatch, key, value):
     def no_solve(*args, **kwargs):
@@ -780,6 +782,9 @@ _DECAYED = [math.exp(-3.0 * math.pi), 0.0]   # G(0-0)/G(0+0) = e^{2 pi i (1.5i)}
      "zero orders must be positive integers"),
     ({"jump": {"kind": "manufactured", "eta0": 0.25}, "zeros": [[[0.5, 0.5], 1]]},
      "is off the contour"),
+    # phase(0) = 0 lies "on" the line; a zero there shifts eta_0 (was exit 2)
+    ({"jump": {"kind": "manufactured", "eta0": 0.25}, "zeros": [[[0.0, 0.0], 1]]},
+     "zeros: a zero at 0 sits on the jump's discontinuity"),
     (_sampled([1.0, 0.0], [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]),
      "endpoint limits must be nonzero"),
     (_sampled([1.0, 0.0], [_DECAYED, [1.0, 0.0], [1.0, 0.0], _DECAYED]),
@@ -792,7 +797,7 @@ _DECAYED = [math.exp(-3.0 * math.pi), 0.0]   # G(0-0)/G(0+0) = e^{2 pi i (1.5i)}
        f"scalar.jump.eta0: Re eta0 = {re!r} is off the branch (-1/2, 1/2]")
       for eta0, re in ((0.51, 0.51), (0.6, 0.6), (-0.7, -0.7), (0.95, 0.95),
                        ([0.6, 0.1], 0.6))),
-], ids=["zeta0_below", "zero_order_0", "zero_off_contour", "zero_limit",
+], ids=["zeta0_below", "zero_order_0", "zero_off_contour", "zero_at_0", "zero_limit",
         "eta0_too_large", "vanishing_jump", "eta0_0.51", "eta0_0.6", "eta0_-0.7",
         "eta0_0.95", "eta0_0.6+0.1i"])
 def test_exit_code_1_when_the_scalar_problem_is_not_admissible(tmp_path, capsys,

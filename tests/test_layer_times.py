@@ -55,8 +55,10 @@ def test_layer_rounds_are_paired_and_counted_per_layer():
 def test_scalar_cases_are_summarized_by_their_own_layers():
     # a scalar case has no iteration count and times SCALAR_LAYERS only
     def round_(bv):
-        return {"scalar eta0=0.1,zeros=0": {"solve_scalar_bvp": [0.5], "boundary pair": [bv],
-                                            "verify_uniqueness": [3.0]}}
+        return {"scalar eta0=0.1,zeros=0": {
+            "solve_scalar_bvp cold": [0.6], "solve_scalar_bvp warm": [0.5],
+            "boundary pair": [bv], "verify_uniqueness cold": [3.2],
+            "verify_uniqueness warm": [3.0]}}
     rounds = {"base": [round_(4.0), round_(4.2)], "tree": [round_(2.0), round_(4.5)]}
     case = layer_times.layer_summary(rounds)["scalar eta0=0.1,zeros=0"]
     assert list(case) == list(layer_times.SCALAR_LAYERS)

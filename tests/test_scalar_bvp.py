@@ -503,3 +503,92 @@ def test_manufactured_limits_give_the_configured_exponent():
                                  "zeros": zeros if phase == 0.0 else [],
                                  "line_phase": phase})
             assert abs(jump_exponents(p)[0] - eta0) <= 1e-15
+
+
+# ---------------- the kept eta0-free problem ----------------
+
+def _clear_line_caches():
+    from rhflow import scalar_bvp as sb
+    sb.line_problem.cache_clear()
+    sb.base_point_log.cache_clear()
+
+
+def test_solves_that_differ_only_in_eta0_build_the_eta0_free_problem_once():
+    # manufactured jumps on one line, base point and grid: the nodes, the
+    # grids and both logs are built on the first solve and read by the
+    # second, whose X+ and X- are those of a solve on a cleared cache
+    from rhflow import scalar_bvp as sb
+    zs = np.array([0.3, -1.7, 12.0, 0.9j, 2.0 - 0.5j]) * cmath.exp(0.3j)
+    problems = [manufactured(eta0, zeta0=1.1j * cmath.exp(0.3j), phase=0.3)
+                for eta0 in (0.25, -0.3 + 0.05j)]
+    _clear_line_caches()
+    warm = [solve_scalar_bvp(p, half_width=9.0, M=256) for p in problems]
+    assert sb.line_problem.cache_info().misses == 1
+    assert sb.base_point_log.cache_info()[:2] == (1, 1)  # hits, misses
+    assert warm[0].continuous.grids is warm[1].continuous.grids
+    for p, sol in zip(problems, warm):
+        _clear_line_caches()
+        cold = solve_scalar_bvp(p, half_width=9.0, M=256)
+        assert cold.continuous.grids is not sol.continuous.grids
+        for got, want in zip(sol(zs), cold(zs)):
+            assert got.tobytes() == want.tobytes()
+    _clear_line_caches()
+
+
+def test_verify_uniqueness_transforms_both_solutions_in_one_call_per_half(monkeypatch):
+    # the stack of both remainders goes through one integrate_ray call per
+    # half of the line (two solutions evaluated apart took four), and the
+    # deviation is that of two full solves evaluated apart
+    import rhflow.scalar_bvp as sb
+    p = _cli_manufactured(0.25, [[[0.8, 0.0], 2]])
+    calls = []
+
+    def counting(grid, values, zeta):
+        calls.append(np.shape(values))
+        return original(grid, values, zeta)
+
+    original = sb.integrate_ray
+    monkeypatch.setattr(sb, "integrate_ray", counting)
+    dev = verify_uniqueness(p, 0.7j, 16.0, 256)
+    assert calls == [(2, 256)] * 2
+    monkeypatch.undo()
+    assert dev == _uniqueness_by_two_solves(p, 0.7j, 16.0, 256)
+
+
+def test_verify_uniqueness_refuses_the_base_point_itself():
+    with pytest.raises(ConfigError, match="zeta0_alt must differ from zeta0"):
+        verify_uniqueness(manufactured(0.25), 1.5j)
+
+
+def test_a_zero_at_the_origin_is_rejected():
+    # phase(0) = 0 puts 0 "on" a line of phase 0, but a zero there sits on
+    # the jump's discontinuity
+    with pytest.raises(ConfigError, match="a zero at 0"):
+        ScalarBVProblem(0.0, lambda t: 1.0, (1, 1, 1, 1), zeros=((0j, 1),)).validate()
+
+
+def test_the_kept_arrays_refuse_writes_and_their_cache_keeps_its_bound():
+    from rhflow import scalar_bvp as sb
+    from rhflow.session_cache import CACHE_BYTES
+    _clear_line_caches()
+    line = sb.line_problem(0.0, 7.0, 512)
+    log_minus = sb.base_point_log(0.0, 1.5j, 7.0, 512)
+    pos, neg = line.grids
+    kept = [line.t, line.zeta, line.log_plus, pos.nodes, pos.weights, log_minus]
+    assert neg.nodes is pos.nodes and neg.weights is pos.weights
+    for arr in kept:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    # t, zeta, log_plus and the shared grid arrays: 1024 * (8 + 16 + 16) +
+    # 2 * 512 * 8 bytes
+    assert line.nbytes == 49_152 and log_minus.nbytes == 16_384
+    # lines at M = 16384 hold 1,572,864 bytes: five fit in CACHE_BYTES, and
+    # the least recently used goes first
+    big = [sb.line_problem(0.0, 7.0 + i, 16384) for i in range(6)]
+    info = sb.line_problem.cache_info()
+    assert big[0].nbytes == 1_572_864 and CACHE_BYTES // big[0].nbytes == 5
+    assert (info.misses, info.currbytes) == (7, 5 * big[0].nbytes)
+    assert info.currbytes <= info.maxbytes == CACHE_BYTES
+    assert sb.line_problem(0.0, 12.0, 16384) is big[5]
+    assert sb.line_problem(0.0, 7.0, 16384) is not big[0]
+    _clear_line_caches()

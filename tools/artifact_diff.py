@@ -8,16 +8,17 @@ each side in a fresh interpreter with one BLAS thread (threaded BLAS splits
 products differently by matrix size, on any commit).  The tree side runs
 each op a second time right after the first, into a second output tree:
 no op solves more theta-free problems than rh_solver.theta_free_problem
-keeps (its CACHE_BYTES), so every solve of the repeat finds its problem
-built, and the repeats must give the same bytes and exit codes as the
-first runs, with no cache miss.  Prints
+keeps, nor more eta0-free ones than scalar_bvp.line_problem and
+scalar_bvp.base_point_log keep (CACHE_BYTES each), so every solve of the
+repeat finds its problem built, and the repeats must give the same bytes
+and exit codes as the first runs, with no miss in either cache.  Prints
 each op's exit codes, the `diff -r` of the two output trees, for each
 residual field how many of its values rose over the base and the largest
 rise with its op, when the trees differ the largest absolute difference of
 each numeric field of each differing JSON or CSV artifact, and the `diff -r`
-of the tree's two passes with the repeats' cache misses.  Exits 0 when the
-trees are identical, the two passes are identical with no miss in the
-repeats, and every exit code matches; 1 otherwise.
+of the tree's two passes with the repeats' misses in each cache.  Exits 0
+when the trees are identical, the two passes are identical with no miss in
+the repeats, and every exit code matches; 1 otherwise.
 
 The op list is the first block of each `bench/workloads.py` generator
 (imported read-only) at fixed seeds, pentagon `solve` at R in {0.01, 0.05,
@@ -36,9 +37,10 @@ orders given out of order), at the sweep-probe stencils with R = 0.15 (members o
 batch converge at different steps, and with max_iter 78 some do not, the
 first of them not the first member) and once where a converged stencil
 solve fails the |Y| < 1 guard, a few `deform_check`, `saddle_check` and manufactured-jump
-`scalar_bvp` configs (one with a complex exponent), and one `scalar_bvp`
-with a sampled jump.  Outputs go to `--work` (kept) or to a temporary
-directory (removed).
+`scalar_bvp` configs (one with a complex exponent, one with a line phase,
+base point, half-width and M of its own: every field of the eta0-free
+problems' keys off its default), and one `scalar_bvp` with a sampled jump.
+Outputs go to `--work` (kept) or to a temporary directory (removed).
 """
 
 from __future__ import annotations
@@ -180,6 +182,12 @@ def pinned_ops() -> list[dict]:
     add("scalar-complex-eta0", "scalar_bvp",
         {"scalar": {"jump": {"kind": "manufactured", "eta0": [0.1, 0.05]},
                     "zeros": [[[0.8, 0.0], 2]], "zeta0_alt": [0.0, 0.7], "samples": 100}})
+    # every field of scalar_bvp's eta0-free keys off its default: line phase,
+    # base point (and the check's), half-width and M
+    add("scalar-own-line-and-grid", "scalar_bvp",
+        {"scalar": {"jump": {"kind": "manufactured", "eta0": -0.3},
+                    "line_phase": 0.2, "zeta0": [0.2, 1.1], "zeta0_alt": [-0.3, 0.8],
+                    "half_width": 9.0, "M": 256, "samples": 100}})
     # a sampled jump: samples of a continuous jump, linear between them
     ts = [math.exp(k / 8) for k in range(-64, 65)]
     ts = [-t for t in reversed(ts)] + ts
@@ -304,16 +312,22 @@ def run_side(src: str, ops_file: str, out: str, again: str | None = None) -> Non
     """Run every op with rhflow imported from src; write the exit codes to
     out + '.codes.json' and the artifacts under out/<op name>.  With again,
     run each op a second time right after the first, into again, and write
-    its exit codes and the misses of rh_solver.theta_free_problem in these
-    repeats to again + '.codes.json'."""
+    its exit codes and the misses of rh_solver.theta_free_problem and of
+    scalar_bvp's eta0-free caches in these repeats to again + '.codes.json'."""
     sys.path.insert(0, src)
-    from rhflow import cli_driver, rh_solver
+    from rhflow import cli_driver, rh_solver, scalar_bvp
     if not Path(cli_driver.__file__).resolve().is_relative_to(Path(src).resolve()):
         raise SystemExit(f"rhflow imported from {cli_driver.__file__}, not {src}")
     ops = json.loads(Path(ops_file).read_text())
     configs = Path(out + ".configs")
     configs.mkdir(parents=True)
-    codes, repeats, missed = {}, {}, 0
+    codes, repeats = {}, {}
+    missed = {"theta_free": 0, "eta0_free": 0}
+
+    def misses() -> dict:  # called on the tree side only, with again
+        return {"theta_free": rh_solver.theta_free_problem.cache_info().misses,
+                "eta0_free": scalar_bvp.line_problem.cache_info().misses
+                + scalar_bvp.base_point_log.cache_info().misses}
 
     def run(op, root):
         try:
@@ -328,10 +342,10 @@ def run_side(src: str, ops_file: str, out: str, again: str | None = None) -> Non
                                                     encoding="utf-8")
         codes[op["name"]] = run(op, out)
         if again:
-            info = rh_solver.theta_free_problem.cache_info
-            before = info().misses
+            before = misses()
             repeats[op["name"]] = run(op, again)
-            missed += info().misses - before
+            for name, count in misses().items():
+                missed[name] += count - before[name]
     Path(out + ".codes.json").write_text(json.dumps(codes, indent=1))
     if again:
         Path(again + ".codes.json").write_text(json.dumps(
@@ -379,14 +393,15 @@ def compare(base: str, work: Path) -> int:
     if not identical:
         print("largest absolute difference per numeric field:")
         print("\n".join(numeric_differences(work / "out-base", work / "out-tree")))
-    print(f"tree, each op run again (theta-free cache misses in the repeats: "
-          f"{repeat['cache_misses']}):")
+    missed = repeat["cache_misses"]
+    print(f"tree, each op run again (cache misses in the repeats: theta-free "
+          f"{missed['theta_free']}, eta0-free {missed['eta0_free']}):")
     print(again.stdout, end="")
     for name, code in codes["tree"].items():
         if repeat["codes"][name] != code:
             print(f"  {name:<40} {code} -> {repeat['codes'][name]}   MISMATCH")
     repeated = (again.returncode == 0 and repeat["codes"] == codes["tree"]
-                and repeat["cache_misses"] == 0)
+                and not any(missed.values()))
     print(f"diff -r: {'empty' if identical else 'DIFFERS'}; "
           f"exit codes: {'all match' if not mismatched else f'{mismatched} differ'}; "
           f"second pass: {'identical' if repeated else 'DIFFERS'}")

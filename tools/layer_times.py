@@ -19,12 +19,14 @@ by `cli_driver._write` into a fresh directory per call (`report.json` and
 `nodes.csv`): the file system's part alone.  On a side without the cache
 of theta-free problems, cold and warm time the same call.
 For the scalar manufactured jump of the scalar-bvp workload at each
-(eta0, zeros) of SCALAR_CASES, at M = 512: `solve_scalar_bvp`, the
-one-pass (X+, X-) pair at 200 samples on the line (seed 41's draw of
-`rhflow scalar_bvp`, both halves) by the solution's call, or on a base
-that predates it by the method that returned the pair there, and
-`verify_uniqueness` with the alternative base point 0.7i, at its own
-default grid.
+(eta0, zeros) of SCALAR_CASES, at M = 512: `solve_scalar_bvp` cold
+(scalar_bvp's caches of eta0-free problems, line_problem and
+base_point_log, cleared first) and warm, the one-pass (X+, X-) pair at
+200 samples on the line (seed 41's draw of `rhflow scalar_bvp`, both
+halves) by the solution's call, or on a base that predates it by the
+method that returned the pair there, and `verify_uniqueness` with the
+alternative base point 0.7i, at its own default grid, cold and warm.  On
+a side without those caches, cold and warm time the same call.
 For each probe direction of SMOOTHNESS_CASES (theta1 and a_re), the
 "smoothness" layer is the sweep-probe workload's `smoothness` op at R = 4,
 M = 128, orders [1, 2], step 0.01: `cli_driver._cmd_smoothness` with its
@@ -93,7 +95,8 @@ LAYERS = ("init_state cold", "init_state warm", "iterate_once", "truncation_guar
 SMOOTHNESS_CASES = ("theta1", "a_re")  # probe directions of the sweep-probe workload
 SWEEP_LADDER = (0.15, 0.5, 4.0)  # a sweep-probe ladder: one rung per rung class
 SCALAR_CASES = ((0.1, ()), (0.25, ((0.8, 2),)))  # eta0, (zero on the line, order)
-SCALAR_LAYERS = ("solve_scalar_bvp", "boundary pair", "verify_uniqueness")
+SCALAR_LAYERS = ("solve_scalar_bvp cold", "solve_scalar_bvp warm", "boundary pair",
+                 "verify_uniqueness cold", "verify_uniqueness warm")
 LAYER_ROUNDS = 12  # alternating rounds of layer times
 OP_ROUNDS = 3      # alternating rounds of fixed-op runs
 PAIRS = 10         # alternating end-to-end pairs per workload
@@ -247,6 +250,12 @@ def time_scalar_layers() -> dict:
     import numpy as np
     from rhflow import scalar_bvp as sb
     from rhflow.cli_driver import _scalar_problem
+    caches = [getattr(sb, name, None) for name in ("line_problem", "base_point_log")]
+
+    def clear():
+        for cache in filter(None, caches):
+            cache.cache_clear()
+
     rng = np.random.default_rng(41)
     ts = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), size=100))
     ts = np.concatenate([ts, -ts])
@@ -257,9 +266,11 @@ def time_scalar_layers() -> dict:
         sol = sb.solve_scalar_bvp(p, M=512)
         at = np.array([t0 for t0, _ in zeros], dtype=float)  # as rhflow scalar_bvp drops
         zeta = p.contour_point(ts[np.all(np.abs(ts[:, None] - at) > 1e-2, axis=1)])
-        fns = {"solve_scalar_bvp": lambda: sb.solve_scalar_bvp(p, M=512),
+        fns = {"solve_scalar_bvp cold": lambda: (clear(), sb.solve_scalar_bvp(p, M=512)),
+               "solve_scalar_bvp warm": lambda: sb.solve_scalar_bvp(p, M=512),
                "boundary pair": lambda: getattr(sol, "boundary_values", sol)(zeta),
-               "verify_uniqueness": lambda: sb.verify_uniqueness(p, 0.7j)}
+               "verify_uniqueness cold": lambda: (clear(), sb.verify_uniqueness(p, 0.7j)),
+               "verify_uniqueness warm": lambda: sb.verify_uniqueness(p, 0.7j)}
         out[f"scalar eta0={eta0:g},zeros={len(zeros)}"] = {
             name: _per_call(fns[name], 5) for name in SCALAR_LAYERS}
     return out
